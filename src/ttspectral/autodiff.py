@@ -48,37 +48,6 @@ __all__ = [
 PENALTY_FLOOR = 1e-12  # optimization guard inside |sigma| before the log
 
 
-def _decode_fwd(layout: hh.HouseholderLayout):
-    """Forward reflector sweep, saving per-reflector intermediates."""
-    mat = layout.dense()
-    dp, rp = mat.shape
-    q = np.eye(dp, rp)
-    saves = []
-    for j in range(rp - 1, -1, -1):
-        h = mat[:, j]
-        norm_h = np.sqrt(np.sum(h * h))
-        u = h / norm_h
-        saves.append((j, u, norm_h, q))
-        q = q - 2.0 * u[:, None] * (u[None, :] @ q)
-    return q[: layout.d, : layout.r], saves
-
-
-def _decode_vjp(layout: hh.HouseholderLayout, saves, g_frame: np.ndarray
-                ) -> np.ndarray:
-    """Gradient of the decoded frame w.r.t. the layout's free parameters."""
-    dp, rp = layout.padded_shape
-    g = np.zeros((dp, rp))
-    g[: layout.d, : layout.r] = g_frame
-    g_canvas = np.zeros((dp, rp))
-    for j, u, norm_h, x in reversed(saves):
-        xu = x.T @ u
-        gu = -2.0 * (g @ xu + x @ (g.T @ u))
-        g_canvas[:, j] = (gu - u * (u @ gu)) / norm_h
-        g = g - 2.0 * u[:, None] * (u[None, :] @ g)
-    rows, cols = layout.free_cells()
-    return g_canvas[rows, cols]
-
-
 def _chain_fwd(frames, shapes):
     """Compose core frames left to right, saving the running blocks."""
     blocks = [frames[0]]
@@ -130,7 +99,7 @@ class GradTape:
 
     Replaying the stored parameters through the same forward reproduces the
     recorded output bitwise; the saved intermediates suffice for one reverse
-    transit.
+    transit.  ``frames`` are in :func:`pack` order.
     """
 
     params: object
@@ -140,6 +109,7 @@ class GradTape:
     v: np.ndarray
     decode_saves: tuple
     frames: tuple
+    shapes: tuple
     chain_blocks: tuple
     sigma_save: tuple | None
 
@@ -148,29 +118,30 @@ class GradTape:
         return self.sigma_save is not None and self.sigma_save[3]
 
 
+def _layouts(params) -> tuple:
+    """Every frame layout in pack order: the U side, then the V side."""
+    if isinstance(params, SvdpParams):
+        return (params.u_layout, params.v_layout)
+    if isinstance(params, SttpParams):
+        return params.u_layouts + params.v_layouts
+    raise DomainError(f"unsupported parameter type {type(params)!r}")
+
+
 def assemble_with_tape(params) -> tuple[np.ndarray, GradTape]:
     """Assemble the matrix while recording intermediates for :func:`vjp`."""
+    frames, decode_saves = hh._taped_decode(_layouts(params))
     sigma, sigma_save = _sigma_fwd(params.spectrum)
-    if isinstance(params, SvdpParams):
-        u, saves_u = _decode_fwd(params.u_layout)
-        v, saves_v = _decode_fwd(params.v_layout)
-        w = (u * sigma) @ v.T
-        tape = GradTape(params, w, sigma, u, v, (saves_u, saves_v),
-                        ((u,), (v,)), ((), ()), sigma_save)
-        return w, tape
-    if not isinstance(params, SttpParams):
-        raise DomainError(f"unsupported parameter type {type(params)!r}")
-    u_specs, v_specs = core_specs(params.out_fac, params.in_fac, params.r,
-                                  params.spectrum.mode)
-    u_frames, u_saves = zip(*(_decode_fwd(la) for la in params.u_layouts))
-    v_frames, v_saves = zip(*(_decode_fwd(la) for la in params.v_layouts))
-    u_shapes = [spec.shape for spec in u_specs]
-    v_shapes = [spec.shape for spec in v_specs]
-    u, u_blocks = _chain_fwd(u_frames, u_shapes)
-    v, v_blocks = _chain_fwd(v_frames, v_shapes)
+    if isinstance(params, SvdpParams):  # one (1, d, r) core per side
+        shapes = [[(1, params.d_out, params.r)], [(1, params.d_in, params.r)]]
+    else:
+        shapes = [[spec.shape for spec in side] for side in core_specs(
+            params.out_fac, params.in_fac, params.r, params.spectrum.mode)]
+    u_shapes, v_shapes = shapes
+    u, u_blocks = _chain_fwd(frames[: len(u_shapes)], u_shapes)
+    v, v_blocks = _chain_fwd(frames[len(u_shapes):], v_shapes)
     w = (u * sigma) @ v.T
-    tape = GradTape(params, w, sigma, u, v, (u_saves, v_saves),
-                    (u_frames, v_frames), (u_blocks, v_blocks), sigma_save)
+    tape = GradTape(params, w, sigma, u, v, decode_saves, tuple(frames),
+                    shapes, (u_blocks, v_blocks), sigma_save)
     return w, tape
 
 
@@ -190,7 +161,6 @@ def vjp(tape: GradTape, upstream: np.ndarray) -> np.ndarray:
 
 
 def _vjp_full(tape: GradTape, g_w: np.ndarray, g_sigma_extra) -> np.ndarray:
-    params = tape.params
     g_w = np.asarray(g_w, dtype=np.float64)
     if g_w.shape != tape.output.shape:
         raise ShapeError(
@@ -205,88 +175,53 @@ def _vjp_full(tape: GradTape, g_w: np.ndarray, g_sigma_extra) -> np.ndarray:
         g_sigma = g_sigma + g_sigma_extra
     gs = _sigma_vjp(tape.sigma_save, g_sigma)
 
-    if isinstance(params, SvdpParams):
-        saves_u, saves_v = tape.decode_saves
-        parts = [
-            _decode_vjp(params.u_layout, saves_u, gu_mat),
-            _decode_vjp(params.v_layout, saves_v, gv_mat),
-        ]
-    else:
-        u_specs, v_specs = core_specs(params.out_fac, params.in_fac, params.r,
-                                      params.spectrum.mode)
-        u_shapes = [spec.shape for spec in u_specs]
-        v_shapes = [spec.shape for spec in v_specs]
-        u_saves, v_saves = tape.decode_saves
-        u_frames, v_frames = tape.frames
-        u_blocks, v_blocks = tape.chain_blocks
-        gu_frames = _chain_vjp(u_frames, u_shapes, u_blocks, gu_mat)
-        gv_frames = _chain_vjp(v_frames, v_shapes, v_blocks, gv_mat)
-        parts = [
-            _decode_vjp(la, sv, gf)
-            for la, sv, gf in zip(params.u_layouts, u_saves, gu_frames)
-        ]
-        parts.extend(
-            _decode_vjp(la, sv, gf)
-            for la, sv, gf in zip(params.v_layouts, v_saves, gv_frames)
-        )
+    (u_shapes, v_shapes), (u_blocks, v_blocks) = tape.shapes, tape.chain_blocks
+    n_u = len(u_shapes)
+    g_frames = (_chain_vjp(tape.frames[:n_u], u_shapes, u_blocks, gu_mat)
+                + _chain_vjp(tape.frames[n_u:], v_shapes, v_blocks, gv_mat))
+    parts = hh._taped_decode_vjp(tape.decode_saves, g_frames)
     if gs is not None:
         parts.append(gs)
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return np.concatenate(parts)
 
 
 def frame_grad(layout: hh.HouseholderLayout, upstream: np.ndarray
                ) -> np.ndarray:
     """Gradient of a single decoded frame against its free parameters."""
-    frame, saves = _decode_fwd(layout)
+    (frame,), saves = hh._taped_decode([layout])
     if np.asarray(upstream).shape != frame.shape:
         raise ShapeError("upstream shape does not match the decoded frame")
-    return _decode_vjp(layout, saves, np.asarray(upstream, dtype=np.float64))
+    return hh._taped_decode_vjp(saves, [np.asarray(upstream, np.float64)])[0]
 
 
 def pack(params) -> np.ndarray:
     """Flatten all free parameters: layouts in pipeline order, then spectrum."""
-    if isinstance(params, SvdpParams):
-        parts = [params.u_layout.params, params.v_layout.params]
-    elif isinstance(params, SttpParams):
-        parts = [la.params for la in params.u_layouts]
-        parts.extend(la.params for la in params.v_layouts)
-    else:
-        raise DomainError(f"unsupported parameter type {type(params)!r}")
+    parts = [la.params for la in _layouts(params)]
     if params.spectrum.mode != IDENTITY:
         parts.append(params.spectrum.s)
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return np.concatenate(parts)
 
 
 def unpack(params, theta: np.ndarray):
     """Rebuild a parameter object of the same structure from a flat vector."""
     theta = np.asarray(theta, dtype=np.float64).ravel()
-    if theta.size != pack(params).size:
+    if theta.size != params.n_params:
         raise ShapeError(
-            f"expected {pack(params).size} parameters, got {theta.size}"
+            f"expected {params.n_params} parameters, got {theta.size}"
         )
-    pos = 0
-
-    def take(reference):
-        nonlocal pos
-        chunk = theta[pos: pos + reference.size]
-        pos += reference.size
-        return chunk
-
-    if isinstance(params, SvdpParams):
-        u_layout = params.u_layout.with_params(take(params.u_layout.params))
-        v_layout = params.v_layout.with_params(take(params.v_layout.params))
-        spectrum = params.spectrum
-        if spectrum.mode != IDENTITY:
-            spectrum = spectrum.with_s(take(spectrum.s))
-        return replace(params, u_layout=u_layout, v_layout=v_layout,
-                       spectrum=spectrum)
-    u_layouts = tuple(la.with_params(take(la.params)) for la in params.u_layouts)
-    v_layouts = tuple(la.with_params(take(la.params)) for la in params.v_layouts)
+    layouts, pos = [], 0
+    for la in _layouts(params):
+        layouts.append(la.with_params(theta[pos: pos + la.params.size]))
+        pos += la.params.size
     spectrum = params.spectrum
     if spectrum.mode != IDENTITY:
-        spectrum = spectrum.with_s(take(spectrum.s))
-    return replace(params, u_layouts=u_layouts, v_layouts=v_layouts,
-                   spectrum=spectrum)
+        spectrum = spectrum.with_s(theta[pos:])
+    if isinstance(params, SvdpParams):
+        return replace(params, u_layout=layouts[0], v_layout=layouts[1],
+                       spectrum=spectrum)
+    n_u = len(params.u_layouts)
+    return replace(params, u_layouts=tuple(layouts[:n_u]),
+                   v_layouts=tuple(layouts[n_u:]), spectrum=spectrum)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ the invariant is checkable from outside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -112,7 +112,7 @@ def fit_matrix(target: np.ndarray, cfg: FitConfig) -> FitResult:
 
     Returns the best-so-far parameters over the whole trace; stops early
     once the relative loss change drops below ``cfg.tol`` and raises
-    :class:`DivergenceError` if the loss blows past ``1e12``.
+    :class:`DivergenceError` if the loss is not finite or blows past ``1e12``.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.ndim != 2:
@@ -137,10 +137,10 @@ def fit_matrix(target: np.ndarray, cfg: FitConfig) -> FitResult:
         current = unpack(params, theta)
         loss, grad, _ = loss_value_and_grad(current, loss_spec)
         trace.append(loss)
-        if loss > DIVERGENCE_LIMIT:
+        if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
             raise DivergenceError(
-                f"loss {loss:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at step "
-                f"{step}; try a smaller learning rate than {lr}"
+                f"loss {loss:.3e} diverged at step {step}; try a smaller "
+                f"learning rate than {lr}"
             )
         if loss < best_loss:
             best_loss, best_theta, best_step = loss, theta.copy(), step
@@ -204,14 +204,8 @@ def demo_train(cfg: FitConfig, seed: int, d_in: int = 6, hidden: int = 8,
     truth = _lipschitz_one_map(rng, d_out, hidden, d_in)
     y = truth(x) + 0.01 * rng.standard_normal((d_out, n_samples))
 
-    cfg1 = FitConfig(cfg.scheme, cfg.rank, cfg.spectrum_mode, cfg.lam, cfg.lr,
-                     cfg.momentum, cfg.max_steps, cfg.tol, seed + 1,
-                     cfg.init_scheme, cfg.alpha)
-    cfg2 = FitConfig(cfg.scheme, cfg.rank, cfg.spectrum_mode, cfg.lam, cfg.lr,
-                     cfg.momentum, cfg.max_steps, cfg.tol, seed + 2,
-                     cfg.init_scheme, cfg.alpha)
-    protos = (_init_params(cfg1, hidden, d_in),
-              _init_params(cfg2, d_out, hidden))
+    protos = (_init_params(replace(cfg, seed=seed + 1), hidden, d_in),
+              _init_params(replace(cfg, seed=seed + 2), d_out, hidden))
     theta = [pack(p) for p in protos]
     velocity = [np.zeros_like(t) for t in theta]
     lr = cfg.effective_lr
@@ -245,7 +239,7 @@ def demo_train(cfg: FitConfig, seed: int, d_in: int = 6, hidden: int = 8,
             stable_rank_from_spectrum(tape2.sigma),
         ))
         report.bounds.append(lipschitz_bound([s1.max(), s2.max()]))
-        if loss > DIVERGENCE_LIMIT:
+        if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"demo loss {loss:.3e} diverged at step {step}"
             )

@@ -20,12 +20,16 @@ Three layout variants exist:
 * padded - either variant embedded in a ``d_pad x r_pad`` canvas whose extra
   cells are structural zeros with a structural 1 on the diagonal of columns
   ``j > r``.  Padding lets frames of different sizes share one batched
-  reflector sweep without changing any decoded value.
+  reflector sweep, but the longer columns reorder the norm sums: padded and
+  unpadded decodes agree to rounding, not bitwise.  So :func:`decode_batch`
+  is bitwise only among layouts of one padded shape, and the gradient tape
+  sweeps each exact canvas shape on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,16 +131,13 @@ class HouseholderLayout:
 
     def free_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, cols) of the free cells, column-major by reflector."""
-        mask = layout_mask(self.d, self.r, self.variant, self.d_pad, self.r_pad)
-        cols, rows = np.nonzero(mask.T)
-        return rows, cols
+        return _structure(self.d, self.r, self.variant, self.d_pad,
+                          self.r_pad)[:2]
 
     def dense(self) -> np.ndarray:
         """Materialize the d_pad x r_pad canvas with structural cells."""
-        mat = np.zeros((self.d_pad, self.r_pad))
-        mat[np.arange(self.r_pad), np.arange(self.r_pad)] = 1.0
-        rows, cols = self.free_cells()
-        mat[rows, cols] = self.params
+        mat = np.eye(self.d_pad, self.r_pad)
+        mat[self.free_cells()] = self.params
         return mat
 
 
@@ -146,7 +147,7 @@ def make_layout(d: int, r: int, variant: str = FULL, params=None,
     """Construct a layout; ``params`` defaults to all zeros."""
     d_pad = d if d_pad is None else d_pad
     r_pad = r if r_pad is None else r_pad
-    n_free = int(layout_mask(d, r, variant, d_pad, r_pad).sum())
+    n_free = _structure(d, r, variant, d_pad, r_pad)[0].size
     if params is None:
         params = np.zeros(n_free)
     params = np.asarray(params, dtype=np.float64).ravel()
@@ -165,27 +166,72 @@ def layout_from_dense(mat: np.ndarray, d: int, r: int, variant: str = FULL,
     if mat.shape != (d_pad, r_pad):
         raise ShapeError(f"canvas shape {mat.shape} != ({d_pad}, {r_pad})")
     layout = make_layout(d, r, variant, None, d_pad, r_pad)
-    rows, cols = layout.free_cells()
-    return layout.with_params(mat[rows, cols])
+    return layout.with_params(mat[layout.free_cells()])
 
 
-def _reflect_sweep(canvases: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=1024)
+def _structure(d: int, r: int, variant: str, d_pad: int, r_pad: int):
+    """Free-cell (rows, cols) of a structure, plus its frame if it has none.
+
+    Cached and read-only.  A structure without free cells (square reduced,
+    or 1 x 1) decodes to a fixed frame, which is decoded here once.
+    """
+    cols, rows = np.nonzero(layout_mask(d, r, variant, d_pad, r_pad).T)
+    frame = None
+    if rows.size == 0:
+        frame = _reflect_sweep(np.eye(d_pad, r_pad)[None])[0, :d, :r]
+        frame.flags.writeable = False
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols, frame
+
+
+def _reflect_sweep(canvases: np.ndarray, save: bool = False):
     """Apply the reflector product of each stacked canvas to I_{dp x rp}.
 
     ``canvases`` has shape (batch, d_pad, r_pad).  The reflector index runs
     in lockstep across the batch, and every item goes through the exact same
     sequence of elementwise/matmul operations, so a batch of one is bitwise
-    identical to a member of a larger batch.
+    identical to a member of a larger batch.  With ``save`` the result is
+    ``(q, saved)``, where ``saved`` holds what :func:`_reflect_sweep_vjp`
+    needs: the unit reflectors, the column norms and each step's input.
     """
     b, dp, rp = canvases.shape
-    q = np.tile(np.eye(dp, rp), (b, 1, 1))
+    # Reflector columns as contiguous rows, so each norm is the same
+    # pairwise sum as that of the lone column.
+    cols = np.ascontiguousarray(canvases.transpose(0, 2, 1))
+    norms = np.sqrt(np.sum(cols * cols, axis=2, keepdims=True))
+    units = cols / norms  # norms >= 1 thanks to the structural diagonal 1
+    q = np.eye(dp, rp)[None]  # broadcast over the batch by the first step
+    inputs = np.empty((rp, b, dp, rp)) if save else None
     for j in range(rp - 1, -1, -1):
-        h = canvases[:, :, j]
-        norms = np.sqrt(np.sum(h * h, axis=1, keepdims=True))
-        u = h / norms  # norms >= 1 thanks to the structural diagonal 1
-        proj = u[:, None, :] @ q  # (b, 1, rp)
-        q = q - 2.0 * u[:, :, None] * proj
-    return q
+        u = units[:, j, :]
+        if save:
+            inputs[j] = q
+        q = q - 2.0 * u[:, :, None] * (u[:, None, :] @ q)
+    return (q, (units, norms, inputs)) if save else q
+
+
+def _reflect_sweep_vjp(saved: tuple, g: np.ndarray) -> np.ndarray:
+    """Gradient of a saved sweep w.r.t. its canvases, given ``g`` on its q.
+
+    ``g`` has the sweep's (batch, d_pad, r_pad) shape; so does the result,
+    whose structural cells the caller discards.  Only the transport of
+    ``g`` back through the reflectors is sequential; what depends on the
+    forward alone is done for all reflectors at once, with the same
+    per-item products as a step-by-step pass.
+    """
+    units, norms, inputs = saved
+    u_cols = units.transpose(1, 0, 2)[..., None]  # (rp, b, dp, 1)
+    u_rows = u_cols.transpose(0, 1, 3, 2)
+    xus = inputs.transpose(0, 1, 3, 2) @ u_cols  # x_j^T u_j
+    gus = np.empty(u_cols.shape)
+    for j, x in enumerate(inputs):
+        gus[j] = -2.0 * (g @ xus[j] + x @ (g.transpose(0, 2, 1) @ u_cols[j]))
+        g = g - 2.0 * u_cols[j] * (u_rows[j] @ g)
+    norms = norms.transpose(1, 0, 2)[..., None]
+    g_cols = (gus - u_cols * (u_rows @ gus)) / norms
+    return g_cols[..., 0].transpose(1, 2, 0)
 
 
 def decode(layout: HouseholderLayout) -> np.ndarray:
@@ -207,6 +253,48 @@ def decode_batch(layouts) -> list[np.ndarray]:
         raise DomainError(f"batch mixes padded dims: {sorted(shapes)}")
     q = _reflect_sweep(np.stack([la.dense() for la in layouts]))
     return [q[i, : la.d, : la.r] for i, la in enumerate(layouts)]
+
+
+def _taped_decode(layouts) -> tuple[list[np.ndarray], tuple]:
+    """Decode layouts of any sizes, saving what the reverse pass needs.
+
+    Layouts of one padded shape share one saving sweep; different shapes are
+    never padded into one canvas, so every frame is bitwise the one
+    :func:`decode` returns.  Layouts without free cells take their cached
+    frame and join no sweep.  Returns ``(frames, tape)``.
+    """
+    frames = [_structure(la.d, la.r, la.variant, la.d_pad, la.r_pad)[2]
+              for la in layouts]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, la in enumerate(layouts):
+        if frames[i] is None:
+            groups.setdefault(la.padded_shape, []).append(i)
+    sweeps = []
+    for members in groups.values():
+        q, saves = _reflect_sweep(
+            np.stack([layouts[i].dense() for i in members]), save=True)
+        for k, i in enumerate(members):
+            frames[i] = q[k, : layouts[i].d, : layouts[i].r]
+        sweeps.append((members, saves))
+    return frames, (layouts, sweeps)
+
+
+def _taped_decode_vjp(tape: tuple, g_frames) -> list[np.ndarray]:
+    """Per-layout free-parameter gradients, given a cotangent on each frame.
+
+    One backward sweep per forward sweep; layouts without free cells get an
+    empty gradient.
+    """
+    layouts, sweeps = tape
+    grads = [np.zeros(0)] * len(layouts)
+    for members, saves in sweeps:
+        g = np.zeros((len(members), *layouts[members[0]].padded_shape))
+        for k, i in enumerate(members):
+            g[k, : layouts[i].d, : layouts[i].r] = g_frames[i]
+        g_canvas = _reflect_sweep_vjp(saves, g)
+        for k, i in enumerate(members):
+            grads[i] = g_canvas[k][layouts[i].free_cells()]
+    return grads
 
 
 def check_frame(q: np.ndarray, tol: float = 1e-8) -> None:
@@ -289,6 +377,6 @@ def init_layout(scheme: str, d: int, r: int, seed: int,
 
 def pad_layout(layout: HouseholderLayout, d_pad: int, r_pad: int
                ) -> HouseholderLayout:
-    """Re-home a layout on a larger canvas; the decoded frame is unchanged."""
+    """Re-home a layout on a larger canvas; the frame agrees to rounding."""
     return make_layout(layout.d, layout.r, layout.variant, layout.params,
                        d_pad, r_pad)

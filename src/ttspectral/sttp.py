@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,6 +104,7 @@ def global_dims(out_fac: DimFactorization, in_fac: DimFactorization
     return out_fac.factors + tuple(reversed(in_fac.factors))
 
 
+@lru_cache(maxsize=256)
 def build_schedule(out_fac: DimFactorization, in_fac: DimFactorization,
                    r: int) -> RankSchedule:
     """Capped rank schedule over the global dims; the middle rank equals r."""
@@ -136,14 +138,16 @@ class CoreSpec:
         return r_left * n, r_right
 
 
+@lru_cache(maxsize=256)
 def core_specs(out_fac: DimFactorization, in_fac: DimFactorization, r: int,
-               spectrum_mode: str) -> tuple[list[CoreSpec], list[CoreSpec]]:
+               spectrum_mode: str
+               ) -> tuple[tuple[CoreSpec, ...], tuple[CoreSpec, ...]]:
     """Per-core shapes and variants for the U side and the V side.
 
     Within each side, cores run from the outer (dimension) end toward the
     spectrum.  All cores are reduced except the one adjacent to the spectrum
     on each side; with the identity spectrum, U's adjacent core is reduced
-    as well (V's stays full).
+    as well (V's stays full).  Cached per structure.
     """
     sched = build_schedule(out_fac, in_fac, r)
     d_out_len = len(out_fac)
@@ -161,7 +165,7 @@ def core_specs(out_fac: DimFactorization, in_fac: DimFactorization, r: int,
         last = k == len(in_fac) - 1
         variant = hh.FULL if last else hh.REDUCED
         v_specs.append(CoreSpec("v", k, shape, variant))
-    return u_specs, v_specs
+    return tuple(u_specs), tuple(v_specs)
 
 
 def core_size_schedule(out_fac: DimFactorization, in_fac: DimFactorization,

@@ -1,11 +1,15 @@
-"""Shared test oracles: exhaustive contraction-tree search, random diagrams."""
+"""Shared test oracles: exhaustive contraction-tree search, random diagrams,
+and the per-frame gradient tape."""
 
 import itertools
 import math
 
 import numpy as np
 
+from ttspectral import autodiff as ad
 from ttspectral import planner as pl
+from ttspectral.sttp import core_specs
+from ttspectral.svdp import SvdpParams
 
 
 def brute_force_min_cost(diagram):
@@ -110,3 +114,70 @@ def unit_top_target(shape, seed):
     rng = np.random.default_rng(seed)
     t = rng.standard_normal(shape)
     return t / svd_full(t)[1][0]
+
+
+def decode_fwd(layout):
+    """Reflector sweep of one layout, saving per-reflector intermediates."""
+    mat = layout.dense()
+    dp, rp = mat.shape
+    q = np.eye(dp, rp)
+    saves = []
+    for j in range(rp - 1, -1, -1):
+        h = mat[:, j]
+        norm_h = np.sqrt(np.sum(h * h))
+        u = h / norm_h
+        saves.append((j, u, norm_h, q))
+        q = q - 2.0 * u[:, None] * (u[None, :] @ q)
+    return q[: layout.d, : layout.r], saves
+
+
+def decode_vjp(layout, saves, g_frame):
+    """Gradient of one decoded frame w.r.t. the layout's free parameters."""
+    dp, rp = layout.padded_shape
+    g = np.zeros((dp, rp))
+    g[: layout.d, : layout.r] = g_frame
+    g_canvas = np.zeros((dp, rp))
+    for j, u, norm_h, x in reversed(saves):
+        xu = x.T @ u
+        gu = -2.0 * (g @ xu + x @ (g.T @ u))
+        g_canvas[:, j] = (gu - u * (u @ gu)) / norm_h
+        g = g - 2.0 * u[:, None] * (u[None, :] @ g)
+    rows, cols = layout.free_cells()
+    return g_canvas[rows, cols]
+
+
+def per_frame_tape(params, g_w):
+    """Assembly and gradient with every layout decoded and pulled back alone.
+
+    Returns ``(w, frames, grad)``: the matrix, every frame in pack order, and
+    the flat gradient of ``<g_w, W>``.
+    """
+    if isinstance(params, SvdpParams):
+        sides = [([params.u_layout], [None]), ([params.v_layout], [None])]
+    else:
+        specs = core_specs(params.out_fac, params.in_fac, params.r,
+                           params.spectrum.mode)
+        sides = [(layouts, [spec.shape for spec in side_specs])
+                 for layouts, side_specs
+                 in zip((params.u_layouts, params.v_layouts), specs)]
+    sigma, sigma_save = ad._sigma_fwd(params.spectrum)
+    decoded = [[decode_fwd(la) for la in layouts] for layouts, _ in sides]
+    chains = [ad._chain_fwd([q for q, _ in side], shapes)
+              for side, (_, shapes) in zip(decoded, sides)]
+    (u, _), (v, _) = chains
+    w = (u * sigma) @ v.T
+    gv_mat = g_w.T @ (u * sigma)
+    gwv = g_w @ v
+    gu_mat = gwv * sigma
+    g_sigma = np.sum(u * gwv, axis=0)
+    parts = []
+    for (layouts, shapes), side, (_, blocks), g in zip(
+            sides, decoded, chains, (gu_mat, gv_mat)):
+        g_frames = ad._chain_vjp([q for q, _ in side], shapes, blocks, g)
+        parts.extend(decode_vjp(la, saves, gf)
+                     for la, (_, saves), gf in zip(layouts, side, g_frames))
+    gs = ad._sigma_vjp(sigma_save, g_sigma)
+    if gs is not None:
+        parts.append(gs)
+    frames = [q for side in decoded for q, _ in side]
+    return w, frames, np.concatenate(parts)

@@ -15,6 +15,8 @@ from ttspectral.spectrum_modes import IDENTITY, LEARNED, LEARNED_REGULARIZED
 from ttspectral.sttp import sttp_dof
 from ttspectral.svdp import svdp_dof
 
+from helpers import per_frame_tape
+
 
 class TestFdGrad:
     def test_quadratic_exact(self):
@@ -94,8 +96,8 @@ class TestVjp:
         rng = np.random.default_rng(6)
         for variant in (hh.FULL, hh.REDUCED):
             layout = make_random_layout(9, 4, variant, rng)
-            q, saves = ad._decode_fwd(layout)
-            grad = ad._decode_vjp(layout, saves, 2.0 * q)
+            (q,), saves = hh._taped_decode([layout])
+            (grad,) = hh._taped_decode_vjp(saves, [2.0 * q])
             assert np.max(np.abs(grad)) <= 1e-6
             assert np.max(np.abs(ad.frame_grad(layout, 2.0 * q))) <= 1e-6
 
@@ -130,6 +132,55 @@ class TestVjp:
         # layout parameters do not influence the penalty
         n_layout = grad.size - s.size
         assert np.max(np.abs(grad[:n_layout])) <= 1e-12
+
+
+class TestBatchedTape:
+    """One reflector sweep per canvas shape against per-frame decoding."""
+
+    CASES = [("svdp", 16, 72, 4), ("svdp", 32, 32, 4),
+             ("sttp", 16, 72, 4), ("sttp", 256, 256, 8)]
+
+    @staticmethod
+    def make(scheme, d_out, d_in, r, mode, seed):
+        make = random_svdp_params if scheme == "svdp" else random_sttp_params
+        return make(d_out, d_in, r, mode, seed)
+
+    @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
+    @pytest.mark.parametrize("scheme,d_out,d_in,r", CASES)
+    def test_bitwise_equal_to_per_frame_oracle(self, scheme, d_out, d_in, r,
+                                               mode):
+        p = self.make(scheme, d_out, d_in, r, mode, 20)
+        g_w = np.random.default_rng(21).standard_normal((d_out, d_in))
+        w, tape = ad.assemble_with_tape(p)
+        w_ref, frames_ref, grad_ref = per_frame_tape(p, g_w)
+        assert np.array_equal(w, w_ref)
+        assert len(tape.frames) == len(frames_ref)
+        for q, q_ref in zip(tape.frames, frames_ref):
+            assert np.array_equal(q, q_ref)
+        assert np.array_equal(ad.vjp(tape, g_w), grad_ref)
+
+    @pytest.mark.parametrize("d_out,d_in,r,n_fixed",
+                             [(16, 72, 4, 4), (256, 256, 8, 6)])
+    def test_parameter_free_cores_skip_the_sweeps(self, d_out, d_in, r,
+                                                  n_fixed):
+        # square reduced cores carry no parameters: they get a cached frame,
+        # join no sweep and contribute an empty gradient slice
+        p = random_sttp_params(d_out, d_in, r, LEARNED, 22)
+        w, tape = ad.assemble_with_tape(p)
+        layouts = p.u_layouts + p.v_layouts
+        free = [la.params.size for la in layouts]
+        assert free.count(0) == n_fixed
+        _, sweeps = tape.decode_saves
+        swept = sorted(i for members, _ in sweeps for i in members)
+        assert swept == [i for i, n in enumerate(free) if n]
+        shapes = {layouts[i].padded_shape for i in swept}
+        assert len(sweeps) == len(shapes)
+        grads = hh._taped_decode_vjp(tape.decode_saves,
+                                     [np.ones_like(q) for q in tape.frames])
+        assert [g.size for g in grads] == free
+        grad = ad.vjp(tape, np.ones_like(w))
+        assert grad.size == sttp_dof(d_out, d_in, r, LEARNED) \
+            == ad.pack(p).size
 
 
 class TestGradcheck:

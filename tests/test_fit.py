@@ -59,6 +59,14 @@ class TestFitMatrix:
         with pytest.raises(DivergenceError, match="learning rate"):
             ft.fit_matrix(t, cfg)
 
+    def test_divergence_guard_catches_non_finite_loss(self):
+        # a huge step turns the loss into NaN, which never exceeds the cap
+        t = unit_top_target((8, 6), 3)
+        cfg = ft.FitConfig("svdp", 2, LEARNED, lr=1e308, seed=0, max_steps=50)
+        with np.errstate(all="ignore"), \
+                pytest.raises(DivergenceError, match="learning rate"):
+            ft.fit_matrix(t, cfg)
+
     def test_rank_cap_enforced(self):
         with pytest.raises(DomainError):
             ft.fit_matrix(np.zeros((4, 3)), ft.FitConfig("svdp", 4))
@@ -158,6 +166,11 @@ class TestDemoTrain:
         report = ft.demo_train(cfg, 0, steps=50)
         assert len(report.losses) == len(report.sigma_max) == 50
         assert len(report.stable_ranks) == len(report.bounds) == 50
+
+    def test_divergence_guard_catches_non_finite_loss(self):
+        cfg = ft.FitConfig("svdp", 2, LEARNED, lr=1e308)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+            ft.demo_train(cfg, 0, steps=20)
 
     def test_rank_cap_checked(self):
         cfg = ft.FitConfig("svdp", 5, LEARNED)

@@ -122,6 +122,17 @@ class TestPaddedDecode:
             assert np.allclose(hh.decode(padded), hh.decode(plain),
                                atol=1e-13, rtol=0)
 
+    @pytest.mark.parametrize("d", [3, 5, 7, 9, 12])
+    def test_padded_to_72_rows_agrees_to_rounding(self, d):
+        # padding reorders the reflector-norm sums, so the two decodes need
+        # not be bitwise equal; they agree to within rounding
+        rng = np.random.default_rng(d)
+        for variant in (hh.FULL, hh.REDUCED):
+            plain = make_random_layout(d, 3, variant, rng)
+            padded = hh.pad_layout(plain, 72, 3)
+            err = np.max(np.abs(hh.decode(padded) - hh.decode(plain)))
+            assert err <= 1e-15
+
     def test_structural_cells_ignore_garbage(self):
         # adversarial canvas: nonzero values in every structural cell are
         # discarded at construction, so padding cannot leak into the frame
