@@ -19,15 +19,15 @@ points so gradcheck can skip them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import householder as hh
 from .errors import DomainError, NumericError, ShapeError
 from .spectrum_modes import IDENTITY
-from .sttp import SttpParams, core_specs
-from .svdp import SvdpParams
+from .sttp import core_specs  # noqa: F401  (perfbench/spans.py patches it)
+from .tensortrain import compose_chain
 
 __all__ = [
     "GradTape",
@@ -48,18 +48,8 @@ __all__ = [
 PENALTY_FLOOR = 1e-12  # optimization guard inside |sigma| before the log
 
 
-def _chain_fwd(frames, shapes):
-    """Compose core frames left to right, saving the running blocks."""
-    blocks = [frames[0]]
-    b = frames[0]
-    for frame, (r_left, n, r_right) in zip(frames[1:], shapes[1:]):
-        b = (b @ frame.reshape(r_left, n * r_right)).reshape(-1, r_right)
-        blocks.append(b)
-    return b, blocks
-
-
 def _chain_vjp(frames, shapes, blocks, g_total):
-    """Per-frame gradients of the composed chain."""
+    """Per-frame gradients of :func:`compose_chain`, given its blocks."""
     g_frames: list[np.ndarray | None] = [None] * len(frames)
     g = g_total
     for k in range(len(frames) - 1, 0, -1):
@@ -118,30 +108,18 @@ class GradTape:
         return self.sigma_save is not None and self.sigma_save[3]
 
 
-def _layouts(params) -> tuple:
-    """Every frame layout in pack order: the U side, then the V side."""
-    if isinstance(params, SvdpParams):
-        return (params.u_layout, params.v_layout)
-    if isinstance(params, SttpParams):
-        return params.u_layouts + params.v_layouts
-    raise DomainError(f"unsupported parameter type {type(params)!r}")
-
-
 def assemble_with_tape(params) -> tuple[np.ndarray, GradTape]:
     """Assemble the matrix while recording intermediates for :func:`vjp`."""
-    frames, decode_saves = hh._taped_decode(_layouts(params))
+    view = params.chain
+    frames, decode_saves = hh.decode_layouts(view.layouts, save=True)
     sigma, sigma_save = _sigma_fwd(params.spectrum)
-    if isinstance(params, SvdpParams):  # one (1, d, r) core per side
-        shapes = [[(1, params.d_out, params.r)], [(1, params.d_in, params.r)]]
-    else:
-        shapes = [[spec.shape for spec in side] for side in core_specs(
-            params.out_fac, params.in_fac, params.r, params.spectrum.mode)]
-    u_shapes, v_shapes = shapes
-    u, u_blocks = _chain_fwd(frames[: len(u_shapes)], u_shapes)
-    v, v_blocks = _chain_fwd(frames[len(u_shapes):], v_shapes)
+    n_u = len(view.u_shapes)
+    u, u_blocks = compose_chain(frames[:n_u], view.u_shapes)
+    v, v_blocks = compose_chain(frames[n_u:], view.v_shapes)
     w = (u * sigma) @ v.T
     tape = GradTape(params, w, sigma, u, v, decode_saves, tuple(frames),
-                    shapes, (u_blocks, v_blocks), sigma_save)
+                    (view.u_shapes, view.v_shapes), (u_blocks, v_blocks),
+                    sigma_save)
     return w, tape
 
 
@@ -179,7 +157,7 @@ def _vjp_full(tape: GradTape, g_w: np.ndarray, g_sigma_extra) -> np.ndarray:
     n_u = len(u_shapes)
     g_frames = (_chain_vjp(tape.frames[:n_u], u_shapes, u_blocks, gu_mat)
                 + _chain_vjp(tape.frames[n_u:], v_shapes, v_blocks, gv_mat))
-    parts = hh._taped_decode_vjp(tape.decode_saves, g_frames)
+    parts = hh.decode_layouts_vjp(tape.decode_saves, g_frames)
     if gs is not None:
         parts.append(gs)
     return np.concatenate(parts)
@@ -188,15 +166,15 @@ def _vjp_full(tape: GradTape, g_w: np.ndarray, g_sigma_extra) -> np.ndarray:
 def frame_grad(layout: hh.HouseholderLayout, upstream: np.ndarray
                ) -> np.ndarray:
     """Gradient of a single decoded frame against its free parameters."""
-    (frame,), saves = hh._taped_decode([layout])
+    (frame,), saves = hh.decode_layouts([layout], save=True)
     if np.asarray(upstream).shape != frame.shape:
         raise ShapeError("upstream shape does not match the decoded frame")
-    return hh._taped_decode_vjp(saves, [np.asarray(upstream, np.float64)])[0]
+    return hh.decode_layouts_vjp(saves, [np.asarray(upstream, np.float64)])[0]
 
 
 def pack(params) -> np.ndarray:
     """Flatten all free parameters: layouts in pipeline order, then spectrum."""
-    parts = [la.params for la in _layouts(params)]
+    parts = [la.params for la in params.chain.layouts]
     if params.spectrum.mode != IDENTITY:
         parts.append(params.spectrum.s)
     return np.concatenate(parts)
@@ -209,19 +187,15 @@ def unpack(params, theta: np.ndarray):
         raise ShapeError(
             f"expected {params.n_params} parameters, got {theta.size}"
         )
+    view = params.chain
     layouts, pos = [], 0
-    for la in _layouts(params):
+    for la in view.layouts:
         layouts.append(la.with_params(theta[pos: pos + la.params.size]))
         pos += la.params.size
     spectrum = params.spectrum
     if spectrum.mode != IDENTITY:
         spectrum = spectrum.with_s(theta[pos:])
-    if isinstance(params, SvdpParams):
-        return replace(params, u_layout=layouts[0], v_layout=layouts[1],
-                       spectrum=spectrum)
-    n_u = len(params.u_layouts)
-    return replace(params, u_layouts=tuple(layouts[:n_u]),
-                   v_layouts=tuple(layouts[n_u:]), spectrum=spectrum)
+    return view.rebuild(layouts, spectrum)
 
 
 @dataclass(frozen=True)
@@ -251,43 +225,41 @@ def _penalty_floored(sigma: np.ndarray) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def loss_value_and_grad(params, loss) -> tuple[float, np.ndarray, GradTape]:
-    """Loss value and its flat analytic gradient at the given parameters."""
-    w, tape = assemble_with_tape(params)
+def _loss_terms(w: np.ndarray, sigma: np.ndarray, loss
+                ) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Loss value at ``W``, its cotangent on ``W``, and any extra cotangent
+    on the materialized spectrum (the penalty's)."""
     if isinstance(loss, FrobeniusLoss):
         target = np.asarray(loss.target, dtype=np.float64)
         if target.shape != w.shape:
             raise ShapeError("target shape does not match the assembled matrix")
         resid = w - target
         value = 0.5 * float(np.sum(resid * resid))
-        g_w = resid
         g_sigma_extra = None
         if loss.lam > 0.0:
-            pen, pen_grad = _penalty_floored(tape.sigma)
+            pen, pen_grad = _penalty_floored(sigma)
             value += loss.lam * pen
             g_sigma_extra = loss.lam * pen_grad
-        return value, _vjp_full(tape, g_w, g_sigma_extra), tape
+        return value, resid, g_sigma_extra
     if isinstance(loss, InnerProductLoss):
         weights = np.asarray(loss.weights, dtype=np.float64)
         if weights.shape != w.shape:
             raise ShapeError("weights shape does not match the assembled matrix")
-        value = float(np.sum(weights * w))
-        return value, _vjp_full(tape, weights, None), tape
+        return float(np.sum(weights * w)), weights, None
     raise DomainError(f"unknown loss spec {type(loss)!r}")
+
+
+def loss_value_and_grad(params, loss) -> tuple[float, np.ndarray, GradTape]:
+    """Loss value and its flat analytic gradient at the given parameters."""
+    w, tape = assemble_with_tape(params)
+    value, g_w, g_sigma_extra = _loss_terms(w, tape.sigma, loss)
+    return value, _vjp_full(tape, g_w, g_sigma_extra), tape
 
 
 def loss_value(params, loss) -> float:
     """Loss value only, for the finite-difference oracle."""
     w, tape = assemble_with_tape(params)
-    if isinstance(loss, FrobeniusLoss):
-        resid = w - np.asarray(loss.target, dtype=np.float64)
-        value = 0.5 * float(np.sum(resid * resid))
-        if loss.lam > 0.0:
-            value += loss.lam * _penalty_floored(tape.sigma)[0]
-        return value
-    if isinstance(loss, InnerProductLoss):
-        return float(np.sum(np.asarray(loss.weights) * w))
-    raise DomainError(f"unknown loss spec {type(loss)!r}")
+    return _loss_terms(w, tape.sigma, loss)[0]
 
 
 def fd_grad(f, theta: np.ndarray, step: float = 1e-6) -> np.ndarray:

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fit import FitConfig, demo_train, fit_matrix
 from .planner import apply_map, naive_flops, plan, sttp_diagram, svdp_diagram
-from .sampling import random_sttp_params, random_svdp_params
+from .schemes import SCHEMES
 from .spectral import (
     LayerBudget,
     NetworkSummary,
@@ -33,8 +33,7 @@ from .spectral import (
     stable_rank_from_spectrum,
 )
 from .spectrum_modes import IDENTITY, LEARNED, LEARNED_REGULARIZED
-from .sttp import build_schedule, factorize, init_sttp_params, sttp_dof
-from .svdp import init_svdp_params, svdp_dof
+from .sttp import factorize
 
 _SPECTRUM_FLAGS = {
     "identity": IDENTITY,
@@ -43,22 +42,9 @@ _SPECTRUM_FLAGS = {
 }
 
 
-def _dof(scheme: str, d_out: int, d_in: int, r: int, mode: str) -> int:
-    if scheme == "svdp":
-        return svdp_dof(d_out, d_in, r, mode)
-    return sttp_dof(d_out, d_in, r, mode)
-
-
-def _init_params(scheme, d_out, d_in, r, mode, seed, init_scheme, lam):
-    if scheme == "svdp":
-        return init_svdp_params(d_out, d_in, r, mode, seed, init_scheme,
-                                lam=lam)
-    return init_sttp_params(d_out, d_in, r, mode, seed, init_scheme, lam=lam)
-
-
 def cmd_dof(args) -> int:
     mode = _SPECTRUM_FLAGS[args.spectrum]
-    dof = _dof(args.scheme, args.dout, args.din, args.rank, mode)
+    dof = SCHEMES[args.scheme].dof(args.dout, args.din, args.rank, mode)
     numel = args.dout * args.din
     net = NetworkSummary((LayerBudget(args.dout, args.din, dof),))
     print(f"dof={dof}")
@@ -74,12 +60,13 @@ def cmd_factorize(args) -> int:
 
 def cmd_plan(args) -> int:
     mode = _SPECTRUM_FLAGS[args.spectrum]
-    if args.scheme == "svdp":
+    params = SCHEMES[args.scheme].template(args.dout, args.din, args.rank,
+                                           mode)
+    view = params.chain
+    if args.scheme == "svdp":  # the one-core chain, with its own node names
         diagram = svdp_diagram(args.dout, args.din, args.rank, args.dx)
     else:
-        out_fac, in_fac = factorize(args.dout), factorize(args.din)
-        sched = build_schedule(out_fac, in_fac, args.rank)
-        diagram = sttp_diagram(out_fac.factors, in_fac.factors, sched.ranks,
+        diagram = sttp_diagram(view.out_factors, view.in_factors, view.ranks,
                                args.dx)
     cplan = plan(diagram)
     for i, step in enumerate(cplan.steps):
@@ -91,8 +78,6 @@ def cmd_plan(args) -> int:
     print(f"total_flops={cplan.total_flops}")
     print(f"peak_intermediate={cplan.peak_intermediate}")
     if args.naive:
-        params = _init_params(args.scheme, args.dout, args.din, args.rank,
-                              mode, 0, "identity", 0.0)
         print(f"naive_flops={naive_flops(params, args.dx)}")
     return 0
 
@@ -118,8 +103,8 @@ def _load_or_init(args):
     if args.seed is None:
         raise DomainError("building fresh parameters requires --seed")
     mode = _SPECTRUM_FLAGS[args.spectrum]
-    return _init_params(args.scheme, args.dout, args.din, args.rank, mode,
-                        args.seed, args.init, args.reg_lambda)
+    return SCHEMES[args.scheme].init(args.dout, args.din, args.rank, mode,
+                                     args.seed, args.init, lam=args.reg_lambda)
 
 
 def cmd_apply(args) -> int:
@@ -131,12 +116,8 @@ def cmd_apply(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     mode = _SPECTRUM_FLAGS[args.spectrum]
-    if args.scheme == "svdp":
-        params = random_svdp_params(args.dout, args.din, args.rank, mode,
-                                    args.seed, args.reg_lambda)
-    else:
-        params = random_sttp_params(args.dout, args.din, args.rank, mode,
-                                    args.seed, args.reg_lambda)
+    params = SCHEMES[args.scheme].random(args.dout, args.din, args.rank, mode,
+                                         args.seed, args.reg_lambda)
     rng = np.random.default_rng(args.seed + 1)
     target = rng.standard_normal((args.dout, args.din))
     report = gradcheck(params, FrobeniusLoss(target, args.reg_lambda))
@@ -188,9 +169,9 @@ def cmd_demo_train(args) -> int:
 def cmd_inspect(args) -> int:
     params = fileio.read_params(args.params)
     sigma = materialize_sigma(params.spectrum)
-    scheme = "svdp" if hasattr(params, "u_layout") else "sttp"
-    dof = _dof(scheme, params.d_out, params.d_in, params.r,
-               params.spectrum.mode)
+    scheme = params.chain.scheme
+    dof = SCHEMES[scheme].dof(params.d_out, params.d_in, params.r,
+                              params.spectrum.mode)
     net = NetworkSummary((LayerBudget(params.d_out, params.d_in, dof),))
     sigma_max = float(np.max(np.abs(sigma)))
     print(f"scheme={scheme}")
@@ -205,7 +186,7 @@ def cmd_inspect(args) -> int:
 
 
 def _add_shape_flags(p, require: bool = True):
-    p.add_argument("--scheme", choices=("svdp", "sttp"), required=require)
+    p.add_argument("--scheme", choices=tuple(SCHEMES), required=require)
     p.add_argument("--dout", type=int, required=require)
     p.add_argument("--din", type=int, required=require)
     p.add_argument("--rank", type=int, required=require)
@@ -267,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit parameters to a target matrix")
     p.add_argument("--target", required=True)
-    p.add_argument("--scheme", choices=("svdp", "sttp"), required=True)
+    p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
     p.add_argument("--rank", type=int, required=True)
     _add_spectrum_flags(p)
     p.add_argument("--lr", type=float)
@@ -284,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo-train",
                        help="two-layer constrained training demo")
-    p.add_argument("--scheme", choices=("svdp", "sttp"), default="svdp")
+    p.add_argument("--scheme", choices=tuple(SCHEMES), default="svdp")
     p.add_argument("--rank", type=int, default=3)
     _add_spectrum_flags(p)
     p.add_argument("--lr", type=float)

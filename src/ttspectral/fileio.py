@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import householder as hh
 from .errors import FileFormatError
+from .schemes import SCHEMES
 from .spectral import SpectrumParams
 from .spectrum_modes import IDENTITY, SPECTRUM_MODES
-from .sttp import SttpParams, build_schedule, core_specs, factorize
-from .svdp import SvdpParams
+from .sttp import core_specs  # noqa: F401  (perfbench/spans.py patches it)
 
 __all__ = ["write_matrix", "read_matrix", "write_params", "read_params"]
 
@@ -78,26 +77,30 @@ def _int_list(values) -> str:
     return ",".join(str(int(v)) for v in values)
 
 
-def _params_blocks(params) -> list[tuple[str, np.ndarray]]:
-    if isinstance(params, SvdpParams):
-        blocks = [("u", params.u_layout.params), ("v", params.v_layout.params)]
-    else:
-        blocks = [(f"u_core_{k + 1}", la.params)
-                  for k, la in enumerate(params.u_layouts)]
-        blocks.extend((f"v_core_{k + 1}", la.params)
-                      for k, la in enumerate(params.v_layouts))
-    if params.spectrum.mode != IDENTITY:
-        blocks.append(("sigma", params.spectrum.s))
-    return blocks
+def _chain_manifest(view) -> tuple[list[str], dict[str, str]]:
+    """Block names of the layouts in pack order, and the structure fields.
+
+    svdp's one-core sides are the blocks ``u`` and ``v`` and need no
+    structure fields; the chain scheme numbers its cores from the outer end
+    of each side and records its factorizations and rank schedule.
+    """
+    if view.scheme == "svdp":
+        return ["u", "v"], {}
+    names = ([f"u_core_{k + 1}" for k in range(len(view.u_layouts))]
+             + [f"v_core_{k + 1}" for k in range(len(view.v_layouts))])
+    return names, {"out_factors": _int_list(view.out_factors),
+                   "in_factors": _int_list(view.in_factors),
+                   "rank_schedule": _int_list(view.ranks)}
 
 
 def write_params(path, params) -> None:
-    if not isinstance(params, (SvdpParams, SttpParams)):
-        raise FileFormatError(f"cannot serialize {type(params)!r}")
-    scheme = "svdp" if isinstance(params, SvdpParams) else "sttp"
+    try:
+        view = params.chain
+    except AttributeError:
+        raise FileFormatError(f"cannot serialize {type(params)!r}") from None
     lines = [
         _PARAMS_MAGIC,
-        f"scheme={scheme}",
+        f"scheme={view.scheme}",
         f"dout={params.d_out}",
         f"din={params.d_in}",
         f"rank={params.r}",
@@ -106,11 +109,11 @@ def write_params(path, params) -> None:
     ]
     if params.spectrum.mode == IDENTITY:
         lines.append(f"signs={_int_list(params.spectrum.signs)}")
-    if scheme == "sttp":
-        lines.append(f"out_factors={_int_list(params.out_fac.factors)}")
-        lines.append(f"in_factors={_int_list(params.in_fac.factors)}")
-        lines.append(f"rank_schedule={_int_list(params.schedule.ranks)}")
-    blocks = _params_blocks(params)
+    names, structure = _chain_manifest(view)
+    lines.extend(f"{key}={value}" for key, value in structure.items())
+    blocks = [(name, la.params) for name, la in zip(names, view.layouts)]
+    if params.spectrum.mode != IDENTITY:
+        blocks.append(("sigma", params.spectrum.s))
     lines.extend(f"block={name} {vals.size}" for name, vals in blocks)
     manifest = "\n".join(lines) + "\n\n"
     with open(path, "wb") as fh:
@@ -164,6 +167,8 @@ def read_params(path):
         raise FileFormatError(f"incomplete manifest: {exc}") from exc
     if mode not in SPECTRUM_MODES:
         raise FileFormatError(f"unknown spectrum mode {mode!r}")
+    if scheme not in SCHEMES:
+        raise FileFormatError(f"unknown scheme {scheme!r}")
     total = sum(count for _, count in blocks)
     if len(payload) != 8 * total:
         raise FileFormatError(
@@ -178,58 +183,33 @@ def read_params(path):
         chunks[name] = values[pos: pos + count].copy()
         pos += count
 
-    def take(name, expected):
+    def take(name):  # the layouts and the spectrum check the block's size
         if name not in chunks:
             raise FileFormatError(f"missing block {name!r}")
-        got = chunks.pop(name)
-        if got.size != expected:
-            raise FileFormatError(
-                f"block {name!r} holds {got.size} values, expected {expected}"
-            )
-        return got
-
-    if mode == IDENTITY:
-        try:
-            signs = np.array([float(v) for v in fields["signs"].split(",")])
-        except (KeyError, ValueError) as exc:
-            raise FileFormatError("identity spectrum needs a signs field") from exc
-        spectrum = SpectrumParams(IDENTITY, r, None, signs, lam)
-    else:
-        spectrum = SpectrumParams(mode, r, take("sigma", r), None, lam)
+        return chunks.pop(name)
 
     try:
-        if scheme == "svdp":
-            u_variant = hh.REDUCED if mode == IDENTITY else hh.FULL
-            u_layout = hh.make_layout(d_out, r, u_variant,
-                                      take("u", hh.dof(d_out, r, u_variant)))
-            v_layout = hh.make_layout(d_in, r, hh.FULL,
-                                      take("v", hh.dof(d_in, r, hh.FULL)))
-            params = SvdpParams(d_out, d_in, r, u_layout, v_layout, spectrum)
-        elif scheme == "sttp":
-            out_fac, in_fac = factorize(d_out), factorize(d_in)
-            if fields.get("out_factors") != _int_list(out_fac.factors) or \
-                    fields.get("in_factors") != _int_list(in_fac.factors):
-                raise FileFormatError("factorization fields do not match dims")
-            sched = build_schedule(out_fac, in_fac, r)
-            if fields.get("rank_schedule") != _int_list(sched.ranks):
-                raise FileFormatError("rank schedule does not match the policy")
-            u_specs, v_specs = core_specs(out_fac, in_fac, r, mode)
-            u_layouts = tuple(
-                hh.make_layout(*spec.frame_dims, spec.variant,
-                               take(f"u_core_{k + 1}",
-                                    hh.dof(*spec.frame_dims, spec.variant)))
-                for k, spec in enumerate(u_specs)
-            )
-            v_layouts = tuple(
-                hh.make_layout(*spec.frame_dims, spec.variant,
-                               take(f"v_core_{k + 1}",
-                                    hh.dof(*spec.frame_dims, spec.variant)))
-                for k, spec in enumerate(v_specs)
-            )
-            params = SttpParams(out_fac, in_fac, r, sched, u_layouts,
-                                v_layouts, spectrum)
+        # The closed-form count goes first, so that declared dims cannot
+        # make the reader allocate beyond the file's size.
+        expected = SCHEMES[scheme].dof(d_out, d_in, r, mode)
+        if total != expected:
+            raise FileFormatError(
+                f"blocks hold {total} values, dims and rank need {expected}")
+        if mode != IDENTITY:
+            spectrum = SpectrumParams(mode, r, take("sigma"), None, lam)
+        elif "signs" not in fields:
+            raise FileFormatError("identity spectrum needs a signs field")
         else:
-            raise FileFormatError(f"unknown scheme {scheme!r}")
+            signs = np.array([float(v) for v in fields["signs"].split(",")])
+            spectrum = SpectrumParams(IDENTITY, r, None, signs, lam)
+        view = SCHEMES[scheme].template(d_out, d_in, r, mode).chain
+        names, structure = _chain_manifest(view)
+        for key, value in structure.items():
+            if fields.get(key) != value:
+                raise FileFormatError(f"{key} does not match dims and rank")
+        params = view.rebuild([la.with_params(take(name))
+                               for name, la in zip(names, view.layouts)],
+                              spectrum)
     except FileFormatError:
         raise
     except Exception as exc:

@@ -32,10 +32,10 @@ from .autodiff import (
 )
 from .dense import svd_full
 from .errors import DivergenceError, DomainError
+from .schemes import SCHEMES
 from .spectral import lipschitz_bound, stable_rank_from_spectrum
 from .spectrum_modes import LEARNED
-from .sttp import init_sttp_params
-from .svdp import init_svdp_params, rank_cap
+from .svdp import rank_cap
 
 __all__ = [
     "FitConfig",
@@ -46,7 +46,6 @@ __all__ = [
     "demo_train",
 ]
 
-SCHEMES = ("svdp", "sttp")
 DEFAULT_LR = {"svdp": 0.05, "sttp": 0.02}
 DIVERGENCE_LIMIT = 1e12
 
@@ -100,11 +99,9 @@ class FitResult:
 
 
 def _init_params(cfg: FitConfig, d_out: int, d_in: int):
-    kwargs = dict(spectrum_mode=cfg.spectrum_mode, seed=cfg.seed,
-                  init_scheme=cfg.init_scheme, alpha=cfg.alpha, lam=cfg.lam)
-    if cfg.scheme == "svdp":
-        return init_svdp_params(d_out, d_in, cfg.rank, **kwargs)
-    return init_sttp_params(d_out, d_in, cfg.rank, **kwargs)
+    return SCHEMES[cfg.scheme].init(d_out, d_in, cfg.rank, cfg.spectrum_mode,
+                                    cfg.seed, cfg.init_scheme, cfg.alpha,
+                                    cfg.lam)
 
 
 def fit_matrix(target: np.ndarray, cfg: FitConfig) -> FitResult:
@@ -221,15 +218,14 @@ def demo_train(cfg: FitConfig, seed: int, d_in: int = 6, hidden: int = 8,
         g_out = resid / n_samples
         g_w2 = g_out @ h.T
         g_w1 = (w2.T @ g_out) * (pre > 0) @ x.T
-        grads = [_vjp_full(tape1, g_w1, None), _vjp_full(tape2, g_w2, None)]
+        g_sigma = [None, None]  # the penalty's gradient on each spectrum
         if cfg.lam > 0.0:
             for i, tape in enumerate((tape1, tape2)):
                 pen, pen_grad = _penalty_floored(tape.sigma)
                 loss += cfg.lam * pen / n_samples
-                grads[i] = grads[i] + _vjp_full(
-                    tape, np.zeros_like(tape.output),
-                    cfg.lam * pen_grad / n_samples,
-                )
+                g_sigma[i] = cfg.lam * pen_grad / n_samples
+        grads = [_vjp_full(tape1, g_w1, g_sigma[0]),
+                 _vjp_full(tape2, g_w2, g_sigma[1])]
 
         report.losses.append(loss)
         s1, s2 = np.abs(tape1.sigma), np.abs(tape2.sigma)

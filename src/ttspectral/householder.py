@@ -22,8 +22,8 @@ Three layout variants exist:
   ``j > r``.  Padding lets frames of different sizes share one batched
   reflector sweep, but the longer columns reorder the norm sums: padded and
   unpadded decodes agree to rounding, not bitwise.  So :func:`decode_batch`
-  is bitwise only among layouts of one padded shape, and the gradient tape
-  sweeps each exact canvas shape on its own.
+  is bitwise only among layouts of one padded shape, and a saving
+  :func:`decode_layouts` sweeps each exact canvas shape on its own.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "layout_from_dense",
     "decode",
     "decode_batch",
+    "decode_layouts",
     "encode",
     "init_layout",
     "check_frame",
@@ -255,16 +256,21 @@ def decode_batch(layouts) -> list[np.ndarray]:
     return [q[i, : la.d, : la.r] for i, la in enumerate(layouts)]
 
 
-def _taped_decode(layouts) -> tuple[list[np.ndarray], tuple]:
-    """Decode layouts of any sizes, saving what the reverse pass needs.
+def decode_layouts(layouts, save: bool = False):
+    """Decode layouts of any sizes; every frame is bitwise :func:`decode`'s.
 
-    Layouts of one padded shape share one saving sweep; different shapes are
-    never padded into one canvas, so every frame is bitwise the one
-    :func:`decode` returns.  Layouts without free cells take their cached
-    frame and join no sweep.  Returns ``(frames, tape)``.
+    Layouts without free cells take their cached, read-only frame.  Without
+    ``save`` each other layout goes through :func:`decode` on its own and
+    the result is the frames.  With ``save`` the layouts of one exact
+    canvas shape share one saving sweep (different shapes are never padded
+    into one canvas), and the result is ``(frames, tape)``, the tape
+    holding what :func:`decode_layouts_vjp` needs.
     """
     frames = [_structure(la.d, la.r, la.variant, la.d_pad, la.r_pad)[2]
               for la in layouts]
+    if not save:
+        return [decode(la) if frame is None else frame
+                for la, frame in zip(layouts, frames)]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, la in enumerate(layouts):
         if frames[i] is None:
@@ -272,19 +278,17 @@ def _taped_decode(layouts) -> tuple[list[np.ndarray], tuple]:
     sweeps = []
     for members in groups.values():
         q, saves = _reflect_sweep(
-            np.stack([layouts[i].dense() for i in members]), save=True)
+            np.array([layouts[i].dense() for i in members]), save=True)
         for k, i in enumerate(members):
             frames[i] = q[k, : layouts[i].d, : layouts[i].r]
         sweeps.append((members, saves))
     return frames, (layouts, sweeps)
 
 
-def _taped_decode_vjp(tape: tuple, g_frames) -> list[np.ndarray]:
-    """Per-layout free-parameter gradients, given a cotangent on each frame.
-
-    One backward sweep per forward sweep; layouts without free cells get an
-    empty gradient.
-    """
+def decode_layouts_vjp(tape: tuple, g_frames) -> list[np.ndarray]:
+    """Per-layout free-parameter gradients of a saving :func:`decode_layouts`,
+    given a cotangent on each frame; one backward sweep per forward sweep,
+    and an empty gradient for each layout without free cells."""
     layouts, sweeps = tape
     grads = [np.zeros(0)] * len(layouts)
     for members, saves in sweeps:
@@ -304,7 +308,7 @@ def check_frame(q: np.ndarray, tol: float = 1e-8) -> None:
         raise ShapeError(f"frame must be d x r with d >= r, got {q.shape}")
     gram = q.T @ q
     resid = float(np.linalg.norm(gram - np.eye(q.shape[1])))
-    if resid > tol:
+    if not resid <= tol:  # a NaN residual fails too
         raise DomainError(f"columns not orthonormal: Gram residual {resid:.3e}")
 
 

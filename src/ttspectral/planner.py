@@ -13,24 +13,26 @@ total cost under the model; ties break toward the lexicographically smallest
 step sequence.  Plans depend only on the diagram, not on bound data, and are
 cached per diagram shape.
 
-The two shipped diagram builders realize applying a parameterized map
-``y = W x`` without decompressing ``W``: the plain four-node chain, and the
-chain-of-cores form whose input is tensorized along the factored input
-dimension.
+:func:`sttp_diagram` realizes applying a parameterized map ``y = W x``
+without decompressing ``W``: the chain of cores, with the input tensorized
+along the factored input dimension.  Every parameter set is applied through
+it; svdp is its one-core-per-side case, whose diagram has the same signature
+(hence the same cached plan) as the named four-node :func:`svdp_diagram`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import householder as hh
 from .errors import BindingError, CapacityError, DomainError, ShapeError
 from .spectral import materialize_sigma
-from .sttp import SttpParams, assemble_sttp, core_specs, decode_cores
-from .svdp import SvdpParams, assemble
+from .sttp import assemble_sttp
+from .sttp import core_specs  # noqa: F401  (perfbench/spans.py patches it)
 
 __all__ = [
     "DiagramNode",
@@ -370,16 +372,12 @@ def execute(cplan: ContractionPlan, data) -> np.ndarray:
 
 
 def svdp_diagram(d_out: int, d_in: int, r: int, d_x: int) -> TensorDiagram:
-    """Four-node map diagram: frame, diagonal spectrum, frame, input."""
-    nodes = [
-        DiagramNode((d_out, r), name="u"),
-        DiagramNode((r, r), diagonal=True, name="sigma"),
-        DiagramNode((d_in, r), name="v"),
-        DiagramNode((d_in, d_x), name="x"),
-    ]
-    edges = [(0, 1, 1, 0), (1, 1, 2, 1), (2, 0, 3, 0)]
-    output = [(0, 0), (3, 1)]
-    return TensorDiagram(nodes, edges, output)
+    """Four-node map diagram: frame, diagonal spectrum, frame, input; the
+    one-core :func:`sttp_diagram`, with the nodes named u, sigma, v, x."""
+    chain = sttp_diagram((d_out,), (d_in,), (1, r, 1), d_x)
+    nodes = [replace(node, name=name)
+             for node, name in zip(chain.nodes, ("u", "sigma", "v", "x"))]
+    return TensorDiagram(nodes, chain.edges, chain.output_legs)
 
 
 def sttp_diagram(out_factors, in_factors, ranks, d_x: int) -> TensorDiagram:
@@ -388,11 +386,15 @@ def sttp_diagram(out_factors, in_factors, ranks, d_x: int) -> TensorDiagram:
     ``ranks`` is the global schedule over (out factors, reversed in
     factors).  Node order: U cores outer-to-spectrum, the spectrum, V cores
     spectrum-to-outer, then the tensorized input.  Rank-1 end legs are
-    dropped.
+    dropped.  Diagrams are cached per shape; treat them as read-only.
     """
-    out_factors = tuple(int(v) for v in out_factors)
-    in_factors = tuple(int(v) for v in in_factors)
-    ranks = tuple(int(v) for v in ranks)
+    return _chain_diagram(tuple(int(v) for v in out_factors),
+                          tuple(int(v) for v in in_factors),
+                          tuple(int(v) for v in ranks), int(d_x))
+
+
+@lru_cache(maxsize=256)
+def _chain_diagram(out_factors, in_factors, ranks, d_x: int) -> TensorDiagram:
     d_out_len, d_in_len = len(out_factors), len(in_factors)
     if len(ranks) != d_out_len + d_in_len + 1:
         raise ShapeError("rank schedule length mismatch")
@@ -445,45 +447,33 @@ def sttp_diagram(out_factors, in_factors, ranks, d_x: int) -> TensorDiagram:
 def naive_flops(params, d_x: int) -> int:
     """Cost of decompressing the matrix first, then multiplying densely.
 
-    For the chain scheme this includes composing both chains left to right;
-    the final two factors are always scaling the cheaper frame by the
-    spectrum (``r * min(d_out, d_in)``), the rank-r frame product
-    (``2 r d_out d_in``), and the dense apply (``2 d_out d_in d_x``).
+    This includes composing both chains left to right (nothing for svdp's
+    one-core chains); the final two factors are always scaling the cheaper
+    frame by the spectrum (``r * min(d_out, d_in)``), the rank-r frame
+    product (``2 r d_out d_in``), and the dense apply (``2 d_out d_in d_x``).
     """
-    if isinstance(params, SvdpParams):
-        d_out, d_in, r = params.d_out, params.d_in, params.r
-        chain = 0
-    elif isinstance(params, SttpParams):
-        d_out, d_in, r = params.d_out, params.d_in, params.r
-        chain = 0
-        u_specs, v_specs = core_specs(params.out_fac, params.in_fac, params.r,
-                                      params.spectrum.mode)
-        for specs in (u_specs, v_specs):
-            rows = specs[0].shape[1]
-            for spec in specs[1:]:
-                r_left, n, r_right = spec.shape
-                chain += 2 * rows * r_left * n * r_right
-                rows *= n
-    else:
-        raise DomainError(f"unsupported parameter type {type(params)!r}")
+    view = params.chain
+    chain = 0
+    for shapes in (view.u_shapes, view.v_shapes):
+        rows = shapes[0][1]
+        for r_left, n, r_right in shapes[1:]:
+            chain += 2 * rows * r_left * n * r_right
+            rows *= n
+    d_out, d_in, r = params.d_out, params.d_in, params.r
     return (chain + r * min(d_out, d_in) + 2 * r * d_out * d_in
             + 2 * d_out * d_in * d_x)
 
 
 def decompress(params) -> np.ndarray:
     """Materialize the full matrix (reference path for apply_map)."""
-    if isinstance(params, SvdpParams):
-        return assemble(params)
-    if isinstance(params, SttpParams):
-        return assemble_sttp(params)
-    raise DomainError(f"unsupported parameter type {type(params)!r}")
+    return assemble_sttp(params)
 
 
 def apply_map(params, x: np.ndarray) -> np.ndarray:
     """Apply ``y = W x`` through the planned diagram, never forming W.
 
-    ``x`` must be a d_in x d_x matrix.  The plan is FLOP-minimal for the
-    bound shapes and cached per shape; the value equals the
+    ``x`` must be a finite d_in x d_x matrix.  The plan is FLOP-minimal for
+    the bound shapes and cached per shape; the value equals the
     decompress-then-multiply path to floating-point accuracy.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -493,35 +483,15 @@ def apply_map(params, x: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"input rows {x.shape[0]} != d_in = {params.d_in}"
         )
+    if not np.isfinite(x).all():
+        raise DomainError("apply_map input must be finite")
     d_x = x.shape[1]
+    view = params.chain
     sigma = materialize_sigma(params.spectrum)
-    if isinstance(params, SvdpParams):
-        diagram = svdp_diagram(params.d_out, params.d_in, params.r, d_x)
-        data = {
-            0: hh.decode(params.u_layout),
-            1: sigma,
-            2: hh.decode(params.v_layout),
-            3: x,
-        }
-        return execute(plan(diagram), data)
-    if not isinstance(params, SttpParams):
-        raise DomainError(f"unsupported parameter type {type(params)!r}")
-    u_specs, v_specs = core_specs(params.out_fac, params.in_fac, params.r,
-                                  params.spectrum.mode)
-    u_cores = decode_cores(params.u_layouts, u_specs)
-    v_cores = decode_cores(params.v_layouts, v_specs)
-    diagram = sttp_diagram(params.out_fac.factors, params.in_fac.factors,
-                           params.schedule.ranks, d_x)
-    d_out_len, d_in_len = len(params.out_fac), len(params.in_fac)
-    data = {0: u_cores[0].reshape(u_cores[0].shape[1:])}
-    for k in range(1, d_out_len):
-        data[k] = u_cores[k]
-    data[d_out_len] = sigma
-    for pos in range(d_in_len):
-        j = d_in_len - pos  # local index of the core at this diagram slot
-        core = v_cores[j - 1]
-        data[d_out_len + 1 + pos] = core.reshape(core.shape[1:]) if j == 1 \
-            else core
-    data[d_out_len + d_in_len + 1] = x.reshape(*params.in_fac.factors, d_x)
-    y = execute(plan(diagram), data)
+    u_cores, v_cores = view.cores(hh.decode_layouts(view.layouts))
+    diagram = sttp_diagram(view.out_factors, view.in_factors, view.ranks, d_x)
+    # U cores, sigma, V cores spectrum-to-outer, x; outer cores drop rank 1
+    data = [u_cores[0][0], *u_cores[1:], sigma, *reversed(v_cores[1:]),
+            v_cores[0][0], x.reshape(*view.in_factors, d_x)]
+    y = execute(plan(diagram), dict(enumerate(data)))
     return y.reshape(params.d_out, d_x)

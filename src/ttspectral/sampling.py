@@ -11,13 +11,15 @@ out of randomly constructed fitting targets.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import householder as hh
 from .spectral import SpectrumParams
 from .spectrum_modes import IDENTITY
-from .sttp import SttpParams, build_schedule, core_specs, factorize
-from .svdp import SvdpParams
+from .sttp import sttp_template
+from .svdp import svdp_template
 
 __all__ = ["random_spectrum", "random_svdp_params", "random_sttp_params"]
 
@@ -35,15 +37,6 @@ def random_spectrum(mode: str, r: int, rng: np.random.Generator,
     return SpectrumParams(mode, r, mags * signs, None, lam)
 
 
-def random_svdp_params(d_out: int, d_in: int, r: int, mode: str, seed: int,
-                       lam: float = 0.0) -> SvdpParams:
-    rng = np.random.default_rng(seed)
-    u_variant = hh.REDUCED if mode == IDENTITY else hh.FULL
-    u = make_random_layout(d_out, r, u_variant, rng)
-    v = make_random_layout(d_in, r, hh.FULL, rng)
-    return SvdpParams(d_out, d_in, r, u, v, random_spectrum(mode, r, rng, lam))
-
-
 def make_random_layout(d: int, r: int, variant: str, rng: np.random.Generator,
                        d_pad: int | None = None, r_pad: int | None = None
                        ) -> hh.HouseholderLayout:
@@ -51,19 +44,15 @@ def make_random_layout(d: int, r: int, variant: str, rng: np.random.Generator,
     return layout.with_params(rng.standard_normal(layout.params.size))
 
 
-def random_sttp_params(d_out: int, d_in: int, r: int, mode: str, seed: int,
-                       lam: float = 0.0) -> SttpParams:
+def _random_params(template, d_out: int, d_in: int, r: int, mode: str,
+                   seed: int, lam: float = 0.0):
+    """Standard normals for every free cell in pack order, then a spectrum."""
     rng = np.random.default_rng(seed)
-    out_fac, in_fac = factorize(d_out), factorize(d_in)
-    sched = build_schedule(out_fac, in_fac, r)
-    u_specs, v_specs = core_specs(out_fac, in_fac, r, mode)
-    u_layouts = tuple(
-        make_random_layout(*spec.frame_dims, spec.variant, rng)
-        for spec in u_specs
-    )
-    v_layouts = tuple(
-        make_random_layout(*spec.frame_dims, spec.variant, rng)
-        for spec in v_specs
-    )
-    return SttpParams(out_fac, in_fac, r, sched, u_layouts, v_layouts,
-                      random_spectrum(mode, r, rng, lam))
+    view = template(d_out, d_in, r, mode).chain
+    layouts = [la.with_params(rng.standard_normal(la.params.size))
+               for la in view.layouts]
+    return view.rebuild(layouts, random_spectrum(mode, r, rng, lam))
+
+
+random_svdp_params = partial(_random_params, svdp_template)
+random_sttp_params = partial(_random_params, sttp_template)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .spectral import SpectrumParams, init_spectrum, materialize_sigma
 from .spectrum_modes import IDENTITY
 from .svdp import rank_cap, svdp_dof
 from .tensortrain import (
+    ChainView,
     RankSchedule,
     frames_from_cores,
     rank_caps,
@@ -51,6 +52,7 @@ __all__ = [
     "sttp_dof",
     "SttpParams",
     "init_sttp_params",
+    "sttp_template",
     "assemble_sttp",
     "edge_case_is_svdp",
 ]
@@ -231,16 +233,11 @@ class SttpParams:
             if len(layouts) != len(specs):
                 raise ShapeError(f"{name} side expects {len(specs)} layouts")
             for layout, spec in zip(layouts, specs):
-                if (layout.d, layout.r) != spec.frame_dims:
-                    raise ShapeError(
-                        f"{name} core {spec.local_k}: layout dims "
-                        f"({layout.d}, {layout.r}) != {spec.frame_dims}"
-                    )
-                if layout.variant != spec.variant:
-                    raise ShapeError(
-                        f"{name} core {spec.local_k}: variant {layout.variant}"
-                        f" != required {spec.variant}"
-                    )
+                got = (layout.d, layout.r, layout.variant)
+                if got != (*spec.frame_dims, spec.variant):
+                    raise ShapeError(f"{name} core {spec.local_k}: layout "
+                                     f"{got} != {spec.frame_dims}, "
+                                     f"{spec.variant}")
         if self.spectrum.r != self.r:
             raise ShapeError("spectrum length does not match rank")
 
@@ -257,6 +254,29 @@ class SttpParams:
         return (sum(la.params.size for la in self.u_layouts)
                 + sum(la.params.size for la in self.v_layouts)
                 + self.spectrum.n_params)
+
+    @property
+    def chain(self) -> ChainView:
+        """The chain view; core shapes as in :func:`core_specs`."""
+        shapes = (tuple(spec.shape for spec in side) for side in core_specs(
+            self.out_fac, self.in_fac, self.r, self.spectrum.mode))
+        return ChainView(
+            "sttp", self.out_fac.factors, self.in_fac.factors,
+            self.schedule.ranks, self.u_layouts, self.v_layouts, *shapes,
+            partial(SttpParams, self.out_fac, self.in_fac, self.r,
+                    self.schedule))
+
+
+def sttp_template(d_out: int, d_in: int, r: int, spectrum_mode: str
+                  ) -> SttpParams:
+    """Parameters of the given structure with all-zero layouts and spectrum
+    ones, as a template for :meth:`ChainView.rebuild`."""
+    out_fac, in_fac = factorize(d_out), factorize(d_in)
+    u_layouts, v_layouts = (
+        tuple(hh.make_layout(*spec.frame_dims, spec.variant) for spec in specs)
+        for specs in core_specs(out_fac, in_fac, r, spectrum_mode))
+    return SttpParams(out_fac, in_fac, r, build_schedule(out_fac, in_fac, r),
+                      u_layouts, v_layouts, init_spectrum(spectrum_mode, r))
 
 
 def _encode_chain(frames, specs) -> tuple[list[hh.HouseholderLayout], np.ndarray]:
@@ -306,25 +326,17 @@ def init_sttp_params(d_out: int, d_in: int, r: int, spectrum_mode: str,
                       tuple(v_layouts), spectrum)
 
 
-def decode_cores(layouts, specs) -> list[np.ndarray]:
-    """Decode per-core layouts into (r_left, n, r_right) core tensors."""
-    cores = []
-    for layout, spec in zip(layouts, specs):
-        frame = hh.decode(layout)
-        cores.append(frame.reshape(spec.shape))
-    return cores
+def assemble_sttp(p) -> np.ndarray:
+    """Materialize the d_out x d_in matrix of any chain view (svdp's too).
 
-
-def assemble_sttp(p: SttpParams) -> np.ndarray:
-    """Materialize the d_out x d_in matrix from the chain parameters.
-
-    Decodes every core, composes each side into its orthonormal frame, and
-    multiplies through the diagonal spectrum; the singular values of the
-    result are ``|sigma|``.
+    Decodes every core, composes each side into its orthonormal frame
+    (checking every core), and multiplies through the diagonal spectrum;
+    the singular values of the result are ``|sigma|``.
     """
-    u_specs, v_specs = core_specs(p.out_fac, p.in_fac, p.r, p.spectrum.mode)
-    u = frames_from_cores(decode_cores(p.u_layouts, u_specs))
-    v = frames_from_cores(decode_cores(p.v_layouts, v_specs))
+    view = p.chain
+    u_cores, v_cores = view.cores(hh.decode_layouts(view.layouts))
+    u = frames_from_cores(u_cores)
+    v = frames_from_cores(v_cores)
     sigma = materialize_sigma(p.spectrum)
     return (u * sigma) @ v.T
 

@@ -16,14 +16,17 @@ import numpy as np
 
 from . import householder as hh
 from .errors import DomainError, ShapeError
-from .spectral import SpectrumParams, init_spectrum, materialize_sigma
+from .spectral import SpectrumParams, init_spectrum
+from .spectral import materialize_sigma  # noqa: F401  (perfbench patches it)
 from .spectrum_modes import IDENTITY
+from .tensortrain import ChainView
 
 __all__ = [
     "rank_cap",
     "svdp_dof",
     "SvdpParams",
     "init_svdp_params",
+    "svdp_template",
     "assemble",
     "svdp_from_matrix",
     "redundancy_witness",
@@ -87,6 +90,26 @@ class SvdpParams:
         return (self.u_layout.params.size + self.v_layout.params.size
                 + self.spectrum.n_params)
 
+    @property
+    def chain(self) -> ChainView:
+        """The one-core-per-side chain; its dims never go through factorize."""
+        d_out, d_in, r = self.d_out, self.d_in, self.r
+        return ChainView(
+            "svdp", (d_out,), (d_in,), (1, r, 1), (self.u_layout,),
+            (self.v_layout,), ((1, d_out, r),), ((1, d_in, r),),
+            lambda u, v, sp: SvdpParams(d_out, d_in, r, *u, *v, sp))
+
+
+def svdp_template(d_out: int, d_in: int, r: int, spectrum_mode: str
+                  ) -> SvdpParams:
+    """Parameters of the given structure with all-zero layouts and spectrum
+    ones, as a template for :meth:`ChainView.rebuild`."""
+    _check_rank(d_out, d_in, r)
+    u_variant = hh.REDUCED if spectrum_mode == IDENTITY else hh.FULL
+    return SvdpParams(d_out, d_in, r, hh.make_layout(d_out, r, u_variant),
+                      hh.make_layout(d_in, r, hh.FULL),
+                      init_spectrum(spectrum_mode, r))
+
 
 def init_svdp_params(d_out: int, d_in: int, r: int, spectrum_mode: str,
                      seed: int, init_scheme: str = "noisy_identity",
@@ -112,12 +135,12 @@ def assemble(p: SvdpParams) -> np.ndarray:
     """Materialize W = U @ diag(sigma) @ V^T as a d_out x d_in matrix.
 
     The singular values of the result are ``|sigma|``; no d_out x d_out
-    intermediate is formed.
+    intermediate is formed.  This is the one-core case of
+    :func:`ttspectral.sttp.assemble_sttp`.
     """
-    u = hh.decode(p.u_layout)
-    v = hh.decode(p.v_layout)
-    sigma = materialize_sigma(p.spectrum)
-    return (u * sigma) @ v.T
+    from .sttp import assemble_sttp  # sttp imports this module
+
+    return assemble_sttp(p)
 
 
 def svdp_from_matrix(target: np.ndarray, r: int, spectrum_mode: str = "learned",

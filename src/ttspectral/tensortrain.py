@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,9 @@ __all__ = [
     "core_shapes_ok",
     "check_core_orthonormal",
     "tt_contract",
+    "compose_chain",
     "frames_from_cores",
+    "ChainView",
     "gauge_transform",
 ]
 
@@ -91,15 +94,18 @@ def rank_schedule(dims, r: int) -> RankSchedule:
     return RankSchedule(dims, r, ranks)
 
 
-def core_shapes_ok(cores) -> None:
-    """Validate a chain: 3-D cores, matching junction ranks, rank-1 ends."""
+def core_shapes_ok(cores, closed: bool = True) -> None:
+    """Validate a chain: 3-D cores, matching junction ranks, rank-1 ends
+    (only at the start unless ``closed``)."""
     if not cores:
         raise DomainError("empty core chain")
     for k, c in enumerate(cores):
         if np.asarray(c).ndim != 3:
             raise ShapeError(f"core {k} is not 3-D")
-    if cores[0].shape[0] != 1 or cores[-1].shape[2] != 1:
-        raise DomainError("chain must start and end with rank 1")
+    if cores[0].shape[0] != 1:
+        raise DomainError("chain must start with rank 1")
+    if closed and cores[-1].shape[2] != 1:
+        raise DomainError("chain must end with rank 1")
     for k in range(len(cores) - 1):
         if cores[k].shape[2] != cores[k + 1].shape[0]:
             raise ShapeError(
@@ -113,7 +119,7 @@ def check_core_orthonormal(core: np.ndarray, k: int | None = None,
     """Raise unless the core's matricization has orthonormal columns."""
     m = matricize_core(np.asarray(core, dtype=np.float64))
     resid = float(np.linalg.norm(m.T @ m - np.eye(m.shape[1])))
-    if resid > tol:
+    if not resid <= tol:  # a NaN residual fails too
         where = "core" if k is None else f"core {k}"
         raise DomainError(
             f"{where} matricization not orthonormal: residual {resid:.3e}"
@@ -124,13 +130,24 @@ def tt_contract(cores) -> np.ndarray:
     """Contract a rank-1-terminated chain into the full dense tensor."""
     cores = [np.asarray(c, dtype=np.float64) for c in cores]
     core_shapes_ok(cores)
-    block = cores[0].reshape(cores[0].shape[1], cores[0].shape[2])
-    for core in cores[1:]:
-        r_left, n, r_right = core.shape
-        block = block @ core.reshape(r_left, n * r_right)
-        block = block.reshape(-1, r_right)
-    dims = tuple(c.shape[1] for c in cores)
-    return reshape(block, dims)
+    block, _ = compose_chain([c.reshape(-1, c.shape[2]) for c in cores],
+                             [c.shape for c in cores])
+    return reshape(block, tuple(c.shape[1] for c in cores))
+
+
+def compose_chain(frames, shapes) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Compose matricized cores left to right.
+
+    ``frames[k]`` is core k as its (r_left * n, r_right) matricization and
+    ``shapes[k]`` its shape.  Returns the composed block and the running
+    blocks, which the gradient tape keeps for its reverse pass.
+    """
+    b = frames[0]
+    blocks = [b]
+    for frame, (r_left, n, r_right) in zip(frames[1:], shapes[1:]):
+        b = (b @ frame.reshape(r_left, n * r_right)).reshape(-1, r_right)
+        blocks.append(b)
+    return b, blocks
 
 
 def frames_from_cores(cores, tol: float = 1e-8) -> np.ndarray:
@@ -141,23 +158,11 @@ def frames_from_cores(cores, tol: float = 1e-8) -> np.ndarray:
     whose row index fuses the mode indices in storage order.
     """
     cores = [np.asarray(c, dtype=np.float64) for c in cores]
-    if not cores:
-        raise DomainError("empty core chain")
-    if cores[0].shape[0] != 1:
-        raise DomainError("chain must start with rank 1")
-    for k in range(len(cores) - 1):
-        if cores[k].shape[2] != cores[k + 1].shape[0]:
-            raise ShapeError(
-                f"rank mismatch at junction {k + 1}: "
-                f"{cores[k].shape[2]} vs {cores[k + 1].shape[0]}"
-            )
+    core_shapes_ok(cores, closed=False)
     for k, core in enumerate(cores):
         check_core_orthonormal(core, k, tol)
-    block = cores[0].reshape(cores[0].shape[1], cores[0].shape[2])
-    for core in cores[1:]:
-        r_left, n, r_right = core.shape
-        block = (block @ core.reshape(r_left, n * r_right)).reshape(-1, r_right)
-    return block
+    return compose_chain([c.reshape(-1, c.shape[2]) for c in cores],
+                         [c.shape for c in cores])[0]
 
 
 def gauge_transform(cores, q_list) -> list[np.ndarray]:
@@ -190,3 +195,40 @@ def gauge_transform(cores, q_list) -> list[np.ndarray]:
             new = np.einsum("anb,bc->anc", new, right)
         out.append(new)
     return out
+
+
+class ChainView(NamedTuple):
+    """A parameter set read as two chains of Householder-parameterized cores.
+
+    Per side, layouts run from the outer end toward the spectrum (pack
+    order) with their (r_left, n, r_right) core shapes; ``ranks`` is the
+    global schedule over ``out_factors`` then the reversed ``in_factors``.
+    svdp is the chain with one core per side, ranks ``(1, r, 1)``.
+    ``build(u_layouts, v_layouts, spectrum)`` makes a ``scheme`` parameter set.
+    """
+
+    scheme: str
+    out_factors: tuple[int, ...]
+    in_factors: tuple[int, ...]
+    ranks: tuple[int, ...]
+    u_layouts: tuple
+    v_layouts: tuple
+    u_shapes: tuple[tuple[int, int, int], ...]
+    v_shapes: tuple[tuple[int, int, int], ...]
+    build: Callable
+
+    @property
+    def layouts(self) -> tuple:
+        """Every layout in pack order: the U side, then the V side."""
+        return self.u_layouts + self.v_layouts
+
+    def cores(self, frames) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Decoded frames in pack order as the U and V core tensors."""
+        n_u = len(self.u_shapes)
+        return ([f.reshape(s) for f, s in zip(frames[:n_u], self.u_shapes)],
+                [f.reshape(s) for f, s in zip(frames[n_u:], self.v_shapes)])
+
+    def rebuild(self, layouts, spectrum):
+        """The same structure with new layouts (pack order) and spectrum."""
+        n_u = len(self.u_layouts)
+        return self.build(tuple(layouts[:n_u]), tuple(layouts[n_u:]), spectrum)

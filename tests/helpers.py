@@ -10,6 +10,7 @@ from ttspectral import autodiff as ad
 from ttspectral import planner as pl
 from ttspectral.sttp import core_specs
 from ttspectral.svdp import SvdpParams
+from ttspectral.tensortrain import compose_chain
 
 
 def brute_force_min_cost(diagram):
@@ -162,7 +163,7 @@ def per_frame_tape(params, g_w):
                  in zip((params.u_layouts, params.v_layouts), specs)]
     sigma, sigma_save = ad._sigma_fwd(params.spectrum)
     decoded = [[decode_fwd(la) for la in layouts] for layouts, _ in sides]
-    chains = [ad._chain_fwd([q for q, _ in side], shapes)
+    chains = [compose_chain([q for q, _ in side], shapes)
               for side, (_, shapes) in zip(decoded, sides)]
     (u, _), (v, _) = chains
     w = (u * sigma) @ v.T

@@ -96,8 +96,8 @@ class TestVjp:
         rng = np.random.default_rng(6)
         for variant in (hh.FULL, hh.REDUCED):
             layout = make_random_layout(9, 4, variant, rng)
-            (q,), saves = hh._taped_decode([layout])
-            (grad,) = hh._taped_decode_vjp(saves, [2.0 * q])
+            (q,), saves = hh.decode_layouts([layout], save=True)
+            (grad,) = hh.decode_layouts_vjp(saves, [2.0 * q])
             assert np.max(np.abs(grad)) <= 1e-6
             assert np.max(np.abs(ad.frame_grad(layout, 2.0 * q))) <= 1e-6
 
@@ -175,8 +175,8 @@ class TestBatchedTape:
         assert swept == [i for i, n in enumerate(free) if n]
         shapes = {layouts[i].padded_shape for i in swept}
         assert len(sweeps) == len(shapes)
-        grads = hh._taped_decode_vjp(tape.decode_saves,
-                                     [np.ones_like(q) for q in tape.frames])
+        grads = hh.decode_layouts_vjp(tape.decode_saves,
+                                      [np.ones_like(q) for q in tape.frames])
         assert [g.size for g in grads] == free
         grad = ad.vjp(tape, np.ones_like(w))
         assert grad.size == sttp_dof(d_out, d_in, r, LEARNED) \

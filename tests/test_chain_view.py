@@ -1,0 +1,113 @@
+"""Both parameter types read as one chain view; svdp is the one-core chain."""
+
+import numpy as np
+import pytest
+
+from ttspectral import autodiff as ad
+from ttspectral import fileio
+from ttspectral import householder as hh
+from ttspectral import planner as pl
+from ttspectral.fit import FitConfig, fit_matrix
+from ttspectral.sampling import random_sttp_params, random_svdp_params
+from ttspectral.schemes import SCHEMES
+from ttspectral.spectrum_modes import IDENTITY, LEARNED
+from ttspectral.sttp import SttpParams, core_specs
+from ttspectral.svdp import SvdpParams, init_svdp_params
+
+
+class TestView:
+    @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
+    def test_svdp_is_the_one_core_chain(self, mode):
+        p = random_svdp_params(16, 72, 4, mode, 0)
+        view = p.chain
+        assert view.scheme == "svdp"
+        assert (view.out_factors, view.in_factors) == ((16,), (72,))
+        assert view.ranks == (1, 4, 1)
+        assert view.u_layouts == (p.u_layout,)
+        assert view.v_layouts == (p.v_layout,)
+        assert view.u_shapes == ((1, 16, 4),)
+        assert view.v_shapes == ((1, 72, 4),)
+
+    def test_sttp_view_follows_core_specs(self):
+        p = random_sttp_params(16, 72, 4, LEARNED, 0)
+        view = p.chain
+        u_specs, v_specs = core_specs(p.out_fac, p.in_fac, p.r, LEARNED)
+        assert view.scheme == "sttp"
+        assert view.ranks == p.schedule.ranks
+        assert view.layouts == p.u_layouts + p.v_layouts
+        assert view.u_shapes == tuple(spec.shape for spec in u_specs)
+        assert view.v_shapes == tuple(spec.shape for spec in v_specs)
+
+    @pytest.mark.parametrize("maker", [random_svdp_params, random_sttp_params])
+    def test_rebuild_keeps_type_and_structure(self, maker):
+        p = maker(12, 18, 3, LEARNED, 1)
+        q = p.chain.rebuild(list(p.chain.layouts), p.spectrum)
+        assert type(q) is type(p)
+        assert isinstance(q, SvdpParams) == (maker is random_svdp_params)
+        assert np.array_equal(ad.pack(q), ad.pack(p))
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_template_has_the_scheme_structure(self, scheme):
+        template = SCHEMES[scheme].template(16, 72, 4, LEARNED)
+        random = SCHEMES[scheme].random(16, 72, 4, LEARNED, 0)
+        assert template.chain.u_shapes == random.chain.u_shapes
+        assert template.chain.v_shapes == random.chain.v_shapes
+        assert template.n_params == SCHEMES[scheme].dof(16, 72, 4, LEARNED)
+        assert not np.any(ad.pack(template)[: -4])
+
+    @pytest.mark.parametrize("maker", [random_svdp_params, random_sttp_params])
+    def test_decode_layouts_is_bitwise_per_layout_decode(self, maker):
+        p = maker(16, 72, 4, LEARNED, 2)
+        frames = hh.decode_layouts(p.chain.layouts)
+        saved, _ = hh.decode_layouts(p.chain.layouts, save=True)
+        for frame, grouped, layout in zip(frames, saved, p.chain.layouts):
+            assert np.array_equal(frame, hh.decode(layout))
+            assert np.array_equal(grouped, hh.decode(layout))
+
+    @pytest.mark.parametrize("maker,calls", [(random_svdp_params, 2),
+                                             (random_sttp_params, 5)])
+    def test_apply_decodes_each_layout_with_free_cells(self, maker, calls,
+                                                       monkeypatch):
+        # sttp 16x72 r4 has 4 square reduced cores, whose frames are cached.
+        p = maker(16, 72, 4, LEARNED, 3)
+        seen = []
+        decode = hh.decode
+        monkeypatch.setattr(hh, "decode",
+                            lambda la: seen.append(la) or decode(la))
+        pl.apply_map(p, np.ones((72, 2)))
+        assert len(seen) == calls
+        assert all(la.params.size for la in seen)
+
+    def test_parameter_types_stay_distinct(self):
+        assert not isinstance(random_sttp_params(4, 6, 2, LEARNED, 0),
+                              SvdpParams)
+        assert isinstance(random_sttp_params(4, 6, 2, LEARNED, 0), SttpParams)
+
+
+class TestUnitDimSvdp:
+    """svdp accepts d = 1, which ``factorize`` rejects; the chain view must
+    not route svdp dims through it."""
+
+    @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
+    @pytest.mark.parametrize("d_out,d_in", [(1, 5), (5, 1)])
+    def test_end_to_end(self, tmp_path, d_out, d_in, mode):
+        p = init_svdp_params(d_out, d_in, 1, mode, 3)
+        a, b = tmp_path / "a.params", tmp_path / "b.params"
+        fileio.write_params(a, p)
+        back = fileio.read_params(a)
+        assert isinstance(back, SvdpParams)
+        fileio.write_params(b, back)
+        assert a.read_bytes() == b.read_bytes()
+
+        x = np.random.default_rng(0).standard_normal((d_in, 3))
+        want = pl.decompress(back) @ x
+        got = pl.apply_map(back, x)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert pl.naive_flops(back, 3) > 0
+
+        target = np.random.default_rng(1).standard_normal((d_out, d_in))
+        cfg = FitConfig("svdp", 1, mode, max_steps=5, tol=1e-300, seed=2)
+        result = fit_matrix(target, cfg)
+        assert len(result.trace) == 5
+        assert np.all(np.isfinite(result.trace))
+        assert ad.pack(result.params).size == p.n_params

@@ -88,6 +88,36 @@ class TestParamsFile:
         with pytest.raises(FileFormatError):
             fileio.read_params(path)
 
+    def test_huge_declared_dims_rejected_before_allocating(self, tmp_path):
+        import tracemalloc
+
+        path = tmp_path / "p.params"
+        fileio.write_params(path, random_svdp_params(6, 5, 3, LEARNED, 0))
+        raw = path.read_bytes()
+        for key, value in ((b"dout=6", b"dout=2000"), (b"din=5", b"din=2000"),
+                           (b"rank=3", b"rank=2000")):
+            assert key in raw
+            raw = raw.replace(key, value, 1)
+        path.write_bytes(raw)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError, match="dims and rank need"):
+                fileio.read_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a 2000 x 2000 layout would take tens of MB
+
+    def test_identity_signs_of_wrong_length_rejected(self, tmp_path):
+        path = tmp_path / "p.params"
+        fileio.write_params(path, random_svdp_params(6, 5, 3, IDENTITY, 1))
+        raw = path.read_bytes()
+        start = raw.index(b"signs=")
+        end = raw.index(b"\n", start)
+        path.write_bytes(raw[:start] + b"signs=1,1" + raw[end:])
+        with pytest.raises(FileFormatError):
+            fileio.read_params(path)
+
     def test_tampered_schedule_rejected(self, tmp_path):
         params = random_sttp_params(16, 72, 4, LEARNED, 2)
         path = tmp_path / "p.params"
@@ -151,6 +181,18 @@ class TestCli:
         bad.write_bytes(b"garbage")
         assert main(["apply", "--params", str(bad), "--in", str(bad),
                      "--out", str(tmp_path / "y.mat")]) == 3
+
+    def test_apply_non_finite_input_exit_2(self, tmp_path, capsys):
+        params, x_path = tmp_path / "p.params", tmp_path / "x.mat"
+        fileio.write_params(params, random_svdp_params(4, 6, 2, LEARNED, 0))
+        x = np.ones((6, 2))
+        x[3, 0] = np.nan
+        fileio.write_matrix(x_path, x)
+        y_path = tmp_path / "y.mat"
+        assert main(["apply", "--params", str(params), "--in", str(x_path),
+                     "--out", str(y_path)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not y_path.exists()
 
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck", "--scheme", "svdp", "--dout", "8", "--din",

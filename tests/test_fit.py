@@ -176,3 +176,26 @@ class TestDemoTrain:
         cfg = ft.FitConfig("svdp", 5, LEARNED)
         with pytest.raises(DomainError):
             ft.demo_train(cfg, 0, steps=10)
+
+    @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
+    def test_penalty_rides_on_the_data_vjp(self, scheme, monkeypatch):
+        # with lam > 0 each step pulls both cotangents back in one VJP per
+        # layer, which is linear in the pair (g_w, g_sigma_extra)
+        maker = random_svdp_params if scheme == "svdp" else random_sttp_params
+        p = maker(8, 6, 2, LEARNED_REGULARIZED, 4, 0.05)
+        w, tape = ft.assemble_with_tape(p)
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal(w.shape)
+        extra = rng.standard_normal(p.r)
+        both = ft._vjp_full(tape, g, extra)
+        split = ft._vjp_full(tape, g, None) + \
+            ft._vjp_full(tape, np.zeros_like(w), extra)
+        assert np.max(np.abs(both - split)) <= 1e-13
+
+        calls = []
+        real = ft._vjp_full
+        monkeypatch.setattr(ft, "_vjp_full",
+                            lambda *args: calls.append(1) or real(*args))
+        cfg = ft.FitConfig(scheme, 2, LEARNED_REGULARIZED, 0.05)
+        ft.demo_train(cfg, 0, steps=3)
+        assert len(calls) == 2 * 3

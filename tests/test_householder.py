@@ -171,6 +171,13 @@ class TestPaddedDecode:
         (q,) = hh.decode_batch([layout])
         assert np.array_equal(q, hh.decode(layout))
 
+    def test_frames_without_free_cells_are_writable(self):
+        layouts = [hh.make_layout(3, 3, hh.REDUCED) for _ in range(2)]
+        qa, qb = hh.decode_batch(layouts)
+        qa *= np.array([1.0, -1.0, 1.0])
+        assert np.array_equal(qb, hh.decode(layouts[1]))
+        assert np.array_equal(hh.decode_batch(layouts)[0], qb)
+
     def test_mixed_padded_dims_rejected(self):
         rng = np.random.default_rng(8)
         a = make_random_layout(4, 2, hh.FULL, rng, 6, 3)
@@ -203,6 +210,13 @@ class TestEncode:
     def test_non_orthonormal_rejected(self):
         with pytest.raises(DomainError):
             hh.encode(np.ones((4, 2)))
+
+    def test_nan_frame_rejected(self):
+        # a NaN residual must fail the check, not slip past ``resid > tol``
+        nan_diag = np.eye(4, 2) + np.nan * np.eye(4, 2)
+        for q in (np.full((4, 2), np.nan), nan_diag):
+            with pytest.raises(DomainError):
+                hh.check_frame(q)
 
     def test_reduced_frame_encodes_with_zero_gauge_cells(self):
         rng = np.random.default_rng(33)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from ttspectral import planner as pl
-from ttspectral.errors import BindingError, CapacityError, ShapeError
+from ttspectral.errors import (
+    BindingError,
+    CapacityError,
+    DomainError,
+    ShapeError,
+)
 from ttspectral.sampling import random_sttp_params, random_svdp_params
 from ttspectral.spectrum_modes import IDENTITY, LEARNED
 
@@ -241,6 +246,37 @@ class TestApplyMap:
                                               p.in_fac.factors,
                                               p.schedule.ranks, d_x)
                 assert pl.plan(diagram).total_flops <= pl.naive_flops(p, d_x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
+    def test_non_finite_input_rejected(self, scheme, bad):
+        maker = random_svdp_params if scheme == "svdp" else random_sttp_params
+        p = maker(4, 6, 2, LEARNED, 0)
+        x = np.ones((6, 3))
+        x[2, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            pl.apply_map(p, x)
+
+    def test_svdp_applies_through_the_one_core_chain_plan(self):
+        # the svdp chain view's diagram is the four-node svdp diagram: one
+        # cached plan, and the same bits as binding the frames by hand
+        from ttspectral import householder as hh
+        from ttspectral.spectral import materialize_sigma
+
+        for d_out, d_in, r in ((16, 72, 4), (1, 5, 1), (5, 1, 1)):
+            p = random_svdp_params(d_out, d_in, r, LEARNED, 3)
+            view = p.chain
+            chain = pl.sttp_diagram(view.out_factors, view.in_factors,
+                                    view.ranks, 3)
+            four = pl.svdp_diagram(d_out, d_in, r, 3)
+            assert chain.signature() == four.signature()
+            assert pl.plan(chain) is pl.plan(four)
+            x = np.random.default_rng(1).standard_normal((d_in, 3))
+            data = {0: hh.decode(p.u_layout),
+                    1: materialize_sigma(p.spectrum),
+                    2: hh.decode(p.v_layout), 3: x}
+            assert np.array_equal(pl.apply_map(p, x),
+                                  pl.execute(pl.plan(four), data))
 
     def test_wrong_input_rows(self):
         p = random_svdp_params(4, 5, 2, LEARNED, 0)

@@ -175,10 +175,7 @@ class TestAssemble:
         # the chain lists the input-side factors outward from the spectrum,
         # so those axes reverse before fusing back to matrix columns
         p = random_sttp_params(4, 6, 2, LEARNED, 7)
-        u_specs, v_specs = sttp.core_specs(p.out_fac, p.in_fac, p.r,
-                                           p.spectrum.mode)
-        u_cores = sttp.decode_cores(p.u_layouts, u_specs)
-        v_cores = sttp.decode_cores(p.v_layouts, v_specs)
+        u_cores, v_cores = p.chain.cores(hh.decode_layouts(p.chain.layouts))
         sigma = materialize_sigma(p.spectrum)
         u_cores[-1] = u_cores[-1] * sigma  # scale the spectrum-facing rank
         chain = u_cores + [np.transpose(c, (2, 1, 0))

@@ -154,6 +154,14 @@ class TestFramesFromCores:
         with pytest.raises(DomainError, match="core 1"):
             tt.frames_from_cores(cores)
 
+    def test_nan_core_rejected(self):
+        # a NaN residual must fail the check, not slip past ``resid > tol``
+        core = np.full((1, 3, 2), np.nan)
+        with pytest.raises(DomainError):
+            tt.check_core_orthonormal(core)
+        with pytest.raises(DomainError, match="core 0"):
+            tt.frames_from_cores([core])
+
     @pytest.mark.parametrize("seed", range(20))
     def test_composition_gram_residual(self, seed):
         dims = (2, 3, 2)
