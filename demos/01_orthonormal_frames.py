@@ -38,8 +38,8 @@ print("column signs handed back for the caller to absorb:", signs)
 
 # --- padded layouts batch frames of different sizes -------------------------
 # everything lives on a shared canvas with structural zeros and ones, so one
-# reflector sweep decodes all of them; results match per-frame decoding bit
-# for bit
+# batched decode (I - U T^-1 U^T per canvas) covers all of them; results
+# match per-frame decoding bit for bit
 a = hh.pad_layout(hh.make_layout(5, 2, hh.FULL,
                                  rng.standard_normal(hh.dof(5, 2, hh.FULL))),
                   8, 4)
@@ -48,6 +48,6 @@ b = hh.pad_layout(hh.make_layout(8, 4, hh.REDUCED,
                   8, 4)
 qa, qb = hh.decode_batch([a, b])
 print("\nbatched decode: frames", qa.shape, "and", qb.shape,
-      "from one 8x4 canvas sweep")
+      "from one batched 8x4 canvas decode")
 print("bitwise equal to sequential decode:",
       np.array_equal(qa, hh.decode(a)) and np.array_equal(qb, hh.decode(b)))

@@ -9,7 +9,12 @@ frame is the product of the reflections applied to a truncated identity,
 
 with ``u_i`` the normalized ``i``-th column of the layout.  The structural
 diagonal 1 keeps every column norm >= 1, so normalization never divides by
-zero.
+zero.  The product is the UT transform (compact WY) ``I - U T^-1 U^T``,
+``U = [u_1 ... u_r]``, ``T = I/2 + striu(U^T U)``: decode and its gradient
+are a few batched matmuls and one LAPACK inverse, with no reflector loop.
+A batch is bitwise each member decoded alone, as are replays and same-seed
+reruns; applying one reflector at a time (as versions before this form did)
+agrees to rounding only.
 
 Three layout variants exist:
 
@@ -20,15 +25,15 @@ Three layout variants exist:
 * padded - either variant embedded in a ``d_pad x r_pad`` canvas whose extra
   cells are structural zeros with a structural 1 on the diagonal of columns
   ``j > r``.  Padding lets frames of different sizes share one batched
-  reflector sweep, but the longer columns reorder the norm sums: padded and
-  unpadded decodes agree to rounding, not bitwise.  So :func:`decode_batch`
-  is bitwise only among layouts of one padded shape, and a saving
-  :func:`decode_layouts` sweeps each exact canvas shape on its own.
+  decode, but the larger canvas reorders the sums: padded and unpadded
+  decodes agree to rounding, not bitwise.  So :func:`decode_batch` is
+  bitwise only among layouts of one padded shape, and a saving
+  :func:`decode_layouts` decodes each exact canvas shape on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -128,7 +133,8 @@ class HouseholderLayout:
             raise ShapeError(
                 f"expected {self.params.size} free parameters, got {params.size}"
             )
-        return replace(self, params=params)
+        return HouseholderLayout(self.d, self.r, self.variant, params,
+                                 self.d_pad, self.r_pad)
 
     def free_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, cols) of the free cells, column-major by reflector."""
@@ -149,12 +155,8 @@ def make_layout(d: int, r: int, variant: str = FULL, params=None,
     d_pad = d if d_pad is None else d_pad
     r_pad = r if r_pad is None else r_pad
     n_free = _structure(d, r, variant, d_pad, r_pad)[0].size
-    if params is None:
-        params = np.zeros(n_free)
-    params = np.asarray(params, dtype=np.float64).ravel()
-    if params.size != n_free:
-        raise ShapeError(f"expected {n_free} free parameters, got {params.size}")
-    return HouseholderLayout(d, r, variant, params, d_pad, r_pad)
+    layout = HouseholderLayout(d, r, variant, np.zeros(n_free), d_pad, r_pad)
+    return layout if params is None else layout.with_params(params)
 
 
 def layout_from_dense(mat: np.ndarray, d: int, r: int, variant: str = FULL,
@@ -187,62 +189,60 @@ def _structure(d: int, r: int, variant: str, d_pad: int, r_pad: int):
     return rows, cols, frame
 
 
-def _reflect_sweep(canvases: np.ndarray, save: bool = False):
-    """Apply the reflector product of each stacked canvas to I_{dp x rp}.
+@lru_cache(maxsize=256)
+def _wy_constants(dp: int, rp: int):
+    """Read-only strict-upper mask and I/2 (rp x rp), and I_{dp x rp}."""
+    consts = (~np.tri(rp, dtype=bool), 0.5 * np.eye(rp), np.eye(dp, rp))
+    for a in consts:
+        a.flags.writeable = False
+    return consts
 
-    ``canvases`` has shape (batch, d_pad, r_pad).  The reflector index runs
-    in lockstep across the batch, and every item goes through the exact same
-    sequence of elementwise/matmul operations, so a batch of one is bitwise
-    identical to a member of a larger batch.  With ``save`` the result is
-    ``(q, saved)``, where ``saved`` holds what :func:`_reflect_sweep_vjp`
-    needs: the unit reflectors, the column norms and each step's input.
+
+def _reflect_sweep(canvases: np.ndarray, save: bool = False):
+    """Apply the reflector product of each stacked canvas to E = I_{dp x rp}.
+
+    ``canvases`` has shape (batch, d_pad, r_pad); each frame is ``E - U S``,
+    ``S = T^-1 U[:r_pad]^T``.  Stacked BLAS and LAPACK calls run per item
+    and each norm sums a contiguous row, so a batch of one is bitwise a
+    member of a larger batch.  With ``save`` the result is ``(q, saved)``,
+    ``saved`` holding the unit reflectors as rows, the norms, ``T^-1``, ``S``.
     """
-    b, dp, rp = canvases.shape
-    # Reflector columns as contiguous rows, so each norm is the same
-    # pairwise sum as that of the lone column.
+    upper, half_eye, eye = _wy_constants(*canvases.shape[1:])
     cols = np.ascontiguousarray(canvases.transpose(0, 2, 1))
     norms = np.sqrt(np.sum(cols * cols, axis=2, keepdims=True))
     units = cols / norms  # norms >= 1 thanks to the structural diagonal 1
-    q = np.eye(dp, rp)[None]  # broadcast over the batch by the first step
-    inputs = np.empty((rp, b, dp, rp)) if save else None
-    for j in range(rp - 1, -1, -1):
-        u = units[:, j, :]
-        if save:
-            inputs[j] = q
-        q = q - 2.0 * u[:, :, None] * (u[:, None, :] @ q)
-    return (q, (units, norms, inputs)) if save else q
+    m = np.linalg.inv(np.where(upper, units @ units.transpose(0, 2, 1),
+                               half_eye))
+    s = m @ units[:, :, : eye.shape[1]]
+    q = eye - units.transpose(0, 2, 1) @ s
+    return (q, (units, norms, m, s)) if save else q
 
 
 def _reflect_sweep_vjp(saved: tuple, g: np.ndarray) -> np.ndarray:
     """Gradient of a saved sweep w.r.t. its canvases, given ``g`` on its q.
 
-    ``g`` has the sweep's (batch, d_pad, r_pad) shape; so does the result,
-    whose structural cells the caller discards.  Only the transport of
-    ``g`` back through the reflectors is sequential; what depends on the
-    forward alone is done for all reflectors at once, with the same
-    per-item products as a step-by-step pass.
+    ``g`` and the result have the (batch, d_pad, r_pad) canvas shape.  With
+    ``V = U^T`` and ``A = V[:, :r_pad]``, ``A_bar = T^-T (-V g)``, and the
+    strict upper part ``P`` of ``T_bar = -A_bar S^T`` reaches ``V`` as
+    ``(P + P^T) V``.
     """
-    units, norms, inputs = saved
-    u_cols = units.transpose(1, 0, 2)[..., None]  # (rp, b, dp, 1)
-    u_rows = u_cols.transpose(0, 1, 3, 2)
-    xus = inputs.transpose(0, 1, 3, 2) @ u_cols  # x_j^T u_j
-    gus = np.empty(u_cols.shape)
-    for j, x in enumerate(inputs):
-        gus[j] = -2.0 * (g @ xus[j] + x @ (g.transpose(0, 2, 1) @ u_cols[j]))
-        g = g - 2.0 * u_cols[j] * (u_rows[j] @ g)
-    norms = norms.transpose(1, 0, 2)[..., None]
-    g_cols = (gus - u_cols * (u_rows @ gus)) / norms
-    return g_cols[..., 0].transpose(1, 2, 0)
+    units, norms, m, s = saved
+    upper = _wy_constants(*g.shape[1:])[0]
+    a_bar = m.transpose(0, 2, 1) @ -(units @ g)
+    p = np.where(upper, a_bar @ -s.transpose(0, 2, 1), 0.0)
+    v_bar = (p + p.transpose(0, 2, 1)) @ units - s @ g.transpose(0, 2, 1)
+    v_bar[:, :, : g.shape[2]] += a_bar
+    g_cols = v_bar - units * np.sum(units * v_bar, axis=2, keepdims=True)
+    return (g_cols / norms).transpose(0, 2, 1)
 
 
 def decode(layout: HouseholderLayout) -> np.ndarray:
     """Decode a layout into its d x r orthonormal frame."""
-    q = _reflect_sweep(layout.dense()[None])
-    return q[0, : layout.d, : layout.r]
+    return _reflect_sweep(layout.dense()[None])[0, : layout.d, : layout.r]
 
 
 def decode_batch(layouts) -> list[np.ndarray]:
-    """Decode several layouts sharing padded dims in one reflector sweep.
+    """Decode several layouts sharing padded dims in one batched decode.
 
     Bitwise identical to ``[decode(la) for la in layouts]``.
     """
@@ -262,7 +262,7 @@ def decode_layouts(layouts, save: bool = False):
     Layouts without free cells take their cached, read-only frame.  Without
     ``save`` each other layout goes through :func:`decode` on its own and
     the result is the frames.  With ``save`` the layouts of one exact
-    canvas shape share one saving sweep (different shapes are never padded
+    canvas shape share one saving decode (different shapes are never padded
     into one canvas), and the result is ``(frames, tape)``, the tape
     holding what :func:`decode_layouts_vjp` needs.
     """

@@ -23,6 +23,7 @@ it; svdp is its one-core-per-side case, whose diagram has the same signature
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 MAX_NODES = 16
+PLAN_CACHE_SIZE = 128  # plans kept, least recently used dropped first
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,7 @@ class ContractionPlan:
     peak_intermediate: int
 
 
-_PLAN_CACHE: dict[tuple, ContractionPlan] = {}
+_PLAN_CACHE: OrderedDict[tuple, ContractionPlan] = OrderedDict()
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -228,11 +230,13 @@ def plan(diagram: TensorDiagram) -> ContractionPlan:
     Dynamic programming over node subsets; cost ties resolve to the
     lexicographically smallest step sequence (operands keyed by their sorted
     leaf ids, left operand holding the smaller minimum).  Diagrams are
-    capped at 16 nodes.
+    capped at 16 nodes.  The last ``PLAN_CACHE_SIZE`` plans used are cached
+    per diagram signature.
     """
     key = diagram.signature()
     cached = _PLAN_CACHE.get(key)
     if cached is not None:
+        _PLAN_CACHE.move_to_end(key)
         return cached
 
     n = len(diagram.nodes)
@@ -314,6 +318,8 @@ def plan(diagram: TensorDiagram) -> ContractionPlan:
                                    result_axes, scaling))
     result = ContractionPlan(diagram, tuple(plan_steps), cost[full], peak)
     _PLAN_CACHE[key] = result
+    if len(_PLAN_CACHE) > PLAN_CACHE_SIZE:
+        _PLAN_CACHE.popitem(last=False)
     return result
 
 

@@ -1,5 +1,5 @@
 """Shared test oracles: exhaustive contraction-tree search, random diagrams,
-and the per-frame gradient tape."""
+the sequential reflector sweep and the per-frame gradient tape."""
 
 import itertools
 import math
@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from ttspectral import autodiff as ad
+from ttspectral import householder as hh
 from ttspectral import planner as pl
 from ttspectral.sttp import core_specs
 from ttspectral.svdp import SvdpParams
@@ -118,7 +119,9 @@ def unit_top_target(shape, seed):
 
 
 def decode_fwd(layout):
-    """Reflector sweep of one layout, saving per-reflector intermediates."""
+    """Sequential reflector sweep of one layout, one reflector at a time,
+    saving per-reflector intermediates: the reference for the library's
+    closed-form decode."""
     mat = layout.dense()
     dp, rp = mat.shape
     q = np.eye(dp, rp)
@@ -147,8 +150,20 @@ def decode_vjp(layout, saves, g_frame):
     return g_canvas[rows, cols]
 
 
-def per_frame_tape(params, g_w):
-    """Assembly and gradient with every layout decoded and pulled back alone.
+def library_decode_fwd(layout):
+    """The library's saving decode of one layout on its own."""
+    (q,), saves = hh.decode_layouts([layout], save=True)
+    return q, saves
+
+
+def library_decode_vjp(layout, saves, g_frame):
+    """The library's decode gradient of one layout on its own."""
+    return hh.decode_layouts_vjp(saves, [g_frame])[0]
+
+
+def per_frame_tape(params, g_w, fwd=decode_fwd, vjp=decode_vjp):
+    """Assembly and gradient with every layout decoded and pulled back alone,
+    through ``fwd``/``vjp`` (the sequential sweep by default).
 
     Returns ``(w, frames, grad)``: the matrix, every frame in pack order, and
     the flat gradient of ``<g_w, W>``.
@@ -162,7 +177,7 @@ def per_frame_tape(params, g_w):
                  for layouts, side_specs
                  in zip((params.u_layouts, params.v_layouts), specs)]
     sigma, sigma_save = ad._sigma_fwd(params.spectrum)
-    decoded = [[decode_fwd(la) for la in layouts] for layouts, _ in sides]
+    decoded = [[fwd(la) for la in layouts] for layouts, _ in sides]
     chains = [compose_chain([q for q, _ in side], shapes)
               for side, (_, shapes) in zip(decoded, sides)]
     (u, _), (v, _) = chains
@@ -175,7 +190,7 @@ def per_frame_tape(params, g_w):
     for (layouts, shapes), side, (_, blocks), g in zip(
             sides, decoded, chains, (gu_mat, gv_mat)):
         g_frames = ad._chain_vjp([q for q, _ in side], shapes, blocks, g)
-        parts.extend(decode_vjp(la, saves, gf)
+        parts.extend(vjp(la, saves, gf)
                      for la, (_, saves), gf in zip(layouts, side, g_frames))
     gs = ad._sigma_vjp(sigma_save, g_sigma)
     if gs is not None:

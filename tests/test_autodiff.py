@@ -15,7 +15,7 @@ from ttspectral.spectrum_modes import IDENTITY, LEARNED, LEARNED_REGULARIZED
 from ttspectral.sttp import sttp_dof
 from ttspectral.svdp import svdp_dof
 
-from helpers import per_frame_tape
+from helpers import library_decode_fwd, library_decode_vjp, per_frame_tape
 
 
 class TestFdGrad:
@@ -135,7 +135,7 @@ class TestVjp:
 
 
 class TestBatchedTape:
-    """One reflector sweep per canvas shape against per-frame decoding."""
+    """One decode per canvas shape against per-frame decoding."""
 
     CASES = [("svdp", 16, 72, 4), ("svdp", 32, 32, 4),
              ("sttp", 16, 72, 4), ("sttp", 256, 256, 8)]
@@ -145,19 +145,41 @@ class TestBatchedTape:
         make = random_svdp_params if scheme == "svdp" else random_sttp_params
         return make(d_out, d_in, r, mode, seed)
 
+    def tape_and_oracle(self, scheme, d_out, d_in, r, mode, **decoders):
+        p = self.make(scheme, d_out, d_in, r, mode, 20)
+        g_w = np.random.default_rng(21).standard_normal((d_out, d_in))
+        w, tape = ad.assemble_with_tape(p)
+        w_ref, frames_ref, grad_ref = per_frame_tape(p, g_w, **decoders)
+        assert len(tape.frames) == len(frames_ref)
+        return (w, tape.frames, ad.vjp(tape, g_w)), (w_ref, frames_ref,
+                                                     grad_ref)
+
     @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
     @pytest.mark.parametrize("scheme,d_out,d_in,r", CASES)
     def test_bitwise_equal_to_per_frame_oracle(self, scheme, d_out, d_in, r,
                                                mode):
-        p = self.make(scheme, d_out, d_in, r, mode, 20)
-        g_w = np.random.default_rng(21).standard_normal((d_out, d_in))
-        w, tape = ad.assemble_with_tape(p)
-        w_ref, frames_ref, grad_ref = per_frame_tape(p, g_w)
+        # batching layouts of one canvas shape changes no bit
+        (w, frames, grad), (w_ref, frames_ref, grad_ref) = \
+            self.tape_and_oracle(scheme, d_out, d_in, r, mode,
+                                 fwd=library_decode_fwd,
+                                 vjp=library_decode_vjp)
         assert np.array_equal(w, w_ref)
-        assert len(tape.frames) == len(frames_ref)
-        for q, q_ref in zip(tape.frames, frames_ref):
+        for q, q_ref in zip(frames, frames_ref):
             assert np.array_equal(q, q_ref)
-        assert np.array_equal(ad.vjp(tape, g_w), grad_ref)
+        assert np.array_equal(grad, grad_ref)
+
+    @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
+    @pytest.mark.parametrize("scheme,d_out,d_in,r", CASES)
+    def test_close_to_sequential_sweep(self, scheme, d_out, d_in, r, mode):
+        # the closed-form decode agrees to rounding with one reflector at a
+        # time
+        (w, frames, grad), (w_ref, frames_ref, grad_ref) = \
+            self.tape_and_oracle(scheme, d_out, d_in, r, mode)
+        assert np.max(np.abs(w - w_ref)) <= 1e-14
+        for q, q_ref in zip(frames, frames_ref):
+            assert np.max(np.abs(q - q_ref)) <= 1e-14
+        assert np.max(np.abs(grad - grad_ref)) \
+            <= 1e-13 * np.max(np.abs(grad_ref))
 
     @pytest.mark.parametrize("d_out,d_in,r,n_fixed",
                              [(16, 72, 4, 4), (256, 256, 8, 6)])

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttspectral import householder as hh
 from ttspectral.errors import DomainError, ShapeError
 from ttspectral.sampling import make_random_layout
+
+from helpers import decode_fwd, decode_vjp
 
 
 def gram_residual(q):
@@ -110,6 +114,49 @@ class TestDecode:
                 jac[:, i] = diff.ravel() / (2 * h)
             _, s, _ = svd_full(jac)
             assert s[-1] > 1e-7 * s[0]
+
+
+class TestClosedFormDecode:
+    """The UT-transform decode against the sequential reflector sweep."""
+
+    @staticmethod
+    def check_against_sweep(layout, g_frame):
+        (q,), saves = hh.decode_layouts([layout], save=True)
+        (grad,) = hh.decode_layouts_vjp(saves, [g_frame])
+        q_ref, saves_ref = decode_fwd(layout)
+        grad_ref = decode_vjp(layout, saves_ref, g_frame)
+        assert gram_residual(q) <= 1e-12
+        assert np.max(np.abs(q - q_ref)) <= 1e-13
+        assert np.max(np.abs(grad - grad_ref), initial=0.0) \
+            <= 1e-12 * np.max(np.abs(grad_ref), initial=0.0)
+        return q
+
+    @given(d=st.integers(1, 40), r_frac=st.floats(0.0, 1.0),
+           variant=st.sampled_from([hh.FULL, hh.REDUCED]),
+           d_extra=st.integers(0, 3), r_extra=st.integers(0, 3),
+           log_scale=st.floats(-3.0, 6.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sequential_sweep(self, d, r_frac, variant, d_extra,
+                                      r_extra, log_scale, seed):
+        r = 1 + int(r_frac * (d - 1))
+        d_pad = d + d_extra
+        r_pad = min(r + r_extra, d_pad)
+        rng = np.random.default_rng(seed)
+        layout = hh.make_layout(d, r, variant, None, d_pad, r_pad)
+        layout = layout.with_params(
+            10.0 ** log_scale * rng.standard_normal(layout.params.size))
+        q = self.check_against_sweep(layout, rng.standard_normal((d, r)))
+        assert np.array_equal(q, hh.decode(layout))
+
+    @pytest.mark.parametrize("c", [1e2, 1e3, 1e4, 1e5, 1e6])
+    def test_nearly_parallel_reflectors(self, c):
+        # every free cell one large constant: the unit reflectors are nearly
+        # parallel and T is far from its diagonal
+        canvas = np.eye(64, 16)
+        canvas[np.tril_indices(64, -1, 16)] = c
+        layout = hh.layout_from_dense(canvas, 64, 16)
+        rng = np.random.default_rng(int(np.log10(c)))
+        self.check_against_sweep(layout, rng.standard_normal((64, 16)))
 
 
 class TestPaddedDecode:

@@ -140,6 +140,20 @@ class TestPlanOptimality:
             )
 
 
+class TestPlanCache:
+    def test_bounded_and_keeps_recently_used_plans(self):
+        kept = pl.svdp_diagram(16, 72, 4, 1)
+        kept_plan = pl.plan(kept)
+        first = pl.svdp_diagram(5, 7, 2, 1)
+        pl.plan(first)
+        for d_x in range(2, 302):
+            pl.plan(pl.svdp_diagram(5, 7, 2, d_x))
+            assert pl.plan(kept) is kept_plan
+        assert len(pl._PLAN_CACHE) <= pl.PLAN_CACHE_SIZE
+        assert kept.signature() in pl._PLAN_CACHE
+        assert first.signature() not in pl._PLAN_CACHE
+
+
 class TestExecute:
     def test_svdp_execution_matches_dense(self):
         rng = np.random.default_rng(0)
