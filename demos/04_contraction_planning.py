@@ -2,9 +2,11 @@
 
 The parameterized map is a tensor diagram; contracting it in the right
 order is dramatically cheaper than materializing W first. The planner
-searches every binary contraction tree (dynamic programming over node
-subsets) under a multiply-add cost model and caches the optimal plan per
-shape.
+runs a dynamic program over pairs of connected sub-diagrams that share an
+edge, under a multiply-add cost model, and caches the optimal plan per
+shape. Diagrams of at most 8 nodes search every binary contraction tree;
+larger ones join pieces only along an edge. A cold plan of the 11-node
+16x72 chain below takes 2-5 ms, and one at the 16-node cap 20-40 ms.
 """
 
 import numpy as np

@@ -59,6 +59,8 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    if args.dx < 1:
+        raise DomainError(f"--dx must be a positive column count, got {args.dx}")
     mode = _SPECTRUM_FLAGS[args.spectrum]
     params = SCHEMES[args.scheme].template(args.dout, args.din, args.rank,
                                            mode)

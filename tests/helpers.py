@@ -1,5 +1,6 @@
-"""Shared test oracles: exhaustive contraction-tree search, random diagrams,
-the sequential reflector sweep and the per-frame gradient tape."""
+"""Shared test oracles: exhaustive contraction-tree search, the subset-DP
+planner, random diagrams, the sequential reflector sweep and the per-frame
+gradient tape."""
 
 import itertools
 import math
@@ -59,6 +60,76 @@ def brute_force_min_cost(diagram):
 
     rec([(frozenset({i}), node_mask[i]) for i in range(n)], 0)
     return best[0]
+
+
+def subset_dp_plan(diagram):
+    """Exact plan by dynamic programming over every node subset, O(3^n).
+
+    Returns ``(total_flops, steps)`` with ``steps`` the ``(left, right)``
+    leaf-id pairs of the optimal step sequence, under the planner's cost
+    model and tie-break (lexicographically smallest step sequence, left
+    operand holding the smaller minimum).
+    """
+    n = len(diagram.nodes)
+    sizes = diagram.axis_sizes
+    node_mask = []
+    for ids in diagram.node_axis_ids:
+        m = 0
+        for aid in ids:
+            m |= 1 << aid
+        node_mask.append(m)
+
+    def bits(mask):
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+    prod_memo = {0: 1}
+
+    def mask_prod(mask):
+        got = prod_memo.get(mask)
+        if got is None:
+            low = mask & -mask
+            got = sizes[low.bit_length() - 1] * mask_prod(mask ^ low)
+            prod_memo[mask] = got
+        return got
+
+    full = (1 << n) - 1
+    open_mask = [0] * (full + 1)
+    cost = [0] * (full + 1)
+    steps = [()] * (full + 1)
+    for i in range(n):
+        open_mask[1 << i] = node_mask[i]
+    diag_singletons = {
+        1 << i for i, node in enumerate(diagram.nodes) if node.diagonal
+    }
+    for s in range(1, full + 1):
+        low = s & (s - 1)
+        if low:
+            open_mask[s] = open_mask[low] ^ open_mask[s & -s]
+        if s.bit_count() < 2:
+            continue
+        best_cost = -1
+        best_steps = None
+        a = (s - 1) & s
+        while a:
+            b = s ^ a
+            if a < b:
+                oa, ob = open_mask[a], open_mask[b]
+                if oa & ob and (a in diag_singletons or b in diag_singletons):
+                    c = mask_prod(oa ^ ob)
+                else:
+                    c = 2 * mask_prod(oa | ob)
+                total = cost[a] + cost[b] + c
+                if best_steps is None or total <= best_cost:
+                    left, right = (a, b) if (a & -a) < (b & -b) else (b, a)
+                    cand = steps[left] + steps[right] + (
+                        (bits(left), bits(right)),
+                    )
+                    if (best_steps is None or total < best_cost
+                            or cand < best_steps):
+                        best_cost, best_steps = total, cand
+            a = (a - 1) & s
+        cost[s], steps[s] = best_cost, best_steps
+    return cost[full], steps[full]
 
 
 def random_chain_diagram(rng, n_nodes, with_diagonal=False):

@@ -157,6 +157,15 @@ class TestCli:
         assert "total_flops=708" in out
         assert "naive_flops=11584" in out
 
+    @pytest.mark.parametrize("dx", ["0", "-3"])
+    def test_plan_rejects_non_positive_dx(self, capsys, dx):
+        assert main(["plan", "--scheme", "sttp", "--dout", "16", "--din",
+                     "72", "--rank", "4", "--dx", dx]) == 2
+        captured = capsys.readouterr()
+        assert "--dx" in captured.err
+        assert "node dims" not in captured.err
+        assert captured.out == ""
+
     def test_build_then_apply_matches_dense(self, tmp_path, capsys):
         w_path = tmp_path / "w.mat"
         p_path = tmp_path / "p.params"

@@ -11,9 +11,58 @@ from ttspectral.errors import (
     ShapeError,
 )
 from ttspectral.sampling import random_sttp_params, random_svdp_params
+from ttspectral.schemes import SCHEMES
 from ttspectral.spectrum_modes import IDENTITY, LEARNED
 
-from helpers import brute_force_min_cost, random_chain_diagram
+from helpers import (
+    brute_force_min_cost,
+    one_shot_einsum,
+    random_chain_diagram,
+    subset_dp_plan,
+)
+
+
+def assert_plan_structure(diagram, cplan):
+    """Every node enters exactly once, steps consume every edge exactly
+    once, flops add up, and the final dims equal the open legs."""
+    merged = [frozenset(s.left) | frozenset(s.right) for s in cplan.steps]
+    assert merged[-1] == frozenset(range(len(diagram.nodes)))
+    seen_axes = []
+    for step in cplan.steps:
+        ids_left = set()
+        for i in step.left:
+            ids_left.update(diagram.node_axis_ids[i])
+        ids_right = set()
+        for i in step.right:
+            ids_right.update(diagram.node_axis_ids[i])
+        seen_axes.extend(sorted(ids_left & ids_right))
+    assert sorted(seen_axes) == list(range(len(diagram.edges)))
+    assert cplan.total_flops == sum(s.flops for s in cplan.steps)
+    assert sorted(cplan.steps[-1].result_axes) == \
+        sorted(diagram.output_axis_ids)
+    sizes = diagram.axis_sizes
+    assert cplan.steps[-1].result_dims == tuple(
+        sizes[a] for a in cplan.steps[-1].result_axes
+    )
+
+
+def step_pairs(cplan):
+    return tuple((s.left, s.right) for s in cplan.steps)
+
+
+def library_diagram(scheme, d_out, d_in, r, spectrum, d_x):
+    view = SCHEMES[scheme].template(d_out, d_in, r, spectrum).chain
+    return pl.sttp_diagram(view.out_factors, view.in_factors, view.ranks, d_x)
+
+
+_ORACLE: dict = {}
+
+
+def cached_subset_dp_plan(diagram):
+    key = diagram.signature()
+    if key not in _ORACLE:
+        _ORACLE[key] = subset_dp_plan(diagram)
+    return _ORACLE[key]
 
 
 class TestStepCost:
@@ -112,32 +161,52 @@ class TestPlanOptimality:
         assert a.steps == b.steps
 
     def test_plan_structure_invariants(self):
-        # every node enters exactly once, steps consume every edge exactly
-        # once, flops add up, and the final dims equal the open legs
         for diagram in (pl.svdp_diagram(6, 9, 2, 3),
                         random_chain_diagram(np.random.default_rng(5), 6)):
-            cplan = pl.plan(diagram)
-            merged = [frozenset(s.left) | frozenset(s.right)
-                      for s in cplan.steps]
-            assert merged[-1] == frozenset(range(len(diagram.nodes)))
-            seen_axes = []
-            for step in cplan.steps:
-                ids_left = set()
-                for i in step.left:
-                    ids_left.update(diagram.node_axis_ids[i])
-                ids_right = set()
-                for i in step.right:
-                    ids_right.update(diagram.node_axis_ids[i])
-                seen_axes.extend(sorted(ids_left & ids_right))
-            n_edges = len(diagram.edges)
-            assert sorted(seen_axes) == list(range(n_edges))
-            assert cplan.total_flops == sum(s.flops for s in cplan.steps)
-            assert sorted(cplan.steps[-1].result_axes) == \
-                sorted(diagram.output_axis_ids)
-            sizes = diagram.axis_sizes
-            assert cplan.steps[-1].result_dims == tuple(
-                sizes[a] for a in cplan.steps[-1].result_axes
-            )
+            assert_plan_structure(diagram, pl.plan(diagram))
+
+
+class TestAgainstSubsetDp:
+    """The connected-pair search against the exact DP over every subset."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_small_chains_identical(self, seed):
+        # up to EXHAUSTIVE_NODES every binary tree is searched
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(3, pl.EXHAUSTIVE_NODES + 1))
+        diagram = random_chain_diagram(rng, n, with_diagonal=seed % 2 == 0)
+        cplan = pl.plan(diagram)
+        assert (cplan.total_flops, step_pairs(cplan)) == \
+            subset_dp_plan(diagram)
+
+    @pytest.mark.parametrize("d_x", [1, 7, 64])
+    @pytest.mark.parametrize("spectrum", [LEARNED, IDENTITY])
+    @pytest.mark.parametrize("shape", [(16, 12), (16, 72), (24, 36),
+                                       (32, 32)])
+    @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
+    def test_library_chains_identical(self, scheme, shape, spectrum, d_x):
+        diagram = library_diagram(scheme, *shape, 4, spectrum, d_x)
+        if scheme == "sttp":
+            assert 9 <= len(diagram.nodes) <= 12
+        cplan = pl.plan(diagram)
+        assert (cplan.total_flops, step_pairs(cplan)) == \
+            cached_subset_dp_plan(diagram)
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_large_random_chains(self, n):
+        # above EXHAUSTIVE_NODES outer products of unconnected pieces are
+        # skipped, so the cost may exceed the exact optimum, never undercut it
+        rng = np.random.default_rng(n)
+        diagram = random_chain_diagram(rng, n, with_diagonal=n % 2 == 0)
+        cplan = pl.plan(diagram)
+        assert cplan.total_flops >= subset_dp_plan(diagram)[0]
+        assert_plan_structure(diagram, cplan)
+        data = {i: rng.standard_normal(node.dims[:1] if node.diagonal
+                                       else node.dims)
+                for i, node in enumerate(diagram.nodes)}
+        want = one_shot_einsum(diagram, data)
+        got = pl.execute(cplan, data)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestPlanCache:
@@ -198,6 +267,35 @@ class TestExecute:
         # decompress-first order, built by hand
         w = pl.decompress(p)
         assert np.linalg.norm(reference - w @ x) <= 1e-9 * np.linalg.norm(w @ x)
+
+    def test_program_makes_the_per_step_einsum_calls(self):
+        # the prebuilt program contracts each step's operands with labels
+        # compacted per step, bit for bit as labelling them on every call
+        rng = np.random.default_rng(3)
+        for diagram in (random_chain_diagram(rng, 7, with_diagonal=True),
+                        library_diagram("sttp", 16, 72, 4, LEARNED, 3)):
+            data = {i: rng.standard_normal(node.dims[:1] if node.diagonal
+                                           else node.dims)
+                    for i, node in enumerate(diagram.nodes)}
+            cplan = pl.plan(diagram)
+            inter = {}
+            for i, node in enumerate(diagram.nodes):
+                arr = np.diag(data[i]) if node.diagonal else data[i]
+                inter[(i,)] = (arr, diagram.node_axis_ids[i])
+            for step in cplan.steps:
+                a, ia = inter.pop(step.left)
+                b, ib = inter.pop(step.right)
+                labels = {aid: k
+                          for k, aid in enumerate(dict.fromkeys(ia + ib))}
+                res = np.einsum(a, [labels[aid] for aid in ia],
+                                b, [labels[aid] for aid in ib],
+                                [labels[aid] for aid in step.result_axes])
+                inter[tuple(sorted(step.left + step.right))] = (
+                    res, step.result_axes)
+            (final, ids), = inter.values()
+            want = np.transpose(
+                final, [ids.index(aid) for aid in diagram.output_axis_ids])
+            assert np.array_equal(pl.execute(cplan, data), want)
 
     def test_missing_binding(self):
         diagram = pl.svdp_diagram(4, 5, 2, 1)
@@ -291,6 +389,33 @@ class TestApplyMap:
                     2: hh.decode(p.v_layout), 3: x}
             assert np.array_equal(pl.apply_map(p, x),
                                   pl.execute(pl.plan(four), data))
+
+    @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
+    def test_zero_column_input(self, scheme, monkeypatch):
+        maker = random_svdp_params if scheme == "svdp" else random_sttp_params
+        p = maker(16, 72, 4, LEARNED, 0)
+        x = np.zeros((72, 0))
+
+        def no_plan(diagram):
+            raise AssertionError("a zero-column input must not be planned")
+
+        monkeypatch.setattr(pl, "plan", no_plan)
+        got = pl.apply_map(p, x)
+        want = pl.decompress(p) @ x
+        assert got.shape == want.shape == (16, 0)
+        assert got.dtype == want.dtype
+
+    @pytest.mark.parametrize("d_x", [1, 64])
+    def test_sixteen_node_chain_matches_decompress(self, d_x):
+        p = random_sttp_params(128, 128, 4, LEARNED, 7)
+        view = p.chain
+        diagram = pl.sttp_diagram(view.out_factors, view.in_factors,
+                                  view.ranks, d_x)
+        assert len(diagram.nodes) == pl.MAX_NODES == 16
+        x = np.random.default_rng(d_x).standard_normal((128, d_x))
+        got = pl.apply_map(p, x)
+        want = pl.decompress(p) @ x
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_wrong_input_rows(self):
         p = random_svdp_params(4, 5, 2, LEARNED, 0)
