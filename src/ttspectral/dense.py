@@ -1,4 +1,5 @@
-"""Dense tensor substrate: element ordering, reshaping, QR, and SVD oracles.
+"""Dense tensor substrate: element ordering, reshaping, orthonormalization,
+power iteration, and the SVD oracle.
 
 Dense tensors are plain ``numpy.ndarray`` objects of dtype float64 stored in
 C (row-major) order.  Row-major order realizes the 1-based multi-index
@@ -23,8 +24,6 @@ __all__ = [
     "as_tensor",
     "reshape",
     "matricize_core",
-    "householder_qr",
-    "reflectors_to_frame",
     "orthonormalize",
     "power_iteration_sigma_max",
     "svd_full",
@@ -103,70 +102,20 @@ def matricize_core(t: np.ndarray) -> np.ndarray:
     return reshape(t, (a * b, c))
 
 
-def householder_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder QR of a d x r matrix with d >= r.
-
-    Returns ``(reflectors, R)`` where column ``i`` of ``reflectors`` is the
-    unit reflector vector of step ``i`` (zero above row ``i``) and ``R`` is
-    upper triangular.  The cancellation-avoiding sign is used, so
-    ``R[i, i] = -sign(x_1) * ||x||`` at each step ``i`` (``sign(0)`` taken as
-    ``+1``).  A zero subcolumn yields a zero reflector column, read as "no
-    reflection"; this keeps the factorization defined for rank-deficient
-    input.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError("householder_qr expects a matrix")
-    d, r = m.shape
-    if d < r:
-        raise DomainError(f"householder_qr needs d >= r, got {d} x {r}")
-    a = m.copy()
-    reflectors = np.zeros((d, r))
-    for i in range(r):
-        x = a[i:, i]
-        norm_x = float(np.linalg.norm(x))
-        if norm_x == 0.0:
-            continue  # zero reflector, R[i, i] stays 0
-        sign = -1.0 if x[0] < 0 else 1.0
-        alpha = -sign * norm_x
-        v = x.copy()
-        v[0] -= alpha
-        norm_v = float(np.linalg.norm(v))
-        if norm_v == 0.0:
-            continue
-        u = v / norm_v
-        a[i:, :] -= 2.0 * np.outer(u, u @ a[i:, :])
-        a[i, i] = alpha  # exact by construction of the reflector
-        a[i + 1 :, i] = 0.0
-        reflectors[i:, i] = u
-    return reflectors, np.triu(a[:r, :])
-
-
-def reflectors_to_frame(reflectors: np.ndarray, r: int | None = None) -> np.ndarray:
-    """Apply the reflector product to a truncated identity, giving Q (d x r)."""
-    d, k = reflectors.shape
-    if r is None:
-        r = k
-    q = np.eye(d, r)
-    for i in range(k - 1, -1, -1):
-        u = reflectors[:, i]
-        if not u.any():
-            continue
-        q -= 2.0 * np.outer(u, u @ q)
-    return q
-
-
 def orthonormalize(m: np.ndarray) -> np.ndarray:
     """Orthonormal frame spanning the columns of ``m`` (d x r, d >= r).
 
-    Computed from the Householder QR; the result is sign-fixed so that the
-    triangular factor has a non-negative diagonal, which makes
+    Computed from LAPACK's Householder QR; the result is sign-fixed so that
+    the triangular factor has a non-negative diagonal, which makes
     ``orthonormalize(I + eps*N)`` land next to ``I`` rather than ``-I``.
     """
-    reflectors, rmat = householder_qr(m)
-    q = reflectors_to_frame(reflectors, m.shape[1])
-    flip = np.where(np.diag(rmat) < 0, -1.0, 1.0)
-    return q * flip
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ShapeError("orthonormalize expects a matrix")
+    if m.shape[0] < m.shape[1]:
+        raise DomainError(f"orthonormalize needs d >= r, got {m.shape}")
+    q, rmat = np.linalg.qr(m)
+    return q * np.where(np.diag(rmat) < 0, -1.0, 1.0)
 
 
 def power_iteration_sigma_max(

@@ -57,15 +57,15 @@ def read_matrix(path) -> np.ndarray:
     parts = text.split(" ")
     if parts[:2] != _MATRIX_MAGIC.split(" ") or len(parts) != 6:
         raise FileFormatError(f"bad matrix header: {text!r}")
-    fields = dict(p.split("=", 1) for p in parts[2:])
-    if fields.get("dtype") != "f64" or fields.get("order") != "row-major":
-        raise FileFormatError(f"unsupported matrix encoding: {text!r}")
     try:
+        fields = dict(p.split("=", 1) for p in parts[2:])
         rows, cols = int(fields["rows"]), int(fields["cols"])
     except (KeyError, ValueError) as exc:
         raise FileFormatError(f"bad matrix header: {text!r}") from exc
-    if rows < 1 or cols < 1:
-        raise FileFormatError("matrix dims must be positive")
+    if fields.get("dtype") != "f64" or fields.get("order") != "row-major":
+        raise FileFormatError(f"unsupported matrix encoding: {text!r}")
+    if rows < 0 or cols < 0:
+        raise FileFormatError("matrix dims must be non-negative")
     if len(payload) != 8 * rows * cols:
         raise FileFormatError(
             f"payload is {len(payload)} bytes, expected {8 * rows * cols}"
@@ -175,6 +175,8 @@ def read_params(path):
             f"payload is {len(payload)} bytes, expected {8 * total}"
         )
     values = np.frombuffer(payload, dtype="<f8")
+    if not np.all(np.isfinite(values)):
+        raise FileFormatError("parameter payload holds non-finite values")
     chunks: dict[str, np.ndarray] = {}
     pos = 0
     for name, count in blocks:

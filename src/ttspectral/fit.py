@@ -77,8 +77,8 @@ class FitConfig:
             raise DomainError("need at least one step")
         if self.tol <= 0:
             raise DomainError("convergence tolerance must be positive")
-        if self.lam < 0:
-            raise DomainError("regularizer weight must be >= 0")
+        if not 0.0 <= self.lam < np.inf:  # NaN fails too
+            raise DomainError("regularizer weight must be finite and >= 0")
 
     @property
     def effective_lr(self) -> float:

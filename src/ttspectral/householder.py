@@ -53,6 +53,7 @@ __all__ = [
     "decode_batch",
     "decode_layouts",
     "encode",
+    "init_frame",
     "init_layout",
     "check_frame",
     "INIT_SCHEMES",
@@ -315,34 +316,28 @@ def check_frame(q: np.ndarray, tol: float = 1e-8) -> None:
 def encode(q: np.ndarray) -> tuple[HouseholderLayout, np.ndarray]:
     """Recover a full layout and column signs from an orthonormal frame.
 
-    ``decode(layout) @ diag(signs)`` reproduces ``q``.  The signs are the
-    diagonal of the triangular QR factor, which for orthonormal input is
-    ``diag(+-1)``; the parameterization cannot represent them itself, so they
-    are returned for the caller to absorb (e.g. into a spectrum).
+    ``decode(layout) @ diag(signs)`` reproduces ``q``.  The layout is the
+    reflector canvas of LAPACK ``geqrf`` (unit-diagonal reflectors below
+    the diagonal).  The signs are the diagonal of its triangular factor,
+    which for orthonormal input is ``diag(+-1)``; the parameterization
+    cannot represent them itself, so they are returned for the caller to
+    absorb (e.g. into a spectrum).
     """
     q = np.asarray(q, dtype=np.float64)
     check_frame(q)
     d, r = q.shape
-    a = q.copy()
-    canvas = np.zeros((d, r))
-    signs = np.empty(r)
-    for i in range(r):
-        x = a[i:, i]
-        norm_x = float(np.linalg.norm(x))
-        if norm_x < 1e-12:
-            raise EncodeError(
-                f"column {i}: pivot vanished, frame cannot be encoded"
-            )
-        sign = -1.0 if x[0] < 0 else 1.0
-        alpha = -sign * norm_x
-        v = x.copy()
-        v[0] -= alpha
-        pivot = v[0]  # |pivot| = |x_0| + ||x|| >= ||x|| > 0
-        canvas[i:, i] = v / pivot  # rescale so the diagonal cell is exactly 1
-        u = v / np.linalg.norm(v)
-        a[i:, :] -= 2.0 * np.outer(u, u @ a[i:, :])
-        signs[i] = 1.0 if alpha >= 0 else -1.0
-    return layout_from_dense(canvas, d, r, FULL), signs
+    h, tau = np.linalg.qr(q, mode="raw")  # geqrf; h.T is its output
+    r_diag = np.diag(h.T)
+    vanished = np.flatnonzero(np.abs(r_diag) < 1e-12)
+    if vanished.size:
+        raise EncodeError(
+            f"column {vanished[0]}: pivot vanished, frame cannot be encoded"
+        )
+    signs = np.sign(r_diag)
+    # LAPACK skips a reflector whose subcolumn is already zero (tau = 0),
+    # but a layout's structural 1 always reflects, negating that column.
+    signs[tau == 0] *= -1.0
+    return layout_from_dense(h.T, d, r, FULL), signs
 
 
 def reduce_layout(layout: HouseholderLayout) -> HouseholderLayout:
@@ -351,29 +346,34 @@ def reduce_layout(layout: HouseholderLayout) -> HouseholderLayout:
     return layout_from_dense(canvas, layout.d, layout.r, REDUCED)
 
 
-def init_layout(scheme: str, d: int, r: int, seed: int,
-                variant: str = FULL, alpha: float = 1e-4,
-                ) -> tuple[HouseholderLayout, np.ndarray]:
-    """Initialize a layout from one of three frame initialization schemes.
+def init_frame(scheme: str, d: int, r: int, seed: int,
+               alpha: float = 1e-4) -> np.ndarray:
+    """The d x r orthonormal frame one of three initialization schemes draws.
 
-    ``identity`` encodes the truncated identity; ``random_orthogonal``
-    encodes the orthonormalization of a standard-normal matrix;
-    ``noisy_identity`` encodes the orthonormalization of ``I + alpha * N``.
-    Returns ``(layout, signs)``; deterministic for a given seed.  For the
-    reduced variant the encoded gauge cells are zeroed (exact for identity,
-    an O(alpha) projection for noisy identity).
+    ``identity`` is the truncated identity; ``random_orthogonal`` the
+    orthonormalization of a standard-normal matrix; ``noisy_identity`` the
+    orthonormalization of ``I + alpha * N``.  Deterministic for a given seed.
     """
     if scheme not in INIT_SCHEMES:
         raise DomainError(f"unknown init scheme {scheme!r}")
     rng = np.random.default_rng(seed)
     eye = np.eye(d, r)
     if scheme == "identity":
-        target = eye
-    elif scheme == "random_orthogonal":
-        target = orthonormalize(rng.standard_normal((d, r)))
-    else:
-        target = orthonormalize(eye + alpha * rng.standard_normal((d, r)))
-    layout, signs = encode(target)
+        return eye
+    if scheme == "random_orthogonal":
+        return orthonormalize(rng.standard_normal((d, r)))
+    return orthonormalize(eye + alpha * rng.standard_normal((d, r)))
+
+
+def init_layout(scheme: str, d: int, r: int, seed: int,
+                variant: str = FULL, alpha: float = 1e-4,
+                ) -> tuple[HouseholderLayout, np.ndarray]:
+    """Encode the frame :func:`init_frame` draws; returns ``(layout, signs)``.
+
+    For the reduced variant the encoded gauge cells are zeroed (exact for
+    identity, an O(alpha) projection for noisy identity).
+    """
+    layout, signs = encode(init_frame(scheme, d, r, seed, alpha))
     if variant == REDUCED:
         layout = reduce_layout(layout)
     return layout, signs

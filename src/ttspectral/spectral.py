@@ -77,8 +77,8 @@ class SpectrumParams:
             if s.size != self.r:
                 raise DomainError(f"expected {self.r} spectrum values, got {s.size}")
             object.__setattr__(self, "s", s)
-        if self.lam < 0:
-            raise DomainError("regularizer weight must be >= 0")
+        if not 0.0 <= self.lam < np.inf:  # NaN fails too
+            raise DomainError("regularizer weight must be finite and >= 0")
 
     @property
     def n_params(self) -> int:

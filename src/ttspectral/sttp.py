@@ -310,14 +310,9 @@ def init_sttp_params(d_out: int, d_in: int, r: int, spectrum_mode: str,
     rng = np.random.default_rng(seed)
 
     def side_frames(specs):
-        frames = []
-        for spec in specs:
-            rows, cols = spec.frame_dims
-            layout, signs = hh.init_layout(init_scheme, rows, cols,
-                                           int(rng.integers(2**32)),
-                                           hh.FULL, alpha)
-            frames.append(hh.decode(layout) * signs)
-        return frames
+        return [hh.init_frame(init_scheme, *spec.frame_dims,
+                              int(rng.integers(2**32)), alpha)
+                for spec in specs]
 
     u_layouts, su = _encode_chain(side_frames(u_specs), u_specs)
     v_layouts, sv = _encode_chain(side_frames(v_specs), v_specs)

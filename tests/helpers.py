@@ -1,6 +1,6 @@
 """Shared test oracles: exhaustive contraction-tree search, the subset-DP
-planner, random diagrams, the sequential reflector sweep and the per-frame
-gradient tape."""
+planner, random diagrams, Householder QR, the sequential reflector sweep and
+the per-frame gradient tape."""
 
 import itertools
 import math
@@ -10,6 +10,7 @@ import numpy as np
 from ttspectral import autodiff as ad
 from ttspectral import householder as hh
 from ttspectral import planner as pl
+from ttspectral.errors import DomainError, ShapeError
 from ttspectral.sttp import core_specs
 from ttspectral.svdp import SvdpParams
 from ttspectral.tensortrain import compose_chain
@@ -187,6 +188,59 @@ def unit_top_target(shape, seed):
     rng = np.random.default_rng(seed)
     t = rng.standard_normal(shape)
     return t / svd_full(t)[1][0]
+
+
+def householder_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR of a d x r matrix with d >= r.
+
+    Returns ``(reflectors, R)`` where column ``i`` of ``reflectors`` is the
+    unit reflector vector of step ``i`` (zero above row ``i``) and ``R`` is
+    upper triangular.  The cancellation-avoiding sign is used, so
+    ``R[i, i] = -sign(x_1) * ||x||`` at each step ``i`` (``sign(0)`` taken as
+    ``+1``).  A zero subcolumn yields a zero reflector column, read as "no
+    reflection"; this keeps the factorization defined for rank-deficient
+    input.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ShapeError("householder_qr expects a matrix")
+    d, r = m.shape
+    if d < r:
+        raise DomainError(f"householder_qr needs d >= r, got {d} x {r}")
+    a = m.copy()
+    reflectors = np.zeros((d, r))
+    for i in range(r):
+        x = a[i:, i]
+        norm_x = float(np.linalg.norm(x))
+        if norm_x == 0.0:
+            continue  # zero reflector, R[i, i] stays 0
+        sign = -1.0 if x[0] < 0 else 1.0
+        alpha = -sign * norm_x
+        v = x.copy()
+        v[0] -= alpha
+        norm_v = float(np.linalg.norm(v))
+        if norm_v == 0.0:
+            continue
+        u = v / norm_v
+        a[i:, :] -= 2.0 * np.outer(u, u @ a[i:, :])
+        a[i, i] = alpha  # exact by construction of the reflector
+        a[i + 1 :, i] = 0.0
+        reflectors[i:, i] = u
+    return reflectors, np.triu(a[:r, :])
+
+
+def reflectors_to_frame(reflectors: np.ndarray, r: int | None = None) -> np.ndarray:
+    """Apply the reflector product to a truncated identity, giving Q (d x r)."""
+    d, k = reflectors.shape
+    if r is None:
+        r = k
+    q = np.eye(d, r)
+    for i in range(k - 1, -1, -1):
+        u = reflectors[:, i]
+        if not u.any():
+            continue
+        q -= 2.0 * np.outer(u, u @ q)
+    return q
 
 
 def decode_fwd(layout):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttspectral import fileio
 from ttspectral.cli import main
@@ -11,6 +13,40 @@ from ttspectral.sampling import random_sttp_params, random_svdp_params
 from ttspectral.spectrum_modes import IDENTITY, LEARNED
 from ttspectral.sttp import init_sttp_params
 from ttspectral.svdp import init_svdp_params
+
+
+def nan_payload_file(path, params):
+    """Write ``params`` with the last payload value replaced by a NaN."""
+    fileio.write_params(path, params)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8] + np.array(np.nan, "<f8").tobytes())
+
+
+def read_or_reject(path, damaged, read, write):
+    """Write ``damaged`` bytes to ``path`` and read them: the reader must
+    raise ``FileFormatError`` or give an object that the writer and the
+    reader round-trip bitwise."""
+    path.write_bytes(damaged)
+    try:
+        got = read(path)
+    except FileFormatError:
+        return
+    write(path, got)
+    first = path.read_bytes()
+    write(path, read(path))
+    assert path.read_bytes() == first
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+SMALL_MATRIX = np.arange(6.0).reshape(2, 3)
+SMALL_PARAMS = [
+    lambda: random_svdp_params(6, 5, 3, IDENTITY, 1),
+    lambda: random_sttp_params(12, 18, 3, "learned_regularized", 5, lam=0.25),
+]
 
 
 class TestMatrixFile:
@@ -44,6 +80,42 @@ class TestMatrixFile:
                          + b"\x00" * 8)
         with pytest.raises(FileFormatError):
             fileio.read_matrix(path)
+
+    @pytest.mark.parametrize("shape", [(72, 0), (0, 5), (0, 0)])
+    def test_zero_size_round_trip(self, tmp_path, shape):
+        a, b = tmp_path / "a.mat", tmp_path / "b.mat"
+        fileio.write_matrix(a, np.zeros(shape))
+        back = fileio.read_matrix(a)
+        assert back.shape == shape
+        fileio.write_matrix(b, back)
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("header", [
+        b"STTPMAT v1 rows=1 cols1 dtype=f64 order=row-major\n",
+        b"STTPMAT v1 rows=-1 cols=1 dtype=f64 order=row-major\n",
+    ])
+    def test_bad_field_rejected(self, tmp_path, header):
+        path = tmp_path / "m.mat"
+        path.write_bytes(header + b"\x00" * 8)
+        with pytest.raises(FileFormatError):
+            fileio.read_matrix(path)
+
+    def test_truncated_file_rejected_or_valid(self, tmp_path):
+        fileio.write_matrix(tmp_path / "m.mat", SMALL_MATRIX)
+        raw = (tmp_path / "m.mat").read_bytes()
+        for pos in range(len(raw)):
+            read_or_reject(tmp_path / "d.mat", raw[:pos], fileio.read_matrix,
+                           fileio.write_matrix)
+
+    @given(pos=st.integers(0, 10**6), byte=st.integers(0, 255))
+    @settings(max_examples=300, deadline=None)
+    def test_header_byte_replaced_rejected_or_valid(self, fuzz_dir, pos,
+                                                    byte):
+        fileio.write_matrix(fuzz_dir / "m.mat", SMALL_MATRIX)
+        raw = (fuzz_dir / "m.mat").read_bytes()
+        k = pos % (raw.index(b"\n") + 1)
+        read_or_reject(fuzz_dir / "d.mat", raw[:k] + bytes([byte]) + raw[k + 1:],
+                       fileio.read_matrix, fileio.write_matrix)
 
 
 class TestParamsFile:
@@ -117,6 +189,49 @@ class TestParamsFile:
         path.write_bytes(raw[:start] + b"signs=1,1" + raw[end:])
         with pytest.raises(FileFormatError):
             fileio.read_params(path)
+
+    @pytest.mark.parametrize("maker", [
+        lambda: random_svdp_params(16, 72, 4, LEARNED, 0),
+        lambda: random_sttp_params(16, 72, 4, LEARNED, 1),
+        lambda: random_sttp_params(12, 18, 3, IDENTITY, 2),
+    ])
+    def test_non_finite_payload_rejected(self, tmp_path, maker):
+        path = tmp_path / "p.params"
+        nan_payload_file(path, maker())
+        with pytest.raises(FileFormatError, match="non-finite"):
+            fileio.read_params(path)
+
+    @pytest.mark.parametrize("value", [b"nan", b"inf", b"-0.5"])
+    def test_bad_regularizer_weight_rejected(self, tmp_path, value):
+        path = tmp_path / "p.params"
+        fileio.write_params(path, random_svdp_params(
+            6, 5, 3, "learned_regularized", 4, lam=0.1))
+        raw = path.read_bytes()
+        assert b"lambda=0.1\n" in raw
+        path.write_bytes(raw.replace(b"lambda=0.1\n",
+                                     b"lambda=" + value + b"\n"))
+        with pytest.raises(FileFormatError):
+            fileio.read_params(path)
+
+    @pytest.mark.parametrize("maker", SMALL_PARAMS)
+    def test_truncated_file_rejected_or_valid(self, tmp_path, maker):
+        fileio.write_params(tmp_path / "p.params", maker())
+        raw = (tmp_path / "p.params").read_bytes()
+        for pos in range(len(raw)):
+            read_or_reject(tmp_path / "d.params", raw[:pos],
+                           fileio.read_params, fileio.write_params)
+
+    @given(maker=st.sampled_from(SMALL_PARAMS), pos=st.integers(0, 10**6),
+           byte=st.integers(0, 255))
+    @settings(max_examples=300, deadline=None)
+    def test_manifest_byte_replaced_rejected_or_valid(self, fuzz_dir, maker,
+                                                      pos, byte):
+        fileio.write_params(fuzz_dir / "p.params", maker())
+        raw = (fuzz_dir / "p.params").read_bytes()
+        k = pos % (raw.index(b"\n\n") + 2)
+        read_or_reject(fuzz_dir / "d.params",
+                       raw[:k] + bytes([byte]) + raw[k + 1:],
+                       fileio.read_params, fileio.write_params)
 
     def test_tampered_schedule_rejected(self, tmp_path):
         params = random_sttp_params(16, 72, 4, LEARNED, 2)
@@ -201,6 +316,38 @@ class TestCli:
         assert main(["apply", "--params", str(params), "--in", str(x_path),
                      "--out", str(y_path)]) == 2
         assert "finite" in capsys.readouterr().err
+        assert not y_path.exists()
+
+    def test_apply_zero_column_input(self, tmp_path, capsys):
+        params, x_path = tmp_path / "p.params", tmp_path / "x.mat"
+        y_path = tmp_path / "y.mat"
+        fileio.write_params(params, random_svdp_params(16, 72, 4, LEARNED, 0))
+        fileio.write_matrix(x_path, np.zeros((72, 0)))
+        assert main(["apply", "--params", str(params), "--in", str(x_path),
+                     "--out", str(y_path)]) == 0
+        assert fileio.read_matrix(y_path).shape == (16, 0)
+
+    def test_apply_header_field_without_equals_exit_3(self, tmp_path,
+                                                      capsys):
+        params, x_path = tmp_path / "p.params", tmp_path / "x.mat"
+        fileio.write_params(params, random_svdp_params(4, 6, 2, LEARNED, 0))
+        x_path.write_bytes(b"STTPMAT v1 rows=6 cols1 dtype=f64 "
+                           b"order=row-major\n" + b"\x00" * 48)
+        assert main(["apply", "--params", str(params), "--in", str(x_path),
+                     "--out", str(tmp_path / "y.mat")]) == 3
+
+    @pytest.mark.parametrize("maker", [
+        lambda: random_svdp_params(16, 72, 4, LEARNED, 0),
+        lambda: random_sttp_params(16, 72, 4, LEARNED, 1),
+    ])
+    def test_apply_non_finite_params_exit_3(self, tmp_path, capsys, maker):
+        params, x_path = tmp_path / "p.params", tmp_path / "x.mat"
+        y_path = tmp_path / "y.mat"
+        nan_payload_file(params, maker())
+        fileio.write_matrix(x_path, np.ones((72, 2)))
+        assert main(["apply", "--params", str(params), "--in", str(x_path),
+                     "--out", str(y_path)]) == 3
+        assert "non-finite" in capsys.readouterr().err
         assert not y_path.exists()
 
     def test_gradcheck_passes(self, capsys):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from ttspectral import dense
 from ttspectral.errors import DomainError, ShapeError
 
+from helpers import householder_qr, reflectors_to_frame
+
 
 def enumerate_positions(dims):
     """Independent ordering oracle: lexicographic enumeration of the box."""
@@ -123,14 +125,14 @@ class TestMatricizeCore:
 
 class TestHouseholderQr:
     def test_identity_input(self):
-        _, r = dense.householder_qr(np.eye(4))
+        _, r = householder_qr(np.eye(4))
         assert np.allclose(np.abs(np.diag(r)), 1.0)
         assert np.allclose(r, np.diag(np.diag(r)))
 
     def test_orthonormal_input_gives_diagonal_sign_r(self):
         rng = np.random.default_rng(0)
         q = dense.orthonormalize(rng.standard_normal((6, 4)))
-        _, r = dense.householder_qr(q)
+        _, r = householder_qr(q)
         off = r - np.diag(np.diag(r))
         assert np.linalg.norm(off) < 1e-12
         assert np.allclose(np.abs(np.diag(r)), 1.0, atol=1e-12)
@@ -138,7 +140,7 @@ class TestHouseholderQr:
     def test_sign_choice(self):
         # R_ii = -sign(x_1) * ||x|| at the first step
         m = np.array([[2.0, 1.0], [0.0, 1.0], [0.0, 3.0]])
-        _, r = dense.householder_qr(m)
+        _, r = householder_qr(m)
         assert r[0, 0] == pytest.approx(-2.0)
 
     @pytest.mark.parametrize("shape", [(5, 3), (8, 8), (12, 2), (7, 7)])
@@ -146,22 +148,41 @@ class TestHouseholderQr:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             m = rng.standard_normal(shape)
-            reflectors, r = dense.householder_qr(m)
-            q = dense.reflectors_to_frame(reflectors, shape[1])
+            reflectors, r = householder_qr(m)
+            q = reflectors_to_frame(reflectors, shape[1])
             err = np.linalg.norm(q @ r - m)
             assert err <= 1e-12 * np.linalg.norm(m)
 
     def test_rank_deficient_column(self):
         m = np.zeros((4, 2))
         m[:, 1] = [1.0, 2.0, 3.0, 4.0]
-        reflectors, r = dense.householder_qr(m)
+        reflectors, r = householder_qr(m)
         assert not reflectors[:, 0].any()  # zero reflector, documented
-        q = dense.reflectors_to_frame(reflectors, 2)
+        q = reflectors_to_frame(reflectors, 2)
         assert np.linalg.norm(q @ r - m) <= 1e-12 * np.linalg.norm(m)
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(DomainError):
-            dense.householder_qr(np.zeros((2, 3)))
+            householder_qr(np.zeros((2, 3)))
+
+
+class TestOrthonormalize:
+    @given(d=st.integers(1, 40), r_frac=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_python_qr_oracle(self, d, r_frac, seed):
+        r = 1 + int(r_frac * (d - 1))
+        m = np.random.default_rng(seed).standard_normal((d, r))
+        reflectors, rmat = householder_qr(m)
+        want = reflectors_to_frame(reflectors, r) * np.where(
+            np.diag(rmat) < 0, -1.0, 1.0)
+        # two QR codes' frames differ by O(eps * cond(m))
+        tol = 1e-13 * max(1.0, np.linalg.cond(m) / 100)
+        assert np.max(np.abs(dense.orthonormalize(m) - want)) <= tol
+
+    def test_wide_matrix_rejected(self):
+        with pytest.raises(DomainError):
+            dense.orthonormalize(np.zeros((2, 3)))
 
 
 class TestPowerIteration:

@@ -44,6 +44,9 @@ class TestFitMatrix:
             ft.FitConfig(lr=-0.1)
         with pytest.raises(DomainError):
             ft.FitConfig(scheme="cp")
+        for lam in (-0.1, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                ft.FitConfig(lam=lam)
 
     def test_best_so_far_is_trace_minimum(self):
         t = unit_top_target((8, 6), 2)

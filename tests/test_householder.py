@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttspectral import householder as hh
-from ttspectral.errors import DomainError, ShapeError
+from ttspectral.dense import orthonormalize
+from ttspectral.errors import DomainError, EncodeError, ShapeError
 from ttspectral.sampling import make_random_layout
 
-from helpers import decode_fwd, decode_vjp
+from helpers import decode_fwd, decode_vjp, householder_qr
 
 
 def gram_residual(q):
@@ -257,6 +258,42 @@ class TestEncode:
     def test_non_orthonormal_rejected(self):
         with pytest.raises(DomainError):
             hh.encode(np.ones((4, 2)))
+
+    @given(d=st.integers(1, 40), r_frac=st.floats(0.0, 1.0),
+           axis_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_python_qr_oracle(self, d, r_frac, axis_frac, seed):
+        # a random frame with random column signs whose columns in ``axes``
+        # are exact +-e_j (LAPACK then skips reflector j; the layout's
+        # structural 1 reflects it)
+        r = 1 + int(r_frac * (d - 1))
+        rng = np.random.default_rng(seed)
+        axes = rng.random(r) < axis_frac
+        rest = np.ones(d, dtype=bool)
+        rest[np.flatnonzero(axes)] = False
+        q = np.eye(d, r)
+        if not axes.all():
+            q[np.ix_(rest, ~axes)] = orthonormalize(
+                rng.standard_normal((rest.sum(), r - axes.sum())))
+        q *= np.where(rng.integers(0, 2, r) == 0, -1.0, 1.0)
+        layout, signs = hh.encode(q)
+        reflectors, rmat = householder_qr(q)
+        assert np.max(np.abs(layout.dense() - reflectors
+                             / np.diag(reflectors))) <= 1e-14
+        assert np.array_equal(signs, np.sign(np.diag(rmat)))
+        assert np.max(np.abs(hh.decode(layout) * signs - q)) <= 1e-14
+        with pytest.raises(DomainError):
+            hh.encode(q * np.r_[1.0 + 1e-6, np.ones(r - 1)])
+        q[rng.integers(d), rng.integers(r)] = np.nan
+        with pytest.raises(DomainError):
+            hh.encode(q)
+
+    def test_vanishing_pivot_raises(self, monkeypatch):
+        # unreachable through the frame check, which implies |R_ii| ~ 1
+        monkeypatch.setattr(hh, "check_frame", lambda q: None)
+        for q in (np.zeros((4, 2)), np.array([[1.0, 1.0], [0.0, 0.0]])):
+            with pytest.raises(EncodeError):
+                hh.encode(q)
 
     def test_nan_frame_rejected(self):
         # a NaN residual must fail the check, not slip past ``resid > tol``

@@ -40,6 +40,11 @@ class TestMaterializeSigma:
         with pytest.raises(DomainError):
             sp.SpectrumParams(sp.IDENTITY, 2, None, np.array([2.0, 1.0]))
 
+    @pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
+    def test_bad_regularizer_weight_rejected(self, lam):
+        with pytest.raises(DomainError):
+            sp.SpectrumParams(sp.LEARNED, 2, np.ones(2), None, lam)
+
 
 class TestDOptimalPenalty:
     def test_all_ones_is_zero(self):
