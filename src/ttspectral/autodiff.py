@@ -4,9 +4,11 @@ The pipeline layout -> frames -> (core chains) -> matrix -> loss is a static
 composition of a small primitive set: reflector application, frame/core
 reshapes, chain matmuls, the max-magnitude spectrum normalization, and the
 log-magnitude penalty.  Each primitive has a hand-written vector-Jacobian
-rule; :func:`assemble_with_tape` records the forward intermediates and
-:func:`vjp` transits them in reverse, producing the gradient with respect to
-every free parameter (structural layout cells receive none).
+rule.  A :class:`StepProgram`, built once per parameter structure, runs
+them on a flat parameter vector: its forward records the intermediates and
+its backward transits them in reverse, producing the gradient with respect
+to every free parameter (structural layout cells receive none).
+:func:`assemble_with_tape` and :func:`vjp` run it on one parameter object.
 
 Central finite differences (:func:`fd_grad`) serve as the independent
 oracle, and :func:`gradcheck` compares the two.
@@ -31,6 +33,7 @@ from .tensortrain import compose_chain
 
 __all__ = [
     "GradTape",
+    "StepProgram",
     "assemble_with_tape",
     "replay",
     "vjp",
@@ -62,15 +65,16 @@ def _chain_vjp(frames, shapes, blocks, g_total):
     return g_frames
 
 
-def _sigma_fwd(spectrum):
-    if spectrum.mode == IDENTITY:
-        return spectrum.signs.copy(), None
-    s = spectrum.s
-    k = int(np.argmax(np.abs(s)))  # ties resolve to the smallest index
-    m = abs(float(s[k]))
+def _sigma_fwd(s, signs):
+    """Materialize a learned spectrum ``s``, or ``signs`` if ``s`` is empty."""
+    if not s.size:
+        return signs.copy(), None
+    mags = np.abs(s)
+    k = int(mags.argmax())  # ties resolve to the smallest index
+    m = float(mags[k])
     if m == 0.0:
         raise DomainError("degenerate spectrum: all entries are zero")
-    tie = int(np.sum(np.abs(s) == m)) > 1
+    tie = np.count_nonzero(mags == m) > 1
     return s / m, (s, k, m, tie)
 
 
@@ -85,21 +89,22 @@ def _sigma_vjp(save, g_sigma):
 
 @dataclass
 class GradTape:
-    """Recorded forward pass of one matrix assembly.
+    """Recorded forward pass of member ``index`` of a :class:`StepProgram`.
 
-    Replaying the stored parameters through the same forward reproduces the
-    recorded output bitwise; the saved intermediates suffice for one reverse
-    transit.  ``frames`` are in :func:`pack` order.
+    Replaying ``theta`` reproduces the recorded output bitwise; the saved
+    intermediates suffice for one reverse transit.  ``frames`` are the
+    member's in :func:`pack` order; ``decode_saves`` covers the program's.
     """
 
-    params: object
+    program: StepProgram
+    theta: np.ndarray
+    index: int
     output: np.ndarray
     sigma: np.ndarray
     u: np.ndarray
     v: np.ndarray
     decode_saves: tuple
     frames: tuple
-    shapes: tuple
     chain_blocks: tuple
     sigma_save: tuple | None
 
@@ -108,25 +113,91 @@ class GradTape:
         return self.sigma_save is not None and self.sigma_save[3]
 
 
+class StepProgram:
+    """The forward and reverse pass of parameter sets on one flat theta.
+
+    Built once from prototype parameters, of which only the structure is
+    kept: theta is their :func:`pack` vectors end to end.  The program holds
+    one :class:`~ttspectral.householder.DecodePlan` over all their layouts,
+    so same-shape canvases of different members share a sweep, and per
+    member its layout range, chain shapes, spectrum slice and signs.
+    """
+
+    def __init__(self, protos):
+        layouts, offsets, self.members, pos = [], [], [], 0
+        for params in protos:
+            view, first = params.chain, len(layouts)
+            for la in view.layouts:
+                layouts.append(la)
+                offsets.append(pos)
+                pos += la.params.size
+            n_s = params.spectrum.n_params
+            self.members.append((first, first + len(view.u_shapes),
+                                 len(layouts), view.u_shapes, view.v_shapes,
+                                 slice(pos, pos + n_s), params.spectrum.signs))
+            pos += n_s
+        self.size, self.decode = pos, hh.DecodePlan(layouts, offsets)
+
+    def forward(self, theta: np.ndarray) -> list[GradTape]:
+        """Assemble every member's matrix; one tape per member."""
+        frames, sweeps = self.decode.decode(theta)
+        tapes = []
+        for index, (first, mid, stop, u_shapes, v_shapes, spectrum,
+                    signs) in enumerate(self.members):
+            sigma, sigma_save = _sigma_fwd(theta[spectrum], signs)
+            u, u_blocks = compose_chain(frames[first:mid], u_shapes)
+            v, v_blocks = compose_chain(frames[mid:stop], v_shapes)
+            tapes.append(GradTape(
+                self, theta, index, (u * sigma) @ v.T, sigma, u, v,
+                (self.decode, sweeps), tuple(frames[first:stop]),
+                (u_blocks, v_blocks), sigma_save))
+        return tapes
+
+    def backward(self, tapes, g_ws, g_sigma_extras) -> np.ndarray:
+        """Flat gradient over theta given :meth:`forward`'s tapes, a
+        cotangent on each matrix and an optional one on each spectrum."""
+        if len(tapes) != len(self.members):
+            raise ShapeError("the reverse pass needs every member's tape")
+        grad, g_frames = np.zeros(self.size), []
+        for tape, (first, mid, _, u_shapes, v_shapes, spectrum, _), g_w, \
+                g_extra in zip(tapes, self.members, g_ws, g_sigma_extras):
+            g_w = np.asarray(g_w, dtype=np.float64)
+            if g_w.shape != tape.output.shape:
+                raise ShapeError(f"upstream shape {g_w.shape} != output "
+                                 f"shape {tape.output.shape}")
+            u, v, sigma = tape.u, tape.v, tape.sigma
+            gv_mat = g_w.T @ (u * sigma)
+            gwv = g_w @ v
+            g_sigma = (u * gwv).sum(axis=0)
+            if g_extra is not None:
+                g_sigma = g_sigma + g_extra
+            gs = _sigma_vjp(tape.sigma_save, g_sigma)
+            if gs is not None:
+                grad[spectrum] = gs
+            (u_blocks, v_blocks), n_u = tape.chain_blocks, mid - first
+            g_frames += _chain_vjp(tape.frames[:n_u], u_shapes, u_blocks,
+                                   gwv * sigma)
+            g_frames += _chain_vjp(tape.frames[n_u:], v_shapes, v_blocks,
+                                   gv_mat)
+        self.decode.vjp(tapes[0].decode_saves[1], g_frames, grad)
+        return grad
+
+    def loss_and_grad(self, theta: np.ndarray, loss):
+        """Loss value, flat gradient and tape of a one-member program."""
+        (tape,) = self.forward(theta)
+        value, g_w, g_sigma_extra = _loss_terms(tape, loss)
+        return value, self.backward([tape], [g_w], [g_sigma_extra]), tape
+
+
 def assemble_with_tape(params) -> tuple[np.ndarray, GradTape]:
     """Assemble the matrix while recording intermediates for :func:`vjp`."""
-    view = params.chain
-    frames, decode_saves = hh.decode_layouts(view.layouts, save=True)
-    sigma, sigma_save = _sigma_fwd(params.spectrum)
-    n_u = len(view.u_shapes)
-    u, u_blocks = compose_chain(frames[:n_u], view.u_shapes)
-    v, v_blocks = compose_chain(frames[n_u:], view.v_shapes)
-    w = (u * sigma) @ v.T
-    tape = GradTape(params, w, sigma, u, v, decode_saves, tuple(frames),
-                    (view.u_shapes, view.v_shapes), (u_blocks, v_blocks),
-                    sigma_save)
-    return w, tape
+    (tape,) = StepProgram((params,)).forward(pack(params))
+    return tape.output, tape
 
 
 def replay(tape: GradTape) -> np.ndarray:
     """Re-run the recorded forward; bitwise equal to ``tape.output``."""
-    w, _ = assemble_with_tape(tape.params)
-    return w
+    return tape.program.forward(tape.theta)[tape.index].output
 
 
 def vjp(tape: GradTape, upstream: np.ndarray) -> np.ndarray:
@@ -139,28 +210,9 @@ def vjp(tape: GradTape, upstream: np.ndarray) -> np.ndarray:
 
 
 def _vjp_full(tape: GradTape, g_w: np.ndarray, g_sigma_extra) -> np.ndarray:
-    g_w = np.asarray(g_w, dtype=np.float64)
-    if g_w.shape != tape.output.shape:
-        raise ShapeError(
-            f"upstream shape {g_w.shape} != output shape {tape.output.shape}"
-        )
-    u, v, sigma = tape.u, tape.v, tape.sigma
-    gv_mat = g_w.T @ (u * sigma)
-    gwv = g_w @ v
-    gu_mat = gwv * sigma
-    g_sigma = np.sum(u * gwv, axis=0)
-    if g_sigma_extra is not None:
-        g_sigma = g_sigma + g_sigma_extra
-    gs = _sigma_vjp(tape.sigma_save, g_sigma)
-
-    (u_shapes, v_shapes), (u_blocks, v_blocks) = tape.shapes, tape.chain_blocks
-    n_u = len(u_shapes)
-    g_frames = (_chain_vjp(tape.frames[:n_u], u_shapes, u_blocks, gu_mat)
-                + _chain_vjp(tape.frames[n_u:], v_shapes, v_blocks, gv_mat))
-    parts = hh.decode_layouts_vjp(tape.decode_saves, g_frames)
-    if gs is not None:
-        parts.append(gs)
-    return np.concatenate(parts)
+    """:func:`vjp` plus a cotangent on the spectrum, for a tape of a
+    one-member program such as :func:`assemble_with_tape`'s."""
+    return tape.program.backward([tape], [g_w], [g_sigma_extra])
 
 
 def frame_grad(layout: hh.HouseholderLayout, upstream: np.ndarray
@@ -225,16 +277,17 @@ def _penalty_floored(sigma: np.ndarray) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def _loss_terms(w: np.ndarray, sigma: np.ndarray, loss
+def _loss_terms(tape: GradTape, loss
                 ) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Loss value at ``W``, its cotangent on ``W``, and any extra cotangent
-    on the materialized spectrum (the penalty's)."""
+    """Loss value at the taped ``W``, its cotangent on ``W``, and any extra
+    cotangent on the materialized spectrum (the penalty's)."""
+    w, sigma = tape.output, tape.sigma
     if isinstance(loss, FrobeniusLoss):
         target = np.asarray(loss.target, dtype=np.float64)
         if target.shape != w.shape:
             raise ShapeError("target shape does not match the assembled matrix")
         resid = w - target
-        value = 0.5 * float(np.sum(resid * resid))
+        value = 0.5 * float((resid * resid).sum())
         g_sigma_extra = None
         if loss.lam > 0.0:
             pen, pen_grad = _penalty_floored(sigma)
@@ -251,15 +304,12 @@ def _loss_terms(w: np.ndarray, sigma: np.ndarray, loss
 
 def loss_value_and_grad(params, loss) -> tuple[float, np.ndarray, GradTape]:
     """Loss value and its flat analytic gradient at the given parameters."""
-    w, tape = assemble_with_tape(params)
-    value, g_w, g_sigma_extra = _loss_terms(w, tape.sigma, loss)
-    return value, _vjp_full(tape, g_w, g_sigma_extra), tape
+    return StepProgram((params,)).loss_and_grad(pack(params), loss)
 
 
 def loss_value(params, loss) -> float:
     """Loss value only, for the finite-difference oracle."""
-    w, tape = assemble_with_tape(params)
-    return _loss_terms(w, tape.sigma, loss)[0]
+    return _loss_terms(assemble_with_tape(params)[1], loss)[0]
 
 
 def fd_grad(f, theta: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -295,12 +345,11 @@ def gradcheck(params, loss, tol: float = 1e-6) -> GradcheckReport:
     spectrum normalization ties are flagged and reported as skipped (the
     subgradient rule is deterministic but not a derivative there).
     """
-    value, grad, tape = loss_value_and_grad(params, loss)
-    del value
+    program, theta = StepProgram((params,)), pack(params)
+    _, grad, tape = program.loss_and_grad(theta, loss)
     if tape.sigma_tied:
         return GradcheckReport(float("nan"), -1, grad.size, True, True)
-    theta = pack(params)
-    fd = fd_grad(lambda t: loss_value(unpack(params, t), loss), theta)
+    fd = fd_grad(lambda t: _loss_terms(program.forward(t)[0], loss)[0], theta)
     scale = max(1.0, float(np.max(np.abs(grad))) if grad.size else 1.0)
     err = np.abs(grad - fd) / scale
     worst = int(np.argmax(err)) if err.size else 0

@@ -4,7 +4,9 @@ Plain gradient descent with momentum over the free parameters.  Defaults
 (momentum 0.9, learning rate 0.05 for the two-frame scheme and 0.02 for the
 chain scheme) come from a coarse sweep on 16x12 rank-4 targets; they are
 deliberately unsophisticated so that runs are reproducible bit for bit from
-a seed.
+a seed.  Both fits step one :class:`~ttspectral.autodiff.StepProgram` (in
+the demo, over both layers) on the flat parameters alone, through one
+momentum loop; parameter objects are built only at init and for the result.
 
 The demo trains a two-layer network (parameterized linear, relu,
 parameterized linear) on synthetic regression data whose ground-truth map
@@ -21,12 +23,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import (
+from .autodiff import (  # noqa: F401  (perfbench/spans.py patches the tape)
     FrobeniusLoss,
+    StepProgram,
     _penalty_floored,
     _vjp_full,
     assemble_with_tape,
-    loss_value_and_grad,
     pack,
     unpack,
 )
@@ -122,30 +124,36 @@ def fit_matrix(target: np.ndarray, cfg: FitConfig) -> FitResult:
             f"rank {cfg.rank} exceeds cap {rank_cap(d_out, d_in)}"
         )
     params = _init_params(cfg, d_out, d_in)
+    program = StepProgram((params,))
     loss_spec = FrobeniusLoss(target, cfg.lam)
-    theta = pack(params)
-    velocity = np.zeros_like(theta)
-    lr = cfg.effective_lr
     trace: list[float] = []
-    best_loss = math.inf
-    best_theta = theta.copy()
-    best_step = 0
-    for step in range(cfg.max_steps):
-        current = unpack(params, theta)
-        loss, grad, _ = loss_value_and_grad(current, loss_spec)
+    best_loss, best_theta, best_step = math.inf, None, 0
+    for step, theta, loss, _ in _descend(
+            pack(params), cfg, cfg.max_steps,
+            lambda t: program.loss_and_grad(t, loss_spec),
+            "loss {loss:.3e} diverged at step {step}; try a smaller "
+            "learning rate than {lr}"):
         trace.append(loss)
-        if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"loss {loss:.3e} diverged at step {step}; try a smaller "
-                f"learning rate than {lr}"
-            )
         if loss < best_loss:
-            best_loss, best_theta, best_step = loss, theta.copy(), step
+            best_loss, best_theta, best_step = loss, theta, step
         if step > 0 and abs(trace[-2] - loss) <= cfg.tol * max(1.0, trace[-2]):
             break
+    return FitResult(unpack(params, best_theta), trace, best_loss, best_step)
+
+
+def _descend(theta, cfg, steps, value_and_grad, diverged):
+    """Gradient descent with momentum.  Each step yields ``(step, theta,
+    loss, tapes)`` after the divergence guard, then updates theta; the
+    caller stops early by breaking."""
+    velocity = np.zeros_like(theta)
+    lr = cfg.effective_lr
+    for step in range(steps):
+        loss, grad, tapes = value_and_grad(theta)
+        if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+            raise DivergenceError(diverged.format(loss=loss, step=step, lr=lr))
+        yield step, theta, loss, tapes
         velocity = cfg.momentum * velocity + grad
         theta = theta - lr * velocity
-    return FitResult(unpack(params, best_theta), trace, best_loss, best_step)
 
 
 def eckart_young_optimum(target: np.ndarray, r: int) -> float:
@@ -194,6 +202,8 @@ def demo_train(cfg: FitConfig, seed: int, d_in: int = 6, hidden: int = 8,
     every step.
     """
     steps = cfg.max_steps if steps is None else steps
+    if steps < 1 or min(d_in, hidden, d_out, n_samples) < 1:
+        raise DomainError("demo steps and sizes must be positive")
     if cfg.rank > min(rank_cap(hidden, d_in), rank_cap(d_out, hidden)):
         raise DomainError("demo rank exceeds a layer's cap")
     rng = np.random.default_rng(seed)
@@ -203,30 +213,31 @@ def demo_train(cfg: FitConfig, seed: int, d_in: int = 6, hidden: int = 8,
 
     protos = (_init_params(replace(cfg, seed=seed + 1), hidden, d_in),
               _init_params(replace(cfg, seed=seed + 2), d_out, hidden))
-    theta = [pack(p) for p in protos]
-    velocity = [np.zeros_like(t) for t in theta]
-    lr = cfg.effective_lr
-    report = TrainReport()
+    program = StepProgram(protos)
 
-    for step in range(steps):
-        w1, tape1 = assemble_with_tape(unpack(protos[0], theta[0]))
-        w2, tape2 = assemble_with_tape(unpack(protos[1], theta[1]))
+    def value_and_grad(theta):
+        tapes = program.forward(theta)
+        w1, w2 = tapes[0].output, tapes[1].output
         pre = w1 @ x
         h = np.maximum(pre, 0.0)
         resid = w2 @ h - y
-        loss = 0.5 * float(np.sum(resid * resid)) / n_samples
+        loss = 0.5 * float((resid * resid).sum()) / n_samples
         g_out = resid / n_samples
         g_w2 = g_out @ h.T
         g_w1 = (w2.T @ g_out) * (pre > 0) @ x.T
         g_sigma = [None, None]  # the penalty's gradient on each spectrum
         if cfg.lam > 0.0:
-            for i, tape in enumerate((tape1, tape2)):
+            for i, tape in enumerate(tapes):
                 pen, pen_grad = _penalty_floored(tape.sigma)
                 loss += cfg.lam * pen / n_samples
                 g_sigma[i] = cfg.lam * pen_grad / n_samples
-        grads = [_vjp_full(tape1, g_w1, g_sigma[0]),
-                 _vjp_full(tape2, g_w2, g_sigma[1])]
+        return loss, program.backward(tapes, (g_w1, g_w2), g_sigma), tapes
 
+    report = TrainReport()
+    theta = np.concatenate([pack(p) for p in protos])
+    for _, _, loss, (tape1, tape2) in _descend(
+            theta, cfg, steps, value_and_grad,
+            "demo loss {loss:.3e} diverged at step {step}"):
         report.losses.append(loss)
         s1, s2 = np.abs(tape1.sigma), np.abs(tape2.sigma)
         report.sigma_max.append((float(s1.max()), float(s2.max())))
@@ -235,11 +246,4 @@ def demo_train(cfg: FitConfig, seed: int, d_in: int = 6, hidden: int = 8,
             stable_rank_from_spectrum(tape2.sigma),
         ))
         report.bounds.append(lipschitz_bound([s1.max(), s2.max()]))
-        if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"demo loss {loss:.3e} diverged at step {step}"
-            )
-        for i in range(2):
-            velocity[i] = cfg.momentum * velocity[i] + grads[i]
-            theta[i] = theta[i] - lr * velocity[i]
     return report

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,6 +53,7 @@ __all__ = [
     "decode",
     "decode_batch",
     "decode_layouts",
+    "DecodePlan",
     "encode",
     "init_frame",
     "init_layout",
@@ -144,8 +146,10 @@ class HouseholderLayout:
 
     def dense(self) -> np.ndarray:
         """Materialize the d_pad x r_pad canvas with structural cells."""
-        mat = np.eye(self.d_pad, self.r_pad)
-        mat[self.free_cells()] = self.params
+        _, _, _, base, flat = _structure(self.d, self.r, self.variant,
+                                         self.d_pad, self.r_pad)
+        mat = base.copy()
+        mat.reshape(-1)[flat] = self.params
         return mat
 
 
@@ -175,19 +179,23 @@ def layout_from_dense(mat: np.ndarray, d: int, r: int, variant: str = FULL,
 
 @lru_cache(maxsize=1024)
 def _structure(d: int, r: int, variant: str, d_pad: int, r_pad: int):
-    """Free-cell (rows, cols) of a structure, plus its frame if it has none.
+    """``(rows, cols, frame, base, flat)`` of a structure, cached, read-only.
 
-    Cached and read-only.  A structure without free cells (square reduced,
-    or 1 x 1) decodes to a fixed frame, which is decoded here once.
+    ``rows``/``cols`` are the free cells, ``flat`` the same cells as flat
+    indices into ``base``, the canvas with every free cell zero.  A
+    structure without free cells (square reduced, or 1 x 1) decodes to a
+    fixed ``frame``, decoded here once; otherwise ``frame`` is None.
     """
     cols, rows = np.nonzero(layout_mask(d, r, variant, d_pad, r_pad).T)
+    base = np.eye(d_pad, r_pad)
     frame = None
     if rows.size == 0:
-        frame = _reflect_sweep(np.eye(d_pad, r_pad)[None])[0, :d, :r]
-        frame.flags.writeable = False
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols, frame
+        frame = _reflect_sweep(base[None])[0, :d, :r]
+    record = (rows, cols, frame, base, rows * r_pad + cols)
+    for a in record:
+        if a is not None:
+            a.flags.writeable = False
+    return record
 
 
 @lru_cache(maxsize=256)
@@ -210,7 +218,7 @@ def _reflect_sweep(canvases: np.ndarray, save: bool = False):
     """
     upper, half_eye, eye = _wy_constants(*canvases.shape[1:])
     cols = np.ascontiguousarray(canvases.transpose(0, 2, 1))
-    norms = np.sqrt(np.sum(cols * cols, axis=2, keepdims=True))
+    norms = np.sqrt((cols * cols).sum(axis=2, keepdims=True))
     units = cols / norms  # norms >= 1 thanks to the structural diagonal 1
     m = np.linalg.inv(np.where(upper, units @ units.transpose(0, 2, 1),
                                half_eye))
@@ -233,7 +241,7 @@ def _reflect_sweep_vjp(saved: tuple, g: np.ndarray) -> np.ndarray:
     p = np.where(upper, a_bar @ -s.transpose(0, 2, 1), 0.0)
     v_bar = (p + p.transpose(0, 2, 1)) @ units - s @ g.transpose(0, 2, 1)
     v_bar[:, :, : g.shape[2]] += a_bar
-    g_cols = v_bar - units * np.sum(units * v_bar, axis=2, keepdims=True)
+    g_cols = v_bar - units * (units * v_bar).sum(axis=2, keepdims=True)
     return (g_cols / norms).transpose(0, 2, 1)
 
 
@@ -262,44 +270,82 @@ def decode_layouts(layouts, save: bool = False):
 
     Layouts without free cells take their cached, read-only frame.  Without
     ``save`` each other layout goes through :func:`decode` on its own and
-    the result is the frames.  With ``save`` the layouts of one exact
-    canvas shape share one saving decode (different shapes are never padded
-    into one canvas), and the result is ``(frames, tape)``, the tape
+    the result is the frames.  With ``save`` the layouts run through a
+    :class:`DecodePlan` and the result is ``(frames, tape)``, the tape
     holding what :func:`decode_layouts_vjp` needs.
     """
-    frames = [_structure(la.d, la.r, la.variant, la.d_pad, la.r_pad)[2]
-              for la in layouts]
     if not save:
+        frames = [_structure(la.d, la.r, la.variant, la.d_pad, la.r_pad)[2]
+                  for la in layouts]
         return [decode(la) if frame is None else frame
                 for la, frame in zip(layouts, frames)]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, la in enumerate(layouts):
-        if frames[i] is None:
-            groups.setdefault(la.padded_shape, []).append(i)
-    sweeps = []
-    for members in groups.values():
-        q, saves = _reflect_sweep(
-            np.array([layouts[i].dense() for i in members]), save=True)
-        for k, i in enumerate(members):
-            frames[i] = q[k, : layouts[i].d, : layouts[i].r]
-        sweeps.append((members, saves))
-    return frames, (layouts, sweeps)
+    plan = DecodePlan(layouts, list(accumulate(
+        (la.params.size for la in layouts[:-1]), initial=0)))
+    frames, sweeps = plan.decode(
+        np.concatenate([np.zeros(0), *(la.params for la in layouts)]))
+    return frames, (plan, sweeps)
 
 
 def decode_layouts_vjp(tape: tuple, g_frames) -> list[np.ndarray]:
     """Per-layout free-parameter gradients of a saving :func:`decode_layouts`,
     given a cotangent on each frame; one backward sweep per forward sweep,
     and an empty gradient for each layout without free cells."""
-    layouts, sweeps = tape
-    grads = [np.zeros(0)] * len(layouts)
-    for members, saves in sweeps:
-        g = np.zeros((len(members), *layouts[members[0]].padded_shape))
-        for k, i in enumerate(members):
-            g[k, : layouts[i].d, : layouts[i].r] = g_frames[i]
-        g_canvas = _reflect_sweep_vjp(saves, g)
-        for k, i in enumerate(members):
-            grads[i] = g_canvas[k][layouts[i].free_cells()]
-    return grads
+    plan, sweeps = tape
+    grad = np.zeros(plan.size)
+    plan.vjp(sweeps, g_frames, grad)
+    return [grad[start:end] for start, end in plan.spans]
+
+
+class DecodePlan:
+    """The saving decode of fixed layout structures from one flat vector.
+
+    Layout ``i`` reads its free cells from ``theta[offsets[i]:]``.  Layouts
+    of one exact canvas shape share one sweep; their group holds the stacked
+    base canvases, the flat index of the free cells in that stack and the
+    positions in ``theta`` they read, through which the gradient gathers
+    back.  Layouts without free cells take their cached frame.
+    """
+
+    def __init__(self, layouts, offsets):
+        self.spans = [(pos, pos + la.params.size)
+                      for la, pos in zip(layouts, offsets)]
+        self.size = max((end for _, end in self.spans), default=0)
+        recs = [_structure(la.d, la.r, la.variant, la.d_pad, la.r_pad)
+                for la in layouts]
+        self.fixed = [rec[2] for rec in recs]
+        by_shape: dict[tuple[int, int], list[int]] = {}
+        for i, la in enumerate(layouts):
+            if self.fixed[i] is None:
+                by_shape.setdefault(la.padded_shape, []).append(i)
+        self.groups = [(
+            members, [(i, layouts[i].d, layouts[i].r) for i in members],
+            np.stack([recs[i][3] for i in members]),
+            np.concatenate([recs[i][4] + k * recs[i][3].size
+                            for k, i in enumerate(members)]),
+            np.concatenate([np.arange(*self.spans[i]) for i in members]),
+        ) for members in by_shape.values()]
+
+    def decode(self, theta: np.ndarray):
+        """Every frame, and per group ``(members, saves)`` for :meth:`vjp`."""
+        frames, sweeps = list(self.fixed), []
+        for members, crops, base, cells, src in self.groups:
+            canvases = base.copy()
+            canvases.reshape(-1)[cells] = theta[src]
+            q, saves = _reflect_sweep(canvases, save=True)
+            for k, (i, d, r) in enumerate(crops):
+                frames[i] = q[k, :d, :r]
+            sweeps.append((members, saves))
+        return frames, sweeps
+
+    def vjp(self, sweeps, g_frames, grad: np.ndarray) -> None:
+        """Write into ``grad``, where :meth:`decode` read ``theta``, the
+        gradient of a cotangent on each frame."""
+        for (_, crops, base, cells, src), (_, saves) in zip(self.groups,
+                                                            sweeps):
+            g = np.zeros(base.shape)
+            for k, (i, d, r) in enumerate(crops):
+                g[k, :d, :r] = g_frames[i]
+            grad[src] = _reflect_sweep_vjp(saves, g).reshape(-1)[cells]
 
 
 def check_frame(q: np.ndarray, tol: float = 1e-8) -> None:

@@ -1,16 +1,20 @@
 """Shared test oracles: exhaustive contraction-tree search, the subset-DP
-planner, random diagrams, Householder QR, the sequential reflector sweep and
-the per-frame gradient tape."""
+planner, random diagrams, Householder QR, the sequential reflector sweep,
+the per-frame gradient tape, and the fit loops over parameter objects."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from ttspectral import autodiff as ad
+from ttspectral import fit as ft
 from ttspectral import householder as hh
 from ttspectral import planner as pl
-from ttspectral.errors import DomainError, ShapeError
+from ttspectral.errors import DivergenceError, DomainError, ShapeError
+from ttspectral.spectral import lipschitz_bound, stable_rank_from_spectrum
+from ttspectral.spectrum_modes import IDENTITY
 from ttspectral.sttp import core_specs
 from ttspectral.svdp import SvdpParams
 from ttspectral.tensortrain import compose_chain
@@ -301,7 +305,9 @@ def per_frame_tape(params, g_w, fwd=decode_fwd, vjp=decode_vjp):
         sides = [(layouts, [spec.shape for spec in side_specs])
                  for layouts, side_specs
                  in zip((params.u_layouts, params.v_layouts), specs)]
-    sigma, sigma_save = ad._sigma_fwd(params.spectrum)
+    sp = params.spectrum
+    sigma, sigma_save = ad._sigma_fwd(
+        np.zeros(0) if sp.mode == IDENTITY else sp.s, sp.signs)
     decoded = [[fwd(la) for la in layouts] for layouts, _ in sides]
     chains = [compose_chain([q for q, _ in side], shapes)
               for side, (_, shapes) in zip(decoded, sides)]
@@ -322,3 +328,84 @@ def per_frame_tape(params, g_w, fwd=decode_fwd, vjp=decode_vjp):
         parts.append(gs)
     frames = [q for side in decoded for q, _ in side]
     return w, frames, np.concatenate(parts)
+
+
+def reference_fit_matrix(target, cfg):
+    """:func:`ttspectral.fit.fit_matrix` as a loop over parameter objects:
+    each step unpacks theta and tapes the new parameters."""
+    target = np.asarray(target, dtype=np.float64)
+    params = ft._init_params(cfg, *target.shape)
+    loss_spec = ad.FrobeniusLoss(target, cfg.lam)
+    theta = ad.pack(params)
+    velocity = np.zeros_like(theta)
+    lr = cfg.effective_lr
+    trace = []
+    best_loss, best_theta, best_step = math.inf, theta.copy(), 0
+    for step in range(cfg.max_steps):
+        loss, grad, _ = ad.loss_value_and_grad(ad.unpack(params, theta),
+                                               loss_spec)
+        trace.append(loss)
+        if not math.isfinite(loss) or loss > ft.DIVERGENCE_LIMIT:
+            raise DivergenceError(
+                f"loss {loss:.3e} diverged at step {step}; try a smaller "
+                f"learning rate than {lr}"
+            )
+        if loss < best_loss:
+            best_loss, best_theta, best_step = loss, theta.copy(), step
+        if step > 0 and abs(trace[-2] - loss) <= cfg.tol * max(1.0, trace[-2]):
+            break
+        velocity = cfg.momentum * velocity + grad
+        theta = theta - lr * velocity
+    return ft.FitResult(ad.unpack(params, best_theta), trace, best_loss,
+                        best_step)
+
+
+def reference_demo_train(cfg, seed, d_in=6, hidden=8, d_out=4, n_samples=64,
+                         steps=None):
+    """:func:`ttspectral.fit.demo_train` as a loop over parameter objects:
+    each step unpacks and tapes each layer and pulls it back on its own."""
+    steps = cfg.max_steps if steps is None else steps
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((d_in, n_samples))
+    truth = ft._lipschitz_one_map(rng, d_out, hidden, d_in)
+    y = truth(x) + 0.01 * rng.standard_normal((d_out, n_samples))
+    protos = (ft._init_params(replace(cfg, seed=seed + 1), hidden, d_in),
+              ft._init_params(replace(cfg, seed=seed + 2), d_out, hidden))
+    theta = [ad.pack(p) for p in protos]
+    velocity = [np.zeros_like(t) for t in theta]
+    lr = cfg.effective_lr
+    report = ft.TrainReport()
+    for step in range(steps):
+        w1, tape1 = ad.assemble_with_tape(ad.unpack(protos[0], theta[0]))
+        w2, tape2 = ad.assemble_with_tape(ad.unpack(protos[1], theta[1]))
+        pre = w1 @ x
+        h = np.maximum(pre, 0.0)
+        resid = w2 @ h - y
+        loss = 0.5 * float(np.sum(resid * resid)) / n_samples
+        g_out = resid / n_samples
+        g_w2 = g_out @ h.T
+        g_w1 = (w2.T @ g_out) * (pre > 0) @ x.T
+        g_sigma = [None, None]
+        if cfg.lam > 0.0:
+            for i, tape in enumerate((tape1, tape2)):
+                pen, pen_grad = ad._penalty_floored(tape.sigma)
+                loss += cfg.lam * pen / n_samples
+                g_sigma[i] = cfg.lam * pen_grad / n_samples
+        grads = [ad._vjp_full(tape1, g_w1, g_sigma[0]),
+                 ad._vjp_full(tape2, g_w2, g_sigma[1])]
+        report.losses.append(loss)
+        s1, s2 = np.abs(tape1.sigma), np.abs(tape2.sigma)
+        report.sigma_max.append((float(s1.max()), float(s2.max())))
+        report.stable_ranks.append((
+            stable_rank_from_spectrum(tape1.sigma),
+            stable_rank_from_spectrum(tape2.sigma),
+        ))
+        report.bounds.append(lipschitz_bound([s1.max(), s2.max()]))
+        if not math.isfinite(loss) or loss > ft.DIVERGENCE_LIMIT:
+            raise DivergenceError(
+                f"demo loss {loss:.3e} diverged at step {step}"
+            )
+        for i in range(2):
+            velocity[i] = cfg.momentum * velocity[i] + grads[i]
+            theta[i] = theta[i] - lr * velocity[i]
+    return report

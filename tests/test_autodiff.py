@@ -5,7 +5,7 @@ import pytest
 
 from ttspectral import autodiff as ad
 from ttspectral import householder as hh
-from ttspectral.errors import NumericError
+from ttspectral.errors import NumericError, ShapeError
 from ttspectral.sampling import (
     make_random_layout,
     random_sttp_params,
@@ -203,6 +203,37 @@ class TestBatchedTape:
         grad = ad.vjp(tape, np.ones_like(w))
         assert grad.size == sttp_dof(d_out, d_in, r, LEARNED) \
             == ad.pack(p).size
+
+
+class TestStepProgram:
+    @pytest.mark.parametrize("maker", [random_svdp_params, random_sttp_params])
+    @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
+    def test_members_share_sweeps_and_match_their_own_tapes(self, maker,
+                                                            mode):
+        # the demo's two layers: 8x6 and 4x8, rank 3
+        ps = (maker(8, 6, 3, mode, 40), maker(4, 8, 3, mode, 41))
+        program = ad.StepProgram(ps)
+        theta = np.concatenate([ad.pack(p) for p in ps])
+        tapes = program.forward(theta)
+        _, sweeps = tapes[0].decode_saves
+        shapes = {la.padded_shape for p in ps for la in p.chain.layouts
+                  if la.params.size}
+        assert len(sweeps) == len(shapes) < sum(
+            len({la.padded_shape for la in p.chain.layouts if la.params.size})
+            for p in ps)
+        rng = np.random.default_rng(42)
+        g_ws = [rng.standard_normal(t.output.shape) for t in tapes]
+        grad = program.backward(tapes, g_ws, [None, None])
+        pos = 0
+        for p, tape, g_w in zip(ps, tapes, g_ws):
+            w, own = ad.assemble_with_tape(p)
+            assert np.array_equal(tape.output, w)
+            assert np.array_equal(ad.replay(tape), w)
+            assert np.array_equal(grad[pos: pos + p.n_params],
+                                  ad.vjp(own, g_w))
+            pos += p.n_params
+        with pytest.raises(ShapeError, match="every member"):
+            ad.vjp(tapes[1], g_ws[1])
 
 
 class TestGradcheck:

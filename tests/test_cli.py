@@ -392,6 +392,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "max_sigma_over_run=1.0" in out
 
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_demo_train_rejects_non_positive_steps(self, steps, capsys):
+        assert main(["demo-train", "--scheme", "svdp", "--rank", "3",
+                     "--spectrum", "learned", "--steps", steps, "--seed",
+                     "0"]) == 2
+        assert "step" in capsys.readouterr().err
+
     def test_seed_required_for_randomized_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gradcheck", "--scheme", "svdp", "--dout", "8", "--din",

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from ttspectral import fit as ft
+from ttspectral.autodiff import pack
 from ttspectral.dense import svd_full
 from ttspectral.errors import DivergenceError, DomainError
 from ttspectral.planner import decompress
 from ttspectral.sampling import random_sttp_params, random_svdp_params
 from ttspectral.spectral import materialize_sigma
 from ttspectral.spectrum_modes import LEARNED, LEARNED_REGULARIZED
+
+from helpers import reference_demo_train, reference_fit_matrix
 
 
 def unit_top_target(shape, seed):
@@ -195,10 +198,88 @@ class TestDemoTrain:
             ft._vjp_full(tape, np.zeros_like(w), extra)
         assert np.max(np.abs(both - split)) <= 1e-13
 
+        # one reverse pass of the step program per step covers both layers
         calls = []
-        real = ft._vjp_full
-        monkeypatch.setattr(ft, "_vjp_full",
+        real = ft.StepProgram.backward
+        monkeypatch.setattr(ft.StepProgram, "backward",
                             lambda *args: calls.append(1) or real(*args))
         cfg = ft.FitConfig(scheme, 2, LEARNED_REGULARIZED, 0.05)
         ft.demo_train(cfg, 0, steps=3)
-        assert len(calls) == 2 * 3
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("kwargs", [
+        {"steps": 0}, {"steps": -3}, {"n_samples": 0}, {"d_in": 0},
+        {"hidden": -1}, {"d_out": 0}])
+    def test_bad_sizes_rejected(self, kwargs):
+        cfg = ft.FitConfig("svdp", 1, LEARNED)
+        with pytest.raises(DomainError, match="must be positive"):
+            ft.demo_train(cfg, 0, **{"steps": 5, **kwargs})
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+MODES = [(LEARNED, 0.0), ("identity", 0.0), (LEARNED_REGULARIZED, 0.01)]
+
+
+class TestStepProgramMatchesObjectLoops:
+    """The fits over flat theta against loops that rebuild parameter
+    objects every step: traces, results and reports agree bitwise."""
+
+    @staticmethod
+    def assert_fits_equal(target, cfg):
+        res, ref = ft.fit_matrix(target, cfg), reference_fit_matrix(target,
+                                                                     cfg)
+        assert bits(res.trace) == bits(ref.trace)
+        assert res.best_step == ref.best_step
+        assert bits(res.best_loss) == bits(ref.best_loss)
+        assert bits(pack(res.params)) == bits(pack(ref.params))
+        return res
+
+    @pytest.mark.parametrize("mode,lam", MODES)
+    @pytest.mark.parametrize("scheme,d_out,d_in,r", [
+        ("svdp", 16, 72, 4), ("sttp", 16, 72, 4), ("svdp", 256, 256, 8),
+        ("sttp", 256, 256, 8), ("svdp", 12, 18, 3), ("sttp", 12, 18, 3),
+        ("svdp", 1, 5, 1), ("svdp", 5, 1, 1)])
+    def test_fit(self, scheme, d_out, d_in, r, mode, lam):
+        cfg = ft.FitConfig(scheme, r, mode, lam=lam, seed=3, max_steps=20,
+                           tol=1e-300)
+        self.assert_fits_equal(unit_top_target((d_out, d_in), d_out + d_in),
+                               cfg)
+
+    def test_early_stop(self):
+        cfg = ft.FitConfig("svdp", 2, LEARNED, seed=0, max_steps=5000)
+        res = self.assert_fits_equal(unit_top_target((8, 6), 2), cfg)
+        assert 1 < len(res.trace) < cfg.max_steps
+
+    @pytest.mark.parametrize("scale,lr", [(1e7, None), (1.0, 1e308)])
+    def test_divergence(self, scale, lr):
+        t = scale * unit_top_target((8, 6), 3)
+        cfg = ft.FitConfig("svdp", 2, LEARNED, lr=lr, seed=0, max_steps=50)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as ref:
+                reference_fit_matrix(t, cfg)
+            with pytest.raises(DivergenceError, match="learning rate") as got:
+                ft.fit_matrix(t, cfg)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("mode,lam", [(LEARNED, 0.0), ("identity", 0.0),
+                                          (LEARNED_REGULARIZED, 0.05)])
+    @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
+    def test_demo(self, scheme, mode, lam):
+        cfg = ft.FitConfig(scheme, 3, mode, lam=lam)
+        report = ft.demo_train(cfg, 5, steps=30)
+        ref = reference_demo_train(cfg, 5, steps=30)
+        for name in ("losses", "sigma_max", "stable_ranks", "bounds"):
+            assert bits(getattr(report, name)) == bits(getattr(ref, name))
+        assert len(report.losses) == 30
+
+    def test_demo_divergence(self):
+        cfg = ft.FitConfig("svdp", 2, LEARNED, lr=1e308)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as ref:
+                reference_demo_train(cfg, 0, steps=20)
+            with pytest.raises(DivergenceError) as got:
+                ft.demo_train(cfg, 0, steps=20)
+        assert str(got.value) == str(ref.value)

@@ -117,6 +117,48 @@ class TestDecode:
             assert s[-1] > 1e-7 * s[0]
 
 
+class TestDecodePlan:
+    def test_dense_copies_the_cached_base(self):
+        rng = np.random.default_rng(30)
+        layout = make_random_layout(7, 3, hh.FULL, rng, 9, 4)
+        canvas = layout.dense()
+        expected = np.eye(9, 4)
+        expected[layout.free_cells()] = layout.params
+        assert np.array_equal(canvas, expected)
+        canvas[:] = 5.0  # a fresh writable array; the cache is untouched
+        assert np.array_equal(layout.dense(), expected)
+
+    def test_reads_theta_at_offsets_and_writes_the_gradient_back(self):
+        # two layouts of one shape and one of another, at scattered offsets
+        rng = np.random.default_rng(31)
+        layouts = [make_random_layout(9, 3, hh.FULL, rng),
+                   make_random_layout(6, 2, hh.REDUCED, rng),
+                   make_random_layout(9, 3, hh.FULL, rng),
+                   hh.make_layout(4, 4, hh.REDUCED)]
+        offsets = [50, 2, 20, 40]
+        theta = np.full(80, np.nan)
+        for la, pos in zip(layouts, offsets):
+            theta[pos: pos + la.params.size] = la.params
+        plan = hh.DecodePlan(layouts, offsets)
+        frames, sweeps = plan.decode(theta)
+        assert len(sweeps) == 2
+        for frame, la in zip(frames, layouts):
+            assert np.array_equal(frame, hh.decode(la))
+        g_frames = [rng.standard_normal(f.shape) for f in frames]
+        grad = np.full(80, np.nan)
+        plan.vjp(sweeps, g_frames, grad)
+        per_layout = hh.decode_layouts_vjp(
+            hh.decode_layouts(layouts, save=True)[1], g_frames)
+        for g, la, pos in zip(per_layout, layouts, offsets):
+            assert np.array_equal(grad[pos: pos + la.params.size], g)
+        assert np.count_nonzero(~np.isnan(grad)) == \
+            sum(la.params.size for la in layouts)
+
+    def test_empty_layout_list(self):
+        frames, tape = hh.decode_layouts([], save=True)
+        assert frames == [] and hh.decode_layouts_vjp(tape, []) == []
+
+
 class TestClosedFormDecode:
     """The UT-transform decode against the sequential reflector sweep."""
 
