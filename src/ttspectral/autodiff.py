@@ -27,6 +27,7 @@ import numpy as np
 
 from . import householder as hh
 from .errors import DomainError, NumericError, ShapeError
+from .spectral import normalize_spectrum
 from .spectrum_modes import IDENTITY
 from .sttp import core_specs  # noqa: F401  (perfbench/spans.py patches it)
 from .tensortrain import compose_chain
@@ -63,19 +64,6 @@ def _chain_vjp(frames, shapes, blocks, g_total):
         g = g_flat @ frames[k].reshape(r_left, n * r_right).T
     g_frames[0] = g
     return g_frames
-
-
-def _sigma_fwd(s, signs):
-    """Materialize a learned spectrum ``s``, or ``signs`` if ``s`` is empty."""
-    if not s.size:
-        return signs.copy(), None
-    mags = np.abs(s)
-    k = int(mags.argmax())  # ties resolve to the smallest index
-    m = float(mags[k])
-    if m == 0.0:
-        raise DomainError("degenerate spectrum: all entries are zero")
-    tie = np.count_nonzero(mags == m) > 1
-    return s / m, (s, k, m, tie)
 
 
 def _sigma_vjp(save, g_sigma):
@@ -144,7 +132,7 @@ class StepProgram:
         tapes = []
         for index, (first, mid, stop, u_shapes, v_shapes, spectrum,
                     signs) in enumerate(self.members):
-            sigma, sigma_save = _sigma_fwd(theta[spectrum], signs)
+            sigma, sigma_save = normalize_spectrum(theta[spectrum], signs)
             u, u_blocks = compose_chain(frames[first:mid], u_shapes)
             v, v_blocks = compose_chain(frames[mid:stop], v_shapes)
             tapes.append(GradTape(

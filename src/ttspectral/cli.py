@@ -23,6 +23,7 @@ from .errors import (
     TtspectralError,
 )
 from .fit import FitConfig, demo_train, fit_matrix
+from .householder import INIT_SCHEMES
 from .planner import apply_map, naive_flops, plan, sttp_diagram, svdp_diagram
 from .schemes import SCHEMES
 from .spectral import (
@@ -32,19 +33,13 @@ from .spectral import (
     materialize_sigma,
     stable_rank_from_spectrum,
 )
-from .spectrum_modes import IDENTITY, LEARNED, LEARNED_REGULARIZED
+from .spectrum_modes import SPECTRUM_MODES
 from .sttp import factorize
-
-_SPECTRUM_FLAGS = {
-    "identity": IDENTITY,
-    "learned": LEARNED,
-    "learned_regularized": LEARNED_REGULARIZED,
-}
 
 
 def cmd_dof(args) -> int:
-    mode = _SPECTRUM_FLAGS[args.spectrum]
-    dof = SCHEMES[args.scheme].dof(args.dout, args.din, args.rank, mode)
+    dof = SCHEMES[args.scheme].dof(args.dout, args.din, args.rank,
+                                   args.spectrum)
     numel = args.dout * args.din
     net = NetworkSummary((LayerBudget(args.dout, args.din, dof),))
     print(f"dof={dof}")
@@ -61,9 +56,8 @@ def cmd_factorize(args) -> int:
 def cmd_plan(args) -> int:
     if args.dx < 1:
         raise DomainError(f"--dx must be a positive column count, got {args.dx}")
-    mode = _SPECTRUM_FLAGS[args.spectrum]
     params = SCHEMES[args.scheme].template(args.dout, args.din, args.rank,
-                                           mode)
+                                           args.spectrum)
     view = params.chain
     if args.scheme == "svdp":  # the one-core chain, with its own node names
         diagram = svdp_diagram(args.dout, args.din, args.rank, args.dx)
@@ -104,9 +98,9 @@ def _load_or_init(args):
             )
     if args.seed is None:
         raise DomainError("building fresh parameters requires --seed")
-    mode = _SPECTRUM_FLAGS[args.spectrum]
-    return SCHEMES[args.scheme].init(args.dout, args.din, args.rank, mode,
-                                     args.seed, args.init, lam=args.reg_lambda)
+    return SCHEMES[args.scheme].init(args.dout, args.din, args.rank,
+                                     args.spectrum, args.seed, args.init,
+                                     lam=args.reg_lambda)
 
 
 def cmd_apply(args) -> int:
@@ -117,9 +111,9 @@ def cmd_apply(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    mode = _SPECTRUM_FLAGS[args.spectrum]
-    params = SCHEMES[args.scheme].random(args.dout, args.din, args.rank, mode,
-                                         args.seed, args.reg_lambda)
+    params = SCHEMES[args.scheme].random(args.dout, args.din, args.rank,
+                                         args.spectrum, args.seed,
+                                         args.reg_lambda)
     rng = np.random.default_rng(args.seed + 1)
     target = rng.standard_normal((args.dout, args.din))
     report = gradcheck(params, FrobeniusLoss(target, args.reg_lambda))
@@ -131,9 +125,9 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_fit(args) -> int:
     target = fileio.read_matrix(args.target)
-    mode = _SPECTRUM_FLAGS[args.spectrum]
-    cfg = FitConfig(args.scheme, args.rank, mode, args.reg_lambda, args.lr,
-                    args.momentum, args.steps, args.tol, args.seed, args.init)
+    cfg = FitConfig(args.scheme, args.rank, args.spectrum, args.reg_lambda,
+                    args.lr, args.momentum, args.steps, args.tol, args.seed,
+                    args.init)
     result = fit_matrix(target, cfg)
     if args.params_out:
         fileio.write_params(args.params_out, result.params)
@@ -149,9 +143,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_demo_train(args) -> int:
-    mode = _SPECTRUM_FLAGS[args.spectrum]
-    cfg = FitConfig(args.scheme, args.rank, mode, args.reg_lambda, args.lr,
-                    max_steps=args.steps, seed=args.seed)
+    cfg = FitConfig(args.scheme, args.rank, args.spectrum, args.reg_lambda,
+                    args.lr, max_steps=args.steps, seed=args.seed)
     report = demo_train(cfg, args.seed, steps=args.steps)
     stride = max(1, args.steps // 20)
     print("step,loss,lipschitz_bound,max_sigma_1,max_sigma_2,"
@@ -195,8 +188,7 @@ def _add_shape_flags(p, require: bool = True):
 
 
 def _add_spectrum_flags(p):
-    p.add_argument("--spectrum", choices=sorted(_SPECTRUM_FLAGS),
-                   default="learned")
+    p.add_argument("--spectrum", choices=SPECTRUM_MODES, default="learned")
     p.add_argument("--lambda", dest="reg_lambda", type=float, default=0.0)
 
 
@@ -229,9 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spectrum_flags(p)
     p.add_argument("--params", help="existing parameter file to decompress")
     p.add_argument("--seed", type=int)
-    p.add_argument("--init", choices=("identity", "random_orthogonal",
-                                      "noisy_identity"),
-                   default="noisy_identity")
+    p.add_argument("--init", choices=INIT_SCHEMES, default="noisy_identity")
     p.add_argument("--params-out", help="also store the generated parameters")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
@@ -258,9 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=5000)
     p.add_argument("--tol", type=float, default=1e-14)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--init", choices=("identity", "random_orthogonal",
-                                      "noisy_identity"),
-                   default="noisy_identity")
+    p.add_argument("--init", choices=INIT_SCHEMES, default="noisy_identity")
     p.add_argument("--params-out")
     p.add_argument("--out", help="loss trace file (stdout when omitted)")
     p.set_defaults(func=cmd_fit)

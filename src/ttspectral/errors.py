@@ -13,10 +13,6 @@ class DomainError(TtspectralError, ValueError):
     """Arguments lie outside an operation's mathematical domain."""
 
 
-class EncodeError(TtspectralError, ValueError):
-    """A frame could not be encoded into reflector parameters."""
-
-
 class NumericError(TtspectralError, ArithmeticError):
     """A numerical routine failed to converge or hit non-finite values."""
 

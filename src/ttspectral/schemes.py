@@ -1,7 +1,8 @@
 """The parameterization schemes by name.
 
 Both schemes share every other code path through their chain view
-(:class:`ttspectral.tensortrain.ChainView`); svdp is the one-core chain.
+(:class:`ttspectral.tensortrain.ChainView`) and the ``chain_*`` structure
+functions of :mod:`ttspectral.sttp`; svdp is the one-core chain.
 """
 
 from __future__ import annotations

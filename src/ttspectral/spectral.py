@@ -31,6 +31,7 @@ __all__ = [
     "SPECTRUM_MODES",
     "SpectrumParams",
     "materialize_sigma",
+    "normalize_spectrum",
     "d_optimal_penalty",
     "lipschitz_bound",
     "stable_rank",
@@ -100,18 +101,27 @@ def init_spectrum(mode: str, r: int, signs=None, lam: float = 0.0
     return SpectrumParams(mode, r, signs.copy(), signs, lam)
 
 
-def materialize_sigma(sp: SpectrumParams) -> np.ndarray:
-    """The r diagonal entries: ``signs`` (identity) or ``s / max|s|``.
-
-    Learned modes require at least one nonzero entry; the max-magnitude
-    entry maps to exactly +-1.
+def normalize_spectrum(s: np.ndarray | None, signs: np.ndarray):
+    """``(sigma, save)``: ``signs`` if ``s`` is None or empty (identity),
+    else ``s / max|s|``, which needs a nonzero entry and maps the largest
+    magnitude ``m`` to exactly +-1.  ``save`` is None for identity, else
+    ``(s, k, m, tie)`` for the gradient tape: ``k`` indexes ``m`` (ties
+    resolve to the smallest index), and ``tie`` says whether one occurred.
     """
-    if sp.mode == IDENTITY:
-        return sp.signs.copy()
-    m = float(np.max(np.abs(sp.s)))
+    if s is None or not s.size:
+        return signs.copy(), None
+    mags = np.abs(s)
+    k = int(mags.argmax())
+    m = float(mags[k])
     if m == 0.0:
         raise DomainError("degenerate spectrum: all entries are zero")
-    return sp.s / m
+    tie = np.count_nonzero(mags == m) > 1
+    return s / m, (s, k, m, tie)
+
+
+def materialize_sigma(sp: SpectrumParams) -> np.ndarray:
+    """The r diagonal entries: ``signs`` (identity) or ``s / max|s|``."""
+    return normalize_spectrum(sp.s, sp.signs)[0]
 
 
 def d_optimal_penalty(sigma) -> float:

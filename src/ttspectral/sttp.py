@@ -19,6 +19,11 @@ plus one more gauge fixed by reducing U's innermost core).
 When every interior rank (excluding the middle r) sits at its cap, the
 chain is the plain two-frame parameterization in disguise: all other cores
 have square matricizations, which carry no free parameters in reduced form.
+
+The structure (rank schedule and check on r, gauge rule, dof, template,
+initializer) is written once over factor tuples, the ``chain_*`` functions
+and :func:`init_chain`.  svdp is the one-core chain ``(d_out,)``, ``(d_in,)``;
+those never go through :func:`factorize`, so a dimension of 1 works there.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from . import householder as hh
 from .errors import DomainError, ShapeError
 from .spectral import SpectrumParams, init_spectrum, materialize_sigma
 from .spectrum_modes import IDENTITY
-from .svdp import rank_cap, svdp_dof
 from .tensortrain import (
     ChainView,
     RankSchedule,
@@ -46,11 +50,17 @@ __all__ = [
     "factorize",
     "DimFactorization",
     "global_dims",
+    "rank_cap",
+    "chain_schedule",
     "build_schedule",
+    "chain_specs",
     "core_specs",
     "core_size_schedule",
+    "chain_dof",
     "sttp_dof",
     "SttpParams",
+    "chain_template",
+    "init_chain",
     "init_sttp_params",
     "sttp_template",
     "assemble_sttp",
@@ -106,16 +116,32 @@ def global_dims(out_fac: DimFactorization, in_fac: DimFactorization
     return out_fac.factors + tuple(reversed(in_fac.factors))
 
 
+def rank_cap(d_out: int, d_in: int) -> int:
+    """Largest admissible rank for a d_out x d_in matrix."""
+    if d_out < 1 or d_in < 1:
+        raise DomainError("matrix dims must be positive")
+    return min(d_out, d_in)
+
+
 @lru_cache(maxsize=256)
+def chain_schedule(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
+                   r: int) -> RankSchedule:
+    """Capped rank schedule over the global dims of the factor tuples; the
+    check ``1 <= r <= min(d_out, d_in)`` makes the middle rank r."""
+    d_out, d_in = math.prod(out_factors), math.prod(in_factors)
+    cap = rank_cap(d_out, d_in)
+    if not 1 <= r <= cap:
+        raise DomainError(
+            f"rank {r} violates 1 <= r <= min({d_out}, {d_in}) = {cap}")
+    sched = rank_schedule(out_factors + in_factors[::-1], r)
+    assert sched.ranks[len(out_factors)] == r  # the middle cap is >= r
+    return sched
+
+
 def build_schedule(out_fac: DimFactorization, in_fac: DimFactorization,
                    r: int) -> RankSchedule:
     """Capped rank schedule over the global dims; the middle rank equals r."""
-    cap = rank_cap(out_fac.d, in_fac.d)
-    if not 1 <= r <= cap:
-        raise DomainError(f"rank {r} violates 1 <= r <= {cap}")
-    sched = rank_schedule(global_dims(out_fac, in_fac), r)
-    assert sched.ranks[len(out_fac)] == r  # middle cap is min(d_out, d_in) >= r
-    return sched
+    return chain_schedule(out_fac.factors, in_fac.factors, r)
 
 
 @dataclass(frozen=True)
@@ -141,33 +167,33 @@ class CoreSpec:
 
 
 @lru_cache(maxsize=256)
-def core_specs(out_fac: DimFactorization, in_fac: DimFactorization, r: int,
-               spectrum_mode: str
-               ) -> tuple[tuple[CoreSpec, ...], tuple[CoreSpec, ...]]:
+def chain_specs(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
+                r: int, spectrum_mode: str
+                ) -> tuple[tuple[CoreSpec, ...], tuple[CoreSpec, ...]]:
     """Per-core shapes and variants for the U side and the V side.
 
     Within each side, cores run from the outer (dimension) end toward the
-    spectrum.  All cores are reduced except the one adjacent to the spectrum
-    on each side; with the identity spectrum, U's adjacent core is reduced
-    as well (V's stays full).  Cached per structure.
+    spectrum.  The gauge rule: all cores are reduced except the one adjacent
+    to the spectrum on each side; with the identity spectrum, U's adjacent
+    core is reduced as well (V's stays full).  Cached per structure.
     """
-    sched = build_schedule(out_fac, in_fac, r)
-    d_out_len = len(out_fac)
-    u_specs = []
-    for k in range(d_out_len):
-        shape = (sched.ranks[k], out_fac.factors[k], sched.ranks[k + 1])
-        last = k == d_out_len - 1
-        variant = hh.FULL if last and spectrum_mode != IDENTITY else hh.REDUCED
-        u_specs.append(CoreSpec("u", k, shape, variant))
+    ranks = chain_schedule(out_factors, in_factors, r).ranks
+    u_last = hh.REDUCED if spectrum_mode == IDENTITY else hh.FULL
     # V-side local ranks mirror the tail of the global schedule.
-    v_ranks = tuple(reversed(sched.ranks[d_out_len:]))  # rho_0=1 ... rho_Din=r
-    v_specs = []
-    for k in range(len(in_fac)):
-        shape = (v_ranks[k], in_fac.factors[k], v_ranks[k + 1])
-        last = k == len(in_fac) - 1
-        variant = hh.FULL if last else hh.REDUCED
-        v_specs.append(CoreSpec("v", k, shape, variant))
-    return tuple(u_specs), tuple(v_specs)
+    sides = (("u", out_factors, ranks[:len(out_factors) + 1], u_last),
+             ("v", in_factors, ranks[len(out_factors):][::-1], hh.FULL))
+    return tuple(
+        tuple(CoreSpec(side, k, (side_ranks[k], n, side_ranks[k + 1]),
+                       last if k == len(factors) - 1 else hh.REDUCED)
+              for k, n in enumerate(factors))
+        for side, factors, side_ranks, last in sides)
+
+
+def core_specs(out_fac: DimFactorization, in_fac: DimFactorization, r: int,
+               spectrum_mode: str
+               ) -> tuple[tuple[CoreSpec, ...], tuple[CoreSpec, ...]]:
+    """:func:`chain_specs` of two factorizations."""
+    return chain_specs(out_fac.factors, in_fac.factors, r, spectrum_mode)
 
 
 def core_size_schedule(out_fac: DimFactorization, in_fac: DimFactorization,
@@ -179,30 +205,32 @@ def core_size_schedule(out_fac: DimFactorization, in_fac: DimFactorization,
     right order of the assembled chain.
     """
     u_specs, v_specs = core_specs(out_fac, in_fac, r, spectrum_mode)
-    out = [(spec.frame_dims[0], spec.frame_dims[1], spec.variant)
-           for spec in u_specs]
-    out.extend((spec.frame_dims[0], spec.frame_dims[1], spec.variant)
-               for spec in reversed(v_specs))
-    return out
+    return [(*spec.frame_dims, spec.variant)
+            for spec in (*u_specs, *reversed(v_specs))]
 
 
-def sttp_dof(d_out: int, d_in: int, r: int, spectrum_mode: str) -> int:
-    """Free-parameter count of the chain parameterization.
+def chain_dof(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
+              r: int, spectrum_mode: str) -> int:
+    """Free-parameter count of the chain over the given factor tuples.
 
     Learned spectrum: ``sum_k R_{k-1} n_k R_k - sum_{interior} R_k^2`` over
     the global schedule, the dimension of the fixed-rank tensor manifold.
     Identity spectrum: ``r*(r+1)/2`` less (r spectrum values plus the
     ``r*(r-1)/2`` gauge parameters removed from U's innermost core).
     """
-    out_fac, in_fac = factorize(d_out), factorize(d_in)
-    sched = build_schedule(out_fac, in_fac, r)
-    dims = sched.dims
-    ranks = sched.ranks
-    total = sum(ranks[k] * dims[k] * ranks[k + 1] for k in range(len(dims)))
+    sched = chain_schedule(out_factors, in_factors, r)
+    dims, ranks = sched.dims, sched.ranks
+    total = sum(ranks[k] * n * ranks[k + 1] for k, n in enumerate(dims))
     total -= sum(ranks[k] ** 2 for k in range(1, len(dims)))
     if spectrum_mode == IDENTITY:
         total -= r * (r + 1) // 2
     return total
+
+
+def sttp_dof(d_out: int, d_in: int, r: int, spectrum_mode: str) -> int:
+    """:func:`chain_dof` over the prime factorizations of the dims."""
+    return chain_dof(factorize(d_out).factors, factorize(d_in).factors, r,
+                     spectrum_mode)
 
 
 @dataclass(frozen=True)
@@ -267,19 +295,27 @@ class SttpParams:
                     self.schedule))
 
 
+def chain_template(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
+                   r: int, spectrum_mode: str):
+    """``(u_layouts, v_layouts, spectrum)`` of the given structure with
+    all-zero layouts and spectrum ones."""
+    u_layouts, v_layouts = (
+        tuple(hh.make_layout(*spec.frame_dims, spec.variant) for spec in specs)
+        for specs in chain_specs(out_factors, in_factors, r, spectrum_mode))
+    return u_layouts, v_layouts, init_spectrum(spectrum_mode, r)
+
+
 def sttp_template(d_out: int, d_in: int, r: int, spectrum_mode: str
                   ) -> SttpParams:
     """Parameters of the given structure with all-zero layouts and spectrum
     ones, as a template for :meth:`ChainView.rebuild`."""
     out_fac, in_fac = factorize(d_out), factorize(d_in)
-    u_layouts, v_layouts = (
-        tuple(hh.make_layout(*spec.frame_dims, spec.variant) for spec in specs)
-        for specs in core_specs(out_fac, in_fac, r, spectrum_mode))
     return SttpParams(out_fac, in_fac, r, build_schedule(out_fac, in_fac, r),
-                      u_layouts, v_layouts, init_spectrum(spectrum_mode, r))
+                      *chain_template(out_fac.factors, in_fac.factors, r,
+                                      spectrum_mode))
 
 
-def _encode_chain(frames, specs) -> tuple[list[hh.HouseholderLayout], np.ndarray]:
+def _encode_chain(frames, specs) -> tuple[tuple, np.ndarray]:
     """Encode a chain of target core frames, carrying encode signs inward.
 
     Each encoding loses per-column signs; flipping the next core's rows by
@@ -297,7 +333,23 @@ def _encode_chain(frames, specs) -> tuple[list[hh.HouseholderLayout], np.ndarray
             layout = hh.reduce_layout(layout)
         layouts.append(layout)
         carry = signs
-    return layouts, carry
+    return tuple(layouts), carry
+
+
+def init_chain(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
+               r: int, spectrum_mode: str, seed: int,
+               init_scheme: str = "noisy_identity", alpha: float = 1e-4,
+               lam: float = 0.0):
+    """Fresh ``(u_layouts, v_layouts, spectrum)``: each core frame drawn by
+    the init scheme and encoded, the lost column signs folded into the
+    spectrum, so the assembled matrix is the drawn frames' product."""
+    specs = chain_specs(out_factors, in_factors, r, spectrum_mode)
+    rng = np.random.default_rng(seed)
+    frames = [[hh.init_frame(init_scheme, *spec.frame_dims,
+                             int(rng.integers(2**32)), alpha)
+               for spec in side] for side in specs]
+    (u_layouts, su), (v_layouts, sv) = map(_encode_chain, frames, specs)
+    return u_layouts, v_layouts, init_spectrum(spectrum_mode, r, su * sv, lam)
 
 
 def init_sttp_params(d_out: int, d_in: int, r: int, spectrum_mode: str,
@@ -305,20 +357,10 @@ def init_sttp_params(d_out: int, d_in: int, r: int, spectrum_mode: str,
                      alpha: float = 1e-4, lam: float = 0.0) -> SttpParams:
     """Fresh chain parameters; per-core frames follow the init scheme."""
     out_fac, in_fac = factorize(d_out), factorize(d_in)
-    sched = build_schedule(out_fac, in_fac, r)
-    u_specs, v_specs = core_specs(out_fac, in_fac, r, spectrum_mode)
-    rng = np.random.default_rng(seed)
-
-    def side_frames(specs):
-        return [hh.init_frame(init_scheme, *spec.frame_dims,
-                              int(rng.integers(2**32)), alpha)
-                for spec in specs]
-
-    u_layouts, su = _encode_chain(side_frames(u_specs), u_specs)
-    v_layouts, sv = _encode_chain(side_frames(v_specs), v_specs)
-    spectrum = init_spectrum(spectrum_mode, r, su * sv, lam)
-    return SttpParams(out_fac, in_fac, r, sched, tuple(u_layouts),
-                      tuple(v_layouts), spectrum)
+    return SttpParams(out_fac, in_fac, r, build_schedule(out_fac, in_fac, r),
+                      *init_chain(out_fac.factors, in_fac.factors, r,
+                                  spectrum_mode, seed, init_scheme, alpha,
+                                  lam))
 
 
 def assemble_sttp(p) -> np.ndarray:
@@ -349,11 +391,8 @@ def edge_case_is_svdp(d_out: int, d_in: int, r: int) -> tuple[bool, dict]:
     dims = sched.dims
     caps = rank_caps(dims)
     middle = len(out_fac)
-    saturated = all(
-        sched.ranks[k] == caps[k - 1]
-        for k in range(1, len(dims))
-        if k != middle
-    )
+    saturated = all(sched.ranks[k] == caps[k - 1]
+                    for k in range(1, len(dims)) if k != middle)
     sizes = core_size_schedule(out_fac, in_fac, r)
     square = [rows == cols for rows, cols, _ in sizes]
     witness = {
@@ -362,6 +401,6 @@ def edge_case_is_svdp(d_out: int, d_in: int, r: int) -> tuple[bool, dict]:
         "square_cores": square,
         "sigma_adjacent_frames": (sizes[middle - 1][:2], sizes[middle][:2]),
         "sttp_dof": sttp_dof(d_out, d_in, r, "learned"),
-        "svdp_dof": svdp_dof(d_out, d_in, r, "learned"),
+        "svdp_dof": chain_dof((d_out,), (d_in,), r, "learned"),
     }
     return saturated, witness

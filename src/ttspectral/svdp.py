@@ -6,6 +6,10 @@ parameterization reaches every matrix of rank <= r and spectral norm 1
 With the identity spectrum, independently parameterized frames would be
 redundant - ``(U Q)(V Q)^T = U V^T`` for any orthogonal Q - so the U frame
 uses the reduced (gauge-fixed) layout.
+
+This is the :mod:`ttspectral.sttp` chain with one core per side, factors
+``(d_out,)`` and ``(d_in,)``: its rank check, gauge rule, dof count,
+template and initializer are the chain's.
 """
 
 from __future__ import annotations
@@ -15,10 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import householder as hh
+from .dense import svd_full
 from .errors import DomainError, ShapeError
-from .spectral import SpectrumParams, init_spectrum
+from .spectral import SpectrumParams
 from .spectral import materialize_sigma  # noqa: F401  (perfbench patches it)
 from .spectrum_modes import IDENTITY
+from .sttp import (
+    assemble_sttp,
+    chain_dof,
+    chain_schedule,
+    chain_template,
+    init_chain,
+    rank_cap,
+)
 from .tensortrain import ChainView
 
 __all__ = [
@@ -33,19 +46,6 @@ __all__ = [
 ]
 
 
-def rank_cap(d_out: int, d_in: int) -> int:
-    """Largest admissible rank for a d_out x d_in matrix."""
-    if d_out < 1 or d_in < 1:
-        raise DomainError("matrix dims must be positive")
-    return min(d_out, d_in)
-
-
-def _check_rank(d_out: int, d_in: int, r: int) -> None:
-    cap = rank_cap(d_out, d_in)
-    if not 1 <= r <= cap:
-        raise DomainError(f"rank {r} violates 1 <= r <= min({d_out}, {d_in}) = {cap}")
-
-
 def svdp_dof(d_out: int, d_in: int, r: int, spectrum_mode: str) -> int:
     """Free-parameter count of the parameterization.
 
@@ -53,20 +53,17 @@ def svdp_dof(d_out: int, d_in: int, r: int, spectrum_mode: str) -> int:
     spectrum values).  Identity spectrum: ``r*(d_out + d_in) - r*(3r + 1)/2``
     (reduced U frame, full V frame, no spectrum values).
     """
-    _check_rank(d_out, d_in, r)
-    if spectrum_mode == IDENTITY:
-        return r * (d_out + d_in) - r * (3 * r + 1) // 2
-    return r * (d_out + d_in) - r * r
+    return chain_dof((d_out,), (d_in,), r, spectrum_mode)
 
 
 @dataclass(frozen=True)
 class SvdpParams:
     """Complete parameter set: two frame layouts plus the spectrum.
 
-    :func:`init_svdp_params` enforces the variant rules (reduced U with an
-    identity spectrum, full/full otherwise).  Direct construction skips the
-    variant rule so that the gauge redundancy of full/full identity-spectrum
-    parameter sets can be demonstrated; dims and rank are always validated.
+    :func:`init_svdp_params` applies the gauge rule (reduced U with an
+    identity spectrum, full/full otherwise).  Direct construction skips it
+    so that the gauge redundancy of full/full identity-spectrum parameter
+    sets can be demonstrated; dims and rank are always validated.
     """
 
     d_out: int
@@ -77,7 +74,7 @@ class SvdpParams:
     spectrum: SpectrumParams
 
     def __post_init__(self):
-        _check_rank(self.d_out, self.d_in, self.r)
+        chain_schedule((self.d_out,), (self.d_in,), self.r)
         if (self.u_layout.d, self.u_layout.r) != (self.d_out, self.r):
             raise ShapeError("U layout dims do not match (d_out, r)")
         if (self.v_layout.d, self.v_layout.r) != (self.d_in, self.r):
@@ -104,30 +101,17 @@ def svdp_template(d_out: int, d_in: int, r: int, spectrum_mode: str
                   ) -> SvdpParams:
     """Parameters of the given structure with all-zero layouts and spectrum
     ones, as a template for :meth:`ChainView.rebuild`."""
-    _check_rank(d_out, d_in, r)
-    u_variant = hh.REDUCED if spectrum_mode == IDENTITY else hh.FULL
-    return SvdpParams(d_out, d_in, r, hh.make_layout(d_out, r, u_variant),
-                      hh.make_layout(d_in, r, hh.FULL),
-                      init_spectrum(spectrum_mode, r))
+    (u_layout,), (v_layout,), spectrum = chain_template(
+        (d_out,), (d_in,), r, spectrum_mode)
+    return SvdpParams(d_out, d_in, r, u_layout, v_layout, spectrum)
 
 
 def init_svdp_params(d_out: int, d_in: int, r: int, spectrum_mode: str,
                      seed: int, init_scheme: str = "noisy_identity",
                      alpha: float = 1e-4, lam: float = 0.0) -> SvdpParams:
-    """Fresh parameters with the variant rules applied.
-
-    The column signs lost by the frame encodings are folded into the
-    spectrum, so the assembled matrix reproduces the initialization frames'
-    product.
-    """
-    _check_rank(d_out, d_in, r)
-    u_variant = hh.REDUCED if spectrum_mode == IDENTITY else hh.FULL
-    rng = np.random.default_rng(seed)
-    u_layout, su = hh.init_layout(init_scheme, d_out, r,
-                                  int(rng.integers(2**32)), u_variant, alpha)
-    v_layout, sv = hh.init_layout(init_scheme, d_in, r,
-                                  int(rng.integers(2**32)), hh.FULL, alpha)
-    spectrum = init_spectrum(spectrum_mode, r, su * sv, lam)
+    """Fresh parameters of the one-core chain, as :func:`~.sttp.init_chain`."""
+    (u_layout,), (v_layout,), spectrum = init_chain(
+        (d_out,), (d_in,), r, spectrum_mode, seed, init_scheme, alpha, lam)
     return SvdpParams(d_out, d_in, r, u_layout, v_layout, spectrum)
 
 
@@ -138,8 +122,6 @@ def assemble(p: SvdpParams) -> np.ndarray:
     intermediate is formed.  This is the one-core case of
     :func:`ttspectral.sttp.assemble_sttp`.
     """
-    from .sttp import assemble_sttp  # sttp imports this module
-
     return assemble_sttp(p)
 
 
@@ -153,11 +135,9 @@ def svdp_from_matrix(target: np.ndarray, r: int, spectrum_mode: str = "learned",
     approximation exactly only when its top singular value is 1; the returned
     scale is that top singular value.
     """
-    from .dense import svd_full
-
     target = np.asarray(target, dtype=np.float64)
     d_out, d_in = target.shape
-    _check_rank(d_out, d_in, r)
+    chain_schedule((d_out,), (d_in,), r)  # the rank check
     if spectrum_mode == IDENTITY:
         raise DomainError("constructive fit needs a learned spectrum")
     u_full, s, v_full = svd_full(target)

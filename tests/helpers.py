@@ -13,8 +13,11 @@ from ttspectral import fit as ft
 from ttspectral import householder as hh
 from ttspectral import planner as pl
 from ttspectral.errors import DivergenceError, DomainError, ShapeError
-from ttspectral.spectral import lipschitz_bound, stable_rank_from_spectrum
-from ttspectral.spectrum_modes import IDENTITY
+from ttspectral.spectral import (
+    lipschitz_bound,
+    normalize_spectrum,
+    stable_rank_from_spectrum,
+)
 from ttspectral.sttp import core_specs
 from ttspectral.svdp import SvdpParams
 from ttspectral.tensortrain import compose_chain
@@ -306,8 +309,7 @@ def per_frame_tape(params, g_w, fwd=decode_fwd, vjp=decode_vjp):
                  for layouts, side_specs
                  in zip((params.u_layouts, params.v_layouts), specs)]
     sp = params.spectrum
-    sigma, sigma_save = ad._sigma_fwd(
-        np.zeros(0) if sp.mode == IDENTITY else sp.s, sp.signs)
+    sigma, sigma_save = normalize_spectrum(sp.s, sp.signs)
     decoded = [[fwd(la) for la in layouts] for layouts, _ in sides]
     chains = [compose_chain([q for q, _ in side], shapes)
               for side, (_, shapes) in zip(decoded, sides)]

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ttspectral import householder as hh
 from ttspectral.dense import orthonormalize
-from ttspectral.errors import DomainError, EncodeError, ShapeError
+from ttspectral.errors import DomainError, ShapeError
 from ttspectral.sampling import make_random_layout
 
 from helpers import decode_fwd, decode_vjp, householder_qr
@@ -330,12 +330,26 @@ class TestEncode:
         with pytest.raises(DomainError):
             hh.encode(q)
 
-    def test_vanishing_pivot_raises(self, monkeypatch):
-        # unreachable through the frame check, which implies |R_ii| ~ 1
-        monkeypatch.setattr(hh, "check_frame", lambda q: None)
-        for q in (np.zeros((4, 2)), np.array([[1.0, 1.0], [0.0, 0.0]])):
-            with pytest.raises(EncodeError):
-                hh.encode(q)
+    @given(d=st.integers(1, 40), r_frac=st.floats(0.0, 1.0),
+           log_eps=st.floats(-16.0, -7.5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_accepted_frames_have_unit_pivots(self, d, r_frac, log_eps, seed):
+        # every frame the check accepts has |R_ii| within 1e-7 of 1, so
+        # encode never meets a vanishing pivot
+        r = 1 + int(r_frac * (d - 1))
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal((d, r))
+        q = orthonormalize(rng.standard_normal((d, r)))
+        q = q * (1.0 + 10.0 ** log_eps * rng.standard_normal(r)) \
+            + 10.0 ** log_eps * noise / np.linalg.norm(noise)
+        try:
+            hh.check_frame(q)
+        except DomainError:
+            assume(False)
+        h, _ = np.linalg.qr(q, mode="raw")
+        assert np.max(np.abs(np.abs(np.diag(h.T)) - 1.0)) <= 1e-7
+        _, signs = hh.encode(q)
+        assert set(np.unique(signs)) <= {-1.0, 1.0}
 
     def test_nan_frame_rejected(self):
         # a NaN residual must fail the check, not slip past ``resid > tol``

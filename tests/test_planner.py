@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttspectral import planner as pl
 from ttspectral.errors import (
@@ -415,6 +417,28 @@ class TestApplyMap:
         x = np.random.default_rng(d_x).standard_normal((128, d_x))
         got = pl.apply_map(p, x)
         want = pl.decompress(p) @ x
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @given(scheme=st.sampled_from(sorted(SCHEMES)),
+           d_out=st.integers(1, 40), d_in=st.integers(1, 40),
+           r_frac=st.floats(0.0, 1.0),
+           mode=st.sampled_from([LEARNED, IDENTITY]),
+           d_x=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_decompress_on_random_shapes(self, scheme, d_out, d_in,
+                                                 r_frac, mode, d_x, seed):
+        # svdp takes any dim, sttp factors dims >= 2; below 41 a side has
+        # at most 5 factors, so a diagram has at most 12 nodes
+        if scheme == "sttp":
+            d_out, d_in = max(d_out, 2), max(d_in, 2)
+        r = 1 + int(r_frac * (min(d_out, d_in) - 1))
+        p = SCHEMES[scheme].random(d_out, d_in, r, mode, seed)
+        view = p.chain
+        assert len(pl.sttp_diagram(view.out_factors, view.in_factors,
+                                   view.ranks, d_x).nodes) <= 12
+        x = np.random.default_rng(seed).standard_normal((d_in, d_x))
+        want = pl.decompress(p) @ x
+        got = pl.apply_map(p, x)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_wrong_input_rows(self):

@@ -1,16 +1,20 @@
 """Chain parameterization: factorization, schedules, dof, assembly, edge case."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from ttspectral import householder as hh
 from ttspectral import sttp
+from ttspectral.autodiff import pack
 from ttspectral.dense import svd_full
 from ttspectral.errors import DomainError
+from ttspectral.planner import decompress
 from ttspectral.sampling import random_sttp_params
 from ttspectral.spectral import materialize_sigma
-from ttspectral.spectrum_modes import IDENTITY, LEARNED
-from ttspectral.svdp import svdp_dof
+from ttspectral.spectrum_modes import IDENTITY, LEARNED, SPECTRUM_MODES
+from ttspectral.svdp import init_svdp_params, svdp_dof
 from ttspectral.tensortrain import tt_contract
 
 
@@ -121,9 +125,26 @@ class TestDof:
         assert sttp.sttp_dof(16, 72, 4, IDENTITY) == layout_cell_count(p) == 118
 
     def test_single_factor_sides_equal_two_frame(self):
-        # prime dims: one core per side, identical counting to the plain form
-        for mode in (LEARNED, IDENTITY):
-            assert sttp.sttp_dof(7, 5, 3, mode) == svdp_dof(7, 5, 3, mode)
+        # prime dims: one core per side, so the chain is the plain two-frame
+        # form, with the same counting and the same fixed-seed parameters
+        for (d_out, d_in, r), mode, scheme in itertools.product(
+                [(7, 5, 3), (2, 13, 2), (11, 11, 4), (3, 2, 1)],
+                SPECTRUM_MODES, hh.INIT_SCHEMES):
+            assert sttp.sttp_dof(d_out, d_in, r, mode) == \
+                svdp_dof(d_out, d_in, r, mode)
+            chain, plain = (
+                init(d_out, d_in, r, mode, 11, scheme, lam=0.01)
+                for init in (sttp.init_sttp_params, init_svdp_params))
+            for a, b in zip(chain.chain.layouts, plain.chain.layouts,
+                            strict=True):
+                assert (a.d, a.r, a.variant) == (b.d, b.r, b.variant)
+                assert a.params.tobytes() == b.params.tobytes()
+            sa, sb = chain.spectrum, plain.spectrum
+            assert sa.signs.tobytes() == sb.signs.tobytes()
+            assert (sa.s is None) == (sb.s is None)
+            assert sa.s is None or sa.s.tobytes() == sb.s.tobytes()
+            assert pack(chain).tobytes() == pack(plain).tobytes()
+            assert decompress(chain).tobytes() == decompress(plain).tobytes()
 
     @pytest.mark.parametrize("d_out,d_in", [(12, 18), (16, 16), (9, 32),
                                             (25, 8)])
