@@ -29,12 +29,19 @@ Three layout variants exist:
   decodes agree to rounding, not bitwise.  So :func:`decode_batch` is
   bitwise only among layouts of one padded shape, and a saving
   :func:`decode_layouts` decodes each exact canvas shape on its own.
+
+Layouts are immutable in fact: each holds a read-only copy of its
+parameters, and :func:`decode` keeps the read-only frame it decodes on the
+layout, so decoding a layout again (as every warm ``apply_map`` does) is a
+lookup.  A decoded layout costs ``d_pad * r_pad`` more floats, about the
+size of its dense canvas.  :func:`decode_batch` and the gradient tape
+decode afresh every time and return writable arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -55,6 +62,7 @@ __all__ = [
     "decode_layouts",
     "DecodePlan",
     "encode",
+    "encode_as",
     "init_frame",
     "init_layout",
     "check_frame",
@@ -112,7 +120,14 @@ class HouseholderLayout:
 
     ``params`` stores the free cells column-major by reflector: all free
     cells of column 0 (top to bottom), then column 1, and so on.  Instances
-    are immutable; use :func:`make_layout` or ``with_params``.
+    are immutable; use :func:`make_layout` or ``with_params``.  The
+    constructor keeps a read-only copy of ``params``, so writing to the
+    array it was given changes neither the layout nor its frame.
+
+    :func:`decode` memoizes the read-only frame on the layout, which then
+    holds it (a view of a ``d_pad x r_pad`` array) for as long as the
+    layout lives.  Pickling or copying rebuilds the layout through its
+    constructor, with a fresh read-only copy of ``params`` and no frame.
     """
 
     d: int
@@ -121,6 +136,21 @@ class HouseholderLayout:
     params: np.ndarray
     d_pad: int
     r_pad: int
+
+    def __post_init__(self):
+        params = np.array(self.params, dtype=np.float64).ravel()
+        params.flags.writeable = False
+        object.__setattr__(self, "params", params)
+
+    def __reduce__(self):
+        return (HouseholderLayout, (self.d, self.r, self.variant, self.params,
+                                    self.d_pad, self.r_pad))
+
+    @cached_property
+    def _frame(self) -> np.ndarray:
+        q = _reflect_sweep(self.dense()[None])[0, : self.d, : self.r]
+        q.flags.writeable = False
+        return q
 
     @property
     def is_padded(self) -> bool:
@@ -246,8 +276,12 @@ def _reflect_sweep_vjp(saved: tuple, g: np.ndarray) -> np.ndarray:
 
 
 def decode(layout: HouseholderLayout) -> np.ndarray:
-    """Decode a layout into its d x r orthonormal frame."""
-    return _reflect_sweep(layout.dense()[None])[0, : layout.d, : layout.r]
+    """Decode a layout into its d x r orthonormal frame, read-only.
+
+    The frame is decoded on the first call for a layout object and kept on
+    it; later calls return that same array.
+    """
+    return layout._frame
 
 
 def decode_batch(layouts) -> list[np.ndarray]:
@@ -269,8 +303,8 @@ def decode_layouts(layouts, save: bool = False):
     """Decode layouts of any sizes; every frame is bitwise :func:`decode`'s.
 
     Layouts without free cells take their cached, read-only frame.  Without
-    ``save`` each other layout goes through :func:`decode` on its own and
-    the result is the frames.  With ``save`` the layouts run through a
+    ``save`` each other layout goes through :func:`decode` on its own (a
+    lookup once the layout has been decoded) and the result is the frames.  With ``save`` the layouts run through a
     :class:`DecodePlan` and the result is ``(frames, tape)``, the tape
     holding what :func:`decode_layouts_vjp` needs.
     """
@@ -381,10 +415,19 @@ def encode(q: np.ndarray) -> tuple[HouseholderLayout, np.ndarray]:
     return layout_from_dense(h.T, d, r, FULL), signs
 
 
-def reduce_layout(layout: HouseholderLayout) -> HouseholderLayout:
-    """Project a full layout onto the reduced pattern (zero the gauge cells)."""
-    canvas = layout.dense()[: layout.d, : layout.r]
-    return layout_from_dense(canvas, layout.d, layout.r, REDUCED)
+def encode_as(q: np.ndarray, variant: str
+              ) -> tuple[HouseholderLayout, np.ndarray]:
+    """:func:`encode` into a layout of the given variant.
+
+    For the reduced variant the encoded gauge cells are zeroed: exact when
+    the frame's leading block is already upper triangular (identity), a
+    projection otherwise (O(alpha) for noisy identity).
+    """
+    layout, signs = encode(q)
+    if variant == REDUCED:
+        layout = layout_from_dense(layout.dense(), q.shape[0], q.shape[1],
+                                   REDUCED)
+    return layout, signs
 
 
 def init_frame(scheme: str, d: int, r: int, seed: int,
@@ -409,15 +452,9 @@ def init_frame(scheme: str, d: int, r: int, seed: int,
 def init_layout(scheme: str, d: int, r: int, seed: int,
                 variant: str = FULL, alpha: float = 1e-4,
                 ) -> tuple[HouseholderLayout, np.ndarray]:
-    """Encode the frame :func:`init_frame` draws; returns ``(layout, signs)``.
-
-    For the reduced variant the encoded gauge cells are zeroed (exact for
-    identity, an O(alpha) projection for noisy identity).
-    """
-    layout, signs = encode(init_frame(scheme, d, r, seed, alpha))
-    if variant == REDUCED:
-        layout = reduce_layout(layout)
-    return layout, signs
+    """Encode the frame :func:`init_frame` draws into the given variant
+    (:func:`encode_as`); returns ``(layout, signs)``."""
+    return encode_as(init_frame(scheme, d, r, seed, alpha), variant)
 
 
 def pad_layout(layout: HouseholderLayout, d_pad: int, r_pad: int

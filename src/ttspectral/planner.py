@@ -18,7 +18,10 @@ nodes) the plans are the same.  Ties break toward the lexicographically
 smallest step sequence.  A cold plan of the paper's 16x72 rank-4 chain (11
 nodes) takes 2-5 ms, of a 128x128 chain (16 nodes, the cap) 20-40 ms (one
 core, timeit).  Plans depend only on the diagram, not on
-bound data, and are cached per diagram shape.
+bound data, and are cached per diagram shape.  Each plan is compiled once
+into matmul steps: per step a fixed transpose and reshape of each operand
+and one BLAS ``matmul`` (a diagonal node joins as its dense diagonal
+matrix), which :func:`execute` runs without any einsum.
 
 :func:`sttp_diagram` realizes applying a parameterized map ``y = W x``
 without decompressing ``W``: the chain of cores, with the input tensorized
@@ -83,7 +86,8 @@ class TensorDiagram:
     ``edges`` are ``(node_a, axis_a, node_b, axis_b)`` with matching sizes;
     each axis joins at most one edge.  Every axis not on an edge must appear
     exactly once in ``output_legs``, whose order fixes the output dims.  The
-    diagram must be connected.
+    diagram must be connected.  Diagrams are read-only: the
+    :meth:`signature` that keys the plan cache is computed once, here.
     """
 
     def __init__(self, nodes, edges, output_legs):
@@ -96,6 +100,11 @@ class TensorDiagram:
         )
         self._validate()
         self._assign_axes()
+        self._signature = (
+            tuple((node.dims, node.diagonal) for node in self.nodes),
+            self.edges,
+            self.output_legs,
+        )
 
     def _validate(self):
         n = len(self.nodes)
@@ -164,11 +173,7 @@ class TensorDiagram:
         return tuple(self.nodes[n].dims[a] for n, a in self.output_legs)
 
     def signature(self):
-        return (
-            tuple((node.dims, node.diagonal) for node in self.nodes),
-            self.edges,
-            self.output_legs,
-        )
+        return self._signature
 
 
 def step_cost(left_dims, right_dims, shared, left_diagonal: bool = False,
@@ -212,10 +217,11 @@ class PlanStep:
 class ContractionPlan:
     """Ordered contraction steps for a diagram, with cost accounting.
 
-    ``program`` is what :func:`execute` runs, built once per plan: per step
-    the operand slots and einsum sublists (a result takes the slot of its
-    smallest leaf, so the last lands in slot 0), and ``output_perm`` moves
-    the final axes into the declared output order.
+    ``program`` is what :func:`execute` runs, built once per plan: one
+    compiled matmul step per plan step (see :func:`_program`; a result
+    takes the slot of its smallest leaf, so the last lands in slot 0), and
+    ``output_perm`` moves the axes of the last step's result into the
+    declared output order.
     """
 
     diagram: TensorDiagram
@@ -414,17 +420,30 @@ def plan(diagram: TensorDiagram) -> ContractionPlan:
 
 
 def _program(diagram: TensorDiagram, steps) -> tuple[tuple, tuple[int, ...]]:
+    """Each step as ``(a, perm_a, shape_a, b, perm_b, shape_b, dims)``.
+
+    A step moves the left operand (slot ``a``) to its free axes then the
+    shared ones, and the right (slot ``b``) to the shared axes then its free
+    ones, each group in increasing axis id, views both as matrices of
+    ``shape_a`` and ``shape_b`` and multiplies them.  The product, viewed
+    with ``dims``, carries the left's free axes then the right's; a
+    diagonal node takes part as its dense diagonal matrix.
+    """
+    sizes = diagram.axis_sizes
     axes = list(diagram.node_axis_ids)  # per slot: the axes it carries
     program = []
     for step in steps:
         a, b = step.left[0], step.right[0]
         ia, ib = axes[a], axes[b]
-        # compact axis labels for einsum
-        labels = {aid: k for k, aid in enumerate(dict.fromkeys(ia + ib))}
-        program.append((a, [labels[aid] for aid in ia],
-                        b, [labels[aid] for aid in ib],
-                        [labels[aid] for aid in step.result_axes]))
-        axes[a] = step.result_axes
+        shared = sorted(set(ia) & set(ib))
+        free_a = sorted(set(ia) - set(ib))
+        free_b = sorted(set(ib) - set(ia))
+        m, k, n = (math.prod(sizes[aid] for aid in group)
+                   for group in (free_a, shared, free_b))
+        program.append((a, tuple(map(ia.index, free_a + shared)), (m, k),
+                        b, tuple(map(ib.index, shared + free_b)), (k, n),
+                        tuple(sizes[aid] for aid in free_a + free_b)))
+        axes[a] = tuple(free_a + free_b)
     perm = tuple(axes[0].index(aid) for aid in diagram.output_axis_ids)
     return tuple(program), perm
 
@@ -455,11 +474,15 @@ def execute(cplan: ContractionPlan, data) -> np.ndarray:
     """Run a plan on bound node data; diagonal nodes bind their diagonals.
 
     ``data`` maps node index to an array of the node's declared dims.  The
-    result carries the diagram's output legs in declared order.
+    result carries the diagram's output legs in declared order.  Each step
+    is the plan's compiled matmul step: a transpose and reshape of each
+    operand (views where the layout allows), then one BLAS ``matmul``.
     """
     slots = _canonical_binding(cplan.diagram, data)
-    for a, sub_a, b, sub_b, sub_out in cplan.program:
-        slots[a] = np.einsum(slots[a], sub_a, slots[b], sub_b, sub_out)
+    for a, perm_a, shape_a, b, perm_b, shape_b, dims in cplan.program:
+        slots[a] = np.matmul(slots[a].transpose(perm_a).reshape(shape_a),
+                             slots[b].transpose(perm_b).reshape(shape_b)
+                             ).reshape(dims)
         slots[b] = None
     final = slots[0]
     if final.ndim == 0:

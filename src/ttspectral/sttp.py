@@ -326,13 +326,9 @@ def _encode_chain(frames, specs) -> tuple[tuple, np.ndarray]:
     layouts = []
     carry = np.ones(1)
     for frame, spec in zip(frames, specs):
-        r_left, n, _ = spec.shape
-        flipped = frame * np.repeat(carry, n)[:, None]
-        layout, signs = hh.encode(flipped)
-        if spec.variant == hh.REDUCED:
-            layout = hh.reduce_layout(layout)
+        flipped = frame * np.repeat(carry, spec.shape[1])[:, None]
+        layout, carry = hh.encode_as(flipped, spec.variant)
         layouts.append(layout)
-        carry = signs
     return tuple(layouts), carry
 
 

@@ -1,5 +1,8 @@
 """Frame parameterizations: layouts, decode/encode, batching, initialization."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -157,6 +160,78 @@ class TestDecodePlan:
     def test_empty_layout_list(self):
         frames, tape = hh.decode_layouts([], save=True)
         assert frames == [] and hh.decode_layouts_vjp(tape, []) == []
+
+
+class TestImmutableLayout:
+    def test_source_arrays_do_not_alias_the_layout(self):
+        rng = np.random.default_rng(40)
+        theta = rng.standard_normal(hh.dof(5, 2, hh.FULL))
+        canvas = rng.standard_normal((5, 2))
+        built = {
+            "make_layout": lambda: hh.make_layout(5, 2, hh.FULL, theta),
+            "with_params": lambda: hh.make_layout(5, 2).with_params(theta),
+            "layout_from_dense": lambda: hh.layout_from_dense(canvas, 5, 2),
+        }
+        for name, build in built.items():
+            layout = build()
+            params, frame = layout.params.copy(), hh.decode(layout).copy()
+            theta += 1.0
+            canvas += 1.0
+            assert np.array_equal(layout.params, params), name
+            assert np.array_equal(hh.decode(layout), frame), name
+            assert np.array_equal(hh.decode(hh.make_layout(
+                5, 2, hh.FULL, layout.params)), frame), name
+
+    def test_params_are_read_only(self):
+        layout = make_random_layout(6, 3, hh.REDUCED,
+                                    np.random.default_rng(41))
+        assert not layout.params.flags.writeable
+        with pytest.raises(ValueError):
+            layout.params[0] = 1.0
+
+    @pytest.mark.parametrize("variant", [hh.FULL, hh.REDUCED])
+    @pytest.mark.parametrize("pad", [None, (9, 5)])
+    def test_decode_memoizes_the_read_only_frame(self, variant, pad):
+        d_pad, r_pad = pad or (None, None)
+        layout = make_random_layout(7, 3, variant, np.random.default_rng(42),
+                                    d_pad, r_pad)
+        q = hh.decode(layout)
+        assert hh.decode(layout) is q
+        assert not q.flags.writeable
+        fresh = hh._reflect_sweep(layout.dense()[None])[0, :7, :3]
+        assert q.shape == fresh.shape == (7, 3)
+        assert q.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            q[0, 0] = 0.0
+
+    @pytest.mark.parametrize("clone", [
+        lambda la: pickle.loads(pickle.dumps(la)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"])
+    def test_pickle_and_copy_rebuild_through_the_constructor(self, clone):
+        layout = make_random_layout(8, 3, hh.FULL, np.random.default_rng(43),
+                                    10, 4)
+        q = hh.decode(layout)
+        twin = clone(layout)
+        assert "_frame" not in vars(twin)
+        assert not twin.params.flags.writeable
+        assert twin.params.tobytes() == layout.params.tobytes()
+        assert (twin.d, twin.r, twin.variant, twin.padded_shape) == (
+            8, 3, hh.FULL, (10, 4))
+        got = hh.decode(twin)
+        assert not got.flags.writeable
+        assert got.tobytes() == q.tobytes()
+
+    def test_decode_batch_frames_stay_fresh_and_writable(self):
+        layout = make_random_layout(6, 2, hh.FULL, np.random.default_rng(44))
+        q = hh.decode(layout)
+        first, second = hh.decode_batch([layout, layout])
+        for frame in (first, second):
+            assert frame.flags.writeable
+            assert frame is not q
+            assert np.array_equal(frame, q)
+        first *= -1.0
+        assert np.array_equal(second, q)
+        assert np.array_equal(hh.decode(layout), second)
 
 
 class TestClosedFormDecode:

@@ -224,6 +224,12 @@ class TestPlanCache:
         assert kept.signature() in pl._PLAN_CACHE
         assert first.signature() not in pl._PLAN_CACHE
 
+    def test_signature_is_computed_once(self):
+        diagram = pl.svdp_diagram(16, 72, 4, 1)
+        twin = pl.svdp_diagram(16, 72, 4, 1)
+        assert diagram.signature() is diagram.signature()
+        assert twin is not diagram and twin.signature() == diagram.signature()
+
 
 class TestExecute:
     def test_svdp_execution_matches_dense(self):
@@ -270,12 +276,14 @@ class TestExecute:
         w = pl.decompress(p)
         assert np.linalg.norm(reference - w @ x) <= 1e-9 * np.linalg.norm(w @ x)
 
-    def test_program_makes_the_per_step_einsum_calls(self):
-        # the prebuilt program contracts each step's operands with labels
-        # compacted per step, bit for bit as labelling them on every call
+    def test_program_makes_the_per_step_matmuls(self):
+        # each step moves the left operand to (free, shared) axes and the
+        # right to (shared, free), each group by increasing axis id, and
+        # multiplies them as matrices; execute must match that bit for bit
         rng = np.random.default_rng(3)
         for diagram in (random_chain_diagram(rng, 7, with_diagonal=True),
                         library_diagram("sttp", 16, 72, 4, LEARNED, 3)):
+            sizes = diagram.axis_sizes
             data = {i: rng.standard_normal(node.dims[:1] if node.diagonal
                                            else node.dims)
                     for i, node in enumerate(diagram.nodes)}
@@ -287,17 +295,30 @@ class TestExecute:
             for step in cplan.steps:
                 a, ia = inter.pop(step.left)
                 b, ib = inter.pop(step.right)
-                labels = {aid: k
-                          for k, aid in enumerate(dict.fromkeys(ia + ib))}
-                res = np.einsum(a, [labels[aid] for aid in ia],
-                                b, [labels[aid] for aid in ib],
-                                [labels[aid] for aid in step.result_axes])
+                shared = sorted(set(ia) & set(ib))
+                free_a = [aid for aid in step.result_axes if aid in ia]
+                free_b = [aid for aid in step.result_axes if aid in ib]
+                m, k, n = (int(np.prod([sizes[aid] for aid in group]))
+                           for group in (free_a, shared, free_b))
+                a2 = np.transpose(a, [ia.index(aid)
+                                      for aid in free_a + shared])
+                b2 = np.transpose(b, [ib.index(aid)
+                                      for aid in shared + free_b])
+                order = free_a + free_b
+                res = np.matmul(a2.reshape(m, k), b2.reshape(k, n)).reshape(
+                    [sizes[aid] for aid in order])
+                res = np.transpose(res, [order.index(aid)
+                                         for aid in step.result_axes])
+                assert res.shape == step.result_dims
                 inter[tuple(sorted(step.left + step.right))] = (
                     res, step.result_axes)
             (final, ids), = inter.values()
             want = np.transpose(
                 final, [ids.index(aid) for aid in diagram.output_axis_ids])
             assert np.array_equal(pl.execute(cplan, data), want)
+            # and agree with one einsum over the whole diagram
+            assert np.allclose(want, one_shot_einsum(diagram, data),
+                               rtol=1e-12, atol=1e-12)
 
     def test_missing_binding(self):
         diagram = pl.svdp_diagram(4, 5, 2, 1)
