@@ -13,8 +13,7 @@ zero.  The product is the UT transform (compact WY) ``I - U T^-1 U^T``,
 ``U = [u_1 ... u_r]``, ``T = I/2 + striu(U^T U)``: decode and its gradient
 are a few batched matmuls and one LAPACK inverse, with no reflector loop.
 A batch is bitwise each member decoded alone, as are replays and same-seed
-reruns; applying one reflector at a time (as versions before this form did)
-agrees to rounding only.
+reruns; applying one reflector at a time agrees to rounding only.
 
 Three layout variants exist:
 
@@ -304,9 +303,10 @@ def decode_layouts(layouts, save: bool = False):
 
     Layouts without free cells take their cached, read-only frame.  Without
     ``save`` each other layout goes through :func:`decode` on its own (a
-    lookup once the layout has been decoded) and the result is the frames.  With ``save`` the layouts run through a
-    :class:`DecodePlan` and the result is ``(frames, tape)``, the tape
-    holding what :func:`decode_layouts_vjp` needs.
+    lookup once the layout has been decoded) and the result is the frames.
+    With ``save`` the layouts run through a :class:`DecodePlan` and the
+    result is ``(frames, tape)``, the tape holding what
+    :func:`decode_layouts_vjp` needs.
     """
     if not save:
         frames = [_structure(la.d, la.r, la.variant, la.d_pad, la.r_pad)[2]

@@ -17,11 +17,14 @@ the library builds that was checked against the exhaustive search (9 to 14
 nodes) the plans are the same.  Ties break toward the lexicographically
 smallest step sequence.  A cold plan of the paper's 16x72 rank-4 chain (11
 nodes) takes 2-5 ms, of a 128x128 chain (16 nodes, the cap) 20-40 ms (one
-core, timeit).  Plans depend only on the diagram, not on
-bound data, and are cached per diagram shape.  Each plan is compiled once
-into matmul steps: per step a fixed transpose and reshape of each operand
-and one BLAS ``matmul`` (a diagonal node joins as its dense diagonal
-matrix), which :func:`execute` runs without any einsum.
+core, timeit).  Plans depend only on the diagram, not on bound data, and
+are cached per diagram shape.
+
+The search yields only a split sequence; :func:`_compile` walks it once
+into the plan's steps, costs and matmul program: per step a fixed
+transpose and reshape of each operand and one BLAS ``matmul`` (a diagonal
+node joins as its dense diagonal matrix), which :func:`execute` runs
+without any einsum.
 
 :func:`sttp_diagram` realizes applying a parameterized map ``y = W x``
 without decompressing ``W``: the chain of cores, with the input tensorized
@@ -217,11 +220,10 @@ class PlanStep:
 class ContractionPlan:
     """Ordered contraction steps for a diagram, with cost accounting.
 
-    ``program`` is what :func:`execute` runs, built once per plan: one
-    compiled matmul step per plan step (see :func:`_program`; a result
-    takes the slot of its smallest leaf, so the last lands in slot 0), and
-    ``output_perm`` moves the axes of the last step's result into the
-    declared output order.
+    The search finds the split sequence and :func:`_compile` walks it once
+    into everything here.  ``program`` is what :func:`execute` runs: one
+    compiled matmul step per plan step, and ``output_perm`` moves the axes
+    of the last step's result into the declared output order.
     """
 
     diagram: TensorDiagram
@@ -395,57 +397,54 @@ def plan(diagram: TensorDiagram) -> ContractionPlan:
                         open_size[s] = outer // inner
                         leaves[s] = _bits(s)
 
-    full = (1 << n) - 1
-    plan_steps = []
-    peak = 0
-    for left, right in steps[full]:
-        amask = sum(1 << i for i in left)
-        bmask = sum(1 << i for i in right)
-        oa, ob = open_mask[amask], open_mask[bmask]
-        shared = oa & ob
-        scaling = bool(shared) and (amask in diag_singletons
-                                    or bmask in diag_singletons)
-        flops = mask_prod(oa ^ ob) if scaling else 2 * mask_prod(oa | ob)
-        result_axes = _bits(oa ^ ob)
-        result_dims = tuple(sizes[aid] for aid in result_axes)
-        peak = max(peak, math.prod(result_dims))
-        plan_steps.append(PlanStep(left, right, result_dims, flops,
-                                   result_axes, scaling))
-    result = ContractionPlan(diagram, tuple(plan_steps), cost[full], peak,
-                             *_program(diagram, plan_steps))
+    result = _compile(diagram, steps[(1 << n) - 1])
     _PLAN_CACHE[key] = result
     if len(_PLAN_CACHE) > PLAN_CACHE_SIZE:
         _PLAN_CACHE.popitem(last=False)
     return result
 
 
-def _program(diagram: TensorDiagram, steps) -> tuple[tuple, tuple[int, ...]]:
-    """Each step as ``(a, perm_a, shape_a, b, perm_b, shape_b, dims)``.
+def _compile(diagram: TensorDiagram, splits) -> ContractionPlan:
+    """Walk a split sequence once into its plan.
 
-    A step moves the left operand (slot ``a``) to its free axes then the
-    shared ones, and the right (slot ``b``) to the shared axes then its free
-    ones, each group in increasing axis id, views both as matrices of
-    ``shape_a`` and ``shape_b`` and multiplies them.  The product, viewed
-    with ``dims``, carries the left's free axes then the right's; a
-    diagonal node takes part as its dense diagonal matrix.
+    ``splits`` are ``(left, right)`` pairs of sorted leaf ids, the left
+    holding the smaller node; a result takes the slot of its smallest leaf,
+    so the last lands in slot 0.  A program step ``(a, perm_a, shape_a, b,
+    perm_b, shape_b, dims)`` views the left operand as a matrix over (its
+    free axes, the shared ones) and the right over (the shared axes, its
+    free ones), each group in increasing axis id, and multiplies them; the
+    product, viewed with ``dims``, carries the left's free axes then the
+    right's.  A diagonal node takes part as its dense diagonal matrix, but
+    a step that consumes one along a shared axis costs as a scaling.
     """
     sizes = diagram.axis_sizes
-    axes = list(diagram.node_axis_ids)  # per slot: the axes it carries
-    program = []
-    for step in steps:
-        a, b = step.left[0], step.right[0]
+    axes = list(diagram.node_axis_ids)  # per slot: its axes in memory order
+    steps, program, peak = [], [], 0
+    for left, right in splits:
+        a, b = left[0], right[0]
         ia, ib = axes[a], axes[b]
         shared = sorted(set(ia) & set(ib))
         free_a = sorted(set(ia) - set(ib))
         free_b = sorted(set(ib) - set(ia))
         m, k, n = (math.prod(sizes[aid] for aid in group)
                    for group in (free_a, shared, free_b))
+        scaling = bool(shared) and any(
+            len(leaves) == 1 and diagram.nodes[leaves[0]].diagonal
+            for leaves in (left, right))
+        result_axes = tuple(sorted(free_a + free_b))
+        steps.append(PlanStep(left, right,
+                              tuple(sizes[aid] for aid in result_axes),
+                              m * n if scaling else 2 * m * k * n,
+                              result_axes, scaling))
+        peak = max(peak, m * n)
+        axes[a] = tuple(free_a + free_b)
         program.append((a, tuple(map(ia.index, free_a + shared)), (m, k),
                         b, tuple(map(ib.index, shared + free_b)), (k, n),
-                        tuple(sizes[aid] for aid in free_a + free_b)))
-        axes[a] = tuple(free_a + free_b)
+                        tuple(sizes[aid] for aid in axes[a])))
     perm = tuple(axes[0].index(aid) for aid in diagram.output_axis_ids)
-    return tuple(program), perm
+    return ContractionPlan(diagram, tuple(steps),
+                           sum(step.flops for step in steps), peak,
+                           tuple(program), perm)
 
 
 def _canonical_binding(diagram: TensorDiagram, data) -> list[np.ndarray]:
@@ -484,10 +483,7 @@ def execute(cplan: ContractionPlan, data) -> np.ndarray:
                              slots[b].transpose(perm_b).reshape(shape_b)
                              ).reshape(dims)
         slots[b] = None
-    final = slots[0]
-    if final.ndim == 0:
-        return final
-    return np.transpose(final, cplan.output_perm)
+    return np.transpose(slots[0], cplan.output_perm)
 
 
 def svdp_diagram(d_out: int, d_in: int, r: int, d_x: int) -> TensorDiagram:
@@ -517,47 +513,28 @@ def _chain_diagram(out_factors, in_factors, ranks, d_x: int) -> TensorDiagram:
     d_out_len, d_in_len = len(out_factors), len(in_factors)
     if len(ranks) != d_out_len + d_in_len + 1:
         raise ShapeError("rank schedule length mismatch")
-    r = ranks[d_out_len]
-    # V-side local ranks, outer end first: rho_0=1, ..., rho_{D_in}=r
-    rho = tuple(reversed(ranks[d_out_len:]))
-
-    nodes = []
-    edges = []
-    output = []
-    # U cores: ids 0..d_out_len-1; first core drops its rank-1 left leg
-    for k in range(d_out_len):
-        if k == 0:
-            nodes.append(DiagramNode((out_factors[0], ranks[1]),
-                                     name="u_core_1"))
-            output.append((0, 0))
-        else:
-            nodes.append(DiagramNode((ranks[k], out_factors[k], ranks[k + 1]),
-                                     name=f"u_core_{k + 1}"))
-            edges.append((k - 1, 1 if k == 1 else 2, k, 0))
-            output.append((k, 1))
-    sigma_id = d_out_len
-    nodes.append(DiagramNode((r, r), diagonal=True, name="sigma"))
-    edges.append((sigma_id - 1, 1 if d_out_len == 1 else 2, sigma_id, 0))
-    # V cores in global order: local j = D_in .. 1; ids sigma_id+1 ..
-    x_id = sigma_id + d_in_len + 1
-    for pos in range(d_in_len):
-        j = d_in_len - pos  # local index, 1-based
-        node_id = sigma_id + 1 + pos
-        if j == 1:
-            nodes.append(DiagramNode((in_factors[0], rho[1]),
-                                     name="v_core_1"))
-            rank_axis, n_axis = 1, 0
-        else:
-            nodes.append(DiagramNode((rho[j - 1], in_factors[j - 1], rho[j]),
-                                     name=f"v_core_{j}"))
-            rank_axis, n_axis = 2, 1
-        if pos == 0:
-            edges.append((sigma_id, 1, node_id, rank_axis))
-        else:
-            prev = node_id - 1
-            prev_left_axis = 0
-            edges.append((prev, prev_left_axis, node_id, rank_axis))
-        edges.append((node_id, n_axis, x_id, j - 1))
+    # per node in chain order: its three-leg dims, name, and the axes that
+    # join the node before and the node after it; a V core keeps its stored
+    # (rho_{j-1}, n, rho_j) order, so its last axis faces the spectrum
+    chain = [((ranks[k], n, ranks[k + 1]), f"u_core_{k + 1}", 0, 2)
+             for k, n in enumerate(out_factors)]
+    chain.append(((ranks[d_out_len],) * 2, "sigma", 0, 1))
+    chain += [((ranks[-j - 1], in_factors[j], ranks[-j - 2]),
+               f"v_core_{j + 1}", 2, 0) for j in reversed(range(d_in_len))]
+    x_id = len(chain)
+    nodes, edges, output = [], [], []
+    for i, (dims, name, back, fore) in enumerate(chain):
+        # the outer cores lose their rank-1 leg, by position: at r = 1 the
+        # interior rank legs are 1 as well and stay
+        drop = i in (0, x_id - 1)
+        nodes.append(DiagramNode(dims[drop:], i == d_out_len, name))
+        if i:
+            edges.append((i - 1, prev_fore, i, back - drop))
+        prev_fore = fore - drop
+        if i < d_out_len:  # a U core's n leg is an output leg
+            output.append((i, 1 - drop))
+        elif i > d_out_len:  # a V core's n leg joins its axis of x
+            edges.append((i, 1 - drop, x_id, x_id - 1 - i))
     nodes.append(DiagramNode((*in_factors, d_x), name="x"))
     output.append((x_id, d_in_len))
     return TensorDiagram(nodes, edges, output)
@@ -610,10 +587,11 @@ def apply_map(params, x: np.ndarray) -> np.ndarray:
         return np.zeros((params.d_out, 0))
     view = params.chain
     sigma = materialize_sigma(params.spectrum)
-    u_cores, v_cores = view.cores(hh.decode_layouts(view.layouts))
+    frames = hh.decode_layouts(view.layouts)
     diagram = sttp_diagram(view.out_factors, view.in_factors, view.ranks, d_x)
-    # U cores, sigma, V cores spectrum-to-outer, x; outer cores drop rank 1
-    data = [u_cores[0][0], *u_cores[1:], sigma, *reversed(v_cores[1:]),
-            v_cores[0][0], x.reshape(*view.in_factors, d_x)]
-    y = execute(plan(diagram), dict(enumerate(data)))
+    n_u = len(view.u_layouts)
+    data = [*frames[:n_u], sigma, *reversed(frames[n_u:]), x]  # node order
+    y = execute(plan(diagram), {
+        i: a if node.diagonal else a.reshape(node.dims)
+        for i, (node, a) in enumerate(zip(diagram.nodes, data))})
     return y.reshape(params.d_out, d_x)

@@ -51,7 +51,9 @@ class SpectrumParams:
     In identity mode the materialized diagonal is exactly ``signs`` and
     carries no free parameters; in the learned modes the free vector ``s``
     (signs already folded in at initialization) is the parameter and
-    ``signs`` is kept only as bookkeeping.
+    ``signs`` is kept only as bookkeeping.  Both vectors are read-only
+    float64 copies, so writing to the caller's arrays never changes the
+    spectrum; pickling or copying rebuilds it through its constructor.
     """
 
     mode: str
@@ -66,20 +68,26 @@ class SpectrumParams:
         if self.r < 1:
             raise DomainError("spectrum needs r >= 1")
         signs = np.ones(self.r) if self.signs is None else \
-            np.asarray(self.signs, dtype=np.float64).ravel()
+            np.array(self.signs, dtype=np.float64).ravel()
         if signs.size != self.r or not np.all(np.abs(signs) == 1.0):
             raise DomainError("signs must be an r-vector of +-1")
+        signs.flags.writeable = False
         object.__setattr__(self, "signs", signs)
         if self.mode == IDENTITY:
             if self.s is not None:
                 raise DomainError("identity spectrum carries no free vector")
         else:
-            s = np.asarray(self.s, dtype=np.float64).ravel()
+            s = np.array(self.s, dtype=np.float64).ravel()
             if s.size != self.r:
                 raise DomainError(f"expected {self.r} spectrum values, got {s.size}")
+            s.flags.writeable = False
             object.__setattr__(self, "s", s)
         if not 0.0 <= self.lam < np.inf:  # NaN fails too
             raise DomainError("regularizer weight must be finite and >= 0")
+
+    def __reduce__(self):
+        return (SpectrumParams, (self.mode, self.r, self.s, self.signs,
+                                 self.lam))
 
     @property
     def n_params(self) -> int:
@@ -88,8 +96,7 @@ class SpectrumParams:
     def with_s(self, s) -> "SpectrumParams":
         if self.mode == IDENTITY:
             raise DomainError("identity spectrum carries no free vector")
-        return SpectrumParams(self.mode, self.r, np.asarray(s, dtype=np.float64),
-                              self.signs, self.lam)
+        return SpectrumParams(self.mode, self.r, s, self.signs, self.lam)
 
 
 def init_spectrum(mode: str, r: int, signs=None, lam: float = 0.0

@@ -163,7 +163,7 @@ def redundancy_witness(p: SvdpParams, q: np.ndarray) -> SvdpParams:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (p.r, p.r):
         raise ShapeError(f"rotation must be {p.r} x {p.r}, got {q.shape}")
-    if np.linalg.norm(q.T @ q - np.eye(p.r)) > 1e-10:
+    if not np.linalg.norm(q.T @ q - np.eye(p.r)) <= 1e-10:  # NaN fails too
         raise DomainError("witness rotation is not orthogonal")
     u = hh.decode(p.u_layout)
     v = hh.decode(p.v_layout) * p.spectrum.signs  # absorb signs into V

@@ -182,7 +182,7 @@ def gauge_transform(cores, q_list) -> list[np.ndarray]:
         r = cores[k].shape[2]
         if q.shape != (r, r):
             raise ShapeError(f"rotation {k} must be {r} x {r}, got {q.shape}")
-        if np.linalg.norm(q.T @ q - np.eye(r)) > 1e-10:
+        if not np.linalg.norm(q.T @ q - np.eye(r)) <= 1e-10:  # NaN fails too
             raise DomainError(f"rotation {k} is not orthogonal")
     out = []
     for k, core in enumerate(cores):

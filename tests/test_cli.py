@@ -272,6 +272,42 @@ class TestCli:
         assert "total_flops=708" in out
         assert "naive_flops=11584" in out
 
+    def test_plan_sttp_paper_instance_steps(self, capsys):
+        assert main(["plan", "--scheme", "sttp", "--dout", "16", "--din", "72",
+                     "--rank", "4", "--dx", "1", "--naive"]) == 0
+        assert capsys.readouterr().out == """\
+step 1: contract [u_core_1] x [u_core_2] -> dims=(4, 2, 2) flops=64
+step 2: contract [v_core_2] x [v_core_1] -> dims=(4, 2, 2) flops=64
+step 3: contract [v_core_3] x [v_core_2+v_core_1] -> dims=(4, 2, 2, 2) flops=256
+step 4: contract [v_core_3+v_core_2+v_core_1] x [x] -> dims=(3, 3, 4, 1) flops=576
+step 5: contract [v_core_4] x [v_core_3+v_core_2+v_core_1+x] -> dims=(3, 4, 1) flops=288
+step 6: contract [v_core_5] x [v_core_4+v_core_3+v_core_2+v_core_1+x] -> dims=(4, 1) flops=96
+step 7: scale [sigma] x [v_core_5+v_core_4+v_core_3+v_core_2+v_core_1+x] -> dims=(4, 1) flops=4
+step 8: contract [u_core_4] x [sigma+v_core_5+v_core_4+v_core_3+v_core_2+v_core_1+x] -> dims=(4, 2, 1) flops=64
+step 9: contract [u_core_3] x [u_core_4+sigma+v_core_5+v_core_4+v_core_3+v_core_2+v_core_1+x] -> dims=(4, 2, 2, 1) flops=128
+step 10: contract [u_core_1+u_core_2] x [u_core_3+u_core_4+sigma+v_core_5+v_core_4+v_core_3+v_core_2+v_core_1+x] -> dims=(2, 2, 2, 2, 1) flops=128
+total_flops=1668
+peak_intermediate=36
+naive_flops=15808
+"""
+
+    def test_plan_sttp_rank_one_chain_keeps_interior_legs(self, capsys):
+        # 8 nodes: the exhaustive side of the planner; the interior rank-1
+        # legs show as 1s in dims
+        assert main(["plan", "--scheme", "sttp", "--dout", "8", "--din", "8",
+                     "--rank", "1", "--dx", "3"]) == 0
+        assert capsys.readouterr().out == """\
+step 1: contract [u_core_1] x [u_core_2] -> dims=(1, 2, 2) flops=8
+step 2: scale [u_core_3] x [sigma] -> dims=(1, 1, 2) flops=2
+step 3: contract [v_core_3] x [v_core_2] -> dims=(1, 2, 2, 1) flops=8
+step 4: contract [v_core_3+v_core_2] x [x] -> dims=(1, 1, 2, 3) flops=48
+step 5: contract [v_core_3+v_core_2+x] x [v_core_1] -> dims=(1, 3) flops=12
+step 6: contract [u_core_3+sigma] x [v_core_3+v_core_2+v_core_1+x] -> dims=(1, 2, 3) flops=12
+step 7: contract [u_core_1+u_core_2] x [u_core_3+sigma+v_core_3+v_core_2+v_core_1+x] -> dims=(2, 2, 2, 3) flops=48
+total_flops=138
+peak_intermediate=24
+"""
+
     @pytest.mark.parametrize("dx", ["0", "-3"])
     def test_plan_rejects_non_positive_dx(self, capsys, dx):
         assert main(["plan", "--scheme", "sttp", "--dout", "16", "--din",

@@ -1,6 +1,8 @@
 """Spectrum materialization, penalty, Lipschitz bound, stable rank, budgets."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -44,6 +46,65 @@ class TestMaterializeSigma:
     def test_bad_regularizer_weight_rejected(self, lam):
         with pytest.raises(DomainError):
             sp.SpectrumParams(sp.LEARNED, 2, np.ones(2), None, lam)
+
+
+class TestImmutableSpectrum:
+    def test_writes_to_the_source_s_do_not_reach_the_spectrum(self):
+        s = np.array([2.0, -1.0, 0.5])
+        spec = sp.SpectrumParams(sp.LEARNED, 3, s)
+        sigma = sp.materialize_sigma(spec)
+        s[0] = 4.0
+        assert spec.s.tolist() == [2.0, -1.0, 0.5]
+        assert sp.materialize_sigma(spec).tobytes() == sigma.tobytes()
+
+    def test_writes_to_the_source_signs_do_not_reach_the_spectrum(self):
+        signs = np.array([1.0, -1.0, 1.0])
+        spec = sp.SpectrumParams(sp.IDENTITY, 3, None, signs)
+        signs[1] = 1.0
+        assert spec.signs.tolist() == [1.0, -1.0, 1.0]
+        assert sp.materialize_sigma(spec).tolist() == [1.0, -1.0, 1.0]
+
+    def test_with_s_keeps_its_own_copy(self):
+        spec = sp.SpectrumParams(sp.LEARNED, 2, np.array([1.0, 0.5]))
+        s = np.array([0.25, -1.0])
+        twin = spec.with_s(s)
+        s[1] = 8.0
+        assert twin.s.tolist() == [0.25, -1.0]
+        assert not twin.s.flags.writeable
+        assert spec.s.tolist() == [1.0, 0.5]
+
+    @pytest.mark.parametrize("mode", [sp.LEARNED, sp.IDENTITY])
+    def test_vectors_are_read_only(self, mode):
+        s = None if mode == sp.IDENTITY else np.array([3.0, -1.0])
+        for signs in (None, np.array([1.0, -1.0])):
+            spec = sp.SpectrumParams(mode, 2, s, signs)
+            held = [spec.signs] if s is None else [spec.s, spec.signs]
+            for vec in held:
+                assert vec.dtype == np.float64
+                assert not vec.flags.writeable
+                with pytest.raises(ValueError):
+                    vec[0] = 1.0
+
+    @pytest.mark.parametrize("clone", [
+        lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"])
+    @pytest.mark.parametrize("mode", [sp.LEARNED, sp.IDENTITY])
+    def test_pickle_and_copy_rebuild_through_the_constructor(self, clone,
+                                                            mode):
+        s = None if mode == sp.IDENTITY else np.array([0.5, -2.0, 1.0])
+        spec = sp.SpectrumParams(mode, 3, s, np.array([-1.0, 1.0, 1.0]),
+                                 0.25)
+        twin = clone(spec)
+        assert (twin.mode, twin.r, twin.lam) == (mode, 3, 0.25)
+        assert not twin.signs.flags.writeable
+        assert twin.signs.tobytes() == spec.signs.tobytes()
+        if s is None:
+            assert twin.s is None
+        else:
+            assert not twin.s.flags.writeable
+            assert twin.s.tobytes() == spec.s.tobytes()
+        assert sp.materialize_sigma(twin).tobytes() == \
+            sp.materialize_sigma(spec).tobytes()
 
 
 class TestDOptimalPenalty:

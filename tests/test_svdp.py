@@ -158,3 +158,9 @@ class TestRedundancyWitness:
         p = self._full_full_identity(3)
         with pytest.raises(DomainError):
             svdp.redundancy_witness(p, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_nan_rotation_rejected(self):
+        p = self._full_full_identity(4)
+        with pytest.raises(DomainError,
+                           match="witness rotation is not orthogonal"):
+            svdp.redundancy_witness(p, np.full((2, 2), np.nan))

@@ -223,6 +223,11 @@ class TestGaugeTransform:
         with pytest.raises(DomainError):
             tt.gauge_transform(cores, [np.array([[1.0, 1.0], [0.0, 1.0]])])
 
+    def test_nan_rotation_rejected(self):
+        cores = random_orthonormal_chain((2, 2), (1, 2, 1), 12)
+        with pytest.raises(DomainError, match="rotation 0 is not orthogonal"):
+            tt.gauge_transform(cores, [np.full((2, 2), np.nan)])
+
     def test_wrong_count_rejected(self):
         cores = random_orthonormal_chain((2, 2), (1, 2, 1), 11)
         with pytest.raises(ShapeError):
