@@ -113,7 +113,7 @@ def dof(d: int, r: int, variant: str) -> int:
     return d * r - r * r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HouseholderLayout:
     """Reflector parameters for one orthonormal frame.
 
@@ -127,6 +127,7 @@ class HouseholderLayout:
     holds it (a view of a ``d_pad x r_pad`` array) for as long as the
     layout lives.  Pickling or copying rebuilds the layout through its
     constructor, with a fresh read-only copy of ``params`` and no frame.
+    Since a layout carries that memo, ``==`` and ``hash`` go by identity.
     """
 
     d: int

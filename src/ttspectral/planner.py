@@ -21,10 +21,10 @@ core, timeit).  Plans depend only on the diagram, not on bound data, and
 are cached per diagram shape.
 
 The search yields only a split sequence; :func:`_compile` walks it once
-into the plan's steps, costs and matmul program: per step a fixed
-transpose and reshape of each operand and one BLAS ``matmul`` (a diagonal
-node joins as its dense diagonal matrix), which :func:`execute` runs
-without any einsum.
+into the plan's steps, costs and program: per step the transposes and
+reshapes of each operand that are not no-ops, then one BLAS ``matmul``, or,
+where a diagonal leaf joins along one axis, a broadcast scaling by its
+diagonal vector.  :func:`execute` runs that program without any einsum.
 
 :func:`sttp_diagram` realizes applying a parameterized map ``y = W x``
 without decompressing ``W``: the chain of cores, with the input tensorized
@@ -222,8 +222,12 @@ class ContractionPlan:
 
     The search finds the split sequence and :func:`_compile` walks it once
     into everything here.  ``program`` is what :func:`execute` runs: one
-    compiled matmul step per plan step, and ``output_perm`` moves the axes
-    of the last step's result into the declared output order.
+    compiled step per plan step, a ``matmul`` or, where a diagonal leaf
+    joins along one axis, a scaling by its vector.  ``vector_shapes`` holds
+    per node the shape a diagonal node's vector is bound as, and None for a
+    diagonal bound as its dense matrix and for every other node.
+    ``output_perm`` moves the axes of the last step's result into the
+    declared output order, None when they already are.
     """
 
     diagram: TensorDiagram
@@ -231,7 +235,8 @@ class ContractionPlan:
     total_flops: int
     peak_intermediate: int
     program: tuple = field(repr=False, compare=False)
-    output_perm: tuple[int, ...] = field(repr=False, compare=False)
+    vector_shapes: tuple = field(repr=False, compare=False)
+    output_perm: tuple[int, ...] | None = field(repr=False, compare=False)
 
 
 _PLAN_CACHE: OrderedDict[tuple, ContractionPlan] = OrderedDict()
@@ -410,15 +415,29 @@ def _compile(diagram: TensorDiagram, splits) -> ContractionPlan:
     ``splits`` are ``(left, right)`` pairs of sorted leaf ids, the left
     holding the smaller node; a result takes the slot of its smallest leaf,
     so the last lands in slot 0.  A program step ``(a, perm_a, shape_a, b,
-    perm_b, shape_b, dims)`` views the left operand as a matrix over (its
-    free axes, the shared ones) and the right over (the shared axes, its
-    free ones), each group in increasing axis id, and multiplies them; the
-    product, viewed with ``dims``, carries the left's free axes then the
-    right's.  A diagonal node takes part as its dense diagonal matrix, but
-    a step that consumes one along a shared axis costs as a scaling.
+    perm_b, shape_b, op, dims)`` views the left operand as a matrix over
+    (its free axes, the shared ones) and the right over (the shared axes,
+    its free ones), each group in increasing axis id, and applies ``op``;
+    the product, viewed with ``dims``, carries the left's free axes then
+    the right's.  A ``None`` perm, shape or dims is a no-op and is skipped.
+
+    ``op`` is BLAS ``matmul``, except where a diagonal leaf joins along
+    exactly one shared axis: that step is a scaling, whose leaf is bound as
+    its diagonal vector shaped to broadcast over the other operand's matrix
+    view.  Any other diagonal leaf (an outer product, or one sharing both
+    axes) is bound as its dense diagonal matrix; a step that consumes one
+    along a shared axis still costs as a scaling.
     """
     sizes = diagram.axis_sizes
+    nodes = diagram.nodes
     axes = list(diagram.node_axis_ids)  # per slot: its axes in memory order
+    vector_shapes = [None] * len(nodes)
+
+    def view(ids, order, shape):  # transpose and reshape, None if no-ops
+        perm = tuple(map(ids.index, order))
+        return (None if perm == tuple(range(len(perm))) else perm,
+                None if tuple(sizes[aid] for aid in order) == shape else shape)
+
     steps, program, peak = [], [], 0
     for left, right in splits:
         a, b = left[0], right[0]
@@ -428,28 +447,44 @@ def _compile(diagram: TensorDiagram, splits) -> ContractionPlan:
         free_b = sorted(set(ib) - set(ia))
         m, k, n = (math.prod(sizes[aid] for aid in group)
                    for group in (free_a, shared, free_b))
-        scaling = bool(shared) and any(
-            len(leaves) == 1 and diagram.nodes[leaves[0]].diagonal
-            for leaves in (left, right))
+        diagonal = [len(leaves) == 1 and nodes[leaves[0]].diagonal
+                    for leaves in (left, right)]
+        scaling = bool(shared) and any(diagonal)
         result_axes = tuple(sorted(free_a + free_b))
         steps.append(PlanStep(left, right,
                               tuple(sizes[aid] for aid in result_axes),
                               m * n if scaling else 2 * m * k * n,
                               result_axes, scaling))
         peak = max(peak, m * n)
+        view_a = view(ia, free_a + shared, (m, k))
+        view_b = view(ib, shared + free_b, (k, n))
+        op = np.matmul
+        if len(shared) == 1 and any(diagonal):
+            op = _scale
+            if diagonal[0]:  # the vector scales the right's rows
+                vector_shapes[a], view_a = (k, 1), (None, None)
+            else:  # the vector scales the left's columns
+                vector_shapes[b], view_b = (k,), (None, None)
         axes[a] = tuple(free_a + free_b)
-        program.append((a, tuple(map(ia.index, free_a + shared)), (m, k),
-                        b, tuple(map(ib.index, shared + free_b)), (k, n),
-                        tuple(sizes[aid] for aid in axes[a])))
+        dims = tuple(sizes[aid] for aid in axes[a])
+        program.append((a, *view_a, b, *view_b, op,
+                        None if dims == (m, n) else dims))
     perm = tuple(axes[0].index(aid) for aid in diagram.output_axis_ids)
     return ContractionPlan(diagram, tuple(steps),
                            sum(step.flops for step in steps), peak,
-                           tuple(program), perm)
+                           tuple(program), tuple(vector_shapes),
+                           None if perm == tuple(range(len(perm))) else perm)
 
 
-def _canonical_binding(diagram: TensorDiagram, data) -> list[np.ndarray]:
+def _scale(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A scaling step: the broadcast product, laid out in C order like the
+    ``matmul`` it stands for, so later steps hand BLAS the same strides."""
+    return np.multiply(x, y, order="C")
+
+
+def _bind(cplan: ContractionPlan, data) -> list[np.ndarray]:
     arrays = []
-    for i, node in enumerate(diagram.nodes):
+    for i, node in enumerate(cplan.diagram.nodes):
         if i not in data:
             raise BindingError(f"no data bound for node {i} ({node.name!r})")
         arr = np.asarray(data[i], dtype=np.float64)
@@ -459,7 +494,8 @@ def _canonical_binding(diagram: TensorDiagram, data) -> list[np.ndarray]:
                     f"node {i} is diagonal; bind its diagonal vector of "
                     f"length {node.dims[0]}, got shape {arr.shape}"
                 )
-            arr = np.diag(arr)
+            shape = cplan.vector_shapes[i]
+            arr = np.diag(arr) if shape is None else arr.reshape(shape)
         elif arr.shape != node.dims:
             raise BindingError(
                 f"node {i} ({node.name!r}) expects shape {node.dims}, "
@@ -474,16 +510,26 @@ def execute(cplan: ContractionPlan, data) -> np.ndarray:
 
     ``data`` maps node index to an array of the node's declared dims.  The
     result carries the diagram's output legs in declared order.  Each step
-    is the plan's compiled matmul step: a transpose and reshape of each
-    operand (views where the layout allows), then one BLAS ``matmul``.
+    is the plan's compiled step: the transposes and reshapes it kept (views
+    where the layout allows), then one BLAS ``matmul``, or for a diagonal
+    leaf joining along one axis a broadcast scaling by its vector.
     """
-    slots = _canonical_binding(cplan.diagram, data)
-    for a, perm_a, shape_a, b, perm_b, shape_b, dims in cplan.program:
-        slots[a] = np.matmul(slots[a].transpose(perm_a).reshape(shape_a),
-                             slots[b].transpose(perm_b).reshape(shape_b)
-                             ).reshape(dims)
+    slots = _bind(cplan, data)
+    for a, perm_a, shape_a, b, perm_b, shape_b, op, dims in cplan.program:
+        x, y = slots[a], slots[b]
+        if perm_a:
+            x = x.transpose(perm_a)
+        if shape_a:
+            x = x.reshape(shape_a)
+        if perm_b:
+            y = y.transpose(perm_b)
+        if shape_b:
+            y = y.reshape(shape_b)
+        x = op(x, y)
+        slots[a] = x if dims is None else x.reshape(dims)
         slots[b] = None
-    return np.transpose(slots[0], cplan.output_perm)
+    out = slots[0]
+    return out if cplan.output_perm is None else out.transpose(cplan.output_perm)
 
 
 def svdp_diagram(d_out: int, d_in: int, r: int, d_x: int) -> TensorDiagram:
@@ -503,13 +549,20 @@ def sttp_diagram(out_factors, in_factors, ranks, d_x: int) -> TensorDiagram:
     spectrum-to-outer, then the tensorized input.  Rank-1 end legs are
     dropped.  Diagrams are cached per shape; treat them as read-only.
     """
-    return _chain_diagram(tuple(int(v) for v in out_factors),
-                          tuple(int(v) for v in in_factors),
-                          tuple(int(v) for v in ranks), int(d_x))
+    return _chain_diagram(tuple(out_factors), tuple(in_factors), tuple(ranks),
+                          d_x)
 
 
 @lru_cache(maxsize=256)
-def _chain_diagram(out_factors, in_factors, ranks, d_x: int) -> TensorDiagram:
+def _chain_diagram(out_factors, in_factors, ranks, d_x) -> TensorDiagram:
+    # the cache compares keys by value, so only a miss converts them to int
+    out_factors, in_factors, ranks = (tuple(map(int, key)) for key in
+                                      (out_factors, in_factors, ranks))
+    d_x = int(d_x)
+    for side, factors in (("out_factors", out_factors),
+                          ("in_factors", in_factors)):
+        if not factors:
+            raise ShapeError(f"{side} is empty: each side needs a core")
     d_out_len, d_in_len = len(out_factors), len(in_factors)
     if len(ranks) != d_out_len + d_in_len + 1:
         raise ShapeError("rank schedule length mismatch")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumParams:
     """Diagonal-factor state for one parameterized matrix.
 
@@ -53,7 +54,12 @@ class SpectrumParams:
     (signs already folded in at initialization) is the parameter and
     ``signs`` is kept only as bookkeeping.  Both vectors are read-only
     float64 copies, so writing to the caller's arrays never changes the
-    spectrum; pickling or copying rebuilds it through its constructor.
+    spectrum.
+
+    :func:`materialize_sigma` memoizes the read-only diagonal (r floats) on
+    the object.  Pickling or copying rebuilds it through its constructor,
+    without the memo.  Since the object carries a memo, ``==`` and ``hash``
+    go by identity: two spectra of equal values compare unequal.
     """
 
     mode: str
@@ -88,6 +94,12 @@ class SpectrumParams:
     def __reduce__(self):
         return (SpectrumParams, (self.mode, self.r, self.s, self.signs,
                                  self.lam))
+
+    @cached_property
+    def _sigma(self) -> np.ndarray:
+        sigma = normalize_spectrum(self.s, self.signs)[0]
+        sigma.flags.writeable = False
+        return sigma
 
     @property
     def n_params(self) -> int:
@@ -127,8 +139,12 @@ def normalize_spectrum(s: np.ndarray | None, signs: np.ndarray):
 
 
 def materialize_sigma(sp: SpectrumParams) -> np.ndarray:
-    """The r diagonal entries: ``signs`` (identity) or ``s / max|s|``."""
-    return normalize_spectrum(sp.s, sp.signs)[0]
+    """The r diagonal entries: ``signs`` (identity) or ``s / max|s|``.
+
+    The first call for a spectrum object normalizes and keeps the result on
+    it, read-only; later calls return that same array.
+    """
+    return sp._sigma
 
 
 def d_optimal_penalty(sigma) -> float:

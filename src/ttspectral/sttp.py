@@ -233,13 +233,14 @@ def sttp_dof(d_out: int, d_in: int, r: int, spectrum_mode: str) -> int:
                      spectrum_mode)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SttpParams:
     """Complete chain parameter set.
 
     ``u_layouts`` and ``v_layouts`` run from the outer end of each side
     toward the spectrum, one layout per core, with shapes and variants
-    matching :func:`core_specs`.
+    matching :func:`core_specs`.  Its parts memoize their frames and sigma,
+    so ``==`` and ``hash`` go by identity.
     """
 
     out_fac: DimFactorization

@@ -56,14 +56,16 @@ def svdp_dof(d_out: int, d_in: int, r: int, spectrum_mode: str) -> int:
     return chain_dof((d_out,), (d_in,), r, spectrum_mode)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdpParams:
     """Complete parameter set: two frame layouts plus the spectrum.
 
     :func:`init_svdp_params` applies the gauge rule (reduced U with an
     identity spectrum, full/full otherwise).  Direct construction skips it
     so that the gauge redundancy of full/full identity-spectrum parameter
-    sets can be demonstrated; dims and rank are always validated.
+    sets can be demonstrated; dims and rank are always validated.  Its
+    parts memoize their frames and sigma, so ``==`` and ``hash`` go by
+    identity.
     """
 
     d_out: int

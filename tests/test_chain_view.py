@@ -10,8 +10,9 @@ from ttspectral import planner as pl
 from ttspectral.fit import FitConfig, fit_matrix
 from ttspectral.sampling import random_sttp_params, random_svdp_params
 from ttspectral.schemes import SCHEMES
+from ttspectral.spectral import SpectrumParams
 from ttspectral.spectrum_modes import IDENTITY, LEARNED
-from ttspectral.sttp import SttpParams, core_specs
+from ttspectral.sttp import SttpParams, core_specs, init_sttp_params
 from ttspectral.svdp import SvdpParams, init_svdp_params
 
 
@@ -111,3 +112,20 @@ class TestUnitDimSvdp:
         assert len(result.trace) == 5
         assert np.all(np.isfinite(result.trace))
         assert ad.pack(result.params).size == p.n_params
+
+
+class TestIdentityEquality:
+    # parameter objects memoize frames and sigma, so they compare by identity
+    @pytest.mark.parametrize("make", [
+        lambda: SpectrumParams(LEARNED, 2, [1.0, 0.5]),
+        lambda: hh.make_layout(5, 2, hh.FULL, np.arange(7.0) / 10),
+        lambda: init_svdp_params(6, 5, 2, LEARNED, 0),
+        lambda: init_sttp_params(16, 72, 4, IDENTITY, 0),
+    ], ids=["spectrum", "layout", "svdp", "sttp"])
+    def test_equal_values_are_distinct_objects(self, make):
+        p, twin = make(), make()
+        assert p == p
+        assert not p == twin
+        assert p != twin
+        assert hash(p) == hash(p)
+        assert len({p, twin}) == 2

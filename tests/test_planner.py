@@ -100,6 +100,13 @@ class TestDiagramValidation:
         with pytest.raises(ShapeError):
             pl.TensorDiagram(nodes, [(0, 1, 1, 0)], [])
 
+    @pytest.mark.parametrize("out_factors, in_factors, side", [
+        ((), (4,), "out_factors"), ((4,), (), "in_factors")])
+    def test_chain_with_an_empty_side_rejected(self, out_factors, in_factors,
+                                               side):
+        with pytest.raises(ShapeError, match=f"{side} is empty"):
+            pl.sttp_diagram(out_factors, in_factors, (1, 1), 1)
+
     def test_node_cap(self):
         nodes = [pl.DiagramNode((2, 2)) for _ in range(17)]
         edges = [(i, 1, i + 1, 0) for i in range(16)]
@@ -279,15 +286,29 @@ class TestExecute:
     def test_program_makes_the_per_step_matmuls(self):
         # each step moves the left operand to (free, shared) axes and the
         # right to (shared, free), each group by increasing axis id, and
-        # multiplies them as matrices; execute must match that bit for bit
+        # multiplies them as matrices, a diagonal node as its dense matrix;
+        # execute, which scales by a diagonal joining along one axis, must
+        # match that bit for bit
         rng = np.random.default_rng(3)
-        for diagram in (random_chain_diagram(rng, 7, with_diagonal=True),
-                        library_diagram("sttp", 16, 72, 4, LEARNED, 3)):
+        diagrams = [random_chain_diagram(rng, 7, with_diagonal=True),
+                    library_diagram("sttp", 16, 72, 4, LEARNED, 3)]
+        # up to 8 nodes the search tries every tree, outer products too
+        shapes = np.random.default_rng(10)
+        diagrams += [random_chain_diagram(shapes, n, with_diagonal=True)
+                     for n in range(3, 9)]
+        # a diagonal leaf joining along both of its axes
+        diagrams.append(pl.TensorDiagram(
+            [pl.DiagramNode((3, 3, 2)), pl.DiagramNode((3, 3), True)],
+            [(0, 0, 1, 0), (0, 1, 1, 1)], [(0, 2)]))
+        bound = []
+        for diagram in diagrams:
             sizes = diagram.axis_sizes
             data = {i: rng.standard_normal(node.dims[:1] if node.diagonal
                                            else node.dims)
                     for i, node in enumerate(diagram.nodes)}
             cplan = pl.plan(diagram)
+            bound += [shape for node, shape in
+                      zip(diagram.nodes, cplan.vector_shapes) if node.diagonal]
             inter = {}
             for i, node in enumerate(diagram.nodes):
                 arr = np.diag(data[i]) if node.diagonal else data[i]
@@ -319,6 +340,25 @@ class TestExecute:
             # and agree with one einsum over the whole diagram
             assert np.allclose(want, one_shot_einsum(diagram, data),
                                rtol=1e-12, atol=1e-12)
+        # diagonals ran both as scalings and as dense matrices
+        assert None in bound and any(shape is not None for shape in bound)
+
+    @pytest.mark.parametrize("spectrum", [LEARNED, IDENTITY])
+    @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
+    def test_library_plans_scale_without_a_diagonal_matrix(
+            self, scheme, spectrum, monkeypatch):
+        maker = random_svdp_params if scheme == "svdp" else random_sttp_params
+        p = maker(16, 72, 4, spectrum, 2)
+        xs = [np.random.default_rng(d_x).standard_normal((72, d_x))
+              for d_x in (1, 3, 64)]
+        want = [pl.apply_map(p, x) for x in xs]
+
+        def no_diag(*args, **kwargs):
+            raise AssertionError("built a dense diagonal matrix")
+
+        monkeypatch.setattr(np, "diag", no_diag)
+        for x, y in zip(xs, want):
+            assert np.array_equal(pl.apply_map(p, x), y)
 
     def test_missing_binding(self):
         diagram = pl.svdp_diagram(4, 5, 2, 1)

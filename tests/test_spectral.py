@@ -107,6 +107,47 @@ class TestImmutableSpectrum:
             sp.materialize_sigma(spec).tobytes()
 
 
+class TestSigmaMemo:
+    @staticmethod
+    def spectrum(mode):
+        s = None if mode == sp.IDENTITY else np.array([0.5, -2.0, 1.0])
+        return sp.SpectrumParams(mode, 3, s, np.array([-1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("mode", [sp.LEARNED, sp.IDENTITY])
+    def test_second_call_returns_the_same_read_only_array(self, mode):
+        spec = self.spectrum(mode)
+        sigma = sp.materialize_sigma(spec)
+        assert sp.materialize_sigma(spec) is sigma
+        assert not sigma.flags.writeable
+        with pytest.raises(ValueError):
+            sigma[0] = 0.25
+        want = sp.normalize_spectrum(spec.s, spec.signs)[0]
+        assert sigma.dtype == np.float64
+        assert sigma.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("clone", [
+        lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"])
+    @pytest.mark.parametrize("mode", [sp.LEARNED, sp.IDENTITY])
+    def test_clones_carry_no_memo(self, clone, mode):
+        spec = self.spectrum(mode)
+        sigma = sp.materialize_sigma(spec)
+        twin = clone(spec)
+        assert "_sigma" not in vars(twin)
+        got = sp.materialize_sigma(twin)
+        assert got is not sigma
+        assert not got.flags.writeable
+        assert got.tobytes() == sigma.tobytes()
+
+    def test_with_s_normalizes_its_own_vector(self):
+        spec = self.spectrum(sp.LEARNED)
+        sp.materialize_sigma(spec)
+        twin = spec.with_s(np.array([4.0, 1.0, -2.0]))
+        assert "_sigma" not in vars(twin)
+        assert sp.materialize_sigma(twin).tolist() == [1.0, 0.25, -0.5]
+        assert sp.materialize_sigma(spec).tolist() == [0.25, -1.0, 0.5]
+
+
 class TestDOptimalPenalty:
     def test_all_ones_is_zero(self):
         assert sp.d_optimal_penalty([1.0, 1.0, 1.0]) == 0.0
