@@ -12,6 +12,11 @@ diagonal 1 keeps every column norm >= 1, so normalization never divides by
 zero.  The product is the UT transform (compact WY) ``I - U T^-1 U^T``,
 ``U = [u_1 ... u_r]``, ``T = I/2 + striu(U^T U)``: decode and its gradient
 are a few batched matmuls and one LAPACK inverse, with no reflector loop.
+The sweep works on column-major canvases (``r_pad x d_pad``, reflectors as
+contiguous rows), which the layouts' structures and :class:`DecodePlan`
+scatter into and gather from directly, so no sweep transposes a canvas.
+``T`` is triangular with diagonal 1/2, never singular, so the inverse is
+the LAPACK gufunc behind ``np.linalg.inv``, called without the wrapper.
 A batch is bitwise each member decoded alone, as are replays and same-seed
 reruns; applying one reflector at a time agrees to rounding only.
 
@@ -44,6 +49,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .dense import orthonormalize
 from .errors import DomainError, ShapeError
@@ -120,8 +126,9 @@ class HouseholderLayout:
     ``params`` stores the free cells column-major by reflector: all free
     cells of column 0 (top to bottom), then column 1, and so on.  Instances
     are immutable; use :func:`make_layout` or ``with_params``.  The
-    constructor keeps a read-only copy of ``params``, so writing to the
-    array it was given changes neither the layout nor its frame.
+    constructor checks that ``params`` holds one finite value per free
+    cell, and keeps a read-only copy, so writing to the array it was given
+    changes neither the layout nor its frame.
 
     :func:`decode` memoizes the read-only frame on the layout, which then
     holds it (a view of a ``d_pad x r_pad`` array) for as long as the
@@ -139,6 +146,13 @@ class HouseholderLayout:
 
     def __post_init__(self):
         params = np.array(self.params, dtype=np.float64).ravel()
+        n_free = _structure(self.d, self.r, self.variant, self.d_pad,
+                            self.r_pad)[0].size
+        if params.size != n_free:
+            raise ShapeError(
+                f"expected {n_free} free parameters, got {params.size}")
+        if not np.isfinite(params).all():
+            raise DomainError("layout parameters must be finite")
         params.flags.writeable = False
         object.__setattr__(self, "params", params)
 
@@ -148,7 +162,7 @@ class HouseholderLayout:
 
     @cached_property
     def _frame(self) -> np.ndarray:
-        q = _reflect_sweep(self.dense()[None])[0, : self.d, : self.r]
+        q = _reflect_sweep(self.dense().T[None])[0, : self.d, : self.r]
         q.flags.writeable = False
         return q
 
@@ -161,11 +175,6 @@ class HouseholderLayout:
         return (self.d_pad, self.r_pad)
 
     def with_params(self, params) -> "HouseholderLayout":
-        params = np.asarray(params, dtype=np.float64).ravel()
-        if params.size != self.params.size:
-            raise ShapeError(
-                f"expected {self.params.size} free parameters, got {params.size}"
-            )
         return HouseholderLayout(self.d, self.r, self.variant, params,
                                  self.d_pad, self.r_pad)
 
@@ -175,12 +184,17 @@ class HouseholderLayout:
                           self.r_pad)[:2]
 
     def dense(self) -> np.ndarray:
-        """Materialize the d_pad x r_pad canvas with structural cells."""
+        """Materialize the d_pad x r_pad canvas with structural cells.
+
+        The result is a fresh writable array in Fortran order: the
+        transpose of the C-contiguous column-major canvas the sweep takes,
+        so ``dense().T`` is that canvas without a copy.
+        """
         _, _, _, base, flat = _structure(self.d, self.r, self.variant,
                                          self.d_pad, self.r_pad)
-        mat = base.copy()
-        mat.reshape(-1)[flat] = self.params
-        return mat
+        canvas = base.copy()
+        canvas.reshape(-1)[flat] = self.params
+        return canvas.T
 
 
 def make_layout(d: int, r: int, variant: str = FULL, params=None,
@@ -189,9 +203,9 @@ def make_layout(d: int, r: int, variant: str = FULL, params=None,
     """Construct a layout; ``params`` defaults to all zeros."""
     d_pad = d if d_pad is None else d_pad
     r_pad = r if r_pad is None else r_pad
-    n_free = _structure(d, r, variant, d_pad, r_pad)[0].size
-    layout = HouseholderLayout(d, r, variant, np.zeros(n_free), d_pad, r_pad)
-    return layout if params is None else layout.with_params(params)
+    if params is None:
+        params = np.zeros(_structure(d, r, variant, d_pad, r_pad)[0].size)
+    return HouseholderLayout(d, r, variant, params, d_pad, r_pad)
 
 
 def layout_from_dense(mat: np.ndarray, d: int, r: int, variant: str = FULL,
@@ -211,17 +225,18 @@ def layout_from_dense(mat: np.ndarray, d: int, r: int, variant: str = FULL,
 def _structure(d: int, r: int, variant: str, d_pad: int, r_pad: int):
     """``(rows, cols, frame, base, flat)`` of a structure, cached, read-only.
 
-    ``rows``/``cols`` are the free cells, ``flat`` the same cells as flat
-    indices into ``base``, the canvas with every free cell zero.  A
-    structure without free cells (square reduced, or 1 x 1) decodes to a
-    fixed ``frame``, decoded here once; otherwise ``frame`` is None.
+    ``rows``/``cols`` are the free cells.  ``base`` is the column-major
+    (``r_pad x d_pad``) canvas with every free cell zero, and ``flat`` the
+    free cells as flat indices into it.  A structure without free cells
+    (square reduced, or 1 x 1) decodes to a fixed ``frame``, decoded here
+    once; otherwise ``frame`` is None.
     """
     cols, rows = np.nonzero(layout_mask(d, r, variant, d_pad, r_pad).T)
-    base = np.eye(d_pad, r_pad)
+    base = np.eye(r_pad, d_pad)
     frame = None
     if rows.size == 0:
         frame = _reflect_sweep(base[None])[0, :d, :r]
-    record = (rows, cols, frame, base, rows * r_pad + cols)
+    record = (rows, cols, frame, base, cols * d_pad + rows)
     for a in record:
         if a is not None:
             a.flags.writeable = False
@@ -240,19 +255,24 @@ def _wy_constants(dp: int, rp: int):
 def _reflect_sweep(canvases: np.ndarray, save: bool = False):
     """Apply the reflector product of each stacked canvas to E = I_{dp x rp}.
 
-    ``canvases`` has shape (batch, d_pad, r_pad); each frame is ``E - U S``,
-    ``S = T^-1 U[:r_pad]^T``.  Stacked BLAS and LAPACK calls run per item
-    and each norm sums a contiguous row, so a batch of one is bitwise a
-    member of a larger batch.  With ``save`` the result is ``(q, saved)``,
-    ``saved`` holding the unit reflectors as rows, the norms, ``T^-1``, ``S``.
+    ``canvases`` is C-contiguous, column-major: shape (batch, r_pad, d_pad),
+    reflector ``j`` in row ``j``.  Each frame (batch, d_pad, r_pad) is
+    ``E - U S``, ``S = T^-1 U[:r_pad]^T``.  Stacked BLAS and LAPACK calls
+    run per item and each norm sums a contiguous row, so a batch of one is
+    bitwise a member of a larger batch.  With ``save`` the result is
+    ``(q, saved)``, ``saved`` holding the unit reflectors as rows, the
+    norms, ``T^-1``, ``S``.
     """
-    upper, half_eye, eye = _wy_constants(*canvases.shape[1:])
-    cols = np.ascontiguousarray(canvases.transpose(0, 2, 1))
-    norms = np.sqrt((cols * cols).sum(axis=2, keepdims=True))
-    units = cols / norms  # norms >= 1 thanks to the structural diagonal 1
-    m = np.linalg.inv(np.where(upper, units @ units.transpose(0, 2, 1),
-                               half_eye))
-    s = m @ units[:, :, : eye.shape[1]]
+    rp, dp = canvases.shape[1:]
+    upper, half_eye, eye = _wy_constants(dp, rp)
+    norms = np.sqrt((canvases * canvases).sum(axis=2, keepdims=True))
+    units = canvases / norms  # norms >= 1 thanks to the structural diagonal 1
+    # T = I/2 + striu(U^T U) is triangular with diagonal 1/2, so never
+    # singular: call the LAPACK gesv gufunc np.linalg.inv wraps, without the
+    # wrapper's conversions and singular-matrix error state (same bits).
+    m = _umath_linalg.inv(np.where(upper, units @ units.transpose(0, 2, 1),
+                                   half_eye), signature="d->d")
+    s = m @ units[:, :, :rp]
     q = eye - units.transpose(0, 2, 1) @ s
     return (q, (units, norms, m, s)) if save else q
 
@@ -260,10 +280,10 @@ def _reflect_sweep(canvases: np.ndarray, save: bool = False):
 def _reflect_sweep_vjp(saved: tuple, g: np.ndarray) -> np.ndarray:
     """Gradient of a saved sweep w.r.t. its canvases, given ``g`` on its q.
 
-    ``g`` and the result have the (batch, d_pad, r_pad) canvas shape.  With
-    ``V = U^T`` and ``A = V[:, :r_pad]``, ``A_bar = T^-T (-V g)``, and the
-    strict upper part ``P`` of ``T_bar = -A_bar S^T`` reaches ``V`` as
-    ``(P + P^T) V``.
+    ``g`` has the frame shape (batch, d_pad, r_pad), the result the
+    column-major canvas shape (batch, r_pad, d_pad).  With ``V = U^T`` and
+    ``A = V[:, :r_pad]``, ``A_bar = T^-T (-V g)``, and the strict upper
+    part ``P`` of ``T_bar = -A_bar S^T`` reaches ``V`` as ``(P + P^T) V``.
     """
     units, norms, m, s = saved
     upper = _wy_constants(*g.shape[1:])[0]
@@ -272,7 +292,7 @@ def _reflect_sweep_vjp(saved: tuple, g: np.ndarray) -> np.ndarray:
     v_bar = (p + p.transpose(0, 2, 1)) @ units - s @ g.transpose(0, 2, 1)
     v_bar[:, :, : g.shape[2]] += a_bar
     g_cols = v_bar - units * (units * v_bar).sum(axis=2, keepdims=True)
-    return (g_cols / norms).transpose(0, 2, 1)
+    return g_cols / norms
 
 
 def decode(layout: HouseholderLayout) -> np.ndarray:
@@ -295,7 +315,7 @@ def decode_batch(layouts) -> list[np.ndarray]:
     shapes = {la.padded_shape for la in layouts}
     if len(shapes) != 1:
         raise DomainError(f"batch mixes padded dims: {sorted(shapes)}")
-    q = _reflect_sweep(np.stack([la.dense() for la in layouts]))
+    q = _reflect_sweep(np.stack([la.dense().T for la in layouts]))
     return [q[i, : la.d, : la.r] for i, la in enumerate(layouts)]
 
 
@@ -310,10 +330,9 @@ def decode_layouts(layouts, save: bool = False):
     :func:`decode_layouts_vjp` needs.
     """
     if not save:
-        frames = [_structure(la.d, la.r, la.variant, la.d_pad, la.r_pad)[2]
-                  for la in layouts]
-        return [decode(la) if frame is None else frame
-                for la, frame in zip(layouts, frames)]
+        return [decode(la) if la.params.size else
+                _structure(la.d, la.r, la.variant, la.d_pad, la.r_pad)[2]
+                for la in layouts]
     plan = DecodePlan(layouts, list(accumulate(
         (la.params.size for la in layouts[:-1]), initial=0)))
     frames, sweeps = plan.decode(
@@ -336,9 +355,10 @@ class DecodePlan:
 
     Layout ``i`` reads its free cells from ``theta[offsets[i]:]``.  Layouts
     of one exact canvas shape share one sweep; their group holds the stacked
-    base canvases, the flat index of the free cells in that stack and the
-    positions in ``theta`` they read, through which the gradient gathers
-    back.  Layouts without free cells take their cached frame.
+    column-major base canvases, the flat index of the free cells in that
+    stack and the positions in ``theta`` they read, through which the
+    gradient gathers back.  Layouts without free cells take their cached
+    frame.
     """
 
     def __init__(self, layouts, offsets):
@@ -377,7 +397,8 @@ class DecodePlan:
         gradient of a cotangent on each frame."""
         for (_, crops, base, cells, src), (_, saves) in zip(self.groups,
                                                             sweeps):
-            g = np.zeros(base.shape)
+            n, r_pad, d_pad = base.shape
+            g = np.zeros((n, d_pad, r_pad))
             for k, (i, d, r) in enumerate(crops):
                 g[k, :d, :r] = g_frames[i]
             grad[src] = _reflect_sweep_vjp(saves, g).reshape(-1)[cells]

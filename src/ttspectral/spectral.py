@@ -51,8 +51,8 @@ class SpectrumParams:
     ``signs`` absorbs the ``+-1`` column-sign ambiguity of frame encoding.
     In identity mode the materialized diagonal is exactly ``signs`` and
     carries no free parameters; in the learned modes the free vector ``s``
-    (signs already folded in at initialization) is the parameter and
-    ``signs`` is kept only as bookkeeping.  Both vectors are read-only
+    (signs already folded in at initialization) is the parameter, finite,
+    and ``signs`` is kept only as bookkeeping.  Both vectors are read-only
     float64 copies, so writing to the caller's arrays never changes the
     spectrum.
 
@@ -86,6 +86,8 @@ class SpectrumParams:
             s = np.array(self.s, dtype=np.float64).ravel()
             if s.size != self.r:
                 raise DomainError(f"expected {self.r} spectrum values, got {s.size}")
+            if not np.isfinite(s).all():
+                raise DomainError("spectrum values must be finite")
             s.flags.writeable = False
             object.__setattr__(self, "s", s)
         if not 0.0 <= self.lam < np.inf:  # NaN fails too

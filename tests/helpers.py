@@ -1,6 +1,7 @@
 """Shared test oracles: exhaustive contraction-tree search, the subset-DP
 planner, random diagrams, Householder QR, the sequential reflector sweep,
-the per-frame gradient tape, and the fit loops over parameter objects."""
+the row-major closed-form sweep, the per-frame gradient tape, and the fit
+loops over parameter objects."""
 
 import itertools
 import math
@@ -282,6 +283,35 @@ def decode_vjp(layout, saves, g_frame):
     return g_canvas[rows, cols]
 
 
+def rowmajor_reflect_sweep(canvases, save=False):
+    """The closed-form sweep on row-major (batch, d_pad, r_pad) canvases,
+    transposing them itself and inverting T through ``np.linalg.inv``: the
+    reference for the library's column-major kernel, which must equal it
+    bitwise."""
+    upper, half_eye, eye = hh._wy_constants(*canvases.shape[1:])
+    cols = np.ascontiguousarray(canvases.transpose(0, 2, 1))
+    norms = np.sqrt((cols * cols).sum(axis=2, keepdims=True))
+    units = cols / norms
+    m = np.linalg.inv(np.where(upper, units @ units.transpose(0, 2, 1),
+                               half_eye))
+    s = m @ units[:, :, : eye.shape[1]]
+    q = eye - units.transpose(0, 2, 1) @ s
+    return (q, (units, norms, m, s)) if save else q
+
+
+def rowmajor_reflect_sweep_vjp(saved, g):
+    """Gradient of :func:`rowmajor_reflect_sweep`, row-major like its
+    canvases."""
+    units, norms, m, s = saved
+    upper = hh._wy_constants(*g.shape[1:])[0]
+    a_bar = m.transpose(0, 2, 1) @ -(units @ g)
+    p = np.where(upper, a_bar @ -s.transpose(0, 2, 1), 0.0)
+    v_bar = (p + p.transpose(0, 2, 1)) @ units - s @ g.transpose(0, 2, 1)
+    v_bar[:, :, : g.shape[2]] += a_bar
+    g_cols = v_bar - units * (units * v_bar).sum(axis=2, keepdims=True)
+    return (g_cols / norms).transpose(0, 2, 1)
+
+
 def library_decode_fwd(layout):
     """The library's saving decode of one layout on its own."""
     (q,), saves = hh.decode_layouts([layout], save=True)
@@ -344,8 +374,11 @@ def reference_fit_matrix(target, cfg):
     trace = []
     best_loss, best_theta, best_step = math.inf, theta.copy(), 0
     for step in range(cfg.max_steps):
-        loss, grad, _ = ad.loss_value_and_grad(ad.unpack(params, theta),
-                                               loss_spec)
+        if np.isfinite(theta).all():
+            loss, grad, _ = ad.loss_value_and_grad(ad.unpack(params, theta),
+                                                   loss_spec)
+        else:  # no parameter object holds it; any such entry makes W NaN
+            loss = math.nan
         trace.append(loss)
         if not math.isfinite(loss) or loss > ft.DIVERGENCE_LIMIT:
             raise DivergenceError(
@@ -378,6 +411,10 @@ def reference_demo_train(cfg, seed, d_in=6, hidden=8, d_out=4, n_samples=64,
     lr = cfg.effective_lr
     report = ft.TrainReport()
     for step in range(steps):
+        if not all(np.isfinite(t).all() for t in theta):
+            # no parameter object holds it; any such entry makes W NaN
+            raise DivergenceError(
+                f"demo loss {math.nan:.3e} diverged at step {step}")
         w1, tape1 = ad.assemble_with_tape(ad.unpack(protos[0], theta[0]))
         w2, tape2 = ad.assemble_with_tape(ad.unpack(protos[1], theta[1]))
         pre = w1 @ x

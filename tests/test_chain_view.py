@@ -79,6 +79,20 @@ class TestView:
         assert len(seen) == calls
         assert all(la.params.size for la in seen)
 
+    @pytest.mark.parametrize("maker,lookups", [(random_svdp_params, 0),
+                                               (random_sttp_params, 4)])
+    def test_warm_apply_looks_up_structures_only_for_fixed_frames(
+            self, maker, lookups):
+        # one cached-structure lookup per layout without free cells
+        p = maker(16, 72, 4, LEARNED, 4)
+        x = np.ones((72, 2))
+        pl.apply_map(p, x)
+        before = hh._structure.cache_info()
+        pl.apply_map(p, x)
+        after = hh._structure.cache_info()
+        assert after.hits - before.hits == lookups
+        assert after.misses == before.misses
+
     def test_parameter_types_stay_distinct(self):
         assert not isinstance(random_sttp_params(4, 6, 2, LEARNED, 0),
                               SvdpParams)

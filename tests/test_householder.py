@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from ttspectral.dense import orthonormalize
 from ttspectral.errors import DomainError, ShapeError
 from ttspectral.sampling import make_random_layout
 
-from helpers import decode_fwd, decode_vjp, householder_qr
+from helpers import (
+    decode_fwd,
+    decode_vjp,
+    householder_qr,
+    rowmajor_reflect_sweep,
+    rowmajor_reflect_sweep_vjp,
+)
 
 
 def gram_residual(q):
@@ -198,7 +205,7 @@ class TestImmutableLayout:
         q = hh.decode(layout)
         assert hh.decode(layout) is q
         assert not q.flags.writeable
-        fresh = hh._reflect_sweep(layout.dense()[None])[0, :7, :3]
+        fresh = hh._reflect_sweep(layout.dense().T[None])[0, :7, :3]
         assert q.shape == fresh.shape == (7, 3)
         assert q.tobytes() == fresh.tobytes()
         with pytest.raises(ValueError):
@@ -275,6 +282,57 @@ class TestClosedFormDecode:
         layout = hh.layout_from_dense(canvas, 64, 16)
         rng = np.random.default_rng(int(np.log10(c)))
         self.check_against_sweep(layout, rng.standard_normal((64, 16)))
+
+
+class TestColumnMajorSweep:
+    """The kernel takes column-major canvases and inverts T through the
+    LAPACK gufunc directly; the row-major ``np.linalg.inv`` sweep is its
+    oracle, forward and backward, bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    @pytest.mark.parametrize("d,r,variant,pad", [
+        (7, 3, hh.FULL, None), (7, 3, hh.REDUCED, None),
+        (9, 1, hh.FULL, None), (5, 5, hh.FULL, None),
+        (6, 6, hh.REDUCED, None), (7, 3, hh.FULL, (10, 5)),
+        (12, 4, hh.REDUCED, (12, 8)), (40, 8, hh.FULL, None)])
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_bitwise_equal_to_the_row_major_oracle(self, d, r, variant, pad,
+                                                   batch, nan):
+        rng = np.random.default_rng(d * 100 + r * 10 + batch)
+        d_pad, r_pad = pad or (d, r)
+        rows = np.stack([make_random_layout(d, r, variant, rng, d_pad,
+                                            r_pad).dense()
+                         for _ in range(batch)])
+        if nan:
+            rows[-1, d - 1, 0] = np.nan
+        cols = np.ascontiguousarray(rows.transpose(0, 2, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, saved = hh._reflect_sweep(cols, save=True)
+        q_ref, saved_ref = rowmajor_reflect_sweep(rows, save=True)
+        assert q.tobytes() == q_ref.tobytes()
+        assert hh._reflect_sweep(cols).tobytes() == q.tobytes()
+        for got, want in zip(saved, saved_ref):
+            assert got.tobytes() == want.tobytes()
+        g = rng.standard_normal(q.shape)
+        grad = hh._reflect_sweep_vjp(saved, g)
+        assert grad.shape == cols.shape
+        assert grad.tobytes() == np.ascontiguousarray(
+            rowmajor_reflect_sweep_vjp(saved_ref, g).transpose(0, 2, 1)
+        ).tobytes()
+        assert np.isnan(q[-1]).any() == nan
+
+    @pytest.mark.parametrize("batch,r", [(1, 1), (1, 4), (3, 4), (2, 8),
+                                         (5, 16)])
+    def test_lapack_inverse_equals_np_linalg_inv(self, batch, r):
+        # the stacked T = I/2 + striu(U^T U) the sweep inverts
+        rng = np.random.default_rng(batch * 10 + r)
+        units = rng.standard_normal((batch, r, 3 * r))
+        units /= np.linalg.norm(units, axis=2, keepdims=True)
+        t = np.where(~np.tri(r, dtype=bool), units @ units.transpose(0, 2, 1),
+                     0.5 * np.eye(r))
+        got = hh._umath_linalg.inv(t, signature="d->d")
+        assert got.tobytes() == np.linalg.inv(t).tobytes()
 
 
 class TestPaddedDecode:
@@ -481,6 +539,26 @@ class TestValidation:
     def test_bad_param_count(self):
         with pytest.raises(ShapeError):
             hh.make_layout(4, 2, hh.FULL, params=[1.0])
+
+    def test_constructor_checks_the_param_count(self):
+        with pytest.raises(ShapeError, match="expected 5 free parameters"):
+            hh.HouseholderLayout(4, 2, hh.FULL, np.zeros(4), 4, 2)
+        with pytest.raises(ShapeError, match="expected 0 free parameters"):
+            hh.HouseholderLayout(3, 3, hh.REDUCED, np.zeros(3), 3, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_params_rejected(self, bad):
+        theta = np.ones(hh.dof(6, 3, hh.FULL))
+        theta[4] = bad
+        canvas = np.zeros((6, 3))
+        canvas[5, 2] = bad
+        layout = hh.make_layout(6, 3, hh.FULL)
+        for build in (lambda: hh.make_layout(6, 3, hh.FULL, theta),
+                      lambda: hh.make_layout(6, 3, hh.FULL, theta, 8, 4),
+                      lambda: layout.with_params(theta),
+                      lambda: hh.layout_from_dense(canvas, 6, 3)):
+            with pytest.raises(DomainError, match="finite"):
+                build()
 
     def test_padding_smaller_than_frame(self):
         with pytest.raises(DomainError):

@@ -432,6 +432,21 @@ class TestApplyMap:
         with pytest.raises(DomainError, match="finite"):
             pl.apply_map(p, x)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["layout", "spectrum"])
+    @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
+    def test_non_finite_parameters_never_reach_apply(self, scheme, where,
+                                                     bad):
+        # a non-finite theta cannot become parameters, so apply_map cannot
+        # turn it into a silently NaN output
+        from ttspectral import autodiff as ad
+        maker = random_svdp_params if scheme == "svdp" else random_sttp_params
+        p = maker(4, 6, 2, LEARNED, 0)
+        theta = ad.pack(p)
+        theta[0 if where == "layout" else -1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            pl.apply_map(ad.unpack(p, theta), np.ones((6, 3)))
+
     def test_svdp_applies_through_the_one_core_chain_plan(self):
         # the svdp chain view's diagram is the four-node svdp diagram: one
         # cached plan, and the same bits as binding the frames by hand

@@ -47,6 +47,14 @@ class TestMaterializeSigma:
         with pytest.raises(DomainError):
             sp.SpectrumParams(sp.LEARNED, 2, np.ones(2), None, lam)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_s_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            sp.SpectrumParams(sp.LEARNED, 3, [bad, 1.0, 1.0])
+        spectrum = sp.SpectrumParams(sp.LEARNED_REGULARIZED, 3, np.ones(3))
+        with pytest.raises(DomainError, match="finite"):
+            spectrum.with_s([1.0, bad, 1.0])
+
 
 class TestImmutableSpectrum:
     def test_writes_to_the_source_s_do_not_reach_the_spectrum(self):
