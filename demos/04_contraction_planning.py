@@ -43,6 +43,7 @@ cplan = pl.plan(diagram)
 print(f"\nchain map diagram: {len(diagram.nodes)} nodes, planned "
       f"{cplan.total_flops} flops, peak intermediate {cplan.peak_intermediate}")
 
+# apply_map composes each chain into its frame, then runs the four-node plan
 rng = np.random.default_rng(2)
 x = rng.standard_normal((72, 5))
 y_fast = pl.apply_map(chain, x)

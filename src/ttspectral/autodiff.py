@@ -206,7 +206,7 @@ def _vjp_full(tape: GradTape, g_w: np.ndarray, g_sigma_extra) -> np.ndarray:
 def frame_grad(layout: hh.HouseholderLayout, upstream: np.ndarray
                ) -> np.ndarray:
     """Gradient of a single decoded frame against its free parameters."""
-    (frame,), saves = hh.decode_layouts([layout], save=True)
+    (frame,), saves = hh.decode_layouts([layout])
     if np.asarray(upstream).shape != frame.shape:
         raise ShapeError("upstream shape does not match the decoded frame")
     return hh.decode_layouts_vjp(saves, [np.asarray(upstream, np.float64)])[0]

@@ -71,16 +71,19 @@ class FitConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise DomainError(f"unknown scheme {self.scheme!r}")
-        if self.lr is not None and self.lr <= 0:
-            raise DomainError("learning rate must be positive")
+        # each range check is written so that NaN fails it
+        if self.lr is not None and not 0.0 < self.lr < np.inf:
+            raise DomainError("learning rate must be finite and positive")
         if not 0.0 <= self.momentum < 1.0:
             raise DomainError("momentum must lie in [0, 1)")
         if self.max_steps < 1:
             raise DomainError("need at least one step")
-        if self.tol <= 0:
-            raise DomainError("convergence tolerance must be positive")
-        if not 0.0 <= self.lam < np.inf:  # NaN fails too
+        if not 0.0 < self.tol < np.inf:
+            raise DomainError("tolerance must be finite and positive")
+        if not 0.0 <= self.lam < np.inf:
             raise DomainError("regularizer weight must be finite and >= 0")
+        if not 0.0 <= self.alpha < np.inf:
+            raise DomainError("init noise alpha must be finite and >= 0")
 
     @property
     def effective_lr(self) -> float:

@@ -31,15 +31,17 @@ Three layout variants exist:
   ``j > r``.  Padding lets frames of different sizes share one batched
   decode, but the larger canvas reorders the sums: padded and unpadded
   decodes agree to rounding, not bitwise.  So :func:`decode_batch` is
-  bitwise only among layouts of one padded shape, and a saving
+  bitwise only among layouts of one padded shape, and
   :func:`decode_layouts` decodes each exact canvas shape on its own.
 
 Layouts are immutable in fact: each holds a read-only copy of its
 parameters, and :func:`decode` keeps the read-only frame it decodes on the
-layout, so decoding a layout again (as every warm ``apply_map`` does) is a
-lookup.  A decoded layout costs ``d_pad * r_pad`` more floats, about the
-size of its dense canvas.  :func:`decode_batch` and the gradient tape
-decode afresh every time and return writable arrays.
+layout, checked orthonormal once, so decoding a layout again (as every warm
+``apply_map`` does) is a lookup.  A layout without free cells shares its
+structure's fixed frame.  A decoded layout costs ``d_pad * r_pad`` more
+floats, about the size of its dense canvas.  :func:`decode_batch` and the
+gradient tape (:func:`decode_layouts`) decode afresh every time and return
+writable arrays.
 """
 
 from __future__ import annotations
@@ -130,9 +132,9 @@ class HouseholderLayout:
     cell, and keeps a read-only copy, so writing to the array it was given
     changes neither the layout nor its frame.
 
-    :func:`decode` memoizes the read-only frame on the layout, which then
-    holds it (a view of a ``d_pad x r_pad`` array) for as long as the
-    layout lives.  Pickling or copying rebuilds the layout through its
+    :func:`decode` memoizes the read-only, checked frame on the layout,
+    which then holds it (a view of a ``d_pad x r_pad`` array) for as long
+    as the layout lives.  Pickling or copying rebuilds the layout through its
     constructor, with a fresh read-only copy of ``params`` and no frame.
     Since a layout carries that memo, ``==`` and ``hash`` go by identity.
     """
@@ -162,13 +164,14 @@ class HouseholderLayout:
 
     @cached_property
     def _frame(self) -> np.ndarray:
+        fixed = _structure(self.d, self.r, self.variant, self.d_pad,
+                           self.r_pad)[2]
+        if fixed is not None:
+            return fixed
         q = _reflect_sweep(self.dense().T[None])[0, : self.d, : self.r]
+        check_frame(q)
         q.flags.writeable = False
         return q
-
-    @property
-    def is_padded(self) -> bool:
-        return (self.d_pad, self.r_pad) != (self.d, self.r)
 
     @property
     def padded_shape(self) -> tuple[int, int]:
@@ -298,8 +301,10 @@ def _reflect_sweep_vjp(saved: tuple, g: np.ndarray) -> np.ndarray:
 def decode(layout: HouseholderLayout) -> np.ndarray:
     """Decode a layout into its d x r orthonormal frame, read-only.
 
-    The frame is decoded on the first call for a layout object and kept on
-    it; later calls return that same array.
+    The frame is decoded and checked orthonormal (:func:`check_frame`) on
+    the first call for a layout object and kept on it; later calls return
+    that same array.  A layout without free cells returns its structure's
+    shared fixed frame.
     """
     return layout._frame
 
@@ -319,20 +324,14 @@ def decode_batch(layouts) -> list[np.ndarray]:
     return [q[i, : la.d, : la.r] for i, la in enumerate(layouts)]
 
 
-def decode_layouts(layouts, save: bool = False):
-    """Decode layouts of any sizes; every frame is bitwise :func:`decode`'s.
+def decode_layouts(layouts):
+    """The saving decode of layouts of any sizes, for a gradient tape.
 
-    Layouts without free cells take their cached, read-only frame.  Without
-    ``save`` each other layout goes through :func:`decode` on its own (a
-    lookup once the layout has been decoded) and the result is the frames.
-    With ``save`` the layouts run through a :class:`DecodePlan` and the
-    result is ``(frames, tape)``, the tape holding what
-    :func:`decode_layouts_vjp` needs.
+    The layouts run through a :class:`DecodePlan`; every frame is bitwise
+    :func:`decode`'s, and layouts without free cells take their cached,
+    read-only frame.  The result is ``(frames, tape)``, the tape holding
+    what :func:`decode_layouts_vjp` needs.
     """
-    if not save:
-        return [decode(la) if la.params.size else
-                _structure(la.d, la.r, la.variant, la.d_pad, la.r_pad)[2]
-                for la in layouts]
     plan = DecodePlan(layouts, list(accumulate(
         (la.params.size for la in layouts[:-1]), initial=0)))
     frames, sweeps = plan.decode(
@@ -341,7 +340,7 @@ def decode_layouts(layouts, save: bool = False):
 
 
 def decode_layouts_vjp(tape: tuple, g_frames) -> list[np.ndarray]:
-    """Per-layout free-parameter gradients of a saving :func:`decode_layouts`,
+    """Per-layout free-parameter gradients of a :func:`decode_layouts`,
     given a cotangent on each frame; one backward sweep per forward sweep,
     and an empty gradient for each layout without free cells."""
     plan, sweeps = tape

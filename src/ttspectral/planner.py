@@ -26,11 +26,12 @@ reshapes of each operand that are not no-ops, then one BLAS ``matmul``, or,
 where a diagonal leaf joins along one axis, a broadcast scaling by its
 diagonal vector.  :func:`execute` runs that program without any einsum.
 
-:func:`sttp_diagram` realizes applying a parameterized map ``y = W x``
-without decompressing ``W``: the chain of cores, with the input tensorized
-along the factored input dimension.  Every parameter set is applied through
-it; svdp is its one-core-per-side case, whose diagram has the same signature
-(hence the same cached plan) as the named four-node :func:`svdp_diagram`.
+:func:`sttp_diagram` draws a map ``y = W x`` as the chain of cores, with
+the input tensorized along the factored input dimension; the CLI ``plan``
+command plans it, and only such plans meet the ``MAX_NODES`` cap.
+:func:`apply_map` composes each side into its frame first and applies
+every parameter set through the four-node one-core :func:`sttp_diagram`,
+whose cached plan is that of the named :func:`svdp_diagram`.
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import householder as hh
 from .errors import BindingError, CapacityError, DomainError, ShapeError
 from .spectral import materialize_sigma
-from .sttp import assemble_sttp
+from .sttp import assemble_sttp, chain_frames
 from .sttp import core_specs  # noqa: F401  (perfbench/spans.py patches it)
 
 __all__ = [
@@ -170,10 +170,6 @@ class TensorDiagram:
         self.output_axis_ids: tuple[int, ...] = tuple(
             axis_of[leg] for leg in self.output_legs
         )
-
-    @property
-    def output_dims(self) -> tuple[int, ...]:
-        return tuple(self.nodes[n].dims[a] for n, a in self.output_legs)
 
     def signature(self):
         return self._signature
@@ -619,12 +615,14 @@ def decompress(params) -> np.ndarray:
 
 
 def apply_map(params, x: np.ndarray) -> np.ndarray:
-    """Apply ``y = W x`` through the planned diagram, never forming W.
+    """Apply ``y = W x = U (sigma * (V^T x))``, never forming W.
 
-    ``x`` must be a finite d_in x d_x matrix.  The plan is FLOP-minimal for
-    the bound shapes and cached per shape; the value equals the
-    decompress-then-multiply path to floating-point accuracy.  An input with
-    no columns gives an empty d_out x 0 result without planning.
+    ``x`` must be a finite d_in x d_x matrix.  The composed frames
+    (:func:`~.sttp.chain_frames`), sigma and ``x`` are bound into the
+    four-node diagram, whose plan is FLOP-minimal and cached per shape; the
+    value equals the decompress-then-multiply path to floating-point
+    accuracy.  An input with no columns gives an empty d_out x 0 result
+    without planning.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -638,13 +636,8 @@ def apply_map(params, x: np.ndarray) -> np.ndarray:
     d_x = x.shape[1]
     if d_x == 0:
         return np.zeros((params.d_out, 0))
-    view = params.chain
+    u, v = chain_frames(params)
     sigma = materialize_sigma(params.spectrum)
-    frames = hh.decode_layouts(view.layouts)
-    diagram = sttp_diagram(view.out_factors, view.in_factors, view.ranks, d_x)
-    n_u = len(view.u_layouts)
-    data = [*frames[:n_u], sigma, *reversed(frames[n_u:]), x]  # node order
-    y = execute(plan(diagram), {
-        i: a if node.diagonal else a.reshape(node.dims)
-        for i, (node, a) in enumerate(zip(diagram.nodes, data))})
-    return y.reshape(params.d_out, d_x)
+    diagram = sttp_diagram((params.d_out,), (params.d_in,), (1, params.r, 1),
+                           d_x)
+    return execute(plan(diagram), dict(enumerate((u, sigma, v, x))))

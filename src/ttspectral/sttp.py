@@ -41,10 +41,11 @@ from .spectrum_modes import IDENTITY
 from .tensortrain import (
     ChainView,
     RankSchedule,
-    frames_from_cores,
+    compose_chain,
     rank_caps,
     rank_schedule,
 )
+from .tensortrain import frames_from_cores  # noqa: F401  (perfbench patches it)
 
 __all__ = [
     "factorize",
@@ -63,6 +64,7 @@ __all__ = [
     "init_chain",
     "init_sttp_params",
     "sttp_template",
+    "chain_frames",
     "assemble_sttp",
     "edge_case_is_svdp",
 ]
@@ -360,19 +362,24 @@ def init_sttp_params(d_out: int, d_in: int, r: int, spectrum_mode: str,
                                   lam))
 
 
+def chain_frames(p) -> tuple[np.ndarray, np.ndarray]:
+    """The d_out x r frame U and d_in x r frame V of any chain view: each
+    side's decoded cores (:func:`~.householder.decode`, checked orthonormal
+    once) composed afresh by :func:`compose_chain`, as the tape does."""
+    view = p.chain
+    return tuple(compose_chain([hh.decode(la) for la in layouts], shapes)[0]
+                 for layouts, shapes in ((view.u_layouts, view.u_shapes),
+                                         (view.v_layouts, view.v_shapes)))
+
+
 def assemble_sttp(p) -> np.ndarray:
     """Materialize the d_out x d_in matrix of any chain view (svdp's too).
 
-    Decodes every core, composes each side into its orthonormal frame
-    (checking every core), and multiplies through the diagonal spectrum;
-    the singular values of the result are ``|sigma|``.
+    ``(u * sigma) @ v.T`` over the :func:`chain_frames`; the singular values
+    of the result are ``|sigma|``.
     """
-    view = p.chain
-    u_cores, v_cores = view.cores(hh.decode_layouts(view.layouts))
-    u = frames_from_cores(u_cores)
-    v = frames_from_cores(v_cores)
-    sigma = materialize_sigma(p.spectrum)
-    return (u * sigma) @ v.T
+    u, v = chain_frames(p)
+    return (u * materialize_sigma(p.spectrum)) @ v.T
 
 
 def edge_case_is_svdp(d_out: int, d_in: int, r: int) -> tuple[bool, dict]:

@@ -222,12 +222,6 @@ class ChainView(NamedTuple):
         """Every layout in pack order: the U side, then the V side."""
         return self.u_layouts + self.v_layouts
 
-    def cores(self, frames) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Decoded frames in pack order as the U and V core tensors."""
-        n_u = len(self.u_shapes)
-        return ([f.reshape(s) for f, s in zip(frames[:n_u], self.u_shapes)],
-                [f.reshape(s) for f, s in zip(frames[n_u:], self.v_shapes)])
-
     def rebuild(self, layouts, spectrum):
         """The same structure with new layouts (pack order) and spectrum."""
         n_u = len(self.u_layouts)

@@ -314,7 +314,7 @@ def rowmajor_reflect_sweep_vjp(saved, g):
 
 def library_decode_fwd(layout):
     """The library's saving decode of one layout on its own."""
-    (q,), saves = hh.decode_layouts([layout], save=True)
+    (q,), saves = hh.decode_layouts([layout])
     return q, saves
 
 

@@ -96,7 +96,7 @@ class TestVjp:
         rng = np.random.default_rng(6)
         for variant in (hh.FULL, hh.REDUCED):
             layout = make_random_layout(9, 4, variant, rng)
-            (q,), saves = hh.decode_layouts([layout], save=True)
+            (q,), saves = hh.decode_layouts([layout])
             (grad,) = hh.decode_layouts_vjp(saves, [2.0 * q])
             assert np.max(np.abs(grad)) <= 1e-6
             assert np.max(np.abs(ad.frame_grad(layout, 2.0 * q))) <= 1e-6

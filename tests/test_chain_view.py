@@ -59,17 +59,16 @@ class TestView:
     @pytest.mark.parametrize("maker", [random_svdp_params, random_sttp_params])
     def test_decode_layouts_is_bitwise_per_layout_decode(self, maker):
         p = maker(16, 72, 4, LEARNED, 2)
-        frames = hh.decode_layouts(p.chain.layouts)
-        saved, _ = hh.decode_layouts(p.chain.layouts, save=True)
-        for frame, grouped, layout in zip(frames, saved, p.chain.layouts):
-            assert np.array_equal(frame, hh.decode(layout))
+        saved, _ = hh.decode_layouts(p.chain.layouts)
+        for grouped, layout in zip(saved, p.chain.layouts):
             assert np.array_equal(grouped, hh.decode(layout))
 
     @pytest.mark.parametrize("maker,calls", [(random_svdp_params, 2),
-                                             (random_sttp_params, 5)])
+                                             (random_sttp_params, 9)])
     def test_apply_decodes_each_layout_with_free_cells(self, maker, calls,
                                                        monkeypatch):
-        # sttp 16x72 r4 has 4 square reduced cores, whose frames are cached.
+        # every layout goes through decode once, the 4 square reduced cores
+        # of sttp 16x72 r4 (no free cells) too
         p = maker(16, 72, 4, LEARNED, 3)
         seen = []
         decode = hh.decode
@@ -77,13 +76,13 @@ class TestView:
                             lambda la: seen.append(la) or decode(la))
         pl.apply_map(p, np.ones((72, 2)))
         assert len(seen) == calls
-        assert all(la.params.size for la in seen)
+        assert seen == list(p.chain.layouts)
 
     @pytest.mark.parametrize("maker,lookups", [(random_svdp_params, 0),
-                                               (random_sttp_params, 4)])
+                                               (random_sttp_params, 0)])
     def test_warm_apply_looks_up_structures_only_for_fixed_frames(
             self, maker, lookups):
-        # one cached-structure lookup per layout without free cells
+        # a decoded layout, fixed frame or not, keeps its frame: no lookups
         p = maker(16, 72, 4, LEARNED, 4)
         x = np.ones((72, 2))
         pl.apply_map(p, x)

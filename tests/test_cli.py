@@ -467,3 +467,28 @@ peak_intermediate=24
         assert main(["fit", "--target", str(t_path), "--scheme", "svdp",
                      "--rank", "2", "--spectrum", "learned", "--steps", "50",
                      "--seed", "0"]) == 4
+
+    @pytest.mark.parametrize("flag", ["--lr", "--tol"])
+    def test_fit_nan_flag_exit_2(self, tmp_path, capsys, flag):
+        t_path = tmp_path / "t.mat"
+        fileio.write_matrix(t_path, decompress(init_svdp_params(6, 5, 2,
+                                                                LEARNED, 3)))
+        assert main(["fit", "--target", str(t_path), "--scheme", "svdp",
+                     "--rank", "2", "--steps", "20", "--seed", "0", flag,
+                     "nan"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_apply_sttp_256_matches_the_built_matrix(self, tmp_path):
+        # an 18-node chain diagram, over the planner's 16-node cap
+        w_path, p_path = tmp_path / "w.mat", tmp_path / "p.params"
+        x_path, y_path = tmp_path / "x.mat", tmp_path / "y.mat"
+        assert main(["build", "--scheme", "sttp", "--dout", "256", "--din",
+                     "256", "--rank", "8", "--seed", "0", "--out",
+                     str(w_path), "--params-out", str(p_path)]) == 0
+        x = np.random.default_rng(0).standard_normal((256, 64))
+        fileio.write_matrix(x_path, x)
+        assert main(["apply", "--params", str(p_path), "--in", str(x_path),
+                     "--out", str(y_path)]) == 0
+        want = fileio.read_matrix(w_path) @ x
+        got = fileio.read_matrix(y_path)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -158,14 +158,14 @@ class TestDecodePlan:
         grad = np.full(80, np.nan)
         plan.vjp(sweeps, g_frames, grad)
         per_layout = hh.decode_layouts_vjp(
-            hh.decode_layouts(layouts, save=True)[1], g_frames)
+            hh.decode_layouts(layouts)[1], g_frames)
         for g, la, pos in zip(per_layout, layouts, offsets):
             assert np.array_equal(grad[pos: pos + la.params.size], g)
         assert np.count_nonzero(~np.isnan(grad)) == \
             sum(la.params.size for la in layouts)
 
     def test_empty_layout_list(self):
-        frames, tape = hh.decode_layouts([], save=True)
+        frames, tape = hh.decode_layouts([])
         assert frames == [] and hh.decode_layouts_vjp(tape, []) == []
 
 
@@ -228,6 +228,39 @@ class TestImmutableLayout:
         assert not got.flags.writeable
         assert got.tobytes() == q.tobytes()
 
+    def test_decode_checks_a_swept_frame_once(self, monkeypatch):
+        checked = []
+        check = hh.check_frame
+        monkeypatch.setattr(hh, "check_frame",
+                            lambda q: checked.append(q) or check(q))
+        layout = make_random_layout(7, 3, hh.FULL, np.random.default_rng(45))
+        q = hh.decode(layout)
+        assert hh.decode(layout) is q
+        assert len(checked) == 1 and checked[0] is q
+
+    def test_decode_rejects_a_swept_frame_that_is_not_orthonormal(
+            self, monkeypatch):
+        sweep = hh._reflect_sweep
+        monkeypatch.setattr(hh, "_reflect_sweep",
+                            lambda canvases: 1.5 * sweep(canvases))
+        layout = make_random_layout(7, 3, hh.FULL, np.random.default_rng(46))
+        with pytest.raises(DomainError, match="not orthonormal"):
+            hh.decode(layout)
+
+    @pytest.mark.parametrize("d,r,variant,pad", [
+        (4, 4, hh.REDUCED, None), (1, 1, hh.FULL, None),
+        (3, 3, hh.REDUCED, (5, 4))])
+    def test_decode_without_free_cells_shares_the_fixed_frame(
+            self, d, r, variant, pad):
+        d_pad, r_pad = pad or (d, r)
+        layout = hh.make_layout(d, r, variant, None, d_pad, r_pad)
+        fixed = hh._structure(d, r, variant, d_pad, r_pad)[2]
+        assert hh.decode(layout) is fixed
+        assert hh.decode(hh.make_layout(d, r, variant, None, d_pad,
+                                        r_pad)) is fixed
+        fresh = hh._reflect_sweep(layout.dense().T[None])[0, :d, :r]
+        assert fixed.tobytes() == fresh.tobytes()
+
     def test_decode_batch_frames_stay_fresh_and_writable(self):
         layout = make_random_layout(6, 2, hh.FULL, np.random.default_rng(44))
         q = hh.decode(layout)
@@ -246,7 +279,7 @@ class TestClosedFormDecode:
 
     @staticmethod
     def check_against_sweep(layout, g_frame):
-        (q,), saves = hh.decode_layouts([layout], save=True)
+        (q,), saves = hh.decode_layouts([layout])
         (grad,) = hh.decode_layouts_vjp(saves, [g_frame])
         q_ref, saves_ref = decode_fwd(layout)
         grad_ref = decode_vjp(layout, saves_ref, g_frame)

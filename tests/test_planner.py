@@ -495,6 +495,40 @@ class TestApplyMap:
         want = pl.decompress(p) @ x
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
+    @pytest.mark.parametrize("shape,nodes", [((256, 256, 8), 18),
+                                             ((1024, 1024, 16), 22)])
+    def test_chains_over_the_node_cap_match_decompress(self, shape, nodes,
+                                                       mode):
+        # planning their chain diagrams hits the cap; apply_map does not
+        p = random_sttp_params(*shape, mode, 8)
+        view = p.chain
+        w = pl.decompress(p)
+        for d_x in (1, 64):
+            diagram = pl.sttp_diagram(view.out_factors, view.in_factors,
+                                      view.ranks, d_x)
+            assert len(diagram.nodes) == nodes
+            with pytest.raises(CapacityError):
+                pl.plan(diagram)
+            x = np.random.default_rng(d_x).standard_normal((shape[1], d_x))
+            got = pl.apply_map(p, x)
+            want = w @ x
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("shape", [(16, 72, 4), (256, 256, 8)])
+    def test_sttp_applies_through_the_four_node_plan(self, shape,
+                                                     monkeypatch):
+        p = random_sttp_params(*shape, LEARNED, 5)
+        planned = []
+        plan = pl.plan
+        monkeypatch.setattr(pl, "plan",
+                            lambda diagram: planned.append(diagram)
+                            or plan(diagram))
+        x = np.random.default_rng(0).standard_normal((shape[1], 3))
+        pl.apply_map(p, x)
+        four = pl.svdp_diagram(*shape, 3)
+        assert [d.signature() for d in planned] == [four.signature()]
+
     @given(scheme=st.sampled_from(sorted(SCHEMES)),
            d_out=st.integers(1, 40), d_in=st.integers(1, 40),
            r_frac=st.floats(0.0, 1.0),

@@ -196,7 +196,11 @@ class TestAssemble:
         # the chain lists the input-side factors outward from the spectrum,
         # so those axes reverse before fusing back to matrix columns
         p = random_sttp_params(4, 6, 2, LEARNED, 7)
-        u_cores, v_cores = p.chain.cores(hh.decode_layouts(p.chain.layouts))
+        u_cores, v_cores = ([hh.decode(la).reshape(shape)
+                             for la, shape in zip(layouts, shapes)]
+                            for layouts, shapes in (
+                                (p.chain.u_layouts, p.chain.u_shapes),
+                                (p.chain.v_layouts, p.chain.v_shapes)))
         sigma = materialize_sigma(p.spectrum)
         u_cores[-1] = u_cores[-1] * sigma  # scale the spectrum-facing rank
         chain = u_cores + [np.transpose(c, (2, 1, 0))
