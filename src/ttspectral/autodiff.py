@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 PENALTY_FLOOR = 1e-12  # optimization guard inside |sigma| before the log
+FD_STEP = 1e-6
+"""Relative step of :func:`fd_grad`'s central differences, 1e-6."""
+GRADCHECK_TOL = 1e-6
+"""Largest relative gradient error :func:`gradcheck` passes, 1e-6."""
 
 
 def _chain_vjp(frames, shapes, blocks, g_total):
@@ -300,12 +304,12 @@ def loss_value(params, loss) -> float:
     return _loss_terms(assemble_with_tape(params)[1], loss)[0]
 
 
-def fd_grad(f, theta: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central differences with ``h_i = step * max(1, |theta_i|)``."""
+def fd_grad(f, theta: np.ndarray) -> np.ndarray:
+    """Central differences with ``h_i = FD_STEP * max(1, |theta_i|)``."""
     theta = np.asarray(theta, dtype=np.float64)
     grad = np.empty_like(theta)
     for i in range(theta.size):
-        h = step * max(1.0, abs(theta[i]))
+        h = FD_STEP * max(1.0, abs(theta[i]))
         up = theta.copy()
         up[i] += h
         down = theta.copy()
@@ -326,7 +330,7 @@ class GradcheckReport:
     sigma_tied: bool
 
 
-def gradcheck(params, loss, tol: float = 1e-6) -> GradcheckReport:
+def gradcheck(params, loss) -> GradcheckReport:
     """Compare the analytic gradient against central differences.
 
     Errors are relative to ``max(1, ||grad||_inf)``.  Points where the
@@ -342,4 +346,5 @@ def gradcheck(params, loss, tol: float = 1e-6) -> GradcheckReport:
     err = np.abs(grad - fd) / scale
     worst = int(np.argmax(err)) if err.size else 0
     max_err = float(err[worst]) if err.size else 0.0
-    return GradcheckReport(max_err, worst, grad.size, max_err <= tol, False)
+    return GradcheckReport(max_err, worst, grad.size, max_err <= GRADCHECK_TOL,
+                           False)

@@ -29,6 +29,11 @@ __all__ = [
     "svd_full",
 ]
 
+POWER_TOL = 1e-12
+"""Relative change of the estimate, 1e-12, at which power iteration stops."""
+POWER_MAX_ITER = 500
+"""Most sweeps power iteration runs, 500."""
+
 
 def _check_dims(dims) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
@@ -114,18 +119,18 @@ def orthonormalize(m: np.ndarray) -> np.ndarray:
         raise ShapeError("orthonormalize expects a matrix")
     if m.shape[0] < m.shape[1]:
         raise DomainError(f"orthonormalize needs d >= r, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise DomainError("orthonormalize needs finite entries")
     q, rmat = np.linalg.qr(m)
     return q * np.where(np.diag(rmat) < 0, -1.0, 1.0)
 
 
-def power_iteration_sigma_max(
-    m: np.ndarray, seed: int, tol: float = 1e-12, max_iter: int = 500
-) -> float:
+def power_iteration_sigma_max(m: np.ndarray, seed: int) -> float:
     """Largest singular value of ``m`` by power iteration on ``m^T m``.
 
     Deterministic for a given seed; stops when the estimate's relative change
-    drops below ``tol`` or after ``max_iter`` sweeps.  The zero matrix maps
-    to 0.
+    drops below ``POWER_TOL`` or after ``POWER_MAX_ITER`` sweeps.  The zero
+    matrix maps to 0.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -136,9 +141,12 @@ def power_iteration_sigma_max(
     v = rng.standard_normal(m.shape[1])
     v /= np.linalg.norm(v)
     sigma = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = m @ v
         sigma_new = float(np.linalg.norm(w))
+        if not math.isfinite(sigma_new):  # v has no zero entry, so a
+            # non-finite entry of m reaches w on the first sweep
+            raise DomainError("power iteration met a non-finite value")
         if sigma_new == 0.0:
             # v landed in the null space; restart from a fresh direction
             v = rng.standard_normal(m.shape[1])
@@ -146,7 +154,7 @@ def power_iteration_sigma_max(
             continue
         v = m.T @ w
         v /= np.linalg.norm(v)
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
+        if abs(sigma_new - sigma) <= POWER_TOL * max(sigma_new, 1e-300):
             return sigma_new
         sigma = sigma_new
     return sigma

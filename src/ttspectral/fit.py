@@ -66,7 +66,6 @@ class FitConfig:
     tol: float = 1e-14  # relative loss-change stopping threshold
     seed: int = 0
     init_scheme: str = "noisy_identity"
-    alpha: float = 1e-4
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -82,8 +81,6 @@ class FitConfig:
             raise DomainError("tolerance must be finite and positive")
         if not 0.0 <= self.lam < np.inf:
             raise DomainError("regularizer weight must be finite and >= 0")
-        if not 0.0 <= self.alpha < np.inf:
-            raise DomainError("init noise alpha must be finite and >= 0")
 
     @property
     def effective_lr(self) -> float:
@@ -105,8 +102,7 @@ class FitResult:
 
 def _init_params(cfg: FitConfig, d_out: int, d_in: int):
     return SCHEMES[cfg.scheme].init(d_out, d_in, cfg.rank, cfg.spectrum_mode,
-                                    cfg.seed, cfg.init_scheme, cfg.alpha,
-                                    cfg.lam)
+                                    cfg.seed, cfg.init_scheme, lam=cfg.lam)
 
 
 def fit_matrix(target: np.ndarray, cfg: FitConfig) -> FitResult:
@@ -202,7 +198,8 @@ def demo_train(cfg: FitConfig, seed: int, d_in: int = 6, hidden: int = 8,
     Lipschitz-1 map plus noise of scale 0.01.  Both linear layers are
     parameterized under ``cfg``; the report records loss, per-layer
     ``max|sigma|`` and stable ranks, and the product Lipschitz bound at
-    every step.
+    every step.  ``seed`` stands in for ``cfg.seed``, which is not read, and
+    ``steps``, when given, for ``cfg.max_steps``.
     """
     steps = cfg.max_steps if steps is None else steps
     if steps < 1 or min(d_in, hidden, d_out, n_samples) < 1:

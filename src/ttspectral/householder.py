@@ -81,6 +81,10 @@ REDUCED = "reduced"
 _VARIANTS = (FULL, REDUCED)
 
 INIT_SCHEMES = ("identity", "random_orthogonal", "noisy_identity")
+INIT_ALPHA = 1e-4
+"""Noise scale of the ``noisy_identity`` init, 1e-4."""
+FRAME_TOL = 1e-8
+"""Largest Gram residual :func:`check_frame` accepts, 1e-8."""
 
 
 def layout_mask(d: int, r: int, variant: str, d_pad: int | None = None,
@@ -403,14 +407,14 @@ class DecodePlan:
             grad[src] = _reflect_sweep_vjp(saves, g).reshape(-1)[cells]
 
 
-def check_frame(q: np.ndarray, tol: float = 1e-8) -> None:
-    """Raise unless ``q`` has orthonormal columns to within ``tol``."""
+def check_frame(q: np.ndarray) -> None:
+    """Raise unless ``q`` has orthonormal columns to within ``FRAME_TOL``."""
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] < q.shape[1]:
         raise ShapeError(f"frame must be d x r with d >= r, got {q.shape}")
     gram = q.T @ q
     resid = float(np.linalg.norm(gram - np.eye(q.shape[1])))
-    if not resid <= tol:  # a NaN residual fails too
+    if not resid <= FRAME_TOL:  # a NaN residual fails too
         raise DomainError(f"columns not orthonormal: Gram residual {resid:.3e}")
 
 
@@ -442,7 +446,7 @@ def encode_as(q: np.ndarray, variant: str
 
     For the reduced variant the encoded gauge cells are zeroed: exact when
     the frame's leading block is already upper triangular (identity), a
-    projection otherwise (O(alpha) for noisy identity).
+    projection otherwise (O(INIT_ALPHA) for noisy identity).
     """
     layout, signs = encode(q)
     if variant == REDUCED:
@@ -451,13 +455,12 @@ def encode_as(q: np.ndarray, variant: str
     return layout, signs
 
 
-def init_frame(scheme: str, d: int, r: int, seed: int,
-               alpha: float = 1e-4) -> np.ndarray:
+def init_frame(scheme: str, d: int, r: int, seed: int) -> np.ndarray:
     """The d x r orthonormal frame one of three initialization schemes draws.
 
     ``identity`` is the truncated identity; ``random_orthogonal`` the
     orthonormalization of a standard-normal matrix; ``noisy_identity`` the
-    orthonormalization of ``I + alpha * N``.  Deterministic for a given seed.
+    orthonormalization of ``I + INIT_ALPHA * N``.  Deterministic per seed.
     """
     if scheme not in INIT_SCHEMES:
         raise DomainError(f"unknown init scheme {scheme!r}")
@@ -467,15 +470,14 @@ def init_frame(scheme: str, d: int, r: int, seed: int,
         return eye
     if scheme == "random_orthogonal":
         return orthonormalize(rng.standard_normal((d, r)))
-    return orthonormalize(eye + alpha * rng.standard_normal((d, r)))
+    return orthonormalize(eye + INIT_ALPHA * rng.standard_normal((d, r)))
 
 
-def init_layout(scheme: str, d: int, r: int, seed: int,
-                variant: str = FULL, alpha: float = 1e-4,
+def init_layout(scheme: str, d: int, r: int, seed: int, variant: str = FULL
                 ) -> tuple[HouseholderLayout, np.ndarray]:
     """Encode the frame :func:`init_frame` draws into the given variant
     (:func:`encode_as`); returns ``(layout, signs)``."""
-    return encode_as(init_frame(scheme, d, r, seed, alpha), variant)
+    return encode_as(init_frame(scheme, d, r, seed), variant)
 
 
 def pad_layout(layout: HouseholderLayout, d_pad: int, r_pad: int

@@ -86,11 +86,12 @@ class DiagramNode:
 class TensorDiagram:
     """Nodes, pairwise edges, and the declared output-leg order.
 
-    ``edges`` are ``(node_a, axis_a, node_b, axis_b)`` with matching sizes;
-    each axis joins at most one edge.  Every axis not on an edge must appear
-    exactly once in ``output_legs``, whose order fixes the output dims.  The
-    diagram must be connected.  Diagrams are read-only: the
-    :meth:`signature` that keys the plan cache is computed once, here.
+    ``edges`` are ``(node_a, axis_a, node_b, axis_b)`` joining two distinct
+    nodes with matching sizes; each axis joins at most one edge.  Every axis
+    not on an edge must appear exactly once in ``output_legs``, whose order
+    fixes the output dims.  The diagram must be connected.  Diagrams are
+    read-only: the :meth:`signature` that keys the plan cache is computed
+    once, here.
     """
 
     def __init__(self, nodes, edges, output_legs):
@@ -115,6 +116,8 @@ class TensorDiagram:
             raise ShapeError("diagram has no nodes")
         seen: set[tuple[int, int]] = set()
         for na, aa, nb, ab in self.edges:
+            if na == nb:
+                raise ShapeError(f"edge joins two axes of node {na}")
             for node, axis in ((na, aa), (nb, ab)):
                 if not (0 <= node < n and 0 <= axis < len(self.nodes[node].dims)):
                     raise ShapeError(f"edge endpoint ({node}, {axis}) out of range")
@@ -175,14 +178,13 @@ class TensorDiagram:
         return self._signature
 
 
-def step_cost(left_dims, right_dims, shared, left_diagonal: bool = False,
-              right_diagonal: bool = False) -> int:
+def step_cost(left_dims, right_dims, shared, diagonal: bool = False) -> int:
     """Multiply-add cost of one pairwise contraction.
 
     ``shared`` lists ``(left_axis, right_axis)`` pairs.  Generic steps cost
-    ``2 * prod(distinct axis sizes)``; a step consuming a diagonal matrix
-    node along at least one shared axis is a scaling and costs one multiply
-    per element of its result.
+    ``2 * prod(distinct axis sizes)``; with ``diagonal`` (either operand is
+    a diagonal matrix node) a step along at least one shared axis is a
+    scaling and costs one multiply per element of its result.
     """
     left_dims = tuple(int(d) for d in left_dims)
     right_dims = tuple(int(d) for d in right_dims)
@@ -194,7 +196,7 @@ def step_cost(left_dims, right_dims, shared, left_diagonal: bool = False,
     distinct = math.prod(left_dims) * math.prod(
         d for i, d in enumerate(right_dims) if i not in shared_right
     )
-    if (left_diagonal or right_diagonal) and shared:
+    if diagonal and shared:
         shared_prod = math.prod(left_dims[a] for a, _ in shared)
         return distinct // shared_prod
     return 2 * distinct

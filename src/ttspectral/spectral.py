@@ -154,14 +154,17 @@ def d_optimal_penalty(sigma) -> float:
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
     if np.any(sigma == 0.0):
         raise DomainError("penalty is infinite at a zero singular value")
-    return float(-np.sum(np.log(np.abs(sigma))))
+    pen = float(-np.sum(np.log(np.abs(sigma))))
+    if not math.isfinite(pen):
+        raise DomainError("penalty needs finite singular values")
+    return pen
 
 
 def lipschitz_bound(sigma_max_per_layer) -> float:
     """Product of per-layer spectral norms: the feed-forward Lipschitz bound."""
     vals = [float(v) for v in sigma_max_per_layer]
-    if any(v < 0 for v in vals):
-        raise DomainError("spectral norms must be non-negative")
+    if not all(0.0 <= v < math.inf for v in vals):  # NaN fails too
+        raise DomainError("spectral norms must be finite and non-negative")
     return float(math.prod(vals))
 
 
@@ -180,6 +183,8 @@ def stable_rank_from_spectrum(sigma) -> float:
     smax = float(np.max(np.abs(sigma)))
     if smax == 0.0:
         raise DomainError("stable rank is undefined for the zero matrix")
+    if not math.isfinite(smax):  # np.max passes a NaN on
+        raise DomainError("stable rank needs a finite spectrum")
     return float(np.sum(sigma * sigma) / (smax * smax))
 
 

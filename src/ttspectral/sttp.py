@@ -337,15 +337,14 @@ def _encode_chain(frames, specs) -> tuple[tuple, np.ndarray]:
 
 def init_chain(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
                r: int, spectrum_mode: str, seed: int,
-               init_scheme: str = "noisy_identity", alpha: float = 1e-4,
-               lam: float = 0.0):
+               init_scheme: str = "noisy_identity", lam: float = 0.0):
     """Fresh ``(u_layouts, v_layouts, spectrum)``: each core frame drawn by
     the init scheme and encoded, the lost column signs folded into the
     spectrum, so the assembled matrix is the drawn frames' product."""
     specs = chain_specs(out_factors, in_factors, r, spectrum_mode)
     rng = np.random.default_rng(seed)
     frames = [[hh.init_frame(init_scheme, *spec.frame_dims,
-                             int(rng.integers(2**32)), alpha)
+                             int(rng.integers(2**32)))
                for spec in side] for side in specs]
     (u_layouts, su), (v_layouts, sv) = map(_encode_chain, frames, specs)
     return u_layouts, v_layouts, init_spectrum(spectrum_mode, r, su * sv, lam)
@@ -353,13 +352,12 @@ def init_chain(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
 
 def init_sttp_params(d_out: int, d_in: int, r: int, spectrum_mode: str,
                      seed: int, init_scheme: str = "noisy_identity",
-                     alpha: float = 1e-4, lam: float = 0.0) -> SttpParams:
+                     lam: float = 0.0) -> SttpParams:
     """Fresh chain parameters; per-core frames follow the init scheme."""
     out_fac, in_fac = factorize(d_out), factorize(d_in)
     return SttpParams(out_fac, in_fac, r, build_schedule(out_fac, in_fac, r),
                       *init_chain(out_fac.factors, in_fac.factors, r,
-                                  spectrum_mode, seed, init_scheme, alpha,
-                                  lam))
+                                  spectrum_mode, seed, init_scheme, lam))
 
 
 def chain_frames(p) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from .dense import svd_full
 from .errors import DomainError, ShapeError
 from .spectral import SpectrumParams
 from .spectral import materialize_sigma  # noqa: F401  (perfbench patches it)
-from .spectrum_modes import IDENTITY
+from .spectrum_modes import IDENTITY, LEARNED
 from .sttp import (
     assemble_sttp,
     chain_dof,
@@ -110,10 +110,10 @@ def svdp_template(d_out: int, d_in: int, r: int, spectrum_mode: str
 
 def init_svdp_params(d_out: int, d_in: int, r: int, spectrum_mode: str,
                      seed: int, init_scheme: str = "noisy_identity",
-                     alpha: float = 1e-4, lam: float = 0.0) -> SvdpParams:
+                     lam: float = 0.0) -> SvdpParams:
     """Fresh parameters of the one-core chain, as :func:`~.sttp.init_chain`."""
     (u_layout,), (v_layout,), spectrum = init_chain(
-        (d_out,), (d_in,), r, spectrum_mode, seed, init_scheme, alpha, lam)
+        (d_out,), (d_in,), r, spectrum_mode, seed, init_scheme, lam)
     return SvdpParams(d_out, d_in, r, u_layout, v_layout, spectrum)
 
 
@@ -127,8 +127,7 @@ def assemble(p: SvdpParams) -> np.ndarray:
     return assemble_sttp(p)
 
 
-def svdp_from_matrix(target: np.ndarray, r: int, spectrum_mode: str = "learned",
-                     lam: float = 0.0) -> tuple[SvdpParams, float]:
+def svdp_from_matrix(target: np.ndarray, r: int) -> tuple[SvdpParams, float]:
     """Parameters reproducing the best rank-r approximation, up to scale.
 
     Returns ``(params, scale)`` with ``scale * assemble(params)`` equal to
@@ -140,14 +139,11 @@ def svdp_from_matrix(target: np.ndarray, r: int, spectrum_mode: str = "learned",
     target = np.asarray(target, dtype=np.float64)
     d_out, d_in = target.shape
     chain_schedule((d_out,), (d_in,), r)  # the rank check
-    if spectrum_mode == IDENTITY:
-        raise DomainError("constructive fit needs a learned spectrum")
     u_full, s, v_full = svd_full(target)
     u_layout, su = hh.encode(u_full[:, :r])
     v_layout, sv = hh.encode(v_full[:, :r])
     scale = float(s[0]) if s[0] > 0 else 1.0
-    spectrum = SpectrumParams(spectrum_mode, r, (s[:r] / scale) * su * sv,
-                              None, lam)
+    spectrum = SpectrumParams(LEARNED, r, (s[:r] / scale) * su * sv)
     return SvdpParams(d_out, d_in, r, u_layout, v_layout, spectrum), scale
 
 

@@ -150,17 +150,17 @@ def compose_chain(frames, shapes) -> tuple[np.ndarray, list[np.ndarray]]:
     return b, blocks
 
 
-def frames_from_cores(cores, tol: float = 1e-8) -> np.ndarray:
+def frames_from_cores(cores) -> np.ndarray:
     """Compose orthonormal cores into the (n_1*...*n_D) x r frame.
 
     Requires every core's matricization to be orthonormal (checked to
-    ``tol`` and reported per core), ``R_0 = 1``, and returns the matrix
+    1e-8 and reported per core), ``R_0 = 1``, and returns the matrix
     whose row index fuses the mode indices in storage order.
     """
     cores = [np.asarray(c, dtype=np.float64) for c in cores]
     core_shapes_ok(cores, closed=False)
     for k, core in enumerate(cores):
-        check_core_orthonormal(core, k, tol)
+        check_core_orthonormal(core, k)
     return compose_chain([c.reshape(-1, c.shape[2]) for c in cores],
                          [c.shape for c in cores])[0]
 
@@ -169,10 +169,12 @@ def gauge_transform(cores, q_list) -> list[np.ndarray]:
     """Rotate interface ranks: slice k becomes ``Q_{k-1}^T C Q_k``.
 
     ``q_list`` holds one orthogonal matrix per interior junction (length
-    ``len(cores) - 1``); the chain ends are left untouched.  Matricization
-    orthonormality and the contracted tensor are both preserved.
+    ``len(cores) - 1``); the chain ends are left untouched, and the chain
+    may end at any rank.  Matricization orthonormality and the contracted
+    tensor are both preserved.
     """
     cores = [np.asarray(c, dtype=np.float64) for c in cores]
+    core_shapes_ok(cores, closed=False)
     q_list = [np.asarray(q, dtype=np.float64) for q in q_list]
     if len(q_list) != len(cores) - 1:
         raise ShapeError(

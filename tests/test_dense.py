@@ -184,6 +184,11 @@ class TestOrthonormalize:
         with pytest.raises(DomainError):
             dense.orthonormalize(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            dense.orthonormalize(np.array([[1.0, bad], [0.0, 1.0], [0.0, 0.0]]))
+
 
 class TestPowerIteration:
     def test_diagonal(self):
@@ -208,6 +213,13 @@ class TestPowerIteration:
         m = np.random.default_rng(3).standard_normal((6, 6))
         assert dense.power_iteration_sigma_max(m, 5) == \
             dense.power_iteration_sigma_max(m, 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        m = np.eye(3)
+        m[2, 1] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            dense.power_iteration_sigma_max(m, 0)
 
 
 class TestSvdFull:

@@ -52,11 +52,10 @@ class TestFitMatrix:
                 ft.FitConfig(lam=lam)
         for bad in ({"lr": 0.0}, {"lr": np.nan}, {"lr": np.inf},
                     {"tol": 0.0}, {"tol": -1e-14}, {"tol": np.nan},
-                    {"tol": np.inf}, {"alpha": -1e-4}, {"alpha": np.nan},
-                    {"alpha": np.inf}):
+                    {"tol": np.inf}):
             with pytest.raises(DomainError):
                 ft.FitConfig(**bad)
-        assert ft.FitConfig(alpha=0.0, lr=1e308, tol=1e-300).alpha == 0.0
+        assert ft.FitConfig(lr=1e308, tol=1e-300).tol == 1e-300
 
     def test_best_so_far_is_trace_minimum(self):
         t = unit_top_target((8, 6), 2)

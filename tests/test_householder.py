@@ -547,8 +547,7 @@ class TestInitLayout:
     def test_noisy_identity_stays_near_identity(self):
         alpha = 1e-4
         for seed in range(50):
-            layout, signs = hh.init_layout("noisy_identity", 8, 3, seed,
-                                           alpha=alpha)
+            layout, signs = hh.init_layout("noisy_identity", 8, 3, seed)
             frame = hh.decode(layout) * signs
             assert np.linalg.norm(frame - np.eye(8, 3)) <= 10 * alpha * \
                 np.sqrt(8 * 3)

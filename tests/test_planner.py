@@ -72,7 +72,7 @@ class TestStepCost:
         assert pl.step_cost((3, 7), (7, 1), [(1, 0)]) == 2 * 3 * 7
 
     def test_diagonal_scale(self):
-        assert pl.step_cost((4, 4), (4, 1), [(1, 0)], left_diagonal=True) == 4
+        assert pl.step_cost((4, 4), (4, 1), [(1, 0)], diagonal=True) == 4
 
     def test_matrix_matrix(self):
         assert pl.step_cost((16, 4), (4, 1), [(1, 0)]) == 2 * 16 * 4
@@ -84,6 +84,11 @@ class TestDiagramValidation:
                  pl.DiagramNode((2,))]
         with pytest.raises(ShapeError):
             pl.TensorDiagram(nodes, [(0, 0, 1, 0), (0, 0, 2, 0)], [(0, 1)])
+
+    def test_edge_within_one_node_rejected(self):
+        with pytest.raises(ShapeError, match="two axes of node 0"):
+            pl.TensorDiagram([pl.DiagramNode((3, 3, 2))], [(0, 0, 0, 1)],
+                             [(0, 2)])
 
     def test_size_mismatch_rejected(self):
         nodes = [pl.DiagramNode((2,)), pl.DiagramNode((3,))]

@@ -176,6 +176,11 @@ class TestDOptimalPenalty:
         with pytest.raises(DomainError):
             sp.d_optimal_penalty([1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            sp.d_optimal_penalty([0.5, bad])
+
     def test_nonnegative_inside_unit_box_zero_only_at_ones(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -210,6 +215,12 @@ class TestLipschitzBound:
         with pytest.raises(DomainError):
             sp.lipschitz_bound([1.0, -2.0])
 
+    @pytest.mark.parametrize("vals", [[1.0, np.nan], [np.inf, 1.0],
+                                      [np.inf, 0.0]])
+    def test_non_finite_rejected(self, vals):
+        with pytest.raises(DomainError, match="finite"):
+            sp.lipschitz_bound(vals)
+
 
 class TestStableRank:
     def test_identity(self):
@@ -237,6 +248,16 @@ class TestStableRank:
     def test_zero_matrix_rejected(self):
         with pytest.raises(DomainError):
             sp.stable_rank(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            sp.stable_rank(np.array([[1.0, bad], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spectrum_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            sp.stable_rank_from_spectrum([1.0, bad])
 
 
 class TestConvKernelDims:

@@ -232,3 +232,13 @@ class TestGaugeTransform:
         cores = random_orthonormal_chain((2, 2), (1, 2, 1), 11)
         with pytest.raises(ShapeError):
             tt.gauge_transform(cores, [])
+
+    @pytest.mark.parametrize("cores, q_list, error, message", [
+        ([np.ones((2, 2))], [], ShapeError, "core 0 is not 3-D"),
+        ([], [], DomainError, "empty core chain"),
+        ([np.ones((1, 2, 3)), np.ones((2, 2, 1))], [np.eye(3)], ShapeError,
+         "rank mismatch at junction 1: 3 vs 2"),
+    ])
+    def test_malformed_chain_rejected(self, cores, q_list, error, message):
+        with pytest.raises(error, match=message):
+            tt.gauge_transform(cores, q_list)
