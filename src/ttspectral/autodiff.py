@@ -1,14 +1,20 @@
 """Reverse-mode gradients for the parameterization pipeline.
 
-The pipeline layout -> frames -> (core chains) -> matrix -> loss is a static
-composition of a small primitive set: reflector application, frame/core
-reshapes, chain matmuls, the max-magnitude spectrum normalization, and the
-log-magnitude penalty.  Each primitive has a hand-written vector-Jacobian
-rule.  A :class:`StepProgram`, built once per parameter structure, runs
-them on a flat parameter vector: its forward records the intermediates and
-its backward transits them in reverse, producing the gradient with respect
-to every free parameter (structural layout cells receive none).
-:func:`assemble_with_tape` and :func:`vjp` run it on one parameter object.
+The pipeline layout -> frames -> (core chains) -> factors ``(u, sigma, v)``
+-> loss is a static composition of a small primitive set: reflector
+application, frame/core reshapes, chain matmuls, the max-magnitude spectrum
+normalization, and the log-magnitude penalty.  Each primitive has a
+hand-written vector-Jacobian rule.  A :class:`StepProgram`, built once per
+parameter structure, runs them on a flat parameter vector: its forward
+records the intermediates and its backward transits them in reverse from
+cotangents on the factors, producing the gradient with respect to every
+free parameter (structural layout cells receive none).  The matrix
+``W = (u * sigma) @ v.T`` is formed only when a caller reads
+:attr:`GradTape.output`; a cotangent on ``W`` reaches the factors through
+:meth:`GradTape.cotangents`.  :class:`FrobeniusLoss` hands its cotangents
+to the factors directly, so a fit step never forms a ``d_out x d_in``
+array.  :func:`assemble_with_tape` and :func:`vjp` run the program on one
+parameter object.
 
 Central finite differences (:func:`fd_grad`) serve as the independent
 oracle, and :func:`gradcheck` compares the two.
@@ -22,6 +28,7 @@ points so gradcheck can skip them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +61,9 @@ FD_STEP = 1e-6
 """Relative step of :func:`fd_grad`'s central differences, 1e-6."""
 GRADCHECK_TOL = 1e-6
 """Largest relative gradient error :func:`gradcheck` passes, 1e-6."""
+CANCELLATION_GUARD = 1e3 * np.finfo(np.float64).eps
+"""Multiple of ``||target||_F^2`` at or below which :class:`FrobeniusLoss`
+takes its value from the dense residual, about 2.2e-13."""
 
 
 def _chain_vjp(frames, shapes, blocks, g_total):
@@ -83,7 +93,7 @@ def _sigma_vjp(save, g_sigma):
 class GradTape:
     """Recorded forward pass of member ``index`` of a :class:`StepProgram`.
 
-    Replaying ``theta`` reproduces the recorded output bitwise; the saved
+    Replaying ``theta`` reproduces the recorded factors bitwise; the saved
     intermediates suffice for one reverse transit.  ``frames`` are the
     member's in :func:`pack` order; ``decode_saves`` covers the program's.
     """
@@ -91,7 +101,6 @@ class GradTape:
     program: StepProgram
     theta: np.ndarray
     index: int
-    output: np.ndarray
     sigma: np.ndarray
     u: np.ndarray
     v: np.ndarray
@@ -103,6 +112,29 @@ class GradTape:
     @property
     def sigma_tied(self) -> bool:
         return self.sigma_save is not None and self.sigma_save[3]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.u.shape[0], self.v.shape[0]
+
+    @cached_property
+    def output(self) -> np.ndarray:
+        """The assembled matrix ``(u * sigma) @ v.T``, formed on first read."""
+        return (self.u * self.sigma) @ self.v.T
+
+    def cotangents(self, g_w, g_sigma_extra=None):
+        """``(g_u, g_sigma, g_v)`` for :meth:`StepProgram.backward` from a
+        cotangent on the matrix and an optional one on the spectrum."""
+        g_w = np.asarray(g_w, dtype=np.float64)
+        if g_w.shape != self.shape:
+            raise ShapeError(f"upstream shape {g_w.shape} != output "
+                             f"shape {self.shape}")
+        u, v, sigma = self.u, self.v, self.sigma
+        gwv = g_w @ v
+        g_sigma = (u * gwv).sum(axis=0)
+        if g_sigma_extra is not None:
+            g_sigma = g_sigma + g_sigma_extra
+        return gwv * sigma, g_sigma, g_w.T @ (u * sigma)
 
 
 class StepProgram:
@@ -131,7 +163,7 @@ class StepProgram:
         self.size, self.decode = pos, hh.DecodePlan(layouts, offsets)
 
     def forward(self, theta: np.ndarray) -> list[GradTape]:
-        """Assemble every member's matrix; one tape per member."""
+        """Every member's factors ``(u, sigma, v)``; one tape per member."""
         frames, sweeps = self.decode.decode(theta)
         tapes = []
         for index, (first, mid, stop, u_shapes, v_shapes, spectrum,
@@ -140,45 +172,36 @@ class StepProgram:
             u, u_blocks = compose_chain(frames[first:mid], u_shapes)
             v, v_blocks = compose_chain(frames[mid:stop], v_shapes)
             tapes.append(GradTape(
-                self, theta, index, (u * sigma) @ v.T, sigma, u, v,
-                (self.decode, sweeps), tuple(frames[first:stop]),
-                (u_blocks, v_blocks), sigma_save))
+                self, theta, index, sigma, u, v, (self.decode, sweeps),
+                tuple(frames[first:stop]), (u_blocks, v_blocks), sigma_save))
         return tapes
 
-    def backward(self, tapes, g_ws, g_sigma_extras) -> np.ndarray:
-        """Flat gradient over theta given :meth:`forward`'s tapes, a
-        cotangent on each matrix and an optional one on each spectrum."""
+    def backward(self, tapes, cotangents) -> np.ndarray:
+        """Flat gradient over theta given :meth:`forward`'s tapes and, per
+        member, the cotangents ``(g_u, g_sigma, g_v)`` on its factors.
+
+        ``g_sigma`` is on the materialized spectrum; a loss on the matrix
+        gets them from :meth:`GradTape.cotangents`.
+        """
         if len(tapes) != len(self.members):
             raise ShapeError("the reverse pass needs every member's tape")
         grad, g_frames = np.zeros(self.size), []
-        for tape, (first, mid, _, u_shapes, v_shapes, spectrum, _), g_w, \
-                g_extra in zip(tapes, self.members, g_ws, g_sigma_extras):
-            g_w = np.asarray(g_w, dtype=np.float64)
-            if g_w.shape != tape.output.shape:
-                raise ShapeError(f"upstream shape {g_w.shape} != output "
-                                 f"shape {tape.output.shape}")
-            u, v, sigma = tape.u, tape.v, tape.sigma
-            gv_mat = g_w.T @ (u * sigma)
-            gwv = g_w @ v
-            g_sigma = (u * gwv).sum(axis=0)
-            if g_extra is not None:
-                g_sigma = g_sigma + g_extra
+        for tape, (first, mid, _, u_shapes, v_shapes, spectrum, _), \
+                (g_u, g_sigma, g_v) in zip(tapes, self.members, cotangents):
             gs = _sigma_vjp(tape.sigma_save, g_sigma)
             if gs is not None:
                 grad[spectrum] = gs
             (u_blocks, v_blocks), n_u = tape.chain_blocks, mid - first
-            g_frames += _chain_vjp(tape.frames[:n_u], u_shapes, u_blocks,
-                                   gwv * sigma)
-            g_frames += _chain_vjp(tape.frames[n_u:], v_shapes, v_blocks,
-                                   gv_mat)
+            g_frames += _chain_vjp(tape.frames[:n_u], u_shapes, u_blocks, g_u)
+            g_frames += _chain_vjp(tape.frames[n_u:], v_shapes, v_blocks, g_v)
         self.decode.vjp(tapes[0].decode_saves[1], g_frames, grad)
         return grad
 
     def loss_and_grad(self, theta: np.ndarray, loss):
         """Loss value, flat gradient and tape of a one-member program."""
         (tape,) = self.forward(theta)
-        value, g_w, g_sigma_extra = _loss_terms(tape, loss)
-        return value, self.backward([tape], [g_w], [g_sigma_extra]), tape
+        value, cotangents = _loss_terms(tape, loss)
+        return value, self.backward([tape], [cotangents]), tape
 
 
 def assemble_with_tape(params) -> tuple[np.ndarray, GradTape]:
@@ -188,7 +211,8 @@ def assemble_with_tape(params) -> tuple[np.ndarray, GradTape]:
 
 
 def replay(tape: GradTape) -> np.ndarray:
-    """Re-run the recorded forward; bitwise equal to ``tape.output``."""
+    """Re-run the recorded forward and assemble; bitwise equal to
+    ``tape.output``."""
     return tape.program.forward(tape.theta)[tape.index].output
 
 
@@ -204,7 +228,7 @@ def vjp(tape: GradTape, upstream: np.ndarray) -> np.ndarray:
 def _vjp_full(tape: GradTape, g_w: np.ndarray, g_sigma_extra) -> np.ndarray:
     """:func:`vjp` plus a cotangent on the spectrum, for a tape of a
     one-member program such as :func:`assemble_with_tape`'s."""
-    return tape.program.backward([tape], [g_w], [g_sigma_extra])
+    return tape.program.backward([tape], [tape.cotangents(g_w, g_sigma_extra)])
 
 
 def frame_grad(layout: hh.HouseholderLayout, upstream: np.ndarray
@@ -246,6 +270,17 @@ def unpack(params, theta: np.ndarray):
 class FrobeniusLoss:
     """``0.5 * ||W - target||_F^2`` plus an optional spectrum penalty.
 
+    The value and cotangents come from the factors, never from ``W``:
+    the frames are orthonormal, so with ``TV = target @ v``, ``TU =
+    target.T @ u`` and ``dp = diag(u.T @ TV)`` the data term is ``0.5
+    (sigma.sigma - 2 sigma.dp + ||target||^2)``, and its cotangents are
+    ``(u sigma - TV) sigma`` on ``u``, ``sigma - dp`` on sigma and ``(v
+    sigma - TU) sigma`` on ``v``.  That value carries an absolute error of
+    about ``eps ||target||^2``.  Where it is at most
+    ``CANCELLATION_GUARD ||target||^2``, as near an exact fit, the value is
+    taken from the dense residual instead, so a relative-change stopping
+    test does not fire on rounding noise; the cotangents stay factored.
+
     The penalty term is ``lam * -sum log(max(|sigma_i|, floor))``; the floor
     is an optimization guard, distinct from the exact penalty definition,
     that keeps the loss finite if an entry crosses zero mid-descent.
@@ -253,6 +288,30 @@ class FrobeniusLoss:
 
     target: np.ndarray
     lam: float = 0.0
+
+    @cached_property
+    def _target_sq(self) -> float:
+        flat = np.asarray(self.target, dtype=np.float64).ravel(order="K")
+        return float(flat @ flat)
+
+    def terms(self, tape: GradTape):
+        """Value and factor cotangents at the taped factors."""
+        target = _matching(self.target, tape, "target")
+        u, v, sigma = tape.u, tape.v, tape.sigma
+        tv, tu = target @ v, target.T @ u
+        dp = (u * tv).sum(axis=0)
+        value = 0.5 * (float(sigma @ sigma) - 2.0 * float(sigma @ dp)
+                       + self._target_sq)
+        # a NaN value fails no comparison here, so it passes on as NaN
+        if value <= CANCELLATION_GUARD * self._target_sq:
+            value = _residual_value(tape, target)
+        g_sigma = sigma - dp
+        if self.lam > 0.0:
+            pen, pen_grad = _penalty_floored(sigma)
+            value += self.lam * pen
+            g_sigma = g_sigma + self.lam * pen_grad
+        return value, ((u * sigma - tv) * sigma, g_sigma,
+                       (v * sigma - tu) * sigma)
 
 
 @dataclass(frozen=True)
@@ -269,29 +328,37 @@ def _penalty_floored(sigma: np.ndarray) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def _loss_terms(tape: GradTape, loss
-                ) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Loss value at the taped ``W``, its cotangent on ``W``, and any extra
-    cotangent on the materialized spectrum (the penalty's)."""
-    w, sigma = tape.output, tape.sigma
+def _matching(array, tape: GradTape, name: str) -> np.ndarray:
+    array = np.asarray(array, dtype=np.float64)
+    if array.shape != tape.shape:
+        raise ShapeError(f"{name} shape does not match the assembled matrix")
+    return array
+
+
+def _residual_value(tape: GradTape, target: np.ndarray) -> float:
+    resid = tape.output - target
+    return 0.5 * float((resid * resid).sum())
+
+
+def _loss_value(tape: GradTape, loss) -> float:
+    """Loss value from the assembled matrix, independent of the factored
+    arithmetic: the finite-difference oracle's."""
     if isinstance(loss, FrobeniusLoss):
-        target = np.asarray(loss.target, dtype=np.float64)
-        if target.shape != w.shape:
-            raise ShapeError("target shape does not match the assembled matrix")
-        resid = w - target
-        value = 0.5 * float((resid * resid).sum())
-        g_sigma_extra = None
+        value = _residual_value(tape, _matching(loss.target, tape, "target"))
         if loss.lam > 0.0:
-            pen, pen_grad = _penalty_floored(sigma)
-            value += loss.lam * pen
-            g_sigma_extra = loss.lam * pen_grad
-        return value, resid, g_sigma_extra
+            value += loss.lam * _penalty_floored(tape.sigma)[0]
+        return value
     if isinstance(loss, InnerProductLoss):
-        weights = np.asarray(loss.weights, dtype=np.float64)
-        if weights.shape != w.shape:
-            raise ShapeError("weights shape does not match the assembled matrix")
-        return float(np.sum(weights * w)), weights, None
+        weights = _matching(loss.weights, tape, "weights")
+        return float(np.sum(weights * tape.output))
     raise DomainError(f"unknown loss spec {type(loss)!r}")
+
+
+def _loss_terms(tape: GradTape, loss) -> tuple[float, tuple]:
+    """Loss value at the tape and its cotangents ``(g_u, g_sigma, g_v)``."""
+    if isinstance(loss, FrobeniusLoss):
+        return loss.terms(tape)
+    return _loss_value(tape, loss), tape.cotangents(loss.weights)
 
 
 def loss_value_and_grad(params, loss) -> tuple[float, np.ndarray, GradTape]:
@@ -301,7 +368,7 @@ def loss_value_and_grad(params, loss) -> tuple[float, np.ndarray, GradTape]:
 
 def loss_value(params, loss) -> float:
     """Loss value only, for the finite-difference oracle."""
-    return _loss_terms(assemble_with_tape(params)[1], loss)[0]
+    return _loss_value(assemble_with_tape(params)[1], loss)
 
 
 def fd_grad(f, theta: np.ndarray) -> np.ndarray:
@@ -341,7 +408,7 @@ def gradcheck(params, loss) -> GradcheckReport:
     _, grad, tape = program.loss_and_grad(theta, loss)
     if tape.sigma_tied:
         return GradcheckReport(float("nan"), -1, grad.size, True, True)
-    fd = fd_grad(lambda t: _loss_terms(program.forward(t)[0], loss)[0], theta)
+    fd = fd_grad(lambda t: _loss_value(program.forward(t)[0], loss), theta)
     scale = max(1.0, float(np.max(np.abs(grad))) if grad.size else 1.0)
     err = np.abs(grad - fd) / scale
     worst = int(np.argmax(err)) if err.size else 0

@@ -125,18 +125,30 @@ def orthonormalize(m: np.ndarray) -> np.ndarray:
     return q * np.where(np.diag(rmat) < 0, -1.0, 1.0)
 
 
+def _unit_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``m * 2**-e`` and ``e``, with ``e`` the binary exponent of
+    ``max|m|``: the largest magnitude lands in [0.5, 1), and since the
+    factor is a power of two the scaling rounds nothing (short of
+    underflow).  A non-finite ``max|m|`` leaves ``m`` as it is."""
+    exponent = math.frexp(float(np.max(np.abs(m))))[1]
+    return np.ldexp(m, -exponent), exponent
+
+
 def power_iteration_sigma_max(m: np.ndarray, seed: int) -> float:
     """Largest singular value of ``m`` by power iteration on ``m^T m``.
 
     Deterministic for a given seed; stops when the estimate's relative change
     drops below ``POWER_TOL`` or after ``POWER_MAX_ITER`` sweeps.  The zero
-    matrix maps to 0.
+    matrix maps to 0.  The iteration runs on ``m`` scaled by
+    :func:`_unit_scaled`, so finite input whose products would overflow
+    still converges, and the estimate is scaled back exactly.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError("power_iteration_sigma_max expects a matrix")
     if not np.any(m):
         return 0.0
+    m, exponent = _unit_scaled(m)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(m.shape[1])
     v /= np.linalg.norm(v)
@@ -154,10 +166,15 @@ def power_iteration_sigma_max(m: np.ndarray, seed: int) -> float:
             continue
         v = m.T @ w
         v /= np.linalg.norm(v)
-        if abs(sigma_new - sigma) <= POWER_TOL * max(sigma_new, 1e-300):
-            return sigma_new
+        converged = abs(sigma_new - sigma) <= POWER_TOL * max(sigma_new,
+                                                             1e-300)
         sigma = sigma_new
-    return sigma
+        if converged:
+            break
+    try:
+        return math.ldexp(sigma, exponent)
+    except OverflowError:
+        raise DomainError("largest singular value overflows float64") from None
 
 
 def svd_full(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -142,11 +142,15 @@ def fit_matrix(target: np.ndarray, cfg: FitConfig) -> FitResult:
 
 def _descend(theta, cfg, steps, value_and_grad, diverged):
     """Gradient descent with momentum.  Each step yields ``(step, theta,
-    loss, tapes)`` after the divergence guard, then updates theta; the
-    caller stops early by breaking."""
+    loss, tapes)`` after the divergence guards, then updates theta; the
+    caller stops early by breaking.  A non-finite theta is caught before
+    its forward, as the loss NaN it would turn into."""
     velocity = np.zeros_like(theta)
     lr = cfg.effective_lr
     for step in range(steps):
+        if not np.isfinite(theta).all():
+            raise DivergenceError(diverged.format(loss=math.nan, step=step,
+                                                  lr=lr))
         loss, grad, tapes = value_and_grad(theta)
         if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
             raise DivergenceError(diverged.format(loss=loss, step=step, lr=lr))
@@ -231,7 +235,9 @@ def demo_train(cfg: FitConfig, seed: int, d_in: int = 6, hidden: int = 8,
                 pen, pen_grad = _penalty_floored(tape.sigma)
                 loss += cfg.lam * pen / n_samples
                 g_sigma[i] = cfg.lam * pen_grad / n_samples
-        return loss, program.backward(tapes, (g_w1, g_w2), g_sigma), tapes
+        cotangents = [tape.cotangents(g_w, g_extra) for tape, g_w, g_extra
+                      in zip(tapes, (g_w1, g_w2), g_sigma)]
+        return loss, program.backward(tapes, cotangents), tapes
 
     report = TrainReport()
     theta = np.concatenate([pack(p) for p in protos])

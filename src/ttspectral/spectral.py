@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dense import power_iteration_sigma_max
+from .dense import _unit_scaled, power_iteration_sigma_max
 from .errors import DomainError
 from .spectrum_modes import IDENTITY, LEARNED, LEARNED_REGULARIZED, SPECTRUM_MODES
 
@@ -169,10 +169,15 @@ def lipschitz_bound(sigma_max_per_layer) -> float:
 
 
 def stable_rank(m: np.ndarray, seed: int = 0) -> float:
-    """``||m||_F^2 / sigma_max(m)^2`` for a raw matrix, via power iteration."""
+    """``||m||_F^2 / sigma_max(m)^2`` for a raw matrix, via power iteration.
+
+    Both norms are taken of ``m`` scaled exactly by a power of two, so the
+    ratio does not overflow where the squares of finite entries would.
+    """
     m = np.asarray(m, dtype=np.float64)
     if not np.any(m):
         raise DomainError("stable rank is undefined for the zero matrix")
+    m = _unit_scaled(m)[0]
     smax = power_iteration_sigma_max(m, seed)
     return float(np.sum(m * m) / (smax * smax))
 
@@ -180,6 +185,8 @@ def stable_rank(m: np.ndarray, seed: int = 0) -> float:
 def stable_rank_from_spectrum(sigma) -> float:
     """Exact stable rank of a parameterized matrix from its diagonal."""
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
+    if sigma.size == 0:
+        raise DomainError("stable rank needs a non-empty spectrum")
     smax = float(np.max(np.abs(sigma)))
     if smax == 0.0:
         raise DomainError("stable rank is undefined for the zero matrix")

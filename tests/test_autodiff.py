@@ -1,16 +1,22 @@
 """Tapes, vector-Jacobian rules, the finite-difference oracle, gradcheck."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttspectral import autodiff as ad
 from ttspectral import householder as hh
 from ttspectral.errors import NumericError, ShapeError
+from ttspectral.planner import decompress
 from ttspectral.sampling import (
     make_random_layout,
     random_sttp_params,
     random_svdp_params,
 )
+from ttspectral.schemes import SCHEMES
 from ttspectral.spectrum_modes import IDENTITY, LEARNED, LEARNED_REGULARIZED
 from ttspectral.sttp import sttp_dof
 from ttspectral.svdp import svdp_dof
@@ -223,7 +229,8 @@ class TestStepProgram:
             for p in ps)
         rng = np.random.default_rng(42)
         g_ws = [rng.standard_normal(t.output.shape) for t in tapes]
-        grad = program.backward(tapes, g_ws, [None, None])
+        grad = program.backward(tapes, [t.cotangents(g_w)
+                                        for t, g_w in zip(tapes, g_ws)])
         pos = 0
         for p, tape, g_w in zip(ps, tapes, g_ws):
             w, own = ad.assemble_with_tape(p)
@@ -234,6 +241,83 @@ class TestStepProgram:
             pos += p.n_params
         with pytest.raises(ShapeError, match="every member"):
             ad.vjp(tapes[1], g_ws[1])
+
+
+def dense_value_and_grad(tape, loss):
+    """The Frobenius loss through the assembled matrix: its value, and the
+    dense cotangent ``W - T`` pulled back with the penalty's."""
+    extra = None
+    if loss.lam > 0.0:
+        extra = loss.lam * ad._penalty_floored(tape.sigma)[1]
+    return ad._loss_value(tape, loss), ad._vjp_full(
+        tape, tape.output - loss.target, extra)
+
+
+class TestFactoredFrobenius:
+    """FrobeniusLoss from the factors against the dense matrix path."""
+
+    @given(scheme=st.sampled_from(sorted(SCHEMES)),
+           d_out=st.integers(1, 64), d_in=st.integers(1, 64),
+           r_frac=st.floats(0.0, 1.0),
+           mode=st.sampled_from([IDENTITY, LEARNED, LEARNED_REGULARIZED]),
+           lam=st.sampled_from([0.0, 0.05]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_dense_path(self, scheme, d_out, d_in, r_frac, mode,
+                                    lam, seed):
+        if scheme == "sttp":  # sttp factors dims >= 2
+            d_out, d_in = max(d_out, 2), max(d_in, 2)
+        r = 1 + int(r_frac * (min(d_out, d_in) - 1))
+        p = SCHEMES[scheme].random(d_out, d_in, r, mode, seed, lam)
+        target = np.random.default_rng(seed).standard_normal((d_out, d_in))
+        loss = ad.FrobeniusLoss(target, lam)
+        value, grad, tape = ad.loss_value_and_grad(p, loss)
+        want_value, want_grad = dense_value_and_grad(tape, loss)
+        assert abs(value - want_value) <= 1e-12 * max(1.0, abs(want_value))
+        scale = max(1.0, float(np.max(np.abs(want_grad), initial=0.0)))
+        assert np.max(np.abs(grad - want_grad), initial=0.0) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("maker", [random_svdp_params, random_sttp_params])
+    def test_exact_rank_target_takes_the_dense_value(self, maker,
+                                                     monkeypatch):
+        # the target lies in the frames' span, so the loss is about 1e-18
+        # ||T||^2: far below the factored value's rounding noise
+        p = maker(16, 72, 4, LEARNED, 3)
+        target = decompress(p) * (1.0 + 1e-9)
+        loss = ad.FrobeniusLoss(target)
+        value, grad, tape = ad.loss_value_and_grad(p, loss)
+        dense = ad._loss_value(tape, loss)
+        assert value == dense == pytest.approx(
+            0.5e-18 * np.sum(target * target), rel=1e-6)
+        monkeypatch.setattr(ad, "CANCELLATION_GUARD", -np.inf)
+        factored, factored_grad, _ = ad.loss_value_and_grad(p, loss)
+        assert abs(factored - dense) > dense
+        # the guard swaps the value only; the gradient stays factored
+        assert np.array_equal(factored_grad, grad)
+
+    def test_nan_target_gives_a_nan_loss(self):
+        p = random_svdp_params(6, 5, 2, LEARNED, 0)
+        target = np.zeros((6, 5))
+        target[1, 2] = np.nan
+        value, _, _ = ad.loss_value_and_grad(p, ad.FrobeniusLoss(target))
+        assert np.isnan(value)
+
+    def test_warm_step_allocates_no_matrix(self):
+        # svdp 1024^2 rank 16: one d_out x d_in float64 array is 8 MB
+        d, r = 1024, 16
+        p = SCHEMES["svdp"].init(d, d, r, LEARNED, 0, "noisy_identity")
+        program = ad.StepProgram((p,))
+        theta = ad.pack(p)
+        loss = ad.FrobeniusLoss(
+            np.random.default_rng(0).standard_normal((d, d)))
+        program.loss_and_grad(theta, loss)
+        tracemalloc.start()
+        try:
+            _, _, tape = program.loss_and_grad(theta, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "output" not in vars(tape)  # the tape never assembled W
+        assert peak < d * d * 8 // 2
 
 
 class TestGradcheck:

@@ -221,6 +221,19 @@ class TestPowerIteration:
         with pytest.raises(DomainError, match="non-finite"):
             dense.power_iteration_sigma_max(m, 0)
 
+    @pytest.mark.parametrize("exponent", [-1000, -3, 0, 1, 700])
+    def test_power_of_two_scaling_keeps_the_bits(self, exponent):
+        m = np.random.default_rng(8).standard_normal((7, 4))
+        assert dense.power_iteration_sigma_max(np.ldexp(m, exponent), 2) == \
+            math.ldexp(dense.power_iteration_sigma_max(m, 2), exponent)
+
+    def test_products_that_overflow(self):
+        # m @ v overflows at 1e200, though sigma_max is representable
+        assert dense.power_iteration_sigma_max(1e200 * np.eye(3), 0) == \
+            pytest.approx(1e200, rel=1e-12)
+        with pytest.raises(DomainError, match="overflows"):
+            dense.power_iteration_sigma_max(np.full((4, 4), 1e308), 0)
+
 
 class TestSvdFull:
     def test_diagonal(self):

@@ -1,5 +1,7 @@
 """Gradient-descent fitting and the constrained training demo."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,21 @@ class TestFitMatrix:
         with np.errstate(all="ignore"), \
                 pytest.raises(DivergenceError, match="learning rate"):
             ft.fit_matrix(t, cfg)
+
+    @pytest.mark.parametrize("run", [
+        lambda: ft.fit_matrix(unit_top_target((8, 6), 3), ft.FitConfig(
+            "svdp", 2, LEARNED, lr=1e308, seed=0, max_steps=50)),
+        lambda: ft.demo_train(ft.FitConfig("svdp", 2, LEARNED, lr=1e308), 0,
+                              steps=20)])
+    def test_non_finite_theta_stops_before_its_forward(self, run):
+        # the step that overflows theta raises; no decode or normalization
+        # runs on it, so none of them warns of an invalid division
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(DivergenceError, match="loss nan diverged"):
+            warnings.simplefilter("always")
+            run()
+        assert not [w for w in caught
+                    if "invalid value encountered in divide" in str(w.message)]
 
     def test_rank_cap_enforced(self):
         with pytest.raises(DomainError):

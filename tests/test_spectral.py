@@ -249,6 +249,18 @@ class TestStableRank:
         with pytest.raises(DomainError):
             sp.stable_rank(np.zeros((2, 2)))
 
+    def test_empty_spectrum_rejected(self):
+        with pytest.raises(DomainError, match="non-empty"):
+            sp.stable_rank_from_spectrum([])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-300])
+    def test_scale_free(self, scale):
+        # squares of the entries over- or underflow; the ratio does not
+        m = np.random.default_rng(4).standard_normal((6, 5))
+        assert sp.stable_rank(scale * np.eye(3)) == sp.stable_rank(np.eye(3))
+        assert sp.stable_rank(scale * m) == pytest.approx(sp.stable_rank(m),
+                                                          rel=1e-12)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_rejected(self, bad):
         with pytest.raises(DomainError, match="non-finite"):
