@@ -13,14 +13,13 @@ gradient-descent fitting, and a file/CLI surface.
 from .dense import multi_index, reshape, svd_full
 from .errors import TtspectralError
 from .fit import FitConfig, demo_train, eckart_young_optimum, fit_matrix
-from .householder import decode, decode_batch, encode, init_layout, make_layout
+from .householder import decode, decode_batch, encode, make_layout
 from .planner import apply_map, execute, plan
 from .spectral import (
     compression_ratio,
     d_optimal_penalty,
     lipschitz_bound,
     materialize_sigma,
-    stable_rank,
 )
 from .sttp import assemble_sttp, factorize, init_sttp_params, sttp_dof
 from .svdp import assemble, init_svdp_params, svdp_dof
@@ -36,7 +35,6 @@ __all__ = [
     "decode",
     "decode_batch",
     "encode",
-    "init_layout",
     "make_layout",
     "assemble",
     "init_svdp_params",
@@ -51,7 +49,6 @@ __all__ = [
     "materialize_sigma",
     "d_optimal_penalty",
     "lipschitz_bound",
-    "stable_rank",
     "compression_ratio",
     "plan",
     "execute",

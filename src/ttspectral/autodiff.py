@@ -43,14 +43,12 @@ __all__ = [
     "GradTape",
     "StepProgram",
     "assemble_with_tape",
-    "replay",
     "vjp",
     "pack",
     "unpack",
     "FrobeniusLoss",
     "InnerProductLoss",
     "loss_value_and_grad",
-    "frame_grad",
     "fd_grad",
     "gradcheck",
     "GradcheckReport",
@@ -91,16 +89,14 @@ def _sigma_vjp(save, g_sigma):
 
 @dataclass
 class GradTape:
-    """Recorded forward pass of member ``index`` of a :class:`StepProgram`.
+    """Recorded forward pass of one member of a :class:`StepProgram`.
 
-    Replaying ``theta`` reproduces the recorded factors bitwise; the saved
-    intermediates suffice for one reverse transit.  ``frames`` are the
-    member's in :func:`pack` order; ``decode_saves`` covers the program's.
+    The saved intermediates suffice for one reverse transit.  ``frames``
+    are the member's in :func:`pack` order; ``decode_saves`` covers the
+    program's.
     """
 
     program: StepProgram
-    theta: np.ndarray
-    index: int
     sigma: np.ndarray
     u: np.ndarray
     v: np.ndarray
@@ -166,13 +162,13 @@ class StepProgram:
         """Every member's factors ``(u, sigma, v)``; one tape per member."""
         frames, sweeps = self.decode.decode(theta)
         tapes = []
-        for index, (first, mid, stop, u_shapes, v_shapes, spectrum,
-                    signs) in enumerate(self.members):
+        for (first, mid, stop, u_shapes, v_shapes, spectrum,
+             signs) in self.members:
             sigma, sigma_save = normalize_spectrum(theta[spectrum], signs)
             u, u_blocks = compose_chain(frames[first:mid], u_shapes)
             v, v_blocks = compose_chain(frames[mid:stop], v_shapes)
             tapes.append(GradTape(
-                self, theta, index, sigma, u, v, (self.decode, sweeps),
+                self, sigma, u, v, (self.decode, sweeps),
                 tuple(frames[first:stop]), (u_blocks, v_blocks), sigma_save))
         return tapes
 
@@ -210,12 +206,6 @@ def assemble_with_tape(params) -> tuple[np.ndarray, GradTape]:
     return tape.output, tape
 
 
-def replay(tape: GradTape) -> np.ndarray:
-    """Re-run the recorded forward and assemble; bitwise equal to
-    ``tape.output``."""
-    return tape.program.forward(tape.theta)[tape.index].output
-
-
 def vjp(tape: GradTape, upstream: np.ndarray) -> np.ndarray:
     """Pull an output cotangent back to all free parameters.
 
@@ -229,15 +219,6 @@ def _vjp_full(tape: GradTape, g_w: np.ndarray, g_sigma_extra) -> np.ndarray:
     """:func:`vjp` plus a cotangent on the spectrum, for a tape of a
     one-member program such as :func:`assemble_with_tape`'s."""
     return tape.program.backward([tape], [tape.cotangents(g_w, g_sigma_extra)])
-
-
-def frame_grad(layout: hh.HouseholderLayout, upstream: np.ndarray
-               ) -> np.ndarray:
-    """Gradient of a single decoded frame against its free parameters."""
-    (frame,), saves = hh.decode_layouts([layout])
-    if np.asarray(upstream).shape != frame.shape:
-        raise ShapeError("upstream shape does not match the decoded frame")
-    return hh.decode_layouts_vjp(saves, [np.asarray(upstream, np.float64)])[0]
 
 
 def pack(params) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Dense tensor substrate: element ordering, reshaping, orthonormalization,
-power iteration, and the SVD oracle.
+and the SVD oracle.
 
 Dense tensors are plain ``numpy.ndarray`` objects of dtype float64 stored in
 C (row-major) order.  Row-major order realizes the 1-based multi-index
@@ -20,19 +20,17 @@ from .errors import DomainError, NumericError, ShapeError
 
 __all__ = [
     "multi_index",
-    "linear_to_multi",
-    "as_tensor",
     "reshape",
     "matricize_core",
     "orthonormalize",
-    "power_iteration_sigma_max",
     "svd_full",
 ]
 
-POWER_TOL = 1e-12
-"""Relative change of the estimate, 1e-12, at which power iteration stops."""
-POWER_MAX_ITER = 500
-"""Most sweeps power iteration runs, 500."""
+MAX_MAGNITUDE = 2.0 ** 500
+"""Largest free-parameter magnitude, 2**500 (about 3.3e150), that a layout,
+a spectrum or a descent step accepts.  Its square times any canvas length
+below 2**23 stays finite, so a reflector norm or a spectrum's ``max|s|**2``
+never overflows to a different frame or gradient."""
 
 
 def _check_dims(dims) -> tuple[int, ...]:
@@ -61,31 +59,6 @@ def multi_index(dims, idx) -> int:
             raise DomainError(f"index {i} out of range [1, {d}] on axis {p}")
         pos = pos * d + (i - 1)
     return pos + 1
-
-
-def linear_to_multi(dims, pos: int) -> tuple[int, ...]:
-    """Inverse of :func:`multi_index`: 1-based position to 1-based tuple."""
-    dims = _check_dims(dims)
-    total = math.prod(dims)
-    if not 1 <= pos <= total:
-        raise DomainError(f"position {pos} out of range [1, {total}]")
-    rem = pos - 1
-    idx = []
-    for d in reversed(dims):
-        idx.append(rem % d + 1)
-        rem //= d
-    return tuple(reversed(idx))
-
-
-def as_tensor(data, dims) -> np.ndarray:
-    """Validate and view flat ``data`` as a float64 tensor of shape ``dims``."""
-    dims = _check_dims(dims)
-    arr = np.ascontiguousarray(data, dtype=np.float64).ravel()
-    if arr.size != math.prod(dims):
-        raise ShapeError(
-            f"data length {arr.size} != prod(dims) = {math.prod(dims)}"
-        )
-    return arr.reshape(dims)
 
 
 def reshape(t: np.ndarray, new_dims) -> np.ndarray:
@@ -123,58 +96,6 @@ def orthonormalize(m: np.ndarray) -> np.ndarray:
         raise DomainError("orthonormalize needs finite entries")
     q, rmat = np.linalg.qr(m)
     return q * np.where(np.diag(rmat) < 0, -1.0, 1.0)
-
-
-def _unit_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """``m * 2**-e`` and ``e``, with ``e`` the binary exponent of
-    ``max|m|``: the largest magnitude lands in [0.5, 1), and since the
-    factor is a power of two the scaling rounds nothing (short of
-    underflow).  A non-finite ``max|m|`` leaves ``m`` as it is."""
-    exponent = math.frexp(float(np.max(np.abs(m))))[1]
-    return np.ldexp(m, -exponent), exponent
-
-
-def power_iteration_sigma_max(m: np.ndarray, seed: int) -> float:
-    """Largest singular value of ``m`` by power iteration on ``m^T m``.
-
-    Deterministic for a given seed; stops when the estimate's relative change
-    drops below ``POWER_TOL`` or after ``POWER_MAX_ITER`` sweeps.  The zero
-    matrix maps to 0.  The iteration runs on ``m`` scaled by
-    :func:`_unit_scaled`, so finite input whose products would overflow
-    still converges, and the estimate is scaled back exactly.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError("power_iteration_sigma_max expects a matrix")
-    if not np.any(m):
-        return 0.0
-    m, exponent = _unit_scaled(m)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(m.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(POWER_MAX_ITER):
-        w = m @ v
-        sigma_new = float(np.linalg.norm(w))
-        if not math.isfinite(sigma_new):  # v has no zero entry, so a
-            # non-finite entry of m reaches w on the first sweep
-            raise DomainError("power iteration met a non-finite value")
-        if sigma_new == 0.0:
-            # v landed in the null space; restart from a fresh direction
-            v = rng.standard_normal(m.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        v = m.T @ w
-        v /= np.linalg.norm(v)
-        converged = abs(sigma_new - sigma) <= POWER_TOL * max(sigma_new,
-                                                             1e-300)
-        sigma = sigma_new
-        if converged:
-            break
-    try:
-        return math.ldexp(sigma, exponent)
-    except OverflowError:
-        raise DomainError("largest singular value overflows float64") from None
 
 
 def svd_full(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -32,8 +32,8 @@ from .autodiff import (  # noqa: F401  (perfbench/spans.py patches the tape)
     pack,
     unpack,
 )
-from .dense import svd_full
-from .errors import DivergenceError, DomainError
+from .dense import MAX_MAGNITUDE, svd_full
+from .errors import DivergenceError, DomainError, ShapeError
 from .schemes import SCHEMES
 from .spectral import lipschitz_bound, stable_rank_from_spectrum
 from .spectrum_modes import LEARNED
@@ -143,12 +143,13 @@ def fit_matrix(target: np.ndarray, cfg: FitConfig) -> FitResult:
 def _descend(theta, cfg, steps, value_and_grad, diverged):
     """Gradient descent with momentum.  Each step yields ``(step, theta,
     loss, tapes)`` after the divergence guards, then updates theta; the
-    caller stops early by breaking.  A non-finite theta is caught before
-    its forward, as the loss NaN it would turn into."""
+    caller stops early by breaking.  A theta entry that is not finite or
+    exceeds ``MAX_MAGNITUDE`` is caught before its forward, reported as a
+    NaN loss: no parameter object could hold it."""
     velocity = np.zeros_like(theta)
     lr = cfg.effective_lr
     for step in range(steps):
-        if not np.isfinite(theta).all():
+        if not (np.abs(theta) <= MAX_MAGNITUDE).all():  # NaN fails too
             raise DivergenceError(diverged.format(loss=math.nan, step=step,
                                                   lr=lr))
         loss, grad, tapes = value_and_grad(theta)
@@ -162,8 +163,11 @@ def _descend(theta, cfg, steps, value_and_grad, diverged):
 def eckart_young_optimum(target: np.ndarray, r: int) -> float:
     """Smallest possible Frobenius error of any rank-r approximation."""
     target = np.asarray(target, dtype=np.float64)
-    if r > rank_cap(*target.shape):
-        raise DomainError(f"rank {r} exceeds cap {rank_cap(*target.shape)}")
+    if target.ndim != 2:
+        raise ShapeError(f"target must be a matrix, got ndim={target.ndim}")
+    cap = rank_cap(*target.shape)
+    if not 1 <= r <= cap:
+        raise DomainError(f"rank {r} outside [1, {cap}]")
     _, s, _ = svd_full(target)
     tail = s[r:]
     return float(np.sqrt(np.sum(tail * tail)))

@@ -17,8 +17,8 @@ contiguous rows), which the layouts' structures and :class:`DecodePlan`
 scatter into and gather from directly, so no sweep transposes a canvas.
 ``T`` is triangular with diagonal 1/2, never singular, so the inverse is
 the LAPACK gufunc behind ``np.linalg.inv``, called without the wrapper.
-A batch is bitwise each member decoded alone, as are replays and same-seed
-reruns; applying one reflector at a time agrees to rounding only.
+A batch is bitwise each member decoded alone, as are same-seed reruns;
+applying one reflector at a time agrees to rounding only.
 
 Three layout variants exist:
 
@@ -53,7 +53,7 @@ from itertools import accumulate
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .dense import orthonormalize
+from .dense import MAX_MAGNITUDE, orthonormalize
 from .errors import DomainError, ShapeError
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "encode",
     "encode_as",
     "init_frame",
-    "init_layout",
     "check_frame",
     "INIT_SCHEMES",
 ]
@@ -133,8 +132,9 @@ class HouseholderLayout:
     cells of column 0 (top to bottom), then column 1, and so on.  Instances
     are immutable; use :func:`make_layout` or ``with_params``.  The
     constructor checks that ``params`` holds one finite value per free
-    cell, and keeps a read-only copy, so writing to the array it was given
-    changes neither the layout nor its frame.
+    cell, of magnitude at most ``dense.MAX_MAGNITUDE``, and keeps a
+    read-only copy, so writing to the array it was given changes neither
+    the layout nor its frame.
 
     :func:`decode` memoizes the read-only, checked frame on the layout,
     which then holds it (a view of a ``d_pad x r_pad`` array) for as long
@@ -157,8 +157,9 @@ class HouseholderLayout:
         if params.size != n_free:
             raise ShapeError(
                 f"expected {n_free} free parameters, got {params.size}")
-        if not np.isfinite(params).all():
-            raise DomainError("layout parameters must be finite")
+        if not (np.abs(params) <= MAX_MAGNITUDE).all():  # NaN fails too
+            raise DomainError("layout parameters must be finite and at "
+                              "most 2**500 in magnitude")
         params.flags.writeable = False
         object.__setattr__(self, "params", params)
 
@@ -471,13 +472,6 @@ def init_frame(scheme: str, d: int, r: int, seed: int) -> np.ndarray:
     if scheme == "random_orthogonal":
         return orthonormalize(rng.standard_normal((d, r)))
     return orthonormalize(eye + INIT_ALPHA * rng.standard_normal((d, r)))
-
-
-def init_layout(scheme: str, d: int, r: int, seed: int, variant: str = FULL
-                ) -> tuple[HouseholderLayout, np.ndarray]:
-    """Encode the frame :func:`init_frame` draws into the given variant
-    (:func:`encode_as`); returns ``(layout, signs)``."""
-    return encode_as(init_frame(scheme, d, r, seed), variant)
 
 
 def pad_layout(layout: HouseholderLayout, d_pad: int, r_pad: int

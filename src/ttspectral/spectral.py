@@ -8,9 +8,8 @@ every assembled matrix has spectral norm 1 and any stack of such layers has
 a product Lipschitz bound of 1.
 
 Also here: the log-determinant style penalty that pushes singular values
-away from zero, the Lipschitz bound aggregator, stable rank, the
-convolution-kernel matrix shape map, and the parameter-count compression
-ratio.
+away from zero, the Lipschitz bound aggregator, the stable rank read off
+the spectrum, and the parameter-count compression ratio.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dense import _unit_scaled, power_iteration_sigma_max
+from .dense import MAX_MAGNITUDE
 from .errors import DomainError
 from .spectrum_modes import IDENTITY, LEARNED, LEARNED_REGULARIZED, SPECTRUM_MODES
 
@@ -35,9 +34,7 @@ __all__ = [
     "normalize_spectrum",
     "d_optimal_penalty",
     "lipschitz_bound",
-    "stable_rank",
     "stable_rank_from_spectrum",
-    "conv_kernel_matrix_dims",
     "LayerBudget",
     "NetworkSummary",
     "compression_ratio",
@@ -51,8 +48,9 @@ class SpectrumParams:
     ``signs`` absorbs the ``+-1`` column-sign ambiguity of frame encoding.
     In identity mode the materialized diagonal is exactly ``signs`` and
     carries no free parameters; in the learned modes the free vector ``s``
-    (signs already folded in at initialization) is the parameter, finite,
-    and ``signs`` is kept only as bookkeeping.  Both vectors are read-only
+    (signs already folded in at initialization) is the parameter, finite
+    and at most ``dense.MAX_MAGNITUDE`` in magnitude, and ``signs`` is kept
+    only as bookkeeping.  Both vectors are read-only
     float64 copies, so writing to the caller's arrays never changes the
     spectrum.
 
@@ -86,8 +84,9 @@ class SpectrumParams:
             s = np.array(self.s, dtype=np.float64).ravel()
             if s.size != self.r:
                 raise DomainError(f"expected {self.r} spectrum values, got {s.size}")
-            if not np.isfinite(s).all():
-                raise DomainError("spectrum values must be finite")
+            if not (np.abs(s) <= MAX_MAGNITUDE).all():  # NaN fails too
+                raise DomainError("spectrum values must be finite and at "
+                                  "most 2**500 in magnitude")
             s.flags.writeable = False
             object.__setattr__(self, "s", s)
         if not 0.0 <= self.lam < np.inf:  # NaN fails too
@@ -168,20 +167,6 @@ def lipschitz_bound(sigma_max_per_layer) -> float:
     return float(math.prod(vals))
 
 
-def stable_rank(m: np.ndarray, seed: int = 0) -> float:
-    """``||m||_F^2 / sigma_max(m)^2`` for a raw matrix, via power iteration.
-
-    Both norms are taken of ``m`` scaled exactly by a power of two, so the
-    ratio does not overflow where the squares of finite entries would.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if not np.any(m):
-        raise DomainError("stable rank is undefined for the zero matrix")
-    m = _unit_scaled(m)[0]
-    smax = power_iteration_sigma_max(m, seed)
-    return float(np.sum(m * m) / (smax * smax))
-
-
 def stable_rank_from_spectrum(sigma) -> float:
     """Exact stable rank of a parameterized matrix from its diagonal."""
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
@@ -193,14 +178,6 @@ def stable_rank_from_spectrum(sigma) -> float:
     if not math.isfinite(smax):  # np.max passes a NaN on
         raise DomainError("stable rank needs a finite spectrum")
     return float(np.sum(sigma * sigma) / (smax * smax))
-
-
-def conv_kernel_matrix_dims(c_out: int, c_in: int, kernel_dims) -> tuple[int, int]:
-    """Matrix shape of a conv kernel tensor: (C_out, C_in * M_1 * ... * M_N)."""
-    kernel_dims = tuple(int(k) for k in kernel_dims)
-    if c_out < 1 or c_in < 1 or any(k < 1 for k in kernel_dims):
-        raise DomainError("kernel dimensions must be positive")
-    return c_out, c_in * math.prod(kernel_dims)
 
 
 @dataclass(frozen=True)

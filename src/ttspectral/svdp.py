@@ -2,7 +2,9 @@
 
 Both frames are Householder-parameterized.  With a learned spectrum the
 parameterization reaches every matrix of rank <= r and spectral norm 1
-(the infinity-norm rescaling of the spectrum pins ``max|sigma|`` to 1).
+(the infinity-norm rescaling of the spectrum pins ``max|sigma|`` to 1):
+:func:`~ttspectral.householder.encode` the frames of its truncated SVD and
+fold the returned signs into the spectrum.
 With the identity spectrum, independently parameterized frames would be
 redundant - ``(U Q)(V Q)^T = U V^T`` for any orthogonal Q - so the U frame
 uses the reduced (gauge-fixed) layout.
@@ -19,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import householder as hh
-from .dense import svd_full
 from .errors import DomainError, ShapeError
 from .spectral import SpectrumParams
 from .spectral import materialize_sigma  # noqa: F401  (perfbench patches it)
-from .spectrum_modes import IDENTITY, LEARNED
+from .spectrum_modes import IDENTITY
 from .sttp import (
     assemble_sttp,
     chain_dof,
@@ -41,7 +42,6 @@ __all__ = [
     "init_svdp_params",
     "svdp_template",
     "assemble",
-    "svdp_from_matrix",
     "redundancy_witness",
 ]
 
@@ -125,26 +125,6 @@ def assemble(p: SvdpParams) -> np.ndarray:
     :func:`ttspectral.sttp.assemble_sttp`.
     """
     return assemble_sttp(p)
-
-
-def svdp_from_matrix(target: np.ndarray, r: int) -> tuple[SvdpParams, float]:
-    """Parameters reproducing the best rank-r approximation, up to scale.
-
-    Returns ``(params, scale)`` with ``scale * assemble(params)`` equal to
-    the truncated SVD of ``target``.  Because the learned spectrum is
-    rescaled to ``max|sigma| = 1``, the parameterization itself reaches the
-    approximation exactly only when its top singular value is 1; the returned
-    scale is that top singular value.
-    """
-    target = np.asarray(target, dtype=np.float64)
-    d_out, d_in = target.shape
-    chain_schedule((d_out,), (d_in,), r)  # the rank check
-    u_full, s, v_full = svd_full(target)
-    u_layout, su = hh.encode(u_full[:, :r])
-    v_layout, sv = hh.encode(v_full[:, :r])
-    scale = float(s[0]) if s[0] > 0 else 1.0
-    spectrum = SpectrumParams(LEARNED, r, (s[:r] / scale) * su * sv)
-    return SvdpParams(d_out, d_in, r, u_layout, v_layout, spectrum), scale
 
 
 def redundancy_witness(p: SvdpParams, q: np.ndarray) -> SvdpParams:

@@ -1,5 +1,8 @@
 """File formats and the command-line surface."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from ttspectral import fileio
 from ttspectral.cli import main
 from ttspectral.errors import FileFormatError
 from ttspectral.planner import decompress
+from ttspectral.schemes import SCHEMES
 from ttspectral.sampling import random_sttp_params, random_svdp_params
 from ttspectral.spectrum_modes import IDENTITY, LEARNED
 from ttspectral.sttp import init_sttp_params
@@ -492,3 +496,126 @@ peak_intermediate=24
         want = fileio.read_matrix(w_path) @ x
         got = fileio.read_matrix(y_path)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def run_main(argv) -> tuple[int, str]:
+    """Exit code and stderr of an in-process CLI call; argparse's
+    ``SystemExit`` counts as its code."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def damage(path, how, value):
+    """Cut ``value`` bytes off the file's end, overwrite its first byte,
+    make its last payload value ``value`` or delete it."""
+    raw = path.read_bytes()
+    if how == "truncated":
+        path.write_bytes(raw[:-min(value, len(raw))])
+    elif how == "bad magic":
+        path.write_bytes(b"X" + raw[1:])
+    elif how == "non-finite":
+        path.write_bytes(raw[:-8] + np.array(value, "<f8").tobytes())
+    else:
+        path.unlink()
+
+
+@st.composite
+def one_fault(draw):
+    """A CLI call with exactly one thing wrong: ``(shape, argv, fault,
+    code)``.  ``argv`` names the files of :func:`write_case` as ``@params``
+    (parameters of ``shape``), ``@input`` (a matching input), ``@target``
+    (the matrix of ``shape``'s parameters) and ``@huge`` (a target far out
+    of reach); ``fault`` is None or ``(file, how, value)`` for
+    :func:`damage`; ``code`` is the exit code the CLI documents."""
+    scheme = draw(st.sampled_from(tuple(SCHEMES)))
+    d_out, d_in = draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    r, seed = draw(st.integers(1, min(d_out, d_in))), draw(st.integers(0, 9))
+    shape = (scheme, d_out, d_in, r, seed)
+    dims = ["--scheme", scheme, "--dout", str(d_out), "--din", str(d_in)]
+    bad_rank = str(draw(st.one_of(st.integers(-2, 0),
+                                  st.integers(min(d_out, d_in) + 1, 12))))
+    fit = ["fit", "--target", "@target", "--scheme", scheme, "--rank",
+           str(r), "--seed", str(seed), "--steps", "5"]
+    kind = draw(st.sampled_from(("flag", "parse", "file", "diverge")))
+    if kind == "flag":
+        argv = draw(st.sampled_from([
+            ["dof", *dims, "--rank", bad_rank],
+            ["build", *dims, "--rank", bad_rank, "--seed", "0", "--out",
+             "@out"],
+            ["gradcheck", *dims, "--rank", bad_rank, "--seed", "0"],
+            ["plan", *dims, "--rank", str(r), "--dx",
+             str(draw(st.integers(-2, 0)))],
+            ["demo-train", "--seed", "0", "--steps",
+             str(draw(st.integers(-2, 0)))],
+            fit + [draw(st.sampled_from(("--lr", "--tol", "--lambda"))),
+                   draw(st.sampled_from(("nan", "inf", "-1")))],
+            fit + ["--momentum", draw(st.sampled_from(("nan", "1", "-0.5")))],
+        ]))
+        return shape, argv, None, 2
+    if kind == "parse":
+        argv = draw(st.sampled_from([
+            ["dof", "--scheme", "tt", "--dout", "4", "--din", "4", "--rank",
+             "1"],
+            ["dof", *dims, "--rank", "1.5"],
+            ["gradcheck", *dims, "--rank", str(r)],
+            ["no-such-command"],
+        ]))
+        return shape, argv, None, 2
+    if kind == "diverge":
+        # from the exact fit, one step of lr 1e308 takes theta past the
+        # parameters' magnitude bound
+        return shape, draw(st.sampled_from([
+            fit + ["--lr", "1e308"],
+            ["fit", "--target", "@huge", "--scheme", scheme, "--rank",
+             str(r), "--seed", str(seed)],
+        ])), None, 4
+    file, argv = draw(st.sampled_from([
+        ("params", ["apply", "--params", "@params", "--in", "@input",
+                    "--out", "@out"]),
+        ("params", ["inspect", "--params", "@params"]),
+        ("params", ["build", "--params", "@params", "--out", "@out"]),
+        ("input", ["apply", "--params", "@params", "--in", "@input",
+                   "--out", "@out"]),
+        ("target", fit),
+    ]))
+    how = draw(st.sampled_from(("truncated", "bad magic", "non-finite",
+                                "missing")))
+    value = draw(st.integers(1, 400) if how == "truncated" else
+                 st.sampled_from((np.nan, np.inf, -np.inf)))
+    # a matrix file with a non-finite value is well formed: its values
+    # are out of the domain
+    code = 2 if how == "non-finite" and file != "params" else 3
+    return shape, argv, (file, how, value), code
+
+
+def write_case(root, shape):
+    scheme, d_out, d_in, r, seed = shape
+    params = SCHEMES[scheme].init(d_out, d_in, r, LEARNED, seed,
+                                  "noisy_identity", lam=0.0)
+    paths = {name: root / name for name in ("params", "input", "target",
+                                            "huge", "out")}
+    fileio.write_params(paths["params"], params)
+    fileio.write_matrix(paths["input"], np.ones((d_in, 2)))
+    fileio.write_matrix(paths["target"], decompress(params))
+    fileio.write_matrix(paths["huge"], np.full((d_out, d_in), 1e7))
+    return paths
+
+
+class TestCliExitCodes:
+    @given(case=one_fault())
+    @settings(max_examples=150, deadline=None)
+    def test_one_fault_exits_with_its_documented_code(self, fuzz_dir, case):
+        shape, argv, fault, want = case
+        paths = write_case(fuzz_dir, shape)
+        if fault is not None:
+            file, how, value = fault
+            damage(paths[file], how, value)
+        code, err = run_main([str(paths[a[1:]]) if a.startswith("@") else a
+                              for a in argv])
+        assert code == want
+        assert err.startswith(("error:", "usage:"))

@@ -1,4 +1,4 @@
-"""Dense substrate: ordering, reshaping, QR, power iteration, SVD oracle."""
+"""Dense substrate: ordering, reshaping, QR, SVD oracle."""
 
 import itertools
 import math
@@ -60,21 +60,16 @@ class TestMultiIndex:
         ]
         assert sorted(seen) == list(range(1, total + 1))
 
-    def test_inverse(self):
-        dims = (3, 4, 2)
-        for pos in range(1, 25):
-            assert dense.multi_index(dims, dense.linear_to_multi(dims, pos)) == pos
-
 
 class TestReshape:
     def test_metadata_only(self):
-        t = dense.as_tensor(np.arange(6.0), (6,))
+        t = np.arange(6.0)
         r = dense.reshape(t, (2, 3))
         assert r.shape == (2, 3)
         assert np.array_equal(r.ravel(), t)
 
     def test_transposed_dims_follow_ordering(self):
-        t = dense.as_tensor(np.arange(6.0), (2, 3))
+        t = np.arange(6.0).reshape(2, 3)
         r = dense.reshape(t, (3, 2))
         # element at multi-index (i, j) of the new dims sits at the same
         # linear position as before
@@ -100,14 +95,14 @@ class TestReshape:
 
 class TestMatricizeCore:
     def test_unit_leading_axis(self):
-        core = dense.as_tensor(np.arange(6.0), (1, 3, 2))
+        core = np.arange(6.0).reshape(1, 3, 2)
         m = dense.matricize_core(core)
         assert m.shape == (3, 2)
         assert np.array_equal(m.ravel(), core.ravel())
 
     def test_fused_enumeration(self):
         # independent oracle: fuse (i, j) by explicit enumeration
-        core = dense.as_tensor([1.0, 2.0, 3.0, 4.0], (2, 2, 1))
+        core = np.arange(1.0, 5.0).reshape(2, 2, 1)
         m = dense.matricize_core(core)
         assert m.shape == (4, 1)
         expected = np.empty((4, 1))
@@ -188,51 +183,6 @@ class TestOrthonormalize:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(DomainError, match="finite"):
             dense.orthonormalize(np.array([[1.0, bad], [0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestPowerIteration:
-    def test_diagonal(self):
-        assert dense.power_iteration_sigma_max(np.diag([3.0, 2.0, 1.0]), 0) == \
-            pytest.approx(3.0, abs=1e-10)
-
-    def test_identity(self):
-        assert dense.power_iteration_sigma_max(np.eye(4), 1) == \
-            pytest.approx(1.0, abs=1e-10)
-
-    def test_zero_matrix(self):
-        assert dense.power_iteration_sigma_max(np.zeros((3, 2)), 0) == 0.0
-
-    def test_matches_svd(self):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((8, 5))
-        _, s, _ = dense.svd_full(m)
-        est = dense.power_iteration_sigma_max(m, 11)
-        assert abs(est - s[0]) <= 1e-8 * s[0]
-
-    def test_deterministic(self):
-        m = np.random.default_rng(3).standard_normal((6, 6))
-        assert dense.power_iteration_sigma_max(m, 5) == \
-            dense.power_iteration_sigma_max(m, 5)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rejected(self, bad):
-        m = np.eye(3)
-        m[2, 1] = bad
-        with pytest.raises(DomainError, match="non-finite"):
-            dense.power_iteration_sigma_max(m, 0)
-
-    @pytest.mark.parametrize("exponent", [-1000, -3, 0, 1, 700])
-    def test_power_of_two_scaling_keeps_the_bits(self, exponent):
-        m = np.random.default_rng(8).standard_normal((7, 4))
-        assert dense.power_iteration_sigma_max(np.ldexp(m, exponent), 2) == \
-            math.ldexp(dense.power_iteration_sigma_max(m, 2), exponent)
-
-    def test_products_that_overflow(self):
-        # m @ v overflows at 1e200, though sigma_max is representable
-        assert dense.power_iteration_sigma_max(1e200 * np.eye(3), 0) == \
-            pytest.approx(1e200, rel=1e-12)
-        with pytest.raises(DomainError, match="overflows"):
-            dense.power_iteration_sigma_max(np.full((4, 4), 1e308), 0)
 
 
 class TestSvdFull:

@@ -8,7 +8,7 @@ import pytest
 from ttspectral import fit as ft
 from ttspectral.autodiff import pack
 from ttspectral.dense import svd_full
-from ttspectral.errors import DivergenceError, DomainError
+from ttspectral.errors import DivergenceError, DomainError, ShapeError
 from ttspectral.planner import decompress
 from ttspectral.sampling import random_sttp_params, random_svdp_params
 from ttspectral.spectral import materialize_sigma
@@ -39,6 +39,16 @@ class TestEckartYoungOptimum:
         u, s, v = svd_full(t)
         resid = np.linalg.norm(t - (u[:, :2] * s[:2]) @ v[:, :2].T)
         assert abs(ft.eckart_young_optimum(t, 2) - resid) <= 1e-10
+
+    @pytest.mark.parametrize("r", [-1, 0])
+    def test_rank_outside_range_rejected(self, r):
+        with pytest.raises(DomainError, match="rank"):
+            ft.eckart_young_optimum(np.eye(4), r)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(ShapeError, match="matrix"):
+            ft.eckart_young_optimum(np.ones(shape), 1)
 
 
 class TestFitMatrix:

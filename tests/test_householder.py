@@ -537,34 +537,38 @@ class TestEncode:
 
 class TestInitLayout:
     def test_identity_scheme(self):
-        layout, signs = hh.init_layout("identity", 6, 3, 0)
+        layout, signs = hh.encode_as(hh.init_frame("identity", 6, 3, 0),
+                                     hh.FULL)
         assert np.allclose(hh.decode(layout) * signs, np.eye(6, 3), atol=1e-10)
 
     def test_random_orthogonal(self):
-        layout, _ = hh.init_layout("random_orthogonal", 10, 4, 1)
+        layout, _ = hh.encode_as(hh.init_frame("random_orthogonal", 10, 4, 1),
+                                 hh.FULL)
         assert gram_residual(hh.decode(layout)) <= 1e-10
 
     def test_noisy_identity_stays_near_identity(self):
         alpha = 1e-4
         for seed in range(50):
-            layout, signs = hh.init_layout("noisy_identity", 8, 3, seed)
+            layout, signs = hh.encode_as(
+                hh.init_frame("noisy_identity", 8, 3, seed), hh.FULL)
             frame = hh.decode(layout) * signs
             assert np.linalg.norm(frame - np.eye(8, 3)) <= 10 * alpha * \
                 np.sqrt(8 * 3)
 
     def test_deterministic(self):
-        a, _ = hh.init_layout("noisy_identity", 7, 2, 42)
-        b, _ = hh.init_layout("noisy_identity", 7, 2, 42)
+        a, _ = hh.encode_as(hh.init_frame("noisy_identity", 7, 2, 42), hh.FULL)
+        b, _ = hh.encode_as(hh.init_frame("noisy_identity", 7, 2, 42), hh.FULL)
         assert np.array_equal(a.params, b.params)
 
     def test_reduced_variant(self):
-        layout, _ = hh.init_layout("identity", 6, 3, 0, variant=hh.REDUCED)
+        layout, _ = hh.encode_as(hh.init_frame("identity", 6, 3, 0),
+                                 hh.REDUCED)
         assert layout.variant == hh.REDUCED
         assert gram_residual(hh.decode(layout)) <= 1e-10
 
     def test_unknown_scheme(self):
         with pytest.raises(DomainError):
-            hh.init_layout("xavier", 4, 2, 0)
+            hh.encode_as(hh.init_frame("xavier", 4, 2, 0), hh.FULL)
 
 
 class TestValidation:

@@ -223,70 +223,30 @@ class TestLipschitzBound:
 
 
 class TestStableRank:
-    def test_identity(self):
-        assert sp.stable_rank(np.eye(3)) == pytest.approx(3.0, rel=1e-10)
-
-    def test_rank_one_diag(self):
-        assert sp.stable_rank(np.diag([1.0, 0.0])) == pytest.approx(1.0)
-
     def test_from_spectrum(self):
         # (1 + 0.25) / 1 by independent arithmetic
         assert sp.stable_rank_from_spectrum([1.0, 0.5]) == pytest.approx(1.25)
 
     def test_two_paths_agree(self):
         rng = np.random.default_rng(3)
-        for seed in range(10):
+        for _ in range(10):
             sigma = rng.uniform(0.1, 1.0, 4)
             sigma[0] = 1.0
             u = np.linalg.qr(rng.standard_normal((8, 4)))[0]
             v = np.linalg.qr(rng.standard_normal((6, 4)))[0]
             w = (u * sigma) @ v.T
-            a = sp.stable_rank(w, seed)
+            a = np.sum(w * w) / np.linalg.norm(w, 2) ** 2
             b = sp.stable_rank_from_spectrum(sigma)
             assert a == pytest.approx(b, rel=1e-8)
-
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(DomainError):
-            sp.stable_rank(np.zeros((2, 2)))
 
     def test_empty_spectrum_rejected(self):
         with pytest.raises(DomainError, match="non-empty"):
             sp.stable_rank_from_spectrum([])
 
-    @pytest.mark.parametrize("scale", [1e200, 1e-300])
-    def test_scale_free(self, scale):
-        # squares of the entries over- or underflow; the ratio does not
-        m = np.random.default_rng(4).standard_normal((6, 5))
-        assert sp.stable_rank(scale * np.eye(3)) == sp.stable_rank(np.eye(3))
-        assert sp.stable_rank(scale * m) == pytest.approx(sp.stable_rank(m),
-                                                          rel=1e-12)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_matrix_rejected(self, bad):
-        with pytest.raises(DomainError, match="non-finite"):
-            sp.stable_rank(np.array([[1.0, bad], [0.0, 1.0]]))
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_spectrum_rejected(self, bad):
         with pytest.raises(DomainError, match="finite"):
             sp.stable_rank_from_spectrum([1.0, bad])
-
-
-class TestConvKernelDims:
-    def test_first_layer_example(self):
-        assert sp.conv_kernel_matrix_dims(64, 3, (3, 3)) == (64, 27)
-
-    def test_pointwise(self):
-        assert sp.conv_kernel_matrix_dims(8, 8, (1, 1)) == (8, 8)
-
-    def test_worked_example(self):
-        assert sp.conv_kernel_matrix_dims(16, 8, (3, 3)) == (16, 72)
-
-    def test_rank_cap_follows(self):
-        from ttspectral.svdp import rank_cap
-
-        d_out, d_in = sp.conv_kernel_matrix_dims(64, 3, (3, 3))
-        assert rank_cap(d_out, d_in) == 27
 
 
 class TestCompressionRatio:

@@ -1,4 +1,4 @@
-"""Two-frame assembly: dof accounting, assembly, span, gauge redundancy."""
+"""Two-frame assembly: dof accounting, assembly, gauge redundancy."""
 
 import numpy as np
 import pytest
@@ -97,32 +97,6 @@ class TestAssemble:
         assert p.v_layout.variant == hh.FULL
         p = svdp.init_svdp_params(8, 6, 3, LEARNED, 0)
         assert p.u_layout.variant == hh.FULL
-
-
-class TestSpanProperty:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_rank_r_target_with_unit_top_value(self, seed):
-        # constructive span: truncate an SVD, rescale to top value 1,
-        # encode frames, absorb signs into the spectrum
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((9, 7))
-        u, s, v = svd_full(raw)
-        target = (u[:, :3] * (s[:3] / s[0])) @ v[:, :3].T
-        params, scale = svdp.svdp_from_matrix(target, 3)
-        assert scale == pytest.approx(1.0, rel=1e-12)
-        w = svdp.assemble(params)
-        assert np.linalg.norm(w - target) <= 1e-9 * np.linalg.norm(target)
-
-    def test_scale_reported_for_unnormalized_targets(self):
-        rng = np.random.default_rng(42)
-        target = 5.0 * rng.standard_normal((6, 4))
-        params, scale = svdp.svdp_from_matrix(target, 4)
-        _, s, _ = svd_full(target)
-        assert scale == pytest.approx(s[0], rel=1e-12)
-        w = svdp.assemble(params)
-        u, sv, v = svd_full(target)
-        best = (u[:, :4] * sv[:4]) @ v[:, :4].T
-        assert np.linalg.norm(scale * w - best) <= 1e-9 * np.linalg.norm(best)
 
 
 class TestRedundancyWitness:
