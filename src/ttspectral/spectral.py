@@ -177,7 +177,8 @@ def stable_rank_from_spectrum(sigma) -> float:
         raise DomainError("stable rank is undefined for the zero matrix")
     if not math.isfinite(smax):  # np.max passes a NaN on
         raise DomainError("stable rank needs a finite spectrum")
-    return float(np.sum(sigma * sigma) / (smax * smax))
+    ratios = sigma / smax  # squares of the raw values may over- or underflow
+    return float(np.sum(ratios * ratios))
 
 
 @dataclass(frozen=True)

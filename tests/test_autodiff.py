@@ -56,6 +56,12 @@ class TestTape:
         w, _ = ad.assemble_with_tape(p)
         assert np.allclose(w, decompress(p), atol=1e-14)
 
+    def test_tape_output_is_decompress_bitwise(self):
+        for p in (random_svdp_params(6, 5, 3, LEARNED, 0),
+                  random_sttp_params(8, 6, 2, LEARNED, 1)):
+            w, _ = ad.assemble_with_tape(p)
+            assert np.array_equal(w, decompress(p))
+
     def test_pack_unpack_round_trip(self):
         for p in (random_svdp_params(6, 5, 3, IDENTITY, 3),
                   random_sttp_params(16, 12, 4, LEARNED, 4)):

@@ -60,6 +60,13 @@ class TestMultiIndex:
         ]
         assert sorted(seen) == list(range(1, total + 1))
 
+    def test_inverse(self):
+        # numpy's C order also varies the last axis fastest
+        dims = (3, 4, 2)
+        for pos in range(1, 25):
+            idx = np.unravel_index(pos - 1, dims)
+            assert dense.multi_index(dims, [i + 1 for i in idx]) == pos
+
 
 class TestReshape:
     def test_metadata_only(self):
@@ -206,6 +213,49 @@ class TestSvdFull:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             dense.svd_full(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_named(self, bad):
+        m = np.eye(3)
+        m[2, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            dense.svd_full(m)
+
+    def test_identity(self):
+        u, s, v = dense.svd_full(np.eye(4))
+        assert np.array_equal(s, np.ones(4))
+        assert np.allclose(u @ v.T, np.eye(4), atol=1e-15)
+
+    def test_top_value_is_the_spectral_norm(self):
+        m = np.random.default_rng(7).standard_normal((8, 5))
+        _, s, _ = dense.svd_full(m)
+        assert s[0] == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
+
+    def test_deterministic(self):
+        m = np.random.default_rng(3).standard_normal((6, 6))
+        for a, b in zip(dense.svd_full(m), dense.svd_full(m)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
+    def test_thin_factors(self, shape):
+        m = np.random.default_rng(2).standard_normal(shape)
+        u, s, v = dense.svd_full(m)
+        k = min(shape)
+        assert (u.shape, s.shape, v.shape) == ((shape[0], k), (k,),
+                                               (shape[1], k))
+
+    @pytest.mark.parametrize("exponent", [-1000, -3, 0, 1, 700])
+    def test_power_of_two_scaling(self, exponent):
+        # at the extremes the squares of the entries over- or underflow
+        m = np.random.default_rng(8).standard_normal((7, 4))
+        _, s, _ = dense.svd_full(m)
+        _, scaled, _ = dense.svd_full(np.ldexp(m, exponent))
+        assert np.allclose(scaled / np.ldexp(s, exponent), 1.0, rtol=0,
+                           atol=1e-14)
+
+    def test_large_entries(self):
+        _, s, _ = dense.svd_full(1e200 * np.eye(3))
+        assert np.allclose(s, 1e200, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_eckart_young_identity(self, seed):

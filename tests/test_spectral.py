@@ -227,6 +227,34 @@ class TestStableRank:
         # (1 + 0.25) / 1 by independent arithmetic
         assert sp.stable_rank_from_spectrum([1.0, 0.5]) == pytest.approx(1.25)
 
+    def test_identity(self):
+        assert sp.stable_rank_from_spectrum(np.ones(3)) == 3.0
+
+    def test_rank_one_diag(self):
+        assert sp.stable_rank_from_spectrum([1.0, 0.0]) == 1.0
+
+    def test_signs_do_not_count(self):
+        assert sp.stable_rank_from_spectrum([-1.0, 0.5]) == \
+            sp.stable_rank_from_spectrum([1.0, -0.5])
+
+    def test_between_one_and_the_rank(self):
+        rng = np.random.default_rng(5)
+        for r in range(1, 8):
+            value = sp.stable_rank_from_spectrum(rng.standard_normal(r))
+            assert 1.0 <= value <= r * (1 + 1e-15)
+
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(DomainError, match="zero matrix"):
+            sp.stable_rank_from_spectrum(np.zeros(2))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-300])
+    def test_scale_free(self, scale):
+        # squares of the values over- or underflow; the ratio does not
+        sigma = np.random.default_rng(4).uniform(0.1, 1.0, 5)
+        assert sp.stable_rank_from_spectrum(scale * np.ones(3)) == 3.0
+        assert sp.stable_rank_from_spectrum(scale * sigma) == pytest.approx(
+            sp.stable_rank_from_spectrum(sigma), rel=1e-12)
+
     def test_two_paths_agree(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

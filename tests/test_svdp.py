@@ -1,4 +1,4 @@
-"""Two-frame assembly: dof accounting, assembly, gauge redundancy."""
+"""Two-frame assembly: dof accounting, assembly, span, gauge redundancy."""
 
 import numpy as np
 import pytest
@@ -97,6 +97,44 @@ class TestAssemble:
         assert p.v_layout.variant == hh.FULL
         p = svdp.init_svdp_params(8, 6, 3, LEARNED, 0)
         assert p.u_layout.variant == hh.FULL
+
+
+def from_truncated_svd(target, r):
+    """Parameters whose assembly times the returned scale is the truncated
+    SVD of ``target``: encode both frames, absorb their signs into a
+    learned spectrum rescaled by the top singular value."""
+    u, s, v = svd_full(target)
+    u_layout, su = hh.encode(u[:, :r])
+    v_layout, sv = hh.encode(v[:, :r])
+    spectrum = SpectrumParams(LEARNED, r, (s[:r] / s[0]) * su * sv)
+    d_out, d_in = target.shape
+    return svdp.SvdpParams(d_out, d_in, r, u_layout, v_layout,
+                           spectrum), float(s[0])
+
+
+class TestSpanProperty:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rank_r_target_with_unit_top_value(self, seed):
+        # constructive span: a rank-3 target with top singular value 1 is
+        # reached exactly
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((9, 7))
+        u, s, v = svd_full(raw)
+        target = (u[:, :3] * (s[:3] / s[0])) @ v[:, :3].T
+        params, scale = from_truncated_svd(target, 3)
+        assert scale == pytest.approx(1.0, rel=1e-12)
+        w = svdp.assemble(params)
+        assert np.linalg.norm(w - target) <= 1e-9 * np.linalg.norm(target)
+
+    def test_scale_reported_for_unnormalized_targets(self):
+        rng = np.random.default_rng(42)
+        target = 5.0 * rng.standard_normal((6, 4))
+        params, scale = from_truncated_svd(target, 4)
+        u, sv, v = svd_full(target)
+        best = (u[:, :4] * sv[:4]) @ v[:, :4].T
+        assert np.max(np.abs(materialize_sigma(params.spectrum))) == 1.0
+        w = svdp.assemble(params)
+        assert np.linalg.norm(scale * w - best) <= 1e-9 * np.linalg.norm(best)
 
 
 class TestRedundancyWitness:
