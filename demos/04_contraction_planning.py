@@ -2,11 +2,10 @@
 
 The parameterized map is a tensor diagram; contracting it in the right
 order is dramatically cheaper than materializing W first. The planner
-runs a dynamic program over pairs of connected sub-diagrams that share an
-edge, under a multiply-add cost model, and caches the optimal plan per
-shape. Diagrams of at most 8 nodes search every binary contraction tree;
-larger ones join pieces only along an edge. A cold plan of the 11-node
-16x72 chain below takes 2-5 ms, and one at the 16-node cap 20-40 ms.
+runs a dynamic program over splits of node sets, under a multiply-add
+cost model, and caches the optimal plan per shape. Diagrams of at most 8
+nodes search every binary contraction tree; larger ones, chains of cores,
+search every run of consecutive nodes with or without the input x.
 """
 
 import numpy as np

@@ -102,7 +102,8 @@ def svd_full(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular value decomposition ``m = U @ diag(s) @ V.T``.
 
     Returns ``(U, s, V)`` with ``s`` non-negative and descending and the
-    frames orthonormal.  Serves as the test oracle and the best-rank-k
+    frames orthonormal; a singular value past float range raises
+    :class:`NumericError`.  Serves as the test oracle and the best-rank-k
     baseline throughout the library.
     """
     m = np.asarray(m, dtype=np.float64)
@@ -114,4 +115,6 @@ def svd_full(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"SVD did not converge: {exc}") from exc
+    if not np.isfinite(s).all():  # a spectral norm past float range
+        raise NumericError("svd_full: a singular value is not finite")
     return u, s, vh.T

@@ -25,9 +25,5 @@ class BindingError(TtspectralError, ValueError):
     """Plan execution received missing or mismatched node data."""
 
 
-class CapacityError(TtspectralError, ValueError):
-    """Problem size exceeds a documented desk-scale bound."""
-
-
 class FileFormatError(TtspectralError, ValueError):
     """A matrix or parameter file is malformed."""

@@ -157,7 +157,9 @@ def _descend(theta, cfg, steps, value_and_grad, diverged):
             raise DivergenceError(diverged.format(loss=loss, step=step, lr=lr))
         yield step, theta, loss, tapes
         velocity = cfg.momentum * velocity + grad
-        theta = theta - lr * velocity
+        # an overflow here is caught by the next step's theta check
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = theta - lr * velocity
 
 
 def eckart_young_optimum(target: np.ndarray, r: int) -> float:

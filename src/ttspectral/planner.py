@@ -7,18 +7,21 @@ tree of pairwise contractions executing the diagram; its cost model charges
 and one add per inner-product term), except that contracting a diagonal
 matrix node is a pure scaling and costs only the size of its result.
 
-The planner runs one dynamic program over pairs of connected sub-diagrams
-that share an edge (DPccp: Moerkotte & Neumann, VLDB 2006).  For diagrams
-of at most ``EXHAUSTIVE_NODES`` (8) nodes every pair of nodes counts as
-adjacent, so the search covers every binary contraction tree, outer
-products included, and the plan has minimal total cost under the model.
-Above that, pieces are only joined along an edge; on every chain diagram
-the library builds that was checked against the exhaustive search (9 to 14
-nodes) the plans are the same.  Ties break toward the lexicographically
-smallest step sequence.  A cold plan of the paper's 16x72 rank-4 chain (11
-nodes) takes 2-5 ms, of a 128x128 chain (16 nodes, the cap) 20-40 ms (one
-core, timeit).  Plans depend only on the diagram, not on bound data, and
-are cached per diagram shape.
+The planner runs one dynamic program over splits of node sets, costing
+each set once.  For diagrams of at most ``EXHAUSTIVE_NODES`` (8) nodes it
+tries every split of every node set, so it covers every binary contraction
+tree, outer products included, and the plan has minimal total cost under
+the model.  Larger diagrams are the library's chains of cores, and for
+them it tries only runs of consecutive nodes, each with or without the
+last node (the input ``x``): the interval program of matrix-chain
+ordering, as used for tensor-train contraction orders (Oseledets, SIAM J.
+Sci. Comput. 2011).  On every library chain diagram checked against the
+search over all subsets (9 to 12 nodes) the plans are the same, and the
+tests pin the plans of sttp chains of up to 26 nodes.  Any diagram gets a
+valid plan, but above 8 nodes one whose node order does not follow its
+edges may get a costly one.  Ties break toward the lexicographically
+smallest step sequence.  Plans depend only on the diagram, not on bound
+data, and are cached per diagram shape.
 
 The search yields only a split sequence; :func:`_compile` walks it once
 into the plan's steps, costs and program: per step the transposes and
@@ -28,7 +31,7 @@ diagonal vector.  :func:`execute` runs that program without any einsum.
 
 :func:`sttp_diagram` draws a map ``y = W x`` as the chain of cores, with
 the input tensorized along the factored input dimension; the CLI ``plan``
-command plans it, and only such plans meet the ``MAX_NODES`` cap.
+command plans it.
 :func:`apply_map` composes each side into its frame first and applies
 every parameter set through the four-node one-core :func:`sttp_diagram`,
 whose cached plan is that of the named :func:`svdp_diagram`.
@@ -43,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BindingError, CapacityError, DomainError, ShapeError
+from .errors import BindingError, DomainError, ShapeError
 from .spectral import materialize_sigma
 from .sttp import assemble_sttp, chain_frames
 from .sttp import core_specs  # noqa: F401  (perfbench/spans.py patches it)
@@ -63,7 +66,6 @@ __all__ = [
     "decompress",
 ]
 
-MAX_NODES = 16
 EXHAUSTIVE_NODES = 8  # diagrams up to this size search every binary tree
 PLAN_CACHE_SIZE = 128  # plans kept, least recently used dropped first
 
@@ -251,92 +253,48 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _neighbours(diagram: TensorDiagram) -> list[int]:
-    """Per node, the mask of nodes it may be contracted with directly.
+def _pairs_by_size(n: int) -> list[list[tuple[int, int]]]:
+    """The splits the search tries, as ``(a, b)`` node-set masks with ``a``
+    holding the smaller node, listed under the size of their union.
 
-    Up to ``EXHAUSTIVE_NODES`` nodes every pair counts as adjacent, so the
-    search covers every binary tree, outer products included; above that
-    only nodes joined by an edge are.
+    Up to ``EXHAUSTIVE_NODES`` nodes that is every pair of disjoint node
+    sets.  Above that it is every split of a run of consecutive nodes
+    ``i..j`` into ``i..k`` and ``k+1..j``, either side optionally joined by
+    the last node, and each run joined by the last node alone.
     """
-    n = len(diagram.nodes)
-    if n <= EXHAUSTIVE_NODES:
-        everyone = (1 << n) - 1
-        return [everyone ^ (1 << i) for i in range(n)]
-    nbr = [0] * n
-    for na, _, nb, _ in diagram.edges:
-        nbr[na] |= 1 << nb
-        nbr[nb] |= 1 << na
-    return nbr
-
-
-def _pairs_by_size(nbr: list[int]) -> list[list[tuple[int, int]]]:
-    """Every unordered pair of disjoint connected node sets with an edge
-    between them, as ``(a, b)`` masks with ``a`` holding the smaller node,
-    listed under the size of their union.
-
-    This is the csg-cmp pair enumeration of DPccp (Moerkotte & Neumann,
-    VLDB 2006): each pair comes out exactly once.  Its own order does not
-    always finish a set's splits before the set is used as a part, so the
-    pairs are grouped by size instead.
-    """
-    n = len(nbr)
-    hood_memo: dict[int, int] = {}
-
-    def hood(s: int) -> int:  # nodes adjacent to s, outside it
-        got = hood_memo.get(s)
-        if got is None:
-            low = s & -s
-            rest = s ^ low
-            got = ((hood(rest) if rest else 0)
-                   | nbr[low.bit_length() - 1]) & ~s
-            hood_memo[s] = got
-        return got
-
-    def grow(s: int, excluded: int, out: list[int]) -> None:
-        # every connected superset of s reachable without entering excluded
-        frontier = hood(s) & ~excluded
-        if not frontier:
-            return
-        subs = []
-        sub = frontier
-        while sub:
-            subs.append(s | sub)
-            sub = (sub - 1) & frontier
-        out.extend(subs)
-        excluded |= frontier
-        for grown in subs:
-            grow(grown, excluded, out)
-
-    connected: list[int] = []
-    for i in reversed(range(n)):
-        connected.append(1 << i)
-        grow(1 << i, (2 << i) - 1, connected)
-
     buckets: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for a in connected:
-        below = ((a & -a) << 1) - 1 | a  # a and every node under its minimum
-        frontier = hood(a) & ~below
-        while frontier:
-            top = 1 << (frontier.bit_length() - 1)
-            partners = [top]
-            grow(top, below | frontier, partners)
-            for b in partners:
-                buckets[(a | b).bit_count()].append((a, b))
-            frontier ^= top
+    if n <= EXHAUSTIVE_NODES:
+        for s in range(1, 1 << n):
+            bucket = buckets[s.bit_count()]
+            rest = s ^ (s & -s)  # b never takes the smallest node
+            b = rest
+            while b:
+                bucket.append((s ^ b, b))
+                b = (b - 1) & rest
+        return buckets
+    last = 1 << (n - 1)
+    for i in range(n - 1):
+        for j in range(i, n - 1):
+            run, size = (2 << j) - (1 << i), j - i + 1
+            buckets[size + 1].append((run, last))
+            for k in range(i, j):
+                left = (2 << k) - (1 << i)
+                right = run ^ left
+                buckets[size].append((left, right))
+                buckets[size + 1] += [(left | last, right),
+                                      (left, right | last)]
     return buckets
 
 
 def plan(diagram: TensorDiagram) -> ContractionPlan:
-    """FLOP-minimal contraction plan over pairs of connected sub-diagrams.
+    """FLOP-minimal contraction plan, by dynamic programming over splits.
 
-    Dynamic programming over pairs of disjoint connected node sets joined by
-    an edge (DPccp).  Up to ``EXHAUSTIVE_NODES`` nodes every pair of nodes
-    counts as adjacent, so the plan is exact over all binary trees, outer
-    products included; above that outer products of unconnected pieces are
-    never considered.  Cost ties resolve to the lexicographically smallest
-    step sequence (operands keyed by their sorted leaf ids, left operand
-    holding the smaller minimum).  Diagrams are capped at ``MAX_NODES``
-    nodes; a cold plan takes 2-5 ms at 11 nodes and 20-40 ms at 16.
+    Up to ``EXHAUSTIVE_NODES`` nodes every split of every node set is
+    tried, so the plan is exact over all binary trees, outer products
+    included; above that only runs of consecutive nodes, each with or
+    without the last node, are (see :func:`_pairs_by_size`).  Cost ties
+    resolve to the lexicographically smallest step sequence (operands keyed
+    by their sorted leaf ids, left operand holding the smaller minimum).
     The last ``PLAN_CACHE_SIZE`` plans used are cached per diagram
     signature.
     """
@@ -347,8 +305,6 @@ def plan(diagram: TensorDiagram) -> ContractionPlan:
         return cached
 
     n = len(diagram.nodes)
-    if n > MAX_NODES:
-        raise CapacityError(f"diagram has {n} nodes; planner caps at {MAX_NODES}")
     sizes = diagram.axis_sizes
 
     prod_memo: dict[int, int] = {0: 1}
@@ -361,7 +317,7 @@ def plan(diagram: TensorDiagram) -> ContractionPlan:
             prod_memo[mask] = got
         return got
 
-    # per connected node set: open axes and the product of their sizes,
+    # per node set: open axes and the product of their sizes,
     # best cost, best step sequence, sorted leaf ids
     open_mask: dict[int, int] = {}
     open_size: dict[int, int] = {}
@@ -378,7 +334,7 @@ def plan(diagram: TensorDiagram) -> ContractionPlan:
         1 << i for i, node in enumerate(diagram.nodes) if node.diagonal
     }
 
-    for bucket in _pairs_by_size(_neighbours(diagram)):
+    for bucket in _pairs_by_size(n):
         for a, b in bucket:  # a holds the smaller node: the left operand
             s = a | b
             oa, ob = open_mask[a], open_mask[b]

@@ -295,6 +295,14 @@ peak_intermediate=36
 naive_flops=15808
 """
 
+    def test_plan_sttp_256_chain(self, capsys):
+        # an 18-node chain diagram: the run search side of the planner
+        assert main(["plan", "--scheme", "sttp", "--dout", "256", "--din",
+                     "256", "--rank", "8", "--dx", "64", "--naive"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("step ") for line in lines) == 17
+        assert "total_flops=611584" in lines
+
     def test_plan_sttp_rank_one_chain_keeps_interior_legs(self, capsys):
         # 8 nodes: the exhaustive side of the planner; the interior rank-1
         # legs show as 1s in dims
@@ -483,7 +491,6 @@ peak_intermediate=24
         assert capsys.readouterr().out == ""
 
     def test_apply_sttp_256_matches_the_built_matrix(self, tmp_path):
-        # an 18-node chain diagram, over the planner's 16-node cap
         w_path, p_path = tmp_path / "w.mat", tmp_path / "p.params"
         x_path, y_path = tmp_path / "x.mat", tmp_path / "y.mat"
         assert main(["build", "--scheme", "sttp", "--dout", "256", "--din",

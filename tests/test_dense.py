@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttspectral import dense
-from ttspectral.errors import DomainError, ShapeError
+from ttspectral.errors import DomainError, NumericError, ShapeError
 
 from helpers import householder_qr, reflectors_to_frame
 
@@ -220,6 +220,11 @@ class TestSvdFull:
         m[2, 1] = bad
         with pytest.raises(DomainError, match="finite"):
             dense.svd_full(m)
+
+    def test_singular_value_past_float_range_raises(self):
+        # every entry is finite, but the spectral norm 4e308 is not
+        with pytest.raises(NumericError, match="not finite"):
+            dense.svd_full(np.full((4, 4), 1e308))
 
     def test_identity(self):
         u, s, v = dense.svd_full(np.eye(4))

@@ -8,7 +8,12 @@ import pytest
 from ttspectral import fit as ft
 from ttspectral.autodiff import pack
 from ttspectral.dense import svd_full
-from ttspectral.errors import DivergenceError, DomainError, ShapeError
+from ttspectral.errors import (
+    DivergenceError,
+    DomainError,
+    NumericError,
+    ShapeError,
+)
 from ttspectral.planner import decompress
 from ttspectral.sampling import random_sttp_params, random_svdp_params
 from ttspectral.spectral import materialize_sigma
@@ -49,6 +54,12 @@ class TestEckartYoungOptimum:
     def test_non_matrix_rejected(self, shape):
         with pytest.raises(ShapeError, match="matrix"):
             ft.eckart_young_optimum(np.ones(shape), 1)
+
+    def test_spectral_norm_past_float_range_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="not finite"):
+                ft.eckart_young_optimum(np.full((4, 4), 1e308), 1)
 
 
 class TestFitMatrix:
@@ -105,6 +116,19 @@ class TestFitMatrix:
             run()
         assert not [w for w in caught
                     if "invalid value encountered in divide" in str(w.message)]
+
+    @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
+    def test_overflowing_step_diverges_without_a_warning(self, scheme):
+        # lr 1e308 times a gradient entry above about 1.8 overflows theta;
+        # the next step's theta check reports it, and nothing warns
+        t = np.random.default_rng(0).standard_normal((16, 72))
+        cfg = ft.FitConfig(scheme, 4, LEARNED, lr=1e308, seed=0,
+                           max_steps=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError,
+                               match="loss nan diverged at step 1; "):
+                ft.fit_matrix(t, cfg)
 
     def test_rank_cap_enforced(self):
         with pytest.raises(DomainError):

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttspectral import planner as pl
-from ttspectral.errors import (
-    BindingError,
-    CapacityError,
-    DomainError,
-    ShapeError,
-)
+from ttspectral.errors import BindingError, DomainError, ShapeError
 from ttspectral.sampling import random_sttp_params, random_svdp_params
 from ttspectral.schemes import SCHEMES
 from ttspectral.spectrum_modes import IDENTITY, LEARNED
@@ -112,13 +107,19 @@ class TestDiagramValidation:
         with pytest.raises(ShapeError, match=f"{side} is empty"):
             pl.sttp_diagram(out_factors, in_factors, (1, 1), 1)
 
-    def test_node_cap(self):
-        nodes = [pl.DiagramNode((2, 2)) for _ in range(17)]
-        edges = [(i, 1, i + 1, 0) for i in range(16)]
-        output = [(0, 0), (16, 1)]
+    @pytest.mark.parametrize("n", [17, 26])
+    def test_long_path_diagrams_plan(self, n):
+        nodes = [pl.DiagramNode((2, 2)) for _ in range(n)]
+        edges = [(i, 1, i + 1, 0) for i in range(n - 1)]
+        output = [(0, 0), (n - 1, 1)]
         diagram = pl.TensorDiagram(nodes, edges, output)
-        with pytest.raises(CapacityError):
-            pl.plan(diagram)
+        cplan = pl.plan(diagram)
+        assert_plan_structure(diagram, cplan)
+        rng = np.random.default_rng(n)
+        data = {i: rng.standard_normal((2, 2)) for i in range(n)}
+        want = one_shot_einsum(diagram, data)
+        got = pl.execute(cplan, data)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestPlanOptimality:
@@ -181,7 +182,7 @@ class TestPlanOptimality:
 
 
 class TestAgainstSubsetDp:
-    """The connected-pair search against the exact DP over every subset."""
+    """The planner's search against the exact DP over every subset."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_small_chains_identical(self, seed):
@@ -208,8 +209,8 @@ class TestAgainstSubsetDp:
 
     @pytest.mark.parametrize("n", [9, 10, 11, 12])
     def test_large_random_chains(self, n):
-        # above EXHAUSTIVE_NODES outer products of unconnected pieces are
-        # skipped, so the cost may exceed the exact optimum, never undercut it
+        # above EXHAUSTIVE_NODES only runs of consecutive nodes are tried,
+        # so the cost may exceed the exact optimum, never undercut it
         rng = np.random.default_rng(n)
         diagram = random_chain_diagram(rng, n, with_diagonal=n % 2 == 0)
         cplan = pl.plan(diagram)
@@ -221,6 +222,71 @@ class TestAgainstSubsetDp:
         want = one_shot_einsum(diagram, data)
         got = pl.execute(cplan, data)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def runs(leaves):
+    """Sorted leaf ids as runs of consecutive ids: (0, 1, 2, 5) -> "0-2,5"."""
+    out, start = [], leaves[0]
+    for a, b in zip(leaves, leaves[1:] + (None,)):
+        if b != a + 1:
+            out.append(str(a) if start == a else f"{start}-{a}")
+            start = b
+    return ",".join(out)
+
+
+# sttp d x d rank r at d_x: (nodes, total_flops, steps as left|right runs),
+# recorded from the connected-pair search over edges (DPccp, Moerkotte &
+# Neumann, VLDB 2006) that the run search replaced
+GOLDEN_PLANS = {
+    (128, 4, 1): (16, 4612, (
+        "0|1 0-1|2 0-2|3 13|14 12|13-14 11|12-14 11-14|15 10|11-15 "
+        "9|10-15 8|9-15 7|8-15 6|7-15 5|6-15 4|5-15 0-3|4-15")),
+    (128, 4, 64): (16, 144032, (
+        "0|1 0-1|2 0-2|3 0-3|4 5|6 0-4|5-6 7|8 7-8|9 7-9|10 13|14 "
+        "12|13-14 11|12-14 7-10|11-14 7-14|15 0-6|7-15")),
+    (256, 8, 1): (18, 21128, (
+        "0|1 0-1|2 0-2|3 15|16 14|15-16 13|14-16 13-16|17 12|13-17 "
+        "11|12-17 10|11-17 9|10-17 8|9-17 7|8-17 6|7-17 5|6-17 4|5-17 "
+        "0-3|4-17")),
+    (256, 8, 64): (18, 611584, (
+        "0|1 0-1|2 0-2|3 0-3|4 5|6 0-4|5-6 7|8 10|11 15|16 14|15-16 "
+        "13|14-16 12|13-16 10-11|12-16 10-16|17 9|10-17 7-8|9-17 "
+        "0-6|7-17")),
+    (1024, 16, 1): (22, 171152, (
+        "0|1 0-1|2 0-2|3 0-3|4 19|20 18|19-20 17|18-20 16|17-20 "
+        "16-20|21 15|16-21 14|15-21 13|14-21 12|13-21 11|12-21 10|11-21 "
+        "9|10-21 8|9-21 7|8-21 6|7-21 5|6-21 0-4|5-21")),
+    (1024, 16, 64): (22, 4957824, (
+        "0|1 0-1|2 0-2|3 0-3|4 0-4|5 6|7 0-5|6-7 8|9 10|11 10-11|12 "
+        "13|14 19|20 18|19-20 17|18-20 16|17-20 15|16-20 13-14|15-20 "
+        "13-20|21 10-12|13-21 8-9|10-21 0-7|8-21")),
+    (4096, 16, 1): (26, 498832, (
+        "0|1 0-1|2 0-2|3 0-3|4 0-4|5 23|24 22|23-24 21|22-24 20|21-24 "
+        "19|20-24 19-24|25 18|19-25 17|18-25 16|17-25 15|16-25 14|15-25 "
+        "13|14-25 12|13-25 11|12-25 10|11-25 9|10-25 8|9-25 7|8-25 "
+        "6|7-25 0-5|6-25")),
+    (4096, 16, 64): (26, 18327168, (
+        "0|1 0-1|2 0-2|3 0-3|4 0-4|5 0-5|6 7|8 0-6|7-8 9|10 9-10|11 "
+        "12|13 12-13|14 12-14|15 16|17 16-17|18 23|24 22|23-24 21|22-24 "
+        "20|21-24 19|20-24 16-18|19-24 16-24|25 12-15|16-25 9-11|12-25 "
+        "0-8|9-25")),
+}
+
+
+class TestGoldenPlans:
+    """Plans of the chain diagrams sttp exists for, pinned step by step."""
+
+    @pytest.mark.parametrize("spectrum", [LEARNED, IDENTITY])
+    @pytest.mark.parametrize("case", sorted(GOLDEN_PLANS))
+    def test_sttp_chain_plans(self, case, spectrum):
+        d, r, d_x = case
+        nodes, total_flops, steps = GOLDEN_PLANS[case]
+        diagram = library_diagram("sttp", d, d, r, spectrum, d_x)
+        assert len(diagram.nodes) == nodes
+        cplan = pl.plan(diagram)
+        assert cplan.total_flops == total_flops
+        assert " ".join(f"{runs(s.left)}|{runs(s.right)}"
+                        for s in cplan.steps) == steps
 
 
 class TestPlanCache:
@@ -494,7 +560,7 @@ class TestApplyMap:
         view = p.chain
         diagram = pl.sttp_diagram(view.out_factors, view.in_factors,
                                   view.ranks, d_x)
-        assert len(diagram.nodes) == pl.MAX_NODES == 16
+        assert len(diagram.nodes) == 16
         x = np.random.default_rng(d_x).standard_normal((128, d_x))
         got = pl.apply_map(p, x)
         want = pl.decompress(p) @ x
@@ -503,9 +569,8 @@ class TestApplyMap:
     @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
     @pytest.mark.parametrize("shape,nodes", [((256, 256, 8), 18),
                                              ((1024, 1024, 16), 22)])
-    def test_chains_over_the_node_cap_match_decompress(self, shape, nodes,
-                                                       mode):
-        # planning their chain diagrams hits the cap; apply_map does not
+    def test_large_chains_plan_and_match_decompress(self, shape, nodes,
+                                                    mode):
         p = random_sttp_params(*shape, mode, 8)
         view = p.chain
         w = pl.decompress(p)
@@ -513,8 +578,7 @@ class TestApplyMap:
             diagram = pl.sttp_diagram(view.out_factors, view.in_factors,
                                       view.ranks, d_x)
             assert len(diagram.nodes) == nodes
-            with pytest.raises(CapacityError):
-                pl.plan(diagram)
+            assert_plan_structure(diagram, pl.plan(diagram))
             x = np.random.default_rng(d_x).standard_normal((shape[1], d_x))
             got = pl.apply_map(p, x)
             want = w @ x
