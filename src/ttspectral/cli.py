@@ -1,9 +1,10 @@
 """Command-line surface: one subcommand per library capability.
 
-Exit codes: 0 success, 2 invalid flags or domain violations, 3 malformed
-files, 4 numeric failures (divergence, failed gradient checks).  Every
-randomized command requires an explicit ``--seed``; outputs are reproducible
-bit for bit from identical flags.
+Exit codes: 0 success, 2 invalid flags or domain violations (including
+dims whose arrays fail to allocate), 3 malformed files, 4 numeric failures
+(divergence, failed gradient checks).  Every randomized command requires an
+explicit ``--seed``; outputs are reproducible bit for bit from identical
+flags.
 """
 
 from __future__ import annotations
@@ -283,6 +284,9 @@ def main(argv=None) -> int:
         return 3
     except (DomainError, TtspectralError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

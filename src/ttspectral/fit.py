@@ -33,7 +33,7 @@ from .autodiff import (  # noqa: F401  (perfbench/spans.py patches the tape)
     unpack,
 )
 from .dense import MAX_MAGNITUDE, svd_full
-from .errors import DivergenceError, DomainError, ShapeError
+from .errors import DivergenceError, DomainError, NumericError, ShapeError
 from .schemes import SCHEMES
 from .spectral import lipschitz_bound, stable_rank_from_spectrum
 from .spectrum_modes import LEARNED
@@ -163,7 +163,8 @@ def _descend(theta, cfg, steps, value_and_grad, diverged):
 
 
 def eckart_young_optimum(target: np.ndarray, r: int) -> float:
-    """Smallest possible Frobenius error of any rank-r approximation."""
+    """Smallest possible Frobenius error of any rank-r approximation;
+    ``NumericError`` when that error is past float range."""
     target = np.asarray(target, dtype=np.float64)
     if target.ndim != 2:
         raise ShapeError(f"target must be a matrix, got ndim={target.ndim}")
@@ -171,8 +172,14 @@ def eckart_young_optimum(target: np.ndarray, r: int) -> float:
     if not 1 <= r <= cap:
         raise DomainError(f"rank {r} outside [1, {cap}]")
     _, s, _ = svd_full(target)
-    tail = s[r:]
-    return float(np.sqrt(np.sum(tail * tail)))
+    # Squares of the raw values may over- or underflow; a power-of-two
+    # scale is exact, so results in the normal range keep their bits.
+    e = int(np.frexp(np.max(s[r:], initial=0.0))[1])
+    tail = np.ldexp(s[r:], -e)
+    try:
+        return math.ldexp(float(np.sqrt(np.sum(tail * tail))), e)
+    except OverflowError:
+        raise NumericError("rank-r error is past float range") from None
 
 
 @dataclass

@@ -24,6 +24,9 @@ The structure (rank schedule and check on r, gauge rule, dof, template,
 initializer) is written once over factor tuples, the ``chain_*`` functions
 and :func:`init_chain`.  svdp is the one-core chain ``(d_out,)``, ``(d_in,)``;
 those never go through :func:`factorize`, so a dimension of 1 works there.
+:class:`SttpParams` takes dims and rank like :class:`~.svdp.SvdpParams` and
+derives its factorizations and schedule, so every chain parameter set has
+exactly :func:`sttp_dof` free parameters.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .tensortrain import (
 from .tensortrain import frames_from_cores  # noqa: F401  (perfbench patches it)
 
 __all__ = [
+    "MAX_FACTORED_DIM",
     "factorize",
     "DimFactorization",
     "global_dims",
@@ -70,10 +74,20 @@ __all__ = [
 ]
 
 
+MAX_FACTORED_DIM = 2**32
+"""Largest dimension :func:`factorize` accepts.  Trial division runs up to
+the square root: the largest prime below the bound factors in about
+10 ms, the prime 2**61 - 1 would take minutes."""
+
+
 def factorize(d: int) -> "DimFactorization":
-    """Ascending prime factorization with repetition; rejects d < 2."""
+    """Ascending prime factorization with repetition; rejects d < 2 and
+    d > :data:`MAX_FACTORED_DIM`."""
     if d < 2:
         raise DomainError(f"dimension {d} cannot be factored (needs d >= 2)")
+    if d > MAX_FACTORED_DIM:
+        raise DomainError(f"dimension {d} exceeds the factorization bound "
+                          f"{MAX_FACTORED_DIM}")
     factors = []
     rem = d
     f = 2
@@ -237,27 +251,32 @@ def sttp_dof(d_out: int, d_in: int, r: int, spectrum_mode: str) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SttpParams:
-    """Complete chain parameter set.
+    """Complete chain parameter set over the prime factorizations of the dims.
 
-    ``u_layouts`` and ``v_layouts`` run from the outer end of each side
-    toward the spectrum, one layout per core, with shapes and variants
-    matching :func:`core_specs`.  Its parts memoize their frames and sigma,
-    so ``==`` and ``hash`` go by identity.
+    The fields are those of :class:`~.svdp.SvdpParams` with one layout per
+    core: ``u_layouts`` and ``v_layouts`` run from the outer end of each
+    side toward the spectrum, with shapes and variants matching
+    :func:`core_specs`.  The constructor derives the read-only attributes
+    ``out_fac``, ``in_fac`` (:func:`factorize`) and ``schedule``
+    (:func:`build_schedule`) from the dims and rank, so ``n_params``
+    always equals :func:`sttp_dof`.  Its parts memoize their frames and
+    sigma, so ``==`` and ``hash`` go by identity.
     """
 
-    out_fac: DimFactorization
-    in_fac: DimFactorization
+    d_out: int
+    d_in: int
     r: int
-    schedule: RankSchedule
     u_layouts: tuple[hh.HouseholderLayout, ...]
     v_layouts: tuple[hh.HouseholderLayout, ...]
     spectrum: SpectrumParams
 
     def __post_init__(self):
-        sched = build_schedule(self.out_fac, self.in_fac, self.r)
-        if sched.ranks != self.schedule.ranks or sched.dims != self.schedule.dims:
-            raise DomainError("schedule does not match the capped-rank policy")
-        u_specs, v_specs = core_specs(self.out_fac, self.in_fac, self.r,
+        out_fac, in_fac = factorize(self.d_out), factorize(self.d_in)
+        object.__setattr__(self, "out_fac", out_fac)  # frozen: set once here
+        object.__setattr__(self, "in_fac", in_fac)
+        object.__setattr__(self, "schedule",
+                           build_schedule(out_fac, in_fac, self.r))
+        u_specs, v_specs = core_specs(out_fac, in_fac, self.r,
                                       self.spectrum.mode)
         for name, layouts, specs in (("U", self.u_layouts, u_specs),
                                      ("V", self.v_layouts, v_specs)):
@@ -273,14 +292,6 @@ class SttpParams:
             raise ShapeError("spectrum length does not match rank")
 
     @property
-    def d_out(self) -> int:
-        return self.out_fac.d
-
-    @property
-    def d_in(self) -> int:
-        return self.in_fac.d
-
-    @property
     def n_params(self) -> int:
         return (sum(la.params.size for la in self.u_layouts)
                 + sum(la.params.size for la in self.v_layouts)
@@ -294,8 +305,7 @@ class SttpParams:
         return ChainView(
             "sttp", self.out_fac.factors, self.in_fac.factors,
             self.schedule.ranks, self.u_layouts, self.v_layouts, *shapes,
-            partial(SttpParams, self.out_fac, self.in_fac, self.r,
-                    self.schedule))
+            partial(SttpParams, self.d_out, self.d_in, self.r))
 
 
 def chain_template(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
@@ -312,10 +322,8 @@ def sttp_template(d_out: int, d_in: int, r: int, spectrum_mode: str
                   ) -> SttpParams:
     """Parameters of the given structure with all-zero layouts and spectrum
     ones, as a template for :meth:`ChainView.rebuild`."""
-    out_fac, in_fac = factorize(d_out), factorize(d_in)
-    return SttpParams(out_fac, in_fac, r, build_schedule(out_fac, in_fac, r),
-                      *chain_template(out_fac.factors, in_fac.factors, r,
-                                      spectrum_mode))
+    return SttpParams(d_out, d_in, r, *chain_template(
+        factorize(d_out).factors, factorize(d_in).factors, r, spectrum_mode))
 
 
 def _encode_chain(frames, specs) -> tuple[tuple, np.ndarray]:
@@ -354,10 +362,9 @@ def init_sttp_params(d_out: int, d_in: int, r: int, spectrum_mode: str,
                      seed: int, init_scheme: str = "noisy_identity",
                      lam: float = 0.0) -> SttpParams:
     """Fresh chain parameters; per-core frames follow the init scheme."""
-    out_fac, in_fac = factorize(d_out), factorize(d_in)
-    return SttpParams(out_fac, in_fac, r, build_schedule(out_fac, in_fac, r),
-                      *init_chain(out_fac.factors, in_fac.factors, r,
-                                  spectrum_mode, seed, init_scheme, lam))
+    return SttpParams(d_out, d_in, r, *init_chain(
+        factorize(d_out).factors, factorize(d_in).factors, r, spectrum_mode,
+        seed, init_scheme, lam))
 
 
 def chain_frames(p) -> tuple[np.ndarray, np.ndarray]:

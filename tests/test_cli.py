@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttspectral import fileio
+from ttspectral import fileio, planner
 from ttspectral.cli import main
 from ttspectral.errors import FileFormatError
 from ttspectral.planner import decompress
@@ -47,6 +47,13 @@ def fuzz_dir(tmp_path_factory):
 
 
 SMALL_MATRIX = np.arange(6.0).reshape(2, 3)
+# sttp parameters whose dout is the prime 2**61 - 1; the one sigma block
+# keeps the declared counts and the payload consistent
+HUGE_DOUT_FILE = (b"STTPPARAMS v1\nscheme=sttp\ndout=2305843009213693951\n"
+                  b"din=4\nrank=1\nspectrum=learned\nlambda=0.0\n"
+                  b"out_factors=2305843009213693951\nin_factors=2,2\n"
+                  b"rank_schedule=1,1,1,1\nblock=sigma 1\n\n"
+                  + np.array(1.0, "<f8").tobytes())
 SMALL_PARAMS = [
     lambda: random_svdp_params(6, 5, 3, IDENTITY, 1),
     lambda: random_sttp_params(12, 18, 3, "learned_regularized", 5, lam=0.25),
@@ -77,6 +84,11 @@ class TestMatrixFile:
         path.write_bytes(raw[:-8])
         with pytest.raises(FileFormatError):
             fileio.read_matrix(path)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_non_matrix_write_rejected(self, tmp_path, shape):
+        with pytest.raises(FileFormatError, match="2-D arrays"):
+            fileio.write_matrix(tmp_path / "m.mat", np.zeros(shape))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.mat"
@@ -237,6 +249,27 @@ class TestParamsFile:
                        raw[:k] + bytes([byte]) + raw[k + 1:],
                        fileio.read_params, fileio.write_params)
 
+    @pytest.mark.parametrize("edit, message", [
+        ((b"din=5\n", b"din=5\ndin=5\n"), "duplicate manifest field 'din'"),
+        ((b"\n\n", b"\nblock=sigma 0\n\n"), "duplicate block 'sigma'"),
+        ((b"\n\n", b"\nblock=extra 0\n\n"), r"unused blocks: \['extra'\]"),
+    ])
+    def test_malformed_manifest_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "p.params"
+        fileio.write_params(path, random_svdp_params(6, 5, 3, LEARNED, 0))
+        path.write_bytes(path.read_bytes().replace(*edit, 1))
+        with pytest.raises(FileFormatError, match=message):
+            fileio.read_params(path)
+        assert run_main(["inspect", "--params", str(path)])[0] == 3
+
+    def test_dimension_past_the_factorization_bound_rejected(self, tmp_path):
+        path = tmp_path / "p.params"
+        path.write_bytes(HUGE_DOUT_FILE)
+        with pytest.raises(FileFormatError,
+                           match="exceeds the factorization bound"):
+            fileio.read_params(path)
+        assert run_main(["inspect", "--params", str(path)])[0] == 3
+
     def test_tampered_schedule_rejected(self, tmp_path):
         params = random_sttp_params(16, 72, 4, LEARNED, 2)
         path = tmp_path / "p.params"
@@ -268,6 +301,28 @@ class TestCli:
     def test_factorize(self, capsys):
         assert main(["factorize", "--dim", "72"]) == 0
         assert capsys.readouterr().out.strip() == "2 2 2 3 3"
+
+    @pytest.mark.parametrize("argv", [
+        ["factorize", "--dim", "2305843009213693951"],
+        ["dof", "--scheme", "sttp", "--dout", "2305843009213693951", "--din",
+         "4", "--rank", "1"],
+    ])
+    def test_dimension_past_the_factorization_bound_exit_2(self, argv):
+        code, err = run_main(argv)
+        assert code == 2
+        assert err.startswith("error: dimension 2305843009213693951 exceeds")
+
+    def test_failed_allocation_exit_2(self, tmp_path, monkeypatch):
+        def out_of_memory(params):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+        monkeypatch.setattr(planner, "decompress", out_of_memory)
+        code, err = run_main(["build", "--scheme", "sttp", "--dout", "16",
+                              "--din", "72", "--rank", "4", "--seed", "0",
+                              "--out", str(tmp_path / "w.mat")])
+        assert code == 2
+        assert err == ("error: out of memory: Unable to allocate 8.00 TiB "
+                       "for an array\n")
 
     def test_plan_prints_708(self, capsys):
         assert main(["plan", "--scheme", "svdp", "--dout", "16", "--din", "72",

@@ -61,6 +61,19 @@ class TestEckartYoungOptimum:
             with pytest.raises(NumericError, match="not finite"):
                 ft.eckart_young_optimum(np.full((4, 4), 1e308), 1)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_squares_past_float_range(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ft.eckart_young_optimum(np.diag([scale] * 3), 1)
+        assert got == pytest.approx(np.sqrt(2.0) * scale, rel=1e-15)
+
+    def test_error_past_float_range_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="past float range"):
+                ft.eckart_young_optimum(np.diag([1.5e308] * 3), 1)
+
 
 class TestFitMatrix:
     def test_config_validation(self):

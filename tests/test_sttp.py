@@ -1,15 +1,17 @@
 """Chain parameterization: factorization, schedules, dof, assembly, edge case."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from ttspectral import fileio
 from ttspectral import householder as hh
 from ttspectral import sttp
-from ttspectral.autodiff import pack
+from ttspectral.autodiff import pack, unpack
 from ttspectral.dense import svd_full
-from ttspectral.errors import DomainError
+from ttspectral.errors import DomainError, ShapeError
 from ttspectral.planner import decompress
 from ttspectral.sampling import random_sttp_params
 from ttspectral.spectral import materialize_sigma
@@ -43,6 +45,12 @@ class TestFactorize:
     def test_too_small(self):
         with pytest.raises(DomainError):
             sttp.factorize(1)
+
+    @pytest.mark.parametrize("d", [sttp.MAX_FACTORED_DIM + 1, 2**61 - 1,
+                                   10**40])
+    def test_above_the_bound_rejected(self, d):
+        with pytest.raises(DomainError, match="exceeds the factorization"):
+            sttp.factorize(d)
 
 
 class TestSchedule:
@@ -318,14 +326,19 @@ class TestEdgeCase:
 
 
 class TestParamsValidation:
-    def test_schedule_policy_enforced(self):
-        p = random_sttp_params(4, 6, 2, LEARNED, 0)
-        from ttspectral.tensortrain import RankSchedule
-
-        bad = RankSchedule(p.schedule.dims, 1, (1, 1, 1, 1, 1))
-        with pytest.raises(DomainError):
-            sttp.SttpParams(p.out_fac, p.in_fac, p.r, bad, p.u_layouts,
-                            p.v_layouts, p.spectrum)
+    def test_structure_derived_from_dims(self):
+        p = random_sttp_params(16, 72, 4, LEARNED, 0)
+        q = sttp.SttpParams(16, 72, 4, p.u_layouts, p.v_layouts, p.spectrum)
+        out_fac, in_fac = sttp.factorize(16), sttp.factorize(72)
+        assert (q.out_fac, q.in_fac) == (out_fac, in_fac)
+        assert q.schedule == sttp.build_schedule(out_fac, in_fac, 4)
+        assert q.n_params == sttp.sttp_dof(16, 72, 4, LEARNED)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.schedule = sttp.build_schedule(out_fac, in_fac, 3)
+        small = random_sttp_params(4, 6, 2, LEARNED, 0)
+        with pytest.raises(DomainError, match="rank 5 violates"):
+            sttp.SttpParams(4, 6, 5, small.u_layouts, small.v_layouts,
+                            small.spectrum)
 
     def test_variant_rules_enforced(self):
         p = random_sttp_params(16, 72, 4, LEARNED, 0)
@@ -333,5 +346,55 @@ class TestParamsValidation:
 
         bad_layouts = (p.u_layouts[0],) * len(p.u_layouts)
         with pytest.raises(ShapeError):
-            sttp.SttpParams(p.out_fac, p.in_fac, p.r, p.schedule, bad_layouts,
-                            p.v_layouts, p.spectrum)
+            sttp.SttpParams(p.d_out, p.d_in, p.r, bad_layouts, p.v_layouts,
+                            p.spectrum)
+
+    @pytest.mark.parametrize("field, message", [
+        ("u_layouts", "U side expects 4 layouts"),
+        ("v_layouts", "V side expects 5 layouts"),
+        ("spectrum", "spectrum length does not match rank"),
+    ])
+    def test_wrong_part_rejected(self, field, message):
+        p = random_sttp_params(16, 72, 4, LEARNED, 0)
+        parts = {"u_layouts": p.u_layouts, "v_layouts": p.v_layouts,
+                 "spectrum": p.spectrum}
+        parts[field] = (parts[field][:-1] if field != "spectrum" else
+                        random_sttp_params(16, 72, 3, LEARNED, 0).spectrum)
+        with pytest.raises(ShapeError, match=message):
+            sttp.SttpParams(16, 72, 4, **parts)
+
+
+def _read_back(path, d_out, d_in, r, mode):
+    fileio.write_params(path, random_sttp_params(d_out, d_in, r, mode, 3))
+    return fileio.read_params(path)
+
+
+PARAM_MAKERS = {
+    "init": lambda path, *shape: sttp.init_sttp_params(*shape, seed=1),
+    "template": lambda path, *shape: sttp.sttp_template(*shape),
+    "random": lambda path, *shape: random_sttp_params(*shape, seed=2),
+    "read": _read_back,
+    "unpack": lambda path, *shape: unpack(
+        sttp.sttp_template(*shape),
+        pack(random_sttp_params(*shape, seed=4))),
+    "constructor": lambda path, d_out, d_in, r, mode: sttp.SttpParams(
+        d_out, d_in, r, *sttp.init_chain(sttp.factorize(d_out).factors,
+                                         sttp.factorize(d_in).factors, r,
+                                         mode, 5)),
+}
+
+
+class TestEveryMaker:
+    @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
+    @pytest.mark.parametrize("shape", [(7, 11, 2), (16, 72, 4), (12, 18, 3),
+                                       (256, 256, 8)])
+    @pytest.mark.parametrize("maker", sorted(PARAM_MAKERS))
+    def test_exact_dof_and_bitwise_file_round_trip(self, tmp_path, maker,
+                                                   shape, mode):
+        p = PARAM_MAKERS[maker](tmp_path / "made.params", *shape, mode)
+        assert isinstance(p, sttp.SttpParams)
+        assert p.n_params == sttp.sttp_dof(*shape, mode)
+        a, b = tmp_path / "a.params", tmp_path / "b.params"
+        fileio.write_params(a, p)
+        fileio.write_params(b, fileio.read_params(a))
+        assert a.read_bytes() == b.read_bytes()

@@ -6,7 +6,7 @@ import pytest
 from ttspectral import householder as hh
 from ttspectral import svdp
 from ttspectral.dense import svd_full
-from ttspectral.errors import DomainError
+from ttspectral.errors import DomainError, ShapeError
 from ttspectral.sampling import random_svdp_params
 from ttspectral.spectral import SpectrumParams, materialize_sigma
 from ttspectral.spectrum_modes import IDENTITY, LEARNED
@@ -97,6 +97,19 @@ class TestAssemble:
         assert p.v_layout.variant == hh.FULL
         p = svdp.init_svdp_params(8, 6, 3, LEARNED, 0)
         assert p.u_layout.variant == hh.FULL
+
+    @pytest.mark.parametrize("field, message", [
+        ("u_layout", r"U layout dims do not match \(d_out, r\)"),
+        ("v_layout", r"V layout dims do not match \(d_in, r\)"),
+        ("spectrum", "spectrum length does not match rank"),
+    ])
+    def test_wrong_part_rejected(self, field, message):
+        p = random_svdp_params(6, 5, 3, LEARNED, 0)
+        parts = {"u_layout": p.u_layout, "v_layout": p.v_layout,
+                 "spectrum": p.spectrum}
+        parts[field] = getattr(random_svdp_params(7, 4, 2, LEARNED, 0), field)
+        with pytest.raises(ShapeError, match=message):
+            svdp.SvdpParams(6, 5, 3, **parts)
 
 
 def from_truncated_svd(target, r):
