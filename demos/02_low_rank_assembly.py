@@ -19,8 +19,6 @@ from ttspectral.spectral import (
     stable_rank_from_spectrum,
 )
 
-rng = np.random.default_rng(1)
-
 p = random_svdp_params(16, 12, 4, "learned", seed=7)
 w = svdp.assemble(p)
 sigma = materialize_sigma(p.spectrum)
@@ -40,25 +38,18 @@ print(f"single-layer compression with a 16-unit bias: "
 
 # --- why the identity spectrum wants a gauge-fixed U -------------------------
 # with sigma = I, rotating both frames by any orthogonal Q leaves W unchanged,
-# so full/full parameters are redundant; the witness makes that concrete
-from ttspectral.spectral import SpectrumParams
-
-u_layout = hh.make_layout(6, 2, hh.FULL,
-                          rng.standard_normal(hh.dof(6, 2, hh.FULL)))
-v_layout = hh.make_layout(5, 2, hh.FULL,
-                          rng.standard_normal(hh.dof(5, 2, hh.FULL)))
-loose = svdp.SvdpParams(6, 5, 2, u_layout, v_layout,
-                        SpectrumParams("identity", 2, None,
-                                       np.array([1.0, 1.0])))
+# so full/full layouts would be redundant; the witness rotates the frames of
+# a gauge-fixed set (reduced U) and hands back full layouts of U Q and V Q
+p = svdp.init_svdp_params(6, 5, 2, "identity", seed=0, init_scheme="identity")
 angle = 0.7
 qmat = np.array([[np.cos(angle), -np.sin(angle)],
                  [np.sin(angle), np.cos(angle)]])
-rotated = svdp.redundancy_witness(loose, qmat)
+u_layout, v_layout, signs = svdp.redundancy_witness(p, qmat)
+rotated = (hh.decode(u_layout) * signs) @ hh.decode(v_layout).T
 print("\ngauge rotation by 0.7 rad:")
-print("  ||W' - W|| =", np.linalg.norm(svdp.assemble(rotated)
-                                       - svdp.assemble(loose)))
-print("  ||U' - U|| =", np.linalg.norm(hh.decode(rotated.u_layout)
-                                       - hh.decode(loose.u_layout)))
+print("  ||W' - W|| =", np.linalg.norm(rotated - svdp.assemble(p)))
+print("  ||U' - U|| =", np.linalg.norm(hh.decode(u_layout)
+                                       - hh.decode(p.u_layout)))
 print("same matrix, different parameters - the redundancy the reduced "
       "layout removes")
 print("dof identity vs learned:",

@@ -37,6 +37,7 @@ from .errors import DivergenceError, DomainError, NumericError, ShapeError
 from .schemes import SCHEMES
 from .spectral import lipschitz_bound, stable_rank_from_spectrum
 from .spectrum_modes import LEARNED
+from .sttp import check_integer
 from .svdp import rank_cap
 
 __all__ = [
@@ -70,6 +71,8 @@ class FitConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise DomainError(f"unknown scheme {self.scheme!r}")
+        for name in ("rank", "max_steps", "seed"):
+            check_integer(name, getattr(self, name))
         # each range check is written so that NaN fails it
         if self.lr is not None and not 0.0 < self.lr < np.inf:
             raise DomainError("learning rate must be finite and positive")

@@ -24,9 +24,8 @@ The structure (rank schedule and check on r, gauge rule, dof, template,
 initializer) is written once over factor tuples, the ``chain_*`` functions
 and :func:`init_chain`.  svdp is the one-core chain ``(d_out,)``, ``(d_in,)``;
 those never go through :func:`factorize`, so a dimension of 1 works there.
-:class:`SttpParams` takes dims and rank like :class:`~.svdp.SvdpParams` and
-derives its factorizations and schedule, so every chain parameter set has
-exactly :func:`sttp_dof` free parameters.
+Both parameter types run :func:`check_chain` at construction, so every
+svdp and sttp parameter set has exactly its scheme's dof free parameters.
 """
 
 from __future__ import annotations
@@ -59,6 +58,8 @@ __all__ = [
     "chain_schedule",
     "build_schedule",
     "chain_specs",
+    "check_integer",
+    "check_chain",
     "core_specs",
     "core_size_schedule",
     "chain_dof",
@@ -80,9 +81,18 @@ the square root: the largest prime below the bound factors in about
 10 ms, the prime 2**61 - 1 would take minutes."""
 
 
+def check_integer(name: str, value) -> None:
+    """Reject a bool or a non-integer (an integral float too); numpy
+    integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+@lru_cache(maxsize=256, typed=True)
 def factorize(d: int) -> "DimFactorization":
-    """Ascending prime factorization with repetition; rejects d < 2 and
-    d > :data:`MAX_FACTORED_DIM`."""
+    """Ascending prime factorization with repetition; rejects a non-integer,
+    d < 2 and d > :data:`MAX_FACTORED_DIM`.  Cached per value and type."""
+    check_integer("dimension", d)
     if d < 2:
         raise DomainError(f"dimension {d} cannot be factored (needs d >= 2)")
     if d > MAX_FACTORED_DIM:
@@ -205,6 +215,27 @@ def chain_specs(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
         for side, factors, side_ranks, last in sides)
 
 
+def check_chain(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
+                r: int, u_layouts, v_layouts, spectrum) -> None:
+    """Structure check of a chain parameter set, svdp's too: per side the
+    layout count and each core's ``(d, r, variant)`` against
+    :func:`chain_specs` (the gauge rule), then the spectrum length."""
+    for value in (*out_factors, *in_factors):
+        check_integer("dimension", value)
+    check_integer("rank", r)
+    specs = chain_specs(out_factors, in_factors, r, spectrum.mode)
+    for name, layouts, side in zip("UV", (u_layouts, v_layouts), specs):
+        if len(layouts) != len(side):
+            raise ShapeError(f"{name} side expects {len(side)} layouts")
+        for layout, spec in zip(layouts, side):
+            got = (layout.d, layout.r, layout.variant)
+            if got != (*spec.frame_dims, spec.variant):
+                raise ShapeError(f"{name} core {spec.local_k}: layout {got} "
+                                 f"!= {spec.frame_dims}, {spec.variant}")
+    if spectrum.r != r:
+        raise ShapeError("spectrum length does not match rank")
+
+
 def core_specs(out_fac: DimFactorization, in_fac: DimFactorization, r: int,
                spectrum_mode: str
                ) -> tuple[tuple[CoreSpec, ...], tuple[CoreSpec, ...]]:
@@ -255,8 +286,8 @@ class SttpParams:
 
     The fields are those of :class:`~.svdp.SvdpParams` with one layout per
     core: ``u_layouts`` and ``v_layouts`` run from the outer end of each
-    side toward the spectrum, with shapes and variants matching
-    :func:`core_specs`.  The constructor derives the read-only attributes
+    side toward the spectrum, checked by :func:`check_chain` against
+    :func:`chain_specs`.  The constructor derives the read-only attributes
     ``out_fac``, ``in_fac`` (:func:`factorize`) and ``schedule``
     (:func:`build_schedule`) from the dims and rank, so ``n_params``
     always equals :func:`sttp_dof`.  Its parts memoize their frames and
@@ -272,24 +303,12 @@ class SttpParams:
 
     def __post_init__(self):
         out_fac, in_fac = factorize(self.d_out), factorize(self.d_in)
+        check_chain(out_fac.factors, in_fac.factors, self.r, self.u_layouts,
+                    self.v_layouts, self.spectrum)
         object.__setattr__(self, "out_fac", out_fac)  # frozen: set once here
         object.__setattr__(self, "in_fac", in_fac)
         object.__setattr__(self, "schedule",
                            build_schedule(out_fac, in_fac, self.r))
-        u_specs, v_specs = core_specs(out_fac, in_fac, self.r,
-                                      self.spectrum.mode)
-        for name, layouts, specs in (("U", self.u_layouts, u_specs),
-                                     ("V", self.v_layouts, v_specs)):
-            if len(layouts) != len(specs):
-                raise ShapeError(f"{name} side expects {len(specs)} layouts")
-            for layout, spec in zip(layouts, specs):
-                got = (layout.d, layout.r, layout.variant)
-                if got != (*spec.frame_dims, spec.variant):
-                    raise ShapeError(f"{name} core {spec.local_k}: layout "
-                                     f"{got} != {spec.frame_dims}, "
-                                     f"{spec.variant}")
-        if self.spectrum.r != self.r:
-            raise ShapeError("spectrum length does not match rank")
 
     @property
     def n_params(self) -> int:

@@ -10,8 +10,8 @@ redundant - ``(U Q)(V Q)^T = U V^T`` for any orthogonal Q - so the U frame
 uses the reduced (gauge-fixed) layout.
 
 This is the :mod:`ttspectral.sttp` chain with one core per side, factors
-``(d_out,)`` and ``(d_in,)``: its rank check, gauge rule, dof count,
-template and initializer are the chain's.
+``(d_out,)`` and ``(d_in,)``: its structure check, gauge rule included, dof
+count, template and initializer are the chain's.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .spectrum_modes import IDENTITY
 from .sttp import (
     assemble_sttp,
     chain_dof,
-    chain_schedule,
     chain_template,
+    check_chain,
     init_chain,
     rank_cap,
 )
@@ -60,12 +60,11 @@ def svdp_dof(d_out: int, d_in: int, r: int, spectrum_mode: str) -> int:
 class SvdpParams:
     """Complete parameter set: two frame layouts plus the spectrum.
 
-    :func:`init_svdp_params` applies the gauge rule (reduced U with an
-    identity spectrum, full/full otherwise).  Direct construction skips it
-    so that the gauge redundancy of full/full identity-spectrum parameter
-    sets can be demonstrated; dims and rank are always validated.  Its
-    parts memoize their frames and sigma, so ``==`` and ``hash`` go by
-    identity.
+    The constructor runs :func:`~.sttp.check_chain` as
+    :class:`~.sttp.SttpParams` does, gauge rule included (reduced U with an
+    identity spectrum, full/full otherwise), so ``n_params`` always equals
+    :func:`svdp_dof`.  Its parts memoize their frames and sigma, so ``==``
+    and ``hash`` go by identity.
     """
 
     d_out: int
@@ -76,13 +75,8 @@ class SvdpParams:
     spectrum: SpectrumParams
 
     def __post_init__(self):
-        chain_schedule((self.d_out,), (self.d_in,), self.r)
-        if (self.u_layout.d, self.u_layout.r) != (self.d_out, self.r):
-            raise ShapeError("U layout dims do not match (d_out, r)")
-        if (self.v_layout.d, self.v_layout.r) != (self.d_in, self.r):
-            raise ShapeError("V layout dims do not match (d_in, r)")
-        if self.spectrum.r != self.r:
-            raise ShapeError("spectrum length does not match rank")
+        check_chain((self.d_out,), (self.d_in,), self.r, (self.u_layout,),
+                    (self.v_layout,), self.spectrum)
 
     @property
     def n_params(self) -> int:
@@ -127,17 +121,16 @@ def assemble(p: SvdpParams) -> np.ndarray:
     return assemble_sttp(p)
 
 
-def redundancy_witness(p: SvdpParams, q: np.ndarray) -> SvdpParams:
-    """Rotate both frames of a full/full identity-spectrum parameter set.
+def redundancy_witness(p: SvdpParams, q: np.ndarray):
+    """Rotate both frames of an identity-spectrum parameter set by ``q``.
 
-    For any orthogonal r x r matrix ``q`` the returned parameters assemble
-    to the same matrix while holding different frames - the over-
-    parameterization that the reduced U layout removes.
+    Returns full layouts of ``U q`` and ``V q`` (V with the spectrum's signs
+    absorbed) and the signs their encoding hands back: for an orthogonal
+    r x r ``q``, ``(U' * signs) @ V'^T`` is ``p``'s matrix in other frames,
+    the redundancy that the reduced U layout removes.
     """
     if p.spectrum.mode != IDENTITY:
         raise DomainError("redundancy witness applies to the identity spectrum")
-    if p.u_layout.variant != hh.FULL or p.v_layout.variant != hh.FULL:
-        raise DomainError("redundancy witness needs full/full layouts")
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (p.r, p.r):
         raise ShapeError(f"rotation must be {p.r} x {p.r}, got {q.shape}")
@@ -147,5 +140,4 @@ def redundancy_witness(p: SvdpParams, q: np.ndarray) -> SvdpParams:
     v = hh.decode(p.v_layout) * p.spectrum.signs  # absorb signs into V
     u_layout, su = hh.encode(u @ q)
     v_layout, sv = hh.encode(v @ q)
-    spectrum = SpectrumParams(IDENTITY, p.r, None, su * sv)
-    return SvdpParams(p.d_out, p.d_in, p.r, u_layout, v_layout, spectrum)
+    return u_layout, v_layout, su * sv

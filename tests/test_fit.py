@@ -93,6 +93,17 @@ class TestFitMatrix:
                 ft.FitConfig(**bad)
         assert ft.FitConfig(lr=1e308, tol=1e-300).tol == 1e-300
 
+    @pytest.mark.parametrize("field", ["rank", "max_steps", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    def test_non_integer_config_rejected(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            ft.FitConfig("svdp", **{field: value})
+
+    def test_numpy_integer_config_accepted(self):
+        cfg = ft.FitConfig("svdp", np.int64(2), LEARNED, max_steps=np.int32(3),
+                           seed=np.uint8(4))
+        assert len(ft.fit_matrix(unit_top_target((8, 6), 2), cfg).trace) <= 3
+
     def test_best_so_far_is_trace_minimum(self):
         t = unit_top_target((8, 6), 2)
         cfg = ft.FitConfig("svdp", 2, LEARNED, seed=0, max_steps=400)

@@ -16,7 +16,8 @@ from ttspectral.planner import decompress
 from ttspectral.sampling import random_sttp_params
 from ttspectral.spectral import materialize_sigma
 from ttspectral.spectrum_modes import IDENTITY, LEARNED, SPECTRUM_MODES
-from ttspectral.svdp import init_svdp_params, svdp_dof
+from ttspectral.schemes import SCHEMES
+from ttspectral.svdp import SvdpParams, init_svdp_params, svdp_dof
 from ttspectral.tensortrain import tt_contract
 
 
@@ -45,6 +46,15 @@ class TestFactorize:
     def test_too_small(self):
         with pytest.raises(DomainError):
             sttp.factorize(1)
+
+    @pytest.mark.parametrize("d", [16.0, True, np.float64(16), "16"])
+    def test_non_integer_rejected(self, d):
+        with pytest.raises(DomainError, match="dimension must be an integer"):
+            sttp.factorize(d)
+        assert type(sttp.factorize(16).d) is int
+
+    def test_cached(self):
+        assert sttp.factorize(72) is sttp.factorize(72)
 
     @pytest.mark.parametrize("d", [sttp.MAX_FACTORED_DIM + 1, 2**61 - 1,
                                    10**40])
@@ -340,6 +350,13 @@ class TestParamsValidation:
             sttp.SttpParams(4, 6, 5, small.u_layouts, small.v_layouts,
                             small.spectrum)
 
+    @pytest.mark.parametrize("dims", [(16.0, 72, 4), (16, 72.0, 4),
+                                      (16, 72, 4.0), (16, 72, True)])
+    def test_non_integer_dims_rejected(self, dims):
+        p = random_sttp_params(16, 72, 4, LEARNED, 0)
+        with pytest.raises(DomainError, match="must be an integer"):
+            sttp.SttpParams(*dims, p.u_layouts, p.v_layouts, p.spectrum)
+
     def test_variant_rules_enforced(self):
         p = random_sttp_params(16, 72, 4, LEARNED, 0)
         from ttspectral.errors import ShapeError
@@ -364,37 +381,58 @@ class TestParamsValidation:
             sttp.SttpParams(16, 72, 4, **parts)
 
 
-def _read_back(path, d_out, d_in, r, mode):
-    fileio.write_params(path, random_sttp_params(d_out, d_in, r, mode, 3))
+def _read_back(path, scheme, *shape):
+    fileio.write_params(path, SCHEMES[scheme].random(*shape, seed=3))
     return fileio.read_params(path)
 
 
+def _constructed(scheme, d_out, d_in, r, mode):
+    if scheme == "svdp":
+        (u,), (v,), spectrum = sttp.init_chain((d_out,), (d_in,), r, mode, 5)
+        return SvdpParams(d_out, d_in, r, u, v, spectrum)
+    return sttp.SttpParams(d_out, d_in, r, *sttp.init_chain(
+        sttp.factorize(d_out).factors, sttp.factorize(d_in).factors, r, mode,
+        5))
+
+
 PARAM_MAKERS = {
-    "init": lambda path, *shape: sttp.init_sttp_params(*shape, seed=1),
-    "template": lambda path, *shape: sttp.sttp_template(*shape),
-    "random": lambda path, *shape: random_sttp_params(*shape, seed=2),
+    "init": lambda path, scheme, *shape: SCHEMES[scheme].init(*shape, seed=1),
+    "template": lambda path, scheme, *shape: SCHEMES[scheme].template(*shape),
+    "random": lambda path, scheme, *shape: SCHEMES[scheme].random(*shape,
+                                                                  seed=2),
     "read": _read_back,
-    "unpack": lambda path, *shape: unpack(
-        sttp.sttp_template(*shape),
-        pack(random_sttp_params(*shape, seed=4))),
-    "constructor": lambda path, d_out, d_in, r, mode: sttp.SttpParams(
-        d_out, d_in, r, *sttp.init_chain(sttp.factorize(d_out).factors,
-                                         sttp.factorize(d_in).factors, r,
-                                         mode, 5)),
+    "unpack": lambda path, scheme, *shape: unpack(
+        SCHEMES[scheme].template(*shape),
+        pack(SCHEMES[scheme].random(*shape, seed=4))),
+    "constructor": lambda path, scheme, *shape: _constructed(scheme, *shape),
 }
 
 
 class TestEveryMaker:
     @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
-    @pytest.mark.parametrize("shape", [(7, 11, 2), (16, 72, 4), (12, 18, 3),
-                                       (256, 256, 8)])
+    @pytest.mark.parametrize("shape", [
+        ("sttp", 7, 11, 2), ("sttp", 16, 72, 4), ("sttp", 12, 18, 3),
+        ("sttp", 256, 256, 8), ("svdp", 16, 72, 4), ("svdp", 9, 7, 3),
+        ("svdp", 1, 5, 1), ("svdp", 5, 1, 1)])
     @pytest.mark.parametrize("maker", sorted(PARAM_MAKERS))
     def test_exact_dof_and_bitwise_file_round_trip(self, tmp_path, maker,
                                                    shape, mode):
-        p = PARAM_MAKERS[maker](tmp_path / "made.params", *shape, mode)
-        assert isinstance(p, sttp.SttpParams)
-        assert p.n_params == sttp.sttp_dof(*shape, mode)
+        scheme, *dims = shape
+        p = PARAM_MAKERS[maker](tmp_path / "made.params", scheme, *dims, mode)
+        assert isinstance(p, {"svdp": SvdpParams,
+                              "sttp": sttp.SttpParams}[scheme])
+        assert p.n_params == SCHEMES[scheme].dof(*dims, mode)
         a, b = tmp_path / "a.params", tmp_path / "b.params"
         fileio.write_params(a, p)
         fileio.write_params(b, fileio.read_params(a))
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("scheme, shape", [("svdp", (9, 7, 3)),
+                                               ("sttp", (16, 72, 4))])
+    def test_numpy_integer_dims_written_as_digits(self, tmp_path, scheme,
+                                                  shape):
+        a, b = tmp_path / "a.params", tmp_path / "b.params"
+        fileio.write_params(a, SCHEMES[scheme].init(*shape, LEARNED, 1))
+        fileio.write_params(b, SCHEMES[scheme].init(
+            *map(np.int64, shape), LEARNED, 1))
         assert a.read_bytes() == b.read_bytes()

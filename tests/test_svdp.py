@@ -99,8 +99,8 @@ class TestAssemble:
         assert p.u_layout.variant == hh.FULL
 
     @pytest.mark.parametrize("field, message", [
-        ("u_layout", r"U layout dims do not match \(d_out, r\)"),
-        ("v_layout", r"V layout dims do not match \(d_in, r\)"),
+        ("u_layout", r"U core 0: layout \(7, 2, 'full'\) != \(6, 3\), full"),
+        ("v_layout", r"V core 0: layout \(4, 2, 'full'\) != \(5, 3\), full"),
         ("spectrum", "spectrum length does not match rank"),
     ])
     def test_wrong_part_rejected(self, field, message):
@@ -110,6 +110,25 @@ class TestAssemble:
         parts[field] = getattr(random_svdp_params(7, 4, 2, LEARNED, 0), field)
         with pytest.raises(ShapeError, match=message):
             svdp.SvdpParams(6, 5, 3, **parts)
+
+    @pytest.mark.parametrize("mode, u_variant", [(IDENTITY, hh.FULL),
+                                                 (LEARNED, hh.REDUCED)])
+    def test_off_gauge_layouts_rejected(self, mode, u_variant):
+        # full U with the identity spectrum would hold 30 parameters where
+        # svdp_dof is 27; reduced U with a learned one 30 where it is 33
+        p = svdp.init_svdp_params(8, 6, 3, mode, 0)
+        u_layout = hh.make_layout(8, 3, u_variant)
+        message = rf"U core 0: layout \(8, 3, '{u_variant}'\)"
+        with pytest.raises(ShapeError, match=message):
+            svdp.SvdpParams(8, 6, 3, u_layout, p.v_layout, p.spectrum)
+
+    @pytest.mark.parametrize("dims", [(6.0, 5, 1), (6, 5.0, 1), (6, 5, 1.0),
+                                      (True, 5, 1), (6, True, 1),
+                                      (6, 5, True)])
+    def test_non_integer_dims_rejected(self, dims):
+        p = svdp.init_svdp_params(6, 5, 1, LEARNED, 0)
+        with pytest.raises(DomainError, match="must be an integer"):
+            svdp.SvdpParams(*dims, p.u_layout, p.v_layout, p.spectrum)
 
 
 def from_truncated_svd(target, r):
@@ -151,41 +170,34 @@ class TestSpanProperty:
 
 
 class TestRedundancyWitness:
-    def _full_full_identity(self, seed):
-        rng = np.random.default_rng(seed)
-        u_layout = hh.make_layout(6, 2, hh.FULL,
-                                  rng.standard_normal(hh.dof(6, 2, hh.FULL)))
-        v_layout = hh.make_layout(5, 2, hh.FULL,
-                                  rng.standard_normal(hh.dof(5, 2, hh.FULL)))
-        spectrum = SpectrumParams(IDENTITY, 2, None, np.array([1.0, -1.0]))
-        return svdp.SvdpParams(6, 5, 2, u_layout, v_layout, spectrum)
+    def _rotated(self, seed, q):
+        """An identity-spectrum set, its matrix, and the witness's matrix
+        and U frame."""
+        p = random_svdp_params(6, 5, 2, IDENTITY, seed)
+        u_layout, v_layout, signs = svdp.redundancy_witness(p, q)
+        assert (u_layout.variant, v_layout.variant) == (hh.FULL, hh.FULL)
+        w = (hh.decode(u_layout) * signs) @ hh.decode(v_layout).T
+        return p, svdp.assemble(p), w, hh.decode(u_layout)
 
     def test_identity_rotation_is_noop_on_w(self):
-        p = self._full_full_identity(0)
-        p2 = svdp.redundancy_witness(p, np.eye(2))
-        assert np.allclose(svdp.assemble(p2), svdp.assemble(p), atol=1e-10)
+        _, w, w2, _ = self._rotated(0, np.eye(2))
+        assert np.allclose(w2, w, atol=1e-10)
 
     def test_rotation_changes_frames_not_w(self):
-        p = self._full_full_identity(1)
         c, s = np.cos(0.7), np.sin(0.7)
-        q = np.array([[c, -s], [s, c]])
-        p2 = svdp.redundancy_witness(p, q)
-        assert np.allclose(svdp.assemble(p2), svdp.assemble(p), atol=1e-10)
-        assert not np.allclose(hh.decode(p2.u_layout), hh.decode(p.u_layout),
-                               atol=1e-3)
+        p, w, w2, u2 = self._rotated(1, np.array([[c, -s], [s, c]]))
+        assert np.allclose(w2, w, atol=1e-10)
+        assert not np.allclose(u2, hh.decode(p.u_layout), atol=1e-3)
 
     def test_reflection(self):
-        p = self._full_full_identity(2)
-        p2 = svdp.redundancy_witness(p, np.diag([1.0, -1.0]))
-        assert np.allclose(svdp.assemble(p2), svdp.assemble(p), atol=1e-10)
+        _, w, w2, _ = self._rotated(2, np.diag([1.0, -1.0]))
+        assert np.allclose(w2, w, atol=1e-10)
 
     def test_non_orthogonal_rejected(self):
-        p = self._full_full_identity(3)
-        with pytest.raises(DomainError):
-            svdp.redundancy_witness(p, np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(DomainError, match="not orthogonal"):
+            self._rotated(3, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_nan_rotation_rejected(self):
-        p = self._full_full_identity(4)
         with pytest.raises(DomainError,
                            match="witness rotation is not orthogonal"):
-            svdp.redundancy_witness(p, np.full((2, 2), np.nan))
+            self._rotated(4, np.full((2, 2), np.nan))
