@@ -1,5 +1,5 @@
 """Dense tensor substrate: element ordering, reshaping, orthonormalization,
-and the SVD oracle.
+the LAPACK kernels the frames use, and the SVD oracle.
 
 Dense tensors are plain ``numpy.ndarray`` objects of dtype float64 stored in
 C (row-major) order.  Row-major order realizes the 1-based multi-index
@@ -8,6 +8,12 @@ lexicographically walks the flat buffer front to back.  All reshaping in this
 library therefore only touches metadata, never the buffer.
 
 All functions are pure; randomness enters only through explicit seeds.
+
+QR, ``geqrf`` and the inverse call the LAPACK gufuncs behind
+``np.linalg.qr`` and ``np.linalg.inv`` (numpy's private ``_umath_linalg``)
+without the wrappers: same bits, a fraction of the cost on a frame's small
+matrices.  No other module touches that private API.  Callers check their
+input first, so LAPACK never sees a matrix it can fail on.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, NumericError, ShapeError
 
@@ -23,6 +30,8 @@ __all__ = [
     "reshape",
     "matricize_core",
     "orthonormalize",
+    "geqrf",
+    "inv",
     "svd_full",
 ]
 
@@ -86,6 +95,7 @@ def orthonormalize(m: np.ndarray) -> np.ndarray:
     Computed from LAPACK's Householder QR; the result is sign-fixed so that
     the triangular factor has a non-negative diagonal, which makes
     ``orthonormalize(I + eps*N)`` land next to ``I`` rather than ``-I``.
+    Bitwise ``np.linalg.qr``'s Q with that sign fix.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -94,8 +104,30 @@ def orthonormalize(m: np.ndarray) -> np.ndarray:
         raise DomainError(f"orthonormalize needs d >= r, got {m.shape}")
     if not np.isfinite(m).all():
         raise DomainError("orthonormalize needs finite entries")
-    q, rmat = np.linalg.qr(m)
-    return q * np.where(np.diag(rmat) < 0, -1.0, 1.0)
+    a, tau = geqrf(m)
+    q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+    return q * np.where(np.diagonal(a) < 0, -1.0, 1.0)
+
+
+def geqrf(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK ``geqrf`` of a finite float64 matrix ``m`` (d x r, d >= r).
+
+    Returns ``(a, tau)``: ``a`` is a copy of ``m`` (made as ``np.linalg.qr``
+    makes it) overwritten with R on and above the diagonal and the
+    unit-diagonal reflectors below it, ``tau`` the reflector scales.  The
+    caller checks that ``m`` is finite.
+    """
+    a = m.astype(np.float64, copy=True)
+    return a, _umath_linalg.qr_r_raw(a, signature="d->d")
+
+
+def inv(stack: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix of a float64 stack (LAPACK ``gesv``).
+
+    For matrices the caller knows to be nonsingular: unlike
+    ``np.linalg.inv``, a singular matrix raises nothing.
+    """
+    return _umath_linalg.inv(stack, signature="d->d")
 
 
 def svd_full(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

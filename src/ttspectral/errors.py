@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the integer check that
+raises one."""
+
+import numpy as np
 
 
 class TtspectralError(Exception):
@@ -27,3 +30,12 @@ class BindingError(TtspectralError, ValueError):
 
 class FileFormatError(TtspectralError, ValueError):
     """A matrix or parameter file is malformed."""
+
+
+def check_integer(name: str, value, low: int | None = None) -> None:
+    """Reject a bool, a non-integer (an integral float too) and, given
+    ``low``, a value below it, naming ``name``; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")

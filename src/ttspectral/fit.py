@@ -33,11 +33,16 @@ from .autodiff import (  # noqa: F401  (perfbench/spans.py patches the tape)
     unpack,
 )
 from .dense import MAX_MAGNITUDE, svd_full
-from .errors import DivergenceError, DomainError, NumericError, ShapeError
+from .errors import (
+    DivergenceError,
+    DomainError,
+    NumericError,
+    ShapeError,
+    check_integer,
+)
 from .schemes import SCHEMES
 from .spectral import lipschitz_bound, stable_rank_from_spectrum
 from .spectrum_modes import LEARNED
-from .sttp import check_integer
 from .svdp import rank_cap
 
 __all__ = [
@@ -71,8 +76,9 @@ class FitConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise DomainError(f"unknown scheme {self.scheme!r}")
-        for name in ("rank", "max_steps", "seed"):
+        for name in ("rank", "max_steps"):
             check_integer(name, getattr(self, name))
+        check_integer("seed", self.seed, 0)
         # each range check is written so that NaN fails it
         if self.lr is not None and not 0.0 < self.lr < np.inf:
             raise DomainError("learning rate must be finite and positive")
@@ -218,9 +224,14 @@ def demo_train(cfg: FitConfig, seed: int, d_in: int = 6, hidden: int = 8,
     Lipschitz-1 map plus noise of scale 0.01.  Both linear layers are
     parameterized under ``cfg``; the report records loss, per-layer
     ``max|sigma|`` and stable ranks, and the product Lipschitz bound at
-    every step.  ``seed`` stands in for ``cfg.seed``, which is not read, and
+    every step.  The descent records each step's loss and keeps its two
+    spectra; the other three fields are filled from those in one pass
+    after the descent, each entry bitwise what its step alone would give.
+    ``seed`` (an integer >= 0) seeds the data and, plus 1 and 2, the
+    layers: it stands in for ``cfg.seed``, which is not read, and
     ``steps``, when given, for ``cfg.max_steps``.
     """
+    check_integer("seed", seed, 0)
     steps = cfg.max_steps if steps is None else steps
     if steps < 1 or min(d_in, hidden, d_out, n_samples) < 1:
         raise DomainError("demo steps and sizes must be positive")
@@ -256,16 +267,19 @@ def demo_train(cfg: FitConfig, seed: int, d_in: int = 6, hidden: int = 8,
         return loss, program.backward(tapes, cotangents), tapes
 
     report = TrainReport()
+    spectra = ([], [])
     theta = np.concatenate([pack(p) for p in protos])
-    for _, _, loss, (tape1, tape2) in _descend(
+    for _, _, loss, tapes in _descend(
             theta, cfg, steps, value_and_grad,
             "demo loss {loss:.3e} diverged at step {step}"):
         report.losses.append(loss)
-        s1, s2 = np.abs(tape1.sigma), np.abs(tape2.sigma)
-        report.sigma_max.append((float(s1.max()), float(s2.max())))
-        report.stable_ranks.append((
-            stable_rank_from_spectrum(tape1.sigma),
-            stable_rank_from_spectrum(tape2.sigma),
-        ))
-        report.bounds.append(lipschitz_bound([s1.max(), s2.max()]))
+        for kept, tape in zip(spectra, tapes):
+            kept.append(tape.sigma)
+    # one row per step, each as that step's spectra alone would give it
+    sigmas = [np.array(kept) for kept in spectra]
+    maxes = np.stack([np.abs(s).max(axis=1) for s in sigmas], axis=1)
+    report.sigma_max = list(map(tuple, maxes.tolist()))
+    report.stable_ranks = list(zip(*(
+        stable_rank_from_spectrum(s).tolist() for s in sigmas)))
+    report.bounds = lipschitz_bound(maxes).tolist()
     return report

@@ -16,7 +16,9 @@ The sweep works on column-major canvases (``r_pad x d_pad``, reflectors as
 contiguous rows), which the layouts' structures and :class:`DecodePlan`
 scatter into and gather from directly, so no sweep transposes a canvas.
 ``T`` is triangular with diagonal 1/2, never singular, so the inverse is
-the LAPACK gufunc behind ``np.linalg.inv``, called without the wrapper.
+:func:`~.dense.inv`, the LAPACK gufunc behind ``np.linalg.inv`` without
+the wrapper; encode's ``geqrf`` (:func:`~.dense.geqrf`) skips
+``np.linalg.qr``'s wrapper the same way, with the same bits.
 A batch is bitwise each member decoded alone, as are same-seed reruns;
 applying one reflector at a time agrees to rounding only.
 
@@ -46,15 +48,15 @@ writable arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from .dense import MAX_MAGNITUDE, orthonormalize
-from .errors import DomainError, ShapeError
+from .dense import MAX_MAGNITUDE, geqrf, inv, orthonormalize
+from .errors import DomainError, ShapeError, check_integer
 
 __all__ = [
     "HouseholderLayout",
@@ -63,7 +65,6 @@ __all__ = [
     "layout_mask",
     "dof",
     "make_layout",
-    "layout_from_dense",
     "decode",
     "decode_batch",
     "decode_layouts",
@@ -100,6 +101,9 @@ def layout_mask(d: int, r: int, variant: str, d_pad: int | None = None,
 
 
 def _check_layout_dims(d, r, variant, d_pad, r_pad):
+    for name, value in (("d", d), ("r", r), ("d_pad", d_pad),
+                        ("r_pad", r_pad)):
+        check_integer(name, value)
     if variant not in _VARIANTS:
         raise DomainError(f"unknown layout variant {variant!r}")
     if not (1 <= r <= d):
@@ -131,8 +135,9 @@ class HouseholderLayout:
     ``params`` stores the free cells column-major by reflector: all free
     cells of column 0 (top to bottom), then column 1, and so on.  Instances
     are immutable; use :func:`make_layout` or ``with_params``.  The
-    constructor checks that ``params`` holds one finite value per free
-    cell, of magnitude at most ``dense.MAX_MAGNITUDE``, and keeps a
+    constructor checks that the dims are integers, before it reads the
+    structure cache, and that ``params`` holds one finite value per free
+    cell, of magnitude at most ``dense.MAX_MAGNITUDE``; it keeps a
     read-only copy, so writing to the array it was given changes neither
     the layout nor its frame.
 
@@ -151,6 +156,8 @@ class HouseholderLayout:
     r_pad: int
 
     def __post_init__(self):
+        for name in ("d", "r", "d_pad", "r_pad"):
+            check_integer(name, getattr(self, name))
         params = np.array(self.params, dtype=np.float64).ravel()
         n_free = _structure(self.d, self.r, self.variant, self.d_pad,
                             self.r_pad)[0].size
@@ -209,24 +216,11 @@ def make_layout(d: int, r: int, variant: str = FULL, params=None,
                 d_pad: int | None = None, r_pad: int | None = None
                 ) -> HouseholderLayout:
     """Construct a layout; ``params`` defaults to all zeros."""
-    d_pad = d if d_pad is None else d_pad
-    r_pad = r if r_pad is None else r_pad
     if params is None:
-        params = np.zeros(_structure(d, r, variant, d_pad, r_pad)[0].size)
-    return HouseholderLayout(d, r, variant, params, d_pad, r_pad)
-
-
-def layout_from_dense(mat: np.ndarray, d: int, r: int, variant: str = FULL,
-                      d_pad: int | None = None, r_pad: int | None = None
-                      ) -> HouseholderLayout:
-    """Extract the free cells of a raw canvas; structural cells are ignored."""
-    d_pad = d if d_pad is None else d_pad
-    r_pad = r if r_pad is None else r_pad
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.shape != (d_pad, r_pad):
-        raise ShapeError(f"canvas shape {mat.shape} != ({d_pad}, {r_pad})")
-    layout = make_layout(d, r, variant, None, d_pad, r_pad)
-    return layout.with_params(mat[layout.free_cells()])
+        params = np.zeros(dof(d, r, variant))  # padding adds no free cells
+    return HouseholderLayout(d, r, variant, params,
+                             d if d_pad is None else d_pad,
+                             r if r_pad is None else r_pad)
 
 
 @lru_cache(maxsize=1024)
@@ -275,11 +269,8 @@ def _reflect_sweep(canvases: np.ndarray, save: bool = False):
     upper, half_eye, eye = _wy_constants(dp, rp)
     norms = np.sqrt((canvases * canvases).sum(axis=2, keepdims=True))
     units = canvases / norms  # norms >= 1 thanks to the structural diagonal 1
-    # T = I/2 + striu(U^T U) is triangular with diagonal 1/2, so never
-    # singular: call the LAPACK gesv gufunc np.linalg.inv wraps, without the
-    # wrapper's conversions and singular-matrix error state (same bits).
-    m = _umath_linalg.inv(np.where(upper, units @ units.transpose(0, 2, 1),
-                                   half_eye), signature="d->d")
+    # T = I/2 + striu(U^T U) is triangular with diagonal 1/2, never singular
+    m = inv(np.where(upper, units @ units.transpose(0, 2, 1), half_eye))
     s = m @ units[:, :, :rp]
     q = eye - units.transpose(0, 2, 1) @ s
     return (q, (units, norms, m, s)) if save else q
@@ -413,8 +404,8 @@ def check_frame(q: np.ndarray) -> None:
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] < q.shape[1]:
         raise ShapeError(f"frame must be d x r with d >= r, got {q.shape}")
-    gram = q.T @ q
-    resid = float(np.linalg.norm(gram - np.eye(q.shape[1])))
+    e = (q.T @ q - np.eye(q.shape[1])).ravel()
+    resid = math.sqrt(e @ e)  # np.linalg.norm's Frobenius norm, same bits
     if not resid <= FRAME_TOL:  # a NaN residual fails too
         raise DomainError(f"columns not orthonormal: Gram residual {resid:.3e}")
 
@@ -429,31 +420,29 @@ def encode(q: np.ndarray) -> tuple[HouseholderLayout, np.ndarray]:
     cannot represent them itself, so they are returned for the caller to
     absorb (e.g. into a spectrum).
     """
-    q = np.asarray(q, dtype=np.float64)
-    check_frame(q)
-    d, r = q.shape
-    h, tau = np.linalg.qr(q, mode="raw")  # geqrf; h.T is its output
-    # the frame check forces every |R_ii| to within about 1e-8 of 1
-    signs = np.sign(np.diag(h.T))
-    # LAPACK skips a reflector whose subcolumn is already zero (tau = 0),
-    # but a layout's structural 1 always reflects, negating that column.
-    signs[tau == 0] *= -1.0
-    return layout_from_dense(h.T, d, r, FULL), signs
+    return encode_as(q, FULL)
 
 
 def encode_as(q: np.ndarray, variant: str
               ) -> tuple[HouseholderLayout, np.ndarray]:
-    """:func:`encode` into a layout of the given variant.
+    """:func:`encode` into a layout of the given variant, built straight
+    from the ``geqrf`` canvas.
 
-    For the reduced variant the encoded gauge cells are zeroed: exact when
-    the frame's leading block is already upper triangular (identity), a
-    projection otherwise (O(INIT_ALPHA) for noisy identity).
+    For the reduced variant the encoded gauge cells are left out: exact
+    when the frame's leading block is already upper triangular (identity),
+    a projection otherwise (O(INIT_ALPHA) for noisy identity).
     """
-    layout, signs = encode(q)
-    if variant == REDUCED:
-        layout = layout_from_dense(layout.dense(), q.shape[0], q.shape[1],
-                                   REDUCED)
-    return layout, signs
+    q = np.asarray(q, dtype=np.float64)
+    check_frame(q)  # finite and orthonormal, so geqrf cannot fail
+    d, r = q.shape
+    rows, cols = _structure(d, r, variant, d, r)[:2]
+    a, tau = geqrf(q)
+    # the frame check forces every |R_ii| to within about 1e-8 of 1
+    signs = np.sign(np.diagonal(a))
+    # LAPACK skips a reflector whose subcolumn is already zero (tau = 0),
+    # but a layout's structural 1 always reflects, negating that column.
+    signs[tau == 0] *= -1.0
+    return HouseholderLayout(d, r, variant, a[rows, cols], d, r), signs
 
 
 def init_frame(scheme: str, d: int, r: int, seed: int) -> np.ndarray:

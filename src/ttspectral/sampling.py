@@ -16,6 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import householder as hh
+from .errors import check_integer
 from .spectral import SpectrumParams
 from .spectrum_modes import IDENTITY
 from .sttp import sttp_template
@@ -46,7 +47,9 @@ def make_random_layout(d: int, r: int, variant: str, rng: np.random.Generator,
 
 def _random_params(template, d_out: int, d_in: int, r: int, mode: str,
                    seed: int, lam: float = 0.0):
-    """Standard normals for every free cell in pack order, then a spectrum."""
+    """Standard normals for every free cell in pack order, then a spectrum;
+    ``seed`` is an integer >= 0."""
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     view = template(d_out, d_in, r, mode).chain
     layouts = [la.with_params(rng.standard_normal(la.params.size))

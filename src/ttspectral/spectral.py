@@ -159,26 +159,43 @@ def d_optimal_penalty(sigma) -> float:
     return pen
 
 
-def lipschitz_bound(sigma_max_per_layer) -> float:
-    """Product of per-layer spectral norms: the feed-forward Lipschitz bound."""
-    vals = [float(v) for v in sigma_max_per_layer]
-    if not all(0.0 <= v < math.inf for v in vals):  # NaN fails too
+def lipschitz_bound(sigma_max_per_layer):
+    """Product of per-layer spectral norms: the feed-forward Lipschitz bound.
+
+    Given a 2-D array with one row of per-layer norms per step, an array of
+    one bound per row, each bitwise the row's alone.
+    """
+    vals = np.asarray(sigma_max_per_layer, dtype=np.float64)
+    if not ((vals >= 0.0) & (vals < np.inf)).all():  # NaN fails too
         raise DomainError("spectral norms must be finite and non-negative")
-    return float(math.prod(vals))
+    if vals.ndim != 2:
+        return float(math.prod(vals.tolist()))
+    bounds = np.ones(len(vals))
+    for layer in vals.T:  # left to right, as math.prod multiplies a row
+        bounds = bounds * layer
+    return bounds
 
 
-def stable_rank_from_spectrum(sigma) -> float:
-    """Exact stable rank of a parameterized matrix from its diagonal."""
-    sigma = np.asarray(sigma, dtype=np.float64).ravel()
+def stable_rank_from_spectrum(sigma):
+    """Exact stable rank of a parameterized matrix from its diagonal.
+
+    Given a stack of diagonals (a 2-D array, one per row), an array of one
+    stable rank per row, each bitwise the row's alone.
+    """
+    sigma = np.asarray(sigma, dtype=np.float64)
+    stacked = sigma.ndim == 2
+    if not stacked:
+        sigma = sigma.ravel()
     if sigma.size == 0:
         raise DomainError("stable rank needs a non-empty spectrum")
-    smax = float(np.max(np.abs(sigma)))
-    if smax == 0.0:
+    smax = np.max(np.abs(sigma), axis=-1, keepdims=True)
+    if (smax == 0.0).any():
         raise DomainError("stable rank is undefined for the zero matrix")
-    if not math.isfinite(smax):  # np.max passes a NaN on
+    if not np.isfinite(smax).all():  # np.max passes a NaN on
         raise DomainError("stable rank needs a finite spectrum")
     ratios = sigma / smax  # squares of the raw values may over- or underflow
-    return float(np.sum(ratios * ratios))
+    ranks = np.sum(ratios * ratios, axis=-1)
+    return ranks if stacked else float(ranks)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import householder as hh
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_integer
 from .spectral import SpectrumParams, init_spectrum, materialize_sigma
 from .spectrum_modes import IDENTITY
 from .tensortrain import (
@@ -58,7 +58,6 @@ __all__ = [
     "chain_schedule",
     "build_schedule",
     "chain_specs",
-    "check_integer",
     "check_chain",
     "core_specs",
     "core_size_schedule",
@@ -79,13 +78,6 @@ MAX_FACTORED_DIM = 2**32
 """Largest dimension :func:`factorize` accepts.  Trial division runs up to
 the square root: the largest prime below the bound factors in about
 10 ms, the prime 2**61 - 1 would take minutes."""
-
-
-def check_integer(name: str, value) -> None:
-    """Reject a bool or a non-integer (an integral float too); numpy
-    integers pass."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -149,11 +141,26 @@ def rank_cap(d_out: int, d_in: int) -> int:
     return min(d_out, d_in)
 
 
-@lru_cache(maxsize=256)
+def _checked_structure(out_factors, in_factors, r):
+    """The factor tuples and rank as Python ints, once each factor is an
+    integer >= 1 and the rank an integer, so the caches behind the
+    ``chain_*`` entries never hold a key that a rejected call made."""
+    for value in (*out_factors, *in_factors):
+        check_integer("factor", value, 1)
+    check_integer("rank", r)
+    return tuple(map(int, out_factors)), tuple(map(int, in_factors)), int(r)
+
+
 def chain_schedule(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
                    r: int) -> RankSchedule:
     """Capped rank schedule over the global dims of the factor tuples; the
-    check ``1 <= r <= min(d_out, d_in)`` makes the middle rank r."""
+    check ``1 <= r <= min(d_out, d_in)`` makes the middle rank r.  Cached
+    per structure, behind the integer checks."""
+    return _chain_schedule(*_checked_structure(out_factors, in_factors, r))
+
+
+@lru_cache(maxsize=256)
+def _chain_schedule(out_factors, in_factors, r):
     d_out, d_in = math.prod(out_factors), math.prod(in_factors)
     cap = rank_cap(d_out, d_in)
     if not 1 <= r <= cap:
@@ -192,7 +199,6 @@ class CoreSpec:
         return r_left * n, r_right
 
 
-@lru_cache(maxsize=256)
 def chain_specs(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
                 r: int, spectrum_mode: str
                 ) -> tuple[tuple[CoreSpec, ...], tuple[CoreSpec, ...]]:
@@ -201,9 +207,16 @@ def chain_specs(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
     Within each side, cores run from the outer (dimension) end toward the
     spectrum.  The gauge rule: all cores are reduced except the one adjacent
     to the spectrum on each side; with the identity spectrum, U's adjacent
-    core is reduced as well (V's stays full).  Cached per structure.
+    core is reduced as well (V's stays full).  Cached per structure, behind
+    the integer checks.
     """
-    ranks = chain_schedule(out_factors, in_factors, r).ranks
+    return _chain_specs(*_checked_structure(out_factors, in_factors, r),
+                        spectrum_mode)
+
+
+@lru_cache(maxsize=256)
+def _chain_specs(out_factors, in_factors, r, spectrum_mode):
+    ranks = _chain_schedule(out_factors, in_factors, r).ranks
     u_last = hh.REDUCED if spectrum_mode == IDENTITY else hh.FULL
     # V-side local ranks mirror the tail of the global schedule.
     sides = (("u", out_factors, ranks[:len(out_factors) + 1], u_last),
@@ -220,9 +233,6 @@ def check_chain(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
     """Structure check of a chain parameter set, svdp's too: per side the
     layout count and each core's ``(d, r, variant)`` against
     :func:`chain_specs` (the gauge rule), then the spectrum length."""
-    for value in (*out_factors, *in_factors):
-        check_integer("dimension", value)
-    check_integer("rank", r)
     specs = chain_specs(out_factors, in_factors, r, spectrum.mode)
     for name, layouts, side in zip("UV", (u_layouts, v_layouts), specs):
         if len(layouts) != len(side):
@@ -239,8 +249,10 @@ def check_chain(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
 def core_specs(out_fac: DimFactorization, in_fac: DimFactorization, r: int,
                spectrum_mode: str
                ) -> tuple[tuple[CoreSpec, ...], tuple[CoreSpec, ...]]:
-    """:func:`chain_specs` of two factorizations."""
-    return chain_specs(out_fac.factors, in_fac.factors, r, spectrum_mode)
+    """:func:`chain_specs` of two factorizations, read from its cache
+    without the integer checks: warm ``apply_map`` and every tape call it
+    with the structure of a checked parameter set."""
+    return _chain_specs(out_fac.factors, in_fac.factors, r, spectrum_mode)
 
 
 def core_size_schedule(out_fac: DimFactorization, in_fac: DimFactorization,
@@ -251,7 +263,8 @@ def core_size_schedule(out_fac: DimFactorization, in_fac: DimFactorization,
     The V side is listed from the spectrum outward, matching the left-to-
     right order of the assembled chain.
     """
-    u_specs, v_specs = core_specs(out_fac, in_fac, r, spectrum_mode)
+    u_specs, v_specs = chain_specs(out_fac.factors, in_fac.factors, r,
+                                   spectrum_mode)
     return [(*spec.frame_dims, spec.variant)
             for spec in (*u_specs, *reversed(v_specs))]
 
@@ -367,7 +380,9 @@ def init_chain(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
                init_scheme: str = "noisy_identity", lam: float = 0.0):
     """Fresh ``(u_layouts, v_layouts, spectrum)``: each core frame drawn by
     the init scheme and encoded, the lost column signs folded into the
-    spectrum, so the assembled matrix is the drawn frames' product."""
+    spectrum, so the assembled matrix is the drawn frames' product.
+    ``seed`` is an integer >= 0."""
+    check_integer("seed", seed, 0)
     specs = chain_specs(out_factors, in_factors, r, spectrum_mode)
     rng = np.random.default_rng(seed)
     frames = [[hh.init_frame(init_scheme, *spec.frame_dims,

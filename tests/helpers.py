@@ -1,7 +1,8 @@
 """Shared test oracles: exhaustive contraction-tree search, the subset-DP
-planner, random diagrams, Householder QR, the sequential reflector sweep,
-the row-major closed-form sweep, the per-frame gradient tape, and the fit
-loops over parameter objects."""
+planner, random diagrams, Householder QR, orthonormalize, encode and init
+through ``np.linalg.qr``, the sequential reflector sweep, the row-major
+closed-form sweep, the per-frame gradient tape, and the fit loops over
+parameter objects."""
 
 import itertools
 import math
@@ -13,9 +14,11 @@ from ttspectral import autodiff as ad
 from ttspectral import fit as ft
 from ttspectral import householder as hh
 from ttspectral import planner as pl
+from ttspectral import sttp
 from ttspectral.dense import MAX_MAGNITUDE
 from ttspectral.errors import DivergenceError, DomainError, ShapeError
 from ttspectral.spectral import (
+    init_spectrum,
     lipschitz_bound,
     normalize_spectrum,
     stable_rank_from_spectrum,
@@ -236,6 +239,78 @@ def householder_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a[i + 1 :, i] = 0.0
         reflectors[i:, i] = u
     return reflectors, np.triu(a[:r, :])
+
+
+def layout_from_dense(mat, d, r, variant=hh.FULL, d_pad=None, r_pad=None):
+    """The layout holding the free cells of a raw ``d_pad x r_pad`` canvas;
+    structural cells are ignored."""
+    layout = hh.make_layout(d, r, variant, None, d_pad, r_pad)
+    return layout.with_params(np.asarray(mat, dtype=np.float64)[
+        layout.free_cells()])
+
+
+def memory_layouts(m):
+    """``m`` C-ordered, F-ordered and as a strided view (every other row
+    and column of a NaN-filled array twice its size), by name."""
+    m = np.ascontiguousarray(m, dtype=np.float64)
+    big = np.full((2 * m.shape[0], 2 * m.shape[1]), np.nan)
+    big[::2, ::2] = m
+    return {"C": m, "F": np.asfortranarray(m), "strided": big[::2, ::2]}
+
+
+def reference_orthonormalize(m):
+    """Sign-fixed orthonormalization through ``np.linalg.qr``."""
+    q, rmat = np.linalg.qr(np.asarray(m, dtype=np.float64))
+    return q * np.where(np.diag(rmat) < 0, -1.0, 1.0)
+
+
+def reference_encode_as(q, variant=hh.FULL):
+    """Encode through ``np.linalg.qr(mode="raw")``: the full layout of the
+    geqrf canvas, re-gathered into a reduced one through its dense canvas."""
+    q = np.asarray(q, dtype=np.float64)
+    hh.check_frame(q)
+    d, r = q.shape
+    h, tau = np.linalg.qr(q, mode="raw")  # geqrf; h.T is its output
+    signs = np.sign(np.diag(h.T))
+    signs[tau == 0] *= -1.0
+    layout = layout_from_dense(h.T, d, r, hh.FULL)
+    if variant == hh.REDUCED:
+        layout = layout_from_dense(layout.dense(), d, r, hh.REDUCED)
+    return layout, signs
+
+
+def reference_init_params(scheme, d_out, d_in, r, mode, seed,
+                          init_scheme="noisy_identity"):
+    """``init_svdp_params``/``init_sttp_params`` with every frame drawn by
+    :func:`reference_orthonormalize` and encoded by
+    :func:`reference_encode_as`."""
+    if scheme == "svdp":
+        factors = ((d_out,), (d_in,))
+    else:
+        factors = (sttp.factorize(d_out).factors, sttp.factorize(d_in).factors)
+    rng = np.random.default_rng(seed)
+    sides = []
+    for specs in sttp.chain_specs(*factors, r, mode):
+        layouts, carry = [], np.ones(1)
+        for spec in specs:
+            d, rr = spec.frame_dims
+            frame_rng = np.random.default_rng(int(rng.integers(2**32)))
+            frame = np.eye(d, rr)
+            if init_scheme == "random_orthogonal":
+                frame = reference_orthonormalize(
+                    frame_rng.standard_normal((d, rr)))
+            elif init_scheme == "noisy_identity":
+                frame = reference_orthonormalize(
+                    frame + hh.INIT_ALPHA * frame_rng.standard_normal((d, rr)))
+            flipped = frame * np.repeat(carry, spec.shape[1])[:, None]
+            layout, carry = reference_encode_as(flipped, spec.variant)
+            layouts.append(layout)
+        sides.append((tuple(layouts), carry))
+    (u_layouts, su), (v_layouts, sv) = sides
+    spectrum = init_spectrum(mode, r, su * sv)
+    if scheme == "svdp":
+        return SvdpParams(d_out, d_in, r, *u_layouts, *v_layouts, spectrum)
+    return sttp.SttpParams(d_out, d_in, r, u_layouts, v_layouts, spectrum)
 
 
 def reflectors_to_frame(reflectors: np.ndarray, r: int | None = None) -> np.ndarray:

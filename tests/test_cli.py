@@ -681,3 +681,19 @@ class TestCliExitCodes:
                               for a in argv])
         assert code == want
         assert err.startswith(("error:", "usage:"))
+
+    @pytest.mark.parametrize("command", ["build", "fit", "demo-train",
+                                         "gradcheck"])
+    def test_negative_seed_exits_2_naming_the_seed(self, tmp_path, command):
+        dims = ["--scheme", "svdp", "--dout", "6", "--din", "4", "--rank",
+                "2"]
+        target = tmp_path / "t.mat"
+        fileio.write_matrix(target, np.ones((6, 4)))
+        argv = {"build": ["build", *dims, "--out", str(tmp_path / "w.mat")],
+                "fit": ["fit", "--target", str(target), *dims[:2], "--rank",
+                        "2", "--steps", "3"],
+                "demo-train": ["demo-train", "--steps", "3"],
+                "gradcheck": ["gradcheck", *dims]}[command]
+        code, err = run_main([*argv, "--seed", "-1"])
+        assert code == 2
+        assert err.startswith("error:") and "seed" in err

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from ttspectral import dense
 from ttspectral.errors import DomainError, NumericError, ShapeError
 
-from helpers import householder_qr, reflectors_to_frame
+from helpers import (
+    householder_qr,
+    memory_layouts,
+    reference_orthonormalize,
+    reflectors_to_frame,
+)
 
 
 def enumerate_positions(dims):
@@ -181,6 +186,21 @@ class TestOrthonormalize:
         # two QR codes' frames differ by O(eps * cond(m))
         tol = 1e-13 * max(1.0, np.linalg.cond(m) / 100)
         assert np.max(np.abs(dense.orthonormalize(m) - want)) <= tol
+
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    @pytest.mark.parametrize("d,r", [(1, 1), (5, 5), (6, 3), (9, 1),
+                                     (72, 4)])
+    def test_bits_equal_np_linalg_qr(self, d, r, order):
+        # the QR gufuncs called directly against np.linalg.qr; exact zeros
+        # (identity, sparse, all zero) are where a signed zero would differ
+        rng = np.random.default_rng(10 * d + r)
+        sparse = rng.standard_normal((d, r)) * (rng.random((d, r)) < 0.5)
+        for m in (rng.standard_normal((d, r)), np.eye(d, r), -np.eye(d, r),
+                  np.eye(d, r) + 1e-4 * rng.standard_normal((d, r)), sparse,
+                  np.zeros((d, r))):
+            m = memory_layouts(m)[order]
+            assert dense.orthonormalize(m).tobytes() == \
+                reference_orthonormalize(m).tobytes()
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(DomainError):

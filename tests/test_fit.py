@@ -99,6 +99,10 @@ class TestFitMatrix:
         with pytest.raises(DomainError, match=f"{field} must be an integer"):
             ft.FitConfig("svdp", **{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            ft.FitConfig("svdp", seed=-1)
+
     def test_numpy_integer_config_accepted(self):
         cfg = ft.FitConfig("svdp", np.int64(2), LEARNED, max_steps=np.int32(3),
                            seed=np.uint8(4))
@@ -296,6 +300,14 @@ class TestDemoTrain:
         with pytest.raises(DomainError, match="must be positive"):
             ft.demo_train(cfg, 0, **{"steps": 5, **kwargs})
 
+    def test_negative_seed_rejected(self):
+        # the demo's seed seeds the data, and plus 1 and 2 the layers
+        cfg = ft.FitConfig("svdp", 1, LEARNED)
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            ft.demo_train(cfg, -1, steps=5)
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            ft.demo_train(cfg, 1.0, steps=5)
+
 
 def bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
@@ -347,11 +359,16 @@ class TestStepProgramMatchesObjectLoops:
 
     @pytest.mark.parametrize("mode,lam", [(LEARNED, 0.0), ("identity", 0.0),
                                           (LEARNED_REGULARIZED, 0.05)])
-    @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
-    def test_demo(self, scheme, mode, lam):
-        cfg = ft.FitConfig(scheme, 3, mode, lam=lam)
-        report = ft.demo_train(cfg, 5, steps=30)
-        ref = reference_demo_train(cfg, 5, steps=30)
+    @pytest.mark.parametrize("scheme,r,sizes", [
+        pytest.param("svdp", 3, {}, id="svdp"),
+        pytest.param("sttp", 3, {}, id="sttp"),
+        # r >= 9: each per-row sum of the report runs numpy's pairwise blocks
+        pytest.param("sttp", 9, {"d_in": 12, "hidden": 16, "d_out": 10},
+                     id="sttp-r9")])
+    def test_demo(self, scheme, r, sizes, mode, lam):
+        cfg = ft.FitConfig(scheme, r, mode, lam=lam)
+        report = ft.demo_train(cfg, 5, steps=30, **sizes)
+        ref = reference_demo_train(cfg, 5, steps=30, **sizes)
         for name in ("losses", "sigma_max", "stable_ranks", "bounds"):
             assert bits(getattr(report, name)) == bits(getattr(ref, name))
         assert len(report.losses) == 30

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ttspectral import householder as hh
-from ttspectral.dense import orthonormalize
+from ttspectral.dense import inv, orthonormalize
 from ttspectral.errors import DomainError, ShapeError
 from ttspectral.sampling import make_random_layout
 
@@ -18,6 +18,9 @@ from helpers import (
     decode_fwd,
     decode_vjp,
     householder_qr,
+    layout_from_dense,
+    memory_layouts,
+    reference_encode_as,
     rowmajor_reflect_sweep,
     rowmajor_reflect_sweep_vjp,
 )
@@ -173,17 +176,17 @@ class TestImmutableLayout:
     def test_source_arrays_do_not_alias_the_layout(self):
         rng = np.random.default_rng(40)
         theta = rng.standard_normal(hh.dof(5, 2, hh.FULL))
-        canvas = rng.standard_normal((5, 2))
-        built = {
+        q = orthonormalize(rng.standard_normal((5, 2)))
+        built = {  # encode_as first: the loop shifts q off orthonormal
+            "encode_as": lambda: hh.encode_as(q, hh.FULL)[0],
             "make_layout": lambda: hh.make_layout(5, 2, hh.FULL, theta),
             "with_params": lambda: hh.make_layout(5, 2).with_params(theta),
-            "layout_from_dense": lambda: hh.layout_from_dense(canvas, 5, 2),
         }
         for name, build in built.items():
             layout = build()
             params, frame = layout.params.copy(), hh.decode(layout).copy()
             theta += 1.0
-            canvas += 1.0
+            q += 1.0
             assert np.array_equal(layout.params, params), name
             assert np.array_equal(hh.decode(layout), frame), name
             assert np.array_equal(hh.decode(hh.make_layout(
@@ -312,7 +315,7 @@ class TestClosedFormDecode:
         # parallel and T is far from its diagonal
         canvas = np.eye(64, 16)
         canvas[np.tril_indices(64, -1, 16)] = c
-        layout = hh.layout_from_dense(canvas, 64, 16)
+        layout = layout_from_dense(canvas, 64, 16)
         rng = np.random.default_rng(int(np.log10(c)))
         self.check_against_sweep(layout, rng.standard_normal((64, 16)))
 
@@ -364,7 +367,7 @@ class TestColumnMajorSweep:
         units /= np.linalg.norm(units, axis=2, keepdims=True)
         t = np.where(~np.tri(r, dtype=bool), units @ units.transpose(0, 2, 1),
                      0.5 * np.eye(r))
-        got = hh._umath_linalg.inv(t, signature="d->d")
+        got = inv(t)
         assert got.tobytes() == np.linalg.inv(t).tobytes()
 
 
@@ -394,7 +397,7 @@ class TestPaddedDecode:
         # discarded at construction, so padding cannot leak into the frame
         rng = np.random.default_rng(3)
         canvas = rng.standard_normal((8, 4)) * 10
-        layout = hh.layout_from_dense(canvas, 5, 2, hh.FULL, 8, 4)
+        layout = layout_from_dense(canvas, 5, 2, hh.FULL, 8, 4)
         reference = hh.make_layout(5, 2, hh.FULL, layout.params)
         assert np.allclose(hh.decode(layout), hh.decode(reference),
                            atol=1e-13, rtol=0)
@@ -535,6 +538,47 @@ class TestEncode:
         assert np.max(np.abs(full.dense()[gauge_cells])) <= 1e-12
 
 
+class TestEncodeMatchesNumpyQr:
+    """encode and encode_as call the geqrf gufunc and gather each variant
+    straight from its canvas; the ``np.linalg.qr(mode="raw")`` encode that
+    re-gathers through a full layout is their oracle, bit for bit."""
+
+    @staticmethod
+    def frames(d, r, rng):
+        perm = np.eye(d)[rng.permutation(d)][:, :r]
+        block = np.zeros((d, r))
+        block[: max(r, d - 2)] = orthonormalize(
+            rng.standard_normal((max(r, d - 2), r)))
+        return (np.eye(d, r), np.eye(d, r) * np.where(np.arange(r) % 2, -1.0,
+                                                      1.0),
+                perm, block, orthonormalize(rng.standard_normal((d, r))),
+                orthonormalize(np.eye(d, r)
+                               + hh.INIT_ALPHA * rng.standard_normal((d, r))))
+
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    @pytest.mark.parametrize("d,r", [(1, 1), (2, 1), (5, 5), (6, 3), (9, 1),
+                                     (16, 4), (72, 4)])
+    def test_bits_equal_np_linalg_qr(self, d, r, order):
+        rng = np.random.default_rng(d * 100 + r)
+        for q in self.frames(d, r, rng):
+            q = memory_layouts(q)[order]
+            for variant in (hh.FULL, hh.REDUCED):
+                layout, signs = hh.encode_as(q, variant)
+                ref, ref_signs = reference_encode_as(q, variant)
+                assert layout.variant == variant
+                assert layout.params.tobytes() == ref.params.tobytes()
+                assert signs.tobytes() == ref_signs.tobytes()
+            layout, signs = hh.encode(q)
+            ref, ref_signs = reference_encode_as(q)
+            assert layout.variant == hh.FULL
+            assert layout.params.tobytes() == ref.params.tobytes()
+            assert signs.tobytes() == ref_signs.tobytes()
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(DomainError, match="variant"):
+            hh.encode_as(np.eye(4, 2), "upper")
+
+
 class TestInitLayout:
     def test_identity_scheme(self):
         layout, signs = hh.encode_as(hh.init_frame("identity", 6, 3, 0),
@@ -592,9 +636,21 @@ class TestValidation:
         for build in (lambda: hh.make_layout(6, 3, hh.FULL, theta),
                       lambda: hh.make_layout(6, 3, hh.FULL, theta, 8, 4),
                       lambda: layout.with_params(theta),
-                      lambda: hh.layout_from_dense(canvas, 6, 3)):
+                      lambda: layout_from_dense(canvas, 6, 3)):
             with pytest.raises(DomainError, match="finite"):
                 build()
+
+    @pytest.mark.parametrize("field", ["d", "r", "d_pad", "r_pad"])
+    @pytest.mark.parametrize("bad", [6.0, True])
+    def test_non_integer_dims_rejected_ahead_of_the_cache(self, field, bad):
+        # the int structure is cached, and a float key would hit it
+        hh.make_layout(6, 3)
+        dims = {"d": 6, "r": 3, "d_pad": 6, "r_pad": 3, field: bad}
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            hh.HouseholderLayout(variant=hh.FULL, params=np.zeros(12), **dims)
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            hh.make_layout(dims["d"], dims["r"], hh.FULL, None, dims["d_pad"],
+                           dims["r_pad"])
 
     def test_padding_smaller_than_frame(self):
         with pytest.raises(DomainError):

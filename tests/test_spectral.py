@@ -215,6 +215,16 @@ class TestLipschitzBound:
         with pytest.raises(DomainError):
             sp.lipschitz_bound([1.0, -2.0])
 
+    @pytest.mark.parametrize("layers", [1, 2, 5])
+    def test_stack_is_each_row_alone(self, layers):
+        rows = np.random.default_rng(layers).uniform(0.0, 3.0, (40, layers))
+        got = sp.lipschitz_bound(rows)
+        assert got.tobytes() == np.array(
+            [sp.lipschitz_bound(list(row)) for row in rows]).tobytes()
+        rows[7, -1] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            sp.lipschitz_bound(rows)
+
     @pytest.mark.parametrize("vals", [[1.0, np.nan], [np.inf, 1.0],
                                       [np.inf, 0.0]])
     def test_non_finite_rejected(self, vals):
@@ -246,6 +256,20 @@ class TestStableRank:
     def test_zero_matrix_rejected(self):
         with pytest.raises(DomainError, match="zero matrix"):
             sp.stable_rank_from_spectrum(np.zeros(2))
+
+    @pytest.mark.parametrize("r", [1, 3, 8, 9, 17, 200])
+    def test_stack_is_each_row_alone(self, r):
+        # from r = 8 on, numpy sums a row in pairwise blocks
+        rows = np.random.default_rng(r).standard_normal((30, r))
+        got = sp.stable_rank_from_spectrum(rows)
+        assert got.tobytes() == np.array(
+            [sp.stable_rank_from_spectrum(row) for row in rows]).tobytes()
+        rows[4] = 0.0
+        with pytest.raises(DomainError, match="zero matrix"):
+            sp.stable_rank_from_spectrum(rows)
+        rows[4, 0] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            sp.stable_rank_from_spectrum(rows)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-300])
     def test_scale_free(self, scale):

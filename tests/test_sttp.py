@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttspectral import fileio
 from ttspectral import householder as hh
@@ -19,6 +21,8 @@ from ttspectral.spectrum_modes import IDENTITY, LEARNED, SPECTRUM_MODES
 from ttspectral.schemes import SCHEMES
 from ttspectral.svdp import SvdpParams, init_svdp_params, svdp_dof
 from ttspectral.tensortrain import tt_contract
+
+from helpers import reference_init_params
 
 
 def layout_cell_count(params) -> int:
@@ -436,3 +440,89 @@ class TestEveryMaker:
         fileio.write_params(b, SCHEMES[scheme].init(
             *map(np.int64, shape), LEARNED, 1))
         assert a.read_bytes() == b.read_bytes()
+
+
+INIT_SHAPES = [("svdp", 16, 72, 4), ("sttp", 16, 72, 4), ("sttp", 256, 256, 8),
+               ("sttp", 16, 16, 4), ("svdp", 4, 4, 4), ("svdp", 6, 5, 1),
+               ("sttp", 12, 18, 1), ("svdp", 1, 5, 1), ("svdp", 5, 1, 1)]
+
+
+class TestInitMatchesNumpyQr:
+    """Init through the QR gufuncs against init through ``np.linalg.qr``:
+    the same pack vector and spectrum signs, bit for bit.  The shapes take
+    in square reduced cores (sttp 16x16 r4, svdp 4x4 r4 with the identity
+    spectrum), r = 1, and svdp 1x5 and 5x1."""
+
+    @pytest.mark.parametrize("init_scheme", hh.INIT_SCHEMES)
+    @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
+    @pytest.mark.parametrize("shape", INIT_SHAPES)
+    def test_pack_and_signs_bitwise(self, shape, mode, init_scheme):
+        scheme, *dims = shape
+        for seed in (0, 11):
+            got = SCHEMES[scheme].init(*dims, mode, seed, init_scheme)
+            ref = reference_init_params(scheme, *dims, mode, seed,
+                                        init_scheme)
+            assert pack(got).tobytes() == pack(ref).tobytes()
+            assert got.spectrum.signs.tobytes() == \
+                ref.spectrum.signs.tobytes()
+
+
+def _clear_structure_caches():
+    for cache in (sttp._chain_schedule, sttp._chain_specs, hh._structure):
+        cache.cache_clear()
+
+
+# each entry takes a dimension and a rank; d >= 2 so that sttp_dof factors it
+INTEGER_ENTRIES = {
+    "chain_schedule": lambda d, r: sttp.chain_schedule((d,), (5,), r),
+    "chain_specs": lambda d, r: sttp.chain_specs((2, d), (5,), r, IDENTITY),
+    "chain_dof": lambda d, r: sttp.chain_dof((d,), (2, 3), r, LEARNED),
+    "svdp_dof": lambda d, r: svdp_dof(d, 5, r, LEARNED),
+    "sttp_dof": lambda d, r: sttp.sttp_dof(d, 6, r, IDENTITY),
+    "make_layout": lambda d, r: hh.make_layout(d, r, hh.REDUCED),
+    "householder.dof": lambda d, r: hh.dof(d, r, hh.FULL),
+}
+
+
+class TestIntegerInputsBeforeCaches:
+    @given(entry=st.sampled_from(sorted(INTEGER_ENTRIES)),
+           d=st.integers(2, 7), r_frac=st.floats(0.0, 1.0),
+           bad_arg=st.sampled_from(("d", "r")),
+           bad=st.sampled_from(("float", "true", "false", "negative")))
+    @settings(max_examples=200, deadline=None)
+    def test_rejected_call_leaves_the_int_call_alone(self, entry, d, r_frac,
+                                                     bad_arg, bad):
+        # a float, a bool or a negative value raises DomainError before any
+        # cache is filled; a numpy integer passes
+        call = INTEGER_ENTRIES[entry]
+        r = 1 + int(r_frac * (min(d, 5) - 1))
+        _clear_structure_caches()
+        want = repr(call(d, r))
+        _clear_structure_caches()
+        value = {"d": d, "r": r}[bad_arg]
+        args = {"d": d, "r": r,
+                bad_arg: {"float": float(value), "true": True, "false": False,
+                          "negative": -value}[bad]}
+        with pytest.raises(DomainError):
+            call(args["d"], args["r"])
+        assert repr(call(d, r)) == want
+        call(np.int64(d), np.int32(r))
+        assert repr(call(d, r)) == want
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("init", [
+        lambda seed: sttp.init_chain((4,), (2, 3), 2, LEARNED, seed),
+        lambda seed: init_svdp_params(4, 6, 2, LEARNED, seed),
+        lambda seed: sttp.init_sttp_params(4, 6, 2, IDENTITY, seed)],
+        ids=["init_chain", "init_svdp_params", "init_sttp_params"])
+    def test_init_rejects_a_negative_seed(self, init):
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            init(-1)
+        init(np.uint8(3))
+
+    @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
+    def test_random_params_reject_a_negative_seed(self, scheme):
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            SCHEMES[scheme].random(4, 6, 2, LEARNED, -1)
+        SCHEMES[scheme].random(4, 6, 2, LEARNED, np.uint8(3))
