@@ -12,8 +12,10 @@ All functions are pure; randomness enters only through explicit seeds.
 QR, ``geqrf`` and the inverse call the LAPACK gufuncs behind
 ``np.linalg.qr`` and ``np.linalg.inv`` (numpy's private ``_umath_linalg``)
 without the wrappers: same bits, a fraction of the cost on a frame's small
-matrices.  No other module touches that private API.  Callers check their
-input first, so LAPACK never sees a matrix it can fail on.
+matrices.  No other module touches that private API.  A numpy without
+these gufuncs fails the import of this module with an ``ImportError`` that
+names the requirement.  Callers check their input first, so LAPACK never
+sees a matrix it can fail on.
 """
 
 from __future__ import annotations
@@ -21,9 +23,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, NumericError, ShapeError
+
+try:
+    from numpy.linalg._umath_linalg import inv as _inv
+    from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw
+    from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced
+except ImportError as exc:
+    raise ImportError(
+        "ttspectral needs numpy>=2.4.6 for the LAPACK gufuncs qr_r_raw, "
+        "qr_reduced and inv in numpy.linalg._umath_linalg; numpy "
+        f"{np.__version__} lacks one: {exc}") from exc
 
 __all__ = [
     "multi_index",
@@ -105,7 +116,7 @@ def orthonormalize(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise DomainError("orthonormalize needs finite entries")
     a, tau = geqrf(m)
-    q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+    q = _qr_reduced(a, tau, signature="dd->d")
     return q * np.where(np.diagonal(a) < 0, -1.0, 1.0)
 
 
@@ -118,7 +129,7 @@ def geqrf(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     caller checks that ``m`` is finite.
     """
     a = m.astype(np.float64, copy=True)
-    return a, _umath_linalg.qr_r_raw(a, signature="d->d")
+    return a, _qr_r_raw(a, signature="d->d")
 
 
 def inv(stack: np.ndarray) -> np.ndarray:
@@ -127,7 +138,7 @@ def inv(stack: np.ndarray) -> np.ndarray:
     For matrices the caller knows to be nonsingular: unlike
     ``np.linalg.inv``, a singular matrix raises nothing.
     """
-    return _umath_linalg.inv(stack, signature="d->d")
+    return _inv(stack, signature="d->d")
 
 
 def svd_full(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

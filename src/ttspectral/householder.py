@@ -156,8 +156,8 @@ class HouseholderLayout:
     r_pad: int
 
     def __post_init__(self):
-        for name in ("d", "r", "d_pad", "r_pad"):
-            check_integer(name, getattr(self, name))
+        _check_layout_dims(self.d, self.r, self.variant, self.d_pad,
+                           self.r_pad)
         params = np.array(self.params, dtype=np.float64).ravel()
         n_free = _structure(self.d, self.r, self.variant, self.d_pad,
                             self.r_pad)[0].size

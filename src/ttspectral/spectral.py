@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .dense import MAX_MAGNITUDE
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 from .spectrum_modes import IDENTITY, LEARNED, LEARNED_REGULARIZED, SPECTRUM_MODES
 
 __all__ = [
@@ -166,14 +166,14 @@ def lipschitz_bound(sigma_max_per_layer):
     one bound per row, each bitwise the row's alone.
     """
     vals = np.asarray(sigma_max_per_layer, dtype=np.float64)
+    if vals.ndim not in (1, 2):
+        raise ShapeError("lipschitz_bound takes a vector or a stack of rows")
     if not ((vals >= 0.0) & (vals < np.inf)).all():  # NaN fails too
         raise DomainError("spectral norms must be finite and non-negative")
-    if vals.ndim != 2:
-        return float(math.prod(vals.tolist()))
-    bounds = np.ones(len(vals))
-    for layer in vals.T:  # left to right, as math.prod multiplies a row
+    bounds = np.ones(vals.shape[:-1])
+    for layer in vals.T:  # left to right along each row
         bounds = bounds * layer
-    return bounds
+    return bounds if vals.ndim == 2 else float(bounds)
 
 
 def stable_rank_from_spectrum(sigma):
@@ -182,10 +182,9 @@ def stable_rank_from_spectrum(sigma):
     Given a stack of diagonals (a 2-D array, one per row), an array of one
     stable rank per row, each bitwise the row's alone.
     """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    stacked = sigma.ndim == 2
-    if not stacked:
-        sigma = sigma.ravel()
+    sigma = np.atleast_1d(np.asarray(sigma, dtype=np.float64))
+    if sigma.ndim > 2:
+        raise ShapeError("stable rank takes a diagonal or a stack of rows")
     if sigma.size == 0:
         raise DomainError("stable rank needs a non-empty spectrum")
     smax = np.max(np.abs(sigma), axis=-1, keepdims=True)
@@ -195,7 +194,7 @@ def stable_rank_from_spectrum(sigma):
         raise DomainError("stable rank needs a finite spectrum")
     ratios = sigma / smax  # squares of the raw values may over- or underflow
     ranks = np.sum(ratios * ratios, axis=-1)
-    return ranks if stacked else float(ranks)
+    return ranks if sigma.ndim == 2 else float(ranks)
 
 
 @dataclass(frozen=True)

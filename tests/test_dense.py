@@ -1,7 +1,10 @@
 """Dense substrate: ordering, reshaping, QR, SVD oracle."""
 
+import importlib.util
 import itertools
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -210,6 +213,18 @@ class TestOrthonormalize:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(DomainError, match="finite"):
             dense.orthonormalize(np.array([[1.0, bad], [0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestLapackGufuncs:
+    def test_numpy_without_them_fails_at_import(self, monkeypatch):
+        # a numpy whose private linalg module lacks the QR gufuncs
+        fake = types.ModuleType("numpy.linalg._umath_linalg")
+        fake.inv = np.linalg.inv
+        monkeypatch.setitem(sys.modules, fake.__name__, fake)
+        spec = importlib.util.spec_from_file_location(
+            "ttspectral._dense_without_gufuncs", dense.__file__)
+        with pytest.raises(ImportError, match=r"numpy>=2\.4\.6.*qr_r_raw"):
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 class TestSvdFull:

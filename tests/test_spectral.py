@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ttspectral import spectral as sp
-from ttspectral.errors import DomainError
+from ttspectral.errors import DomainError, ShapeError
 
 
 class TestMaterializeSigma:
@@ -219,11 +219,19 @@ class TestLipschitzBound:
     def test_stack_is_each_row_alone(self, layers):
         rows = np.random.default_rng(layers).uniform(0.0, 3.0, (40, layers))
         got = sp.lipschitz_bound(rows)
-        assert got.tobytes() == np.array(
-            [sp.lipschitz_bound(list(row)) for row in rows]).tobytes()
+        expected = np.array([math.prod(row.tolist()) for row in rows])
+        assert got.tobytes() == expected.tobytes()
+        assert [sp.lipschitz_bound(row) for row in rows] == expected.tolist()
         rows[7, -1] = np.nan
         with pytest.raises(DomainError, match="finite"):
             sp.lipschitz_bound(rows)
+
+    def test_vector_or_stack_only(self):
+        assert sp.lipschitz_bound([]) == 1.0
+        with pytest.raises(ShapeError):
+            sp.lipschitz_bound(2.0)
+        with pytest.raises(ShapeError):
+            sp.lipschitz_bound(np.ones((2, 2, 2)))
 
     @pytest.mark.parametrize("vals", [[1.0, np.nan], [np.inf, 1.0],
                                       [np.inf, 0.0]])
@@ -262,14 +270,22 @@ class TestStableRank:
         # from r = 8 on, numpy sums a row in pairwise blocks
         rows = np.random.default_rng(r).standard_normal((30, r))
         got = sp.stable_rank_from_spectrum(rows)
-        assert got.tobytes() == np.array(
-            [sp.stable_rank_from_spectrum(row) for row in rows]).tobytes()
+        ratios = [row / np.max(np.abs(row)) for row in rows]
+        expected = np.array([np.sum(q * q) for q in ratios])
+        assert got.tobytes() == expected.tobytes()
+        assert [sp.stable_rank_from_spectrum(row) for row in rows] == \
+            expected.tolist()
         rows[4] = 0.0
         with pytest.raises(DomainError, match="zero matrix"):
             sp.stable_rank_from_spectrum(rows)
         rows[4, 0] = np.nan
         with pytest.raises(DomainError, match="finite"):
             sp.stable_rank_from_spectrum(rows)
+
+    def test_diagonal_or_stack_only(self):
+        assert sp.stable_rank_from_spectrum(-2.0) == 1.0
+        with pytest.raises(ShapeError):
+            sp.stable_rank_from_spectrum(np.ones((2, 2, 2)))
 
     @pytest.mark.parametrize("scale", [1e200, 1e-300])
     def test_scale_free(self, scale):
