@@ -8,8 +8,11 @@ hand-written vector-Jacobian rule.  A :class:`StepProgram`, built once per
 parameter structure, runs them on a flat parameter vector: its forward
 records the intermediates and its backward transits them in reverse from
 cotangents on the factors, producing the gradient with respect to every
-free parameter (structural layout cells receive none).  The matrix
-``W = (u * sigma) @ v.T`` is formed only when a caller reads
+free parameter (structural layout cells receive none).  Each chain side
+starts from its fixed head, the block of its leading cores without free
+cells that :func:`~.sttp.chain_heads` composes once per structure; the
+reverse pass through the chain stops at the first core with free cells.
+The matrix ``W = (u * sigma) @ v.T`` is formed only when a caller reads
 :attr:`GradTape.output`; a cotangent on ``W`` reaches the factors through
 :meth:`GradTape.cotangents`.  :class:`FrobeniusLoss` hands its cotangents
 to the factors directly, so a fit step never forms a ``d_out x d_in``
@@ -64,8 +67,12 @@ CANCELLATION_GUARD = 1e3 * np.finfo(np.float64).eps
 takes its value from the dense residual, about 2.2e-13."""
 
 
-def _chain_vjp(frames, shapes, blocks, g_total):
-    """Per-frame gradients of :func:`compose_chain`, given its blocks."""
+def _chain_vjp(frames, shapes, blocks, g_total, fixed_lead=False):
+    """Per-frame gradients of :func:`compose_chain`, given its blocks.
+
+    With ``fixed_lead`` the leading block is a fixed head, without free
+    parameters: it gets None, and the pass stops at frame 1.
+    """
     g_frames: list[np.ndarray | None] = [None] * len(frames)
     g = g_total
     for k in range(len(frames) - 1, 0, -1):
@@ -73,8 +80,10 @@ def _chain_vjp(frames, shapes, blocks, g_total):
         b_prev = blocks[k - 1]
         g_flat = g.reshape(b_prev.shape[0], n * r_right)
         g_frames[k] = (b_prev.T @ g_flat).reshape(r_left * n, r_right)
-        g = g_flat @ frames[k].reshape(r_left, n * r_right).T
-    g_frames[0] = g
+        if k > 1 or not fixed_lead:
+            g = g_flat @ frames[k].reshape(r_left, n * r_right).T
+    if not fixed_lead:
+        g_frames[0] = g
     return g_frames
 
 
@@ -93,7 +102,8 @@ class GradTape:
 
     The saved intermediates suffice for one reverse transit.  ``frames``
     are the member's in :func:`pack` order; ``decode_saves`` covers the
-    program's.
+    program's.  ``chains`` holds per side the frames that
+    :func:`compose_chain` composed, fixed head first, and its blocks.
     """
 
     program: StepProgram
@@ -102,7 +112,7 @@ class GradTape:
     v: np.ndarray
     decode_saves: tuple
     frames: tuple
-    chain_blocks: tuple
+    chains: tuple
     sigma_save: tuple | None
 
     @property
@@ -140,20 +150,30 @@ class StepProgram:
     kept: theta is their :func:`pack` vectors end to end.  The program holds
     one :class:`~ttspectral.householder.DecodePlan` over all their layouts,
     so same-shape canvases of different members share a sweep, and per
-    member its layout range, chain shapes, spectrum slice and signs.
+    member its layout range, spectrum slice and signs, and per side its
+    chain: the fixed head's block (:func:`~.sttp.chain_heads`), if any,
+    then the frames after the head, with their shapes.
     """
 
     def __init__(self, protos):
         layouts, offsets, self.members, pos = [], [], [], 0
         for params in protos:
             view, first = params.chain, len(layouts)
-            for la in view.layouts:
-                layouts.append(la)
-                offsets.append(pos)
-                pos += la.params.size
+            sides = []
+            for side_layouts, shapes, (n_head, head) in zip(
+                    (view.u_layouts, view.v_layouts),
+                    (view.u_shapes, view.v_shapes), view.heads):
+                # the head's block stands in for its first n_head cores
+                skip = max(n_head - 1, 0)
+                sides.append(((head,) if n_head else (), len(layouts) + n_head,
+                              len(layouts) + len(side_layouts), shapes[skip:],
+                              skip))
+                for la in side_layouts:
+                    layouts.append(la)
+                    offsets.append(pos)
+                    pos += la.params.size
             n_s = params.spectrum.n_params
-            self.members.append((first, first + len(view.u_shapes),
-                                 len(layouts), view.u_shapes, view.v_shapes,
+            self.members.append((first, len(layouts), sides,
                                  slice(pos, pos + n_s), params.spectrum.signs))
             pos += n_s
         self.size, self.decode = pos, hh.DecodePlan(layouts, offsets)
@@ -162,14 +182,16 @@ class StepProgram:
         """Every member's factors ``(u, sigma, v)``; one tape per member."""
         frames, sweeps = self.decode.decode(theta)
         tapes = []
-        for (first, mid, stop, u_shapes, v_shapes, spectrum,
-             signs) in self.members:
+        for first, stop, sides, spectrum, signs in self.members:
             sigma, sigma_save = normalize_spectrum(theta[spectrum], signs)
-            u, u_blocks = compose_chain(frames[first:mid], u_shapes)
-            v, v_blocks = compose_chain(frames[mid:stop], v_shapes)
+            chains = []
+            for lead, start, end, shapes, _ in sides:
+                chain = [*lead, *frames[start:end]]
+                chains.append((chain, compose_chain(chain, shapes)[1]))
+            (_, u_blocks), (_, v_blocks) = chains
             tapes.append(GradTape(
-                self, sigma, u, v, (self.decode, sweeps),
-                tuple(frames[first:stop]), (u_blocks, v_blocks), sigma_save))
+                self, sigma, u_blocks[-1], v_blocks[-1], (self.decode, sweeps),
+                tuple(frames[first:stop]), tuple(chains), sigma_save))
         return tapes
 
     def backward(self, tapes, cotangents) -> np.ndarray:
@@ -182,14 +204,15 @@ class StepProgram:
         if len(tapes) != len(self.members):
             raise ShapeError("the reverse pass needs every member's tape")
         grad, g_frames = np.zeros(self.size), []
-        for tape, (first, mid, _, u_shapes, v_shapes, spectrum, _), \
-                (g_u, g_sigma, g_v) in zip(tapes, self.members, cotangents):
+        for tape, (_, _, sides, spectrum, _), (g_u, g_sigma, g_v) in zip(
+                tapes, self.members, cotangents):
             gs = _sigma_vjp(tape.sigma_save, g_sigma)
             if gs is not None:
                 grad[spectrum] = gs
-            (u_blocks, v_blocks), n_u = tape.chain_blocks, mid - first
-            g_frames += _chain_vjp(tape.frames[:n_u], u_shapes, u_blocks, g_u)
-            g_frames += _chain_vjp(tape.frames[n_u:], v_shapes, v_blocks, g_v)
+            for (lead, _, _, shapes, skip), (chain, blocks), g in zip(
+                    sides, tape.chains, (g_u, g_v)):
+                g_frames += [None] * skip + _chain_vjp(chain, shapes, blocks,
+                                                       g, bool(lead))
         self.decode.vjp(tapes[0].decode_saves[1], g_frames, grad)
         return grad
 

@@ -106,7 +106,9 @@ def orthonormalize(m: np.ndarray) -> np.ndarray:
     Computed from LAPACK's Householder QR; the result is sign-fixed so that
     the triangular factor has a non-negative diagonal, which makes
     ``orthonormalize(I + eps*N)`` land next to ``I`` rather than ``-I``.
-    Bitwise ``np.linalg.qr``'s Q with that sign fix.
+    Bitwise ``np.linalg.qr``'s Q with that sign fix.  A column norm past
+    float range (LAPACK returns a non-finite frame then, without a warning)
+    raises :class:`NumericError`.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -117,6 +119,9 @@ def orthonormalize(m: np.ndarray) -> np.ndarray:
         raise DomainError("orthonormalize needs finite entries")
     a, tau = geqrf(m)
     q = _qr_reduced(a, tau, signature="dd->d")
+    if not np.isfinite(q).all():
+        raise NumericError("orthonormalize: a column norm overflows float "
+                           "range")
     return q * np.where(np.diagonal(a) < 0, -1.0, 1.0)
 
 

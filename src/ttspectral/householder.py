@@ -65,6 +65,7 @@ __all__ = [
     "layout_mask",
     "dof",
     "make_layout",
+    "fixed_frame",
     "decode",
     "decode_batch",
     "decode_layouts",
@@ -221,6 +222,13 @@ def make_layout(d: int, r: int, variant: str = FULL, params=None,
     return HouseholderLayout(d, r, variant, params,
                              d if d_pad is None else d_pad,
                              r if r_pad is None else r_pad)
+
+
+def fixed_frame(d: int, r: int, variant: str) -> np.ndarray | None:
+    """The shared, read-only frame of an unpadded structure without free
+    cells (square reduced, or 1 x 1), the signed identity ``-I``; None for
+    a structure with free cells."""
+    return _structure(d, r, variant, d, r)[2]
 
 
 @lru_cache(maxsize=1024)
@@ -450,8 +458,10 @@ def init_frame(scheme: str, d: int, r: int, seed: int) -> np.ndarray:
 
     ``identity`` is the truncated identity; ``random_orthogonal`` the
     orthonormalization of a standard-normal matrix; ``noisy_identity`` the
-    orthonormalization of ``I + INIT_ALPHA * N``.  Deterministic per seed.
+    orthonormalization of ``I + INIT_ALPHA * N``.  Deterministic per seed,
+    an integer >= 0.
     """
+    check_integer("seed", seed, 0)
     if scheme not in INIT_SCHEMES:
         raise DomainError(f"unknown init scheme {scheme!r}")
     rng = np.random.default_rng(seed)

@@ -439,9 +439,12 @@ def _scale(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _bind(cplan: ContractionPlan, data) -> list[np.ndarray]:
     arrays = []
     for i, node in enumerate(cplan.diagram.nodes):
-        if i not in data:
-            raise BindingError(f"no data bound for node {i} ({node.name!r})")
-        arr = np.asarray(data[i], dtype=np.float64)
+        try:
+            arr = data[i]
+        except (KeyError, IndexError):
+            raise BindingError(
+                f"no data bound for node {i} ({node.name!r})") from None
+        arr = np.asarray(arr, dtype=np.float64)
         if node.diagonal:
             if arr.shape != (node.dims[0],):
                 raise BindingError(
@@ -462,7 +465,8 @@ def _bind(cplan: ContractionPlan, data) -> list[np.ndarray]:
 def execute(cplan: ContractionPlan, data) -> np.ndarray:
     """Run a plan on bound node data; diagonal nodes bind their diagonals.
 
-    ``data`` maps node index to an array of the node's declared dims.  The
+    ``data`` maps node index to an array of the node's declared dims, as a
+    mapping or as a sequence in node order.  The
     result carries the diagram's output legs in declared order.  Each step
     is the plan's compiled step: the transposes and reshapes it kept (views
     where the layout allows), then one BLAS ``matmul``, or for a diagonal
@@ -598,4 +602,4 @@ def apply_map(params, x: np.ndarray) -> np.ndarray:
     sigma = materialize_sigma(params.spectrum)
     diagram = sttp_diagram((params.d_out,), (params.d_in,), (1, params.r, 1),
                            d_x)
-    return execute(plan(diagram), dict(enumerate((u, sigma, v, x))))
+    return execute(plan(diagram), (u, sigma, v, x))

@@ -20,6 +20,13 @@ When every interior rank (excluding the middle r) sits at its cap, the
 chain is the plain two-frame parameterization in disguise: all other cores
 have square matricizations, which carry no free parameters in reduced form.
 
+Such a core's frame is the constant ``-I`` of its structure
+(:func:`~.householder.fixed_frame`), so it is structure, not parameters.
+Per side, the cores before the first one with free cells are the side's
+fixed head: :func:`chain_heads` composes their block once per structure,
+and :func:`chain_frames` and the gradient tape compose each side from that
+block, whose cores they neither decode nor pull gradients into.
+
 The structure (rank schedule and check on r, gauge rule, dof, template,
 initializer) is written once over factor tuples, the ``chain_*`` functions
 and :func:`init_chain`.  svdp is the one-core chain ``(d_out,)``, ``(d_in,)``;
@@ -33,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -60,6 +68,7 @@ __all__ = [
     "chain_specs",
     "check_chain",
     "core_specs",
+    "chain_heads",
     "core_size_schedule",
     "chain_dof",
     "sttp_dof",
@@ -85,6 +94,7 @@ def factorize(d: int) -> "DimFactorization":
     """Ascending prime factorization with repetition; rejects a non-integer,
     d < 2 and d > :data:`MAX_FACTORED_DIM`.  Cached per value and type."""
     check_integer("dimension", d)
+    d = int(d)
     if d < 2:
         raise DomainError(f"dimension {d} cannot be factored (needs d >= 2)")
     if d > MAX_FACTORED_DIM:
@@ -111,6 +121,8 @@ class DimFactorization:
     factors: tuple[int, ...]
 
     def __post_init__(self):
+        for value in (self.d, *self.factors):
+            check_integer("factored dimension", value)
         if self.d < 2:
             raise DomainError("factored dimension must be >= 2")
         if math.prod(self.factors) != self.d:
@@ -199,6 +211,9 @@ class CoreSpec:
         return r_left * n, r_right
 
 
+_CORE_SHAPE = attrgetter("shape")
+
+
 def chain_specs(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
                 r: int, spectrum_mode: str
                 ) -> tuple[tuple[CoreSpec, ...], tuple[CoreSpec, ...]]:
@@ -249,10 +264,44 @@ def check_chain(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
 def core_specs(out_fac: DimFactorization, in_fac: DimFactorization, r: int,
                spectrum_mode: str
                ) -> tuple[tuple[CoreSpec, ...], tuple[CoreSpec, ...]]:
-    """:func:`chain_specs` of two factorizations, read from its cache
-    without the integer checks: warm ``apply_map`` and every tape call it
-    with the structure of a checked parameter set."""
+    """:func:`chain_specs` of two factorizations.  Their factors are
+    integers already, so only the rank is checked before the cache, and a
+    Python int skips the call: warm ``apply_map`` calls this every time."""
+    if type(r) is not int:
+        check_integer("rank", r)
+        r = int(r)
     return _chain_specs(out_fac.factors, in_fac.factors, r, spectrum_mode)
+
+
+def chain_heads(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
+                r: int, spectrum_mode: str
+                ) -> tuple[tuple[int, np.ndarray | None], ...]:
+    """Per side (U, then V), ``(n, block)``: the side's first ``n`` cores
+    have no free cells, and ``block`` is their frames composed by
+    :func:`compose_chain` (read-only; None when ``n`` is 0).  Those frames
+    are the fixed ``-I`` of each structure, so the block is the composed
+    frame of any layouts of these cores, padded ones too.  Cached per
+    structure, behind the integer checks."""
+    return _chain_heads(*_checked_structure(out_factors, in_factors, r),
+                        spectrum_mode)
+
+
+@lru_cache(maxsize=256)
+def _chain_heads(out_factors, in_factors, r, spectrum_mode):
+    heads = []
+    for side in _chain_specs(out_factors, in_factors, r, spectrum_mode):
+        frames = []
+        for spec in side:
+            frame = hh.fixed_frame(*spec.frame_dims, spec.variant)
+            if frame is None:
+                break
+            frames.append(frame)
+        block = None
+        if frames:
+            block = compose_chain(frames, [spec.shape for spec in side])[0]
+            block.flags.writeable = False
+        heads.append((len(frames), block))
+    return tuple(heads)
 
 
 def core_size_schedule(out_fac: DimFactorization, in_fac: DimFactorization,
@@ -301,9 +350,10 @@ class SttpParams:
     core: ``u_layouts`` and ``v_layouts`` run from the outer end of each
     side toward the spectrum, checked by :func:`check_chain` against
     :func:`chain_specs`.  The constructor derives the read-only attributes
-    ``out_fac``, ``in_fac`` (:func:`factorize`) and ``schedule``
-    (:func:`build_schedule`) from the dims and rank, so ``n_params``
-    always equals :func:`sttp_dof`.  Its parts memoize their frames and
+    ``out_fac``, ``in_fac`` (:func:`factorize`), ``schedule``
+    (:func:`build_schedule`) and ``heads`` (:func:`chain_heads`) from the
+    dims and rank, so ``n_params`` always equals :func:`sttp_dof`; pickling
+    and copying rebuild through it.  Its parts memoize their frames and
     sigma, so ``==`` and ``hash`` go by identity.
     """
 
@@ -322,6 +372,12 @@ class SttpParams:
         object.__setattr__(self, "in_fac", in_fac)
         object.__setattr__(self, "schedule",
                            build_schedule(out_fac, in_fac, self.r))
+        object.__setattr__(self, "heads", chain_heads(
+            out_fac.factors, in_fac.factors, self.r, self.spectrum.mode))
+
+    def __reduce__(self):
+        return (SttpParams, (self.d_out, self.d_in, self.r, self.u_layouts,
+                             self.v_layouts, self.spectrum))
 
     @property
     def n_params(self) -> int:
@@ -331,13 +387,14 @@ class SttpParams:
 
     @property
     def chain(self) -> ChainView:
-        """The chain view; core shapes as in :func:`core_specs`."""
-        shapes = (tuple(spec.shape for spec in side) for side in core_specs(
-            self.out_fac, self.in_fac, self.r, self.spectrum.mode))
+        """The chain view; core shapes as in :func:`core_specs`, heads as
+        in :func:`chain_heads`."""
+        shapes = [tuple(map(_CORE_SHAPE, side)) for side in core_specs(
+            self.out_fac, self.in_fac, self.r, self.spectrum.mode)]
         return ChainView(
             "sttp", self.out_fac.factors, self.in_fac.factors,
             self.schedule.ranks, self.u_layouts, self.v_layouts, *shapes,
-            partial(SttpParams, self.d_out, self.d_in, self.r))
+            partial(SttpParams, self.d_out, self.d_in, self.r), self.heads)
 
 
 def chain_template(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
@@ -402,13 +459,27 @@ def init_sttp_params(d_out: int, d_in: int, r: int, spectrum_mode: str,
 
 
 def chain_frames(p) -> tuple[np.ndarray, np.ndarray]:
-    """The d_out x r frame U and d_in x r frame V of any chain view: each
-    side's decoded cores (:func:`~.householder.decode`, checked orthonormal
-    once) composed afresh by :func:`compose_chain`, as the tape does."""
+    """The d_out x r frame U and d_in x r frame V of any chain view.
+
+    A one-core side is its decoded frame (:func:`~.householder.decode`,
+    checked orthonormal once).  Any other side is its fixed head's block
+    (:func:`chain_heads`), or its decoded first core when it has none,
+    composed afresh by :func:`compose_chain` with the decoded cores after
+    it, as the tape does.
+    """
     view = p.chain
-    return tuple(compose_chain([hh.decode(la) for la in layouts], shapes)[0]
-                 for layouts, shapes in ((view.u_layouts, view.u_shapes),
-                                         (view.v_layouts, view.v_shapes)))
+    (n_u, u_head), (n_v, v_head) = view.heads
+    return (_side_frame(view.u_layouts, view.u_shapes, n_u, u_head),
+            _side_frame(view.v_layouts, view.v_shapes, n_v, v_head))
+
+
+def _side_frame(layouts, shapes, n_head, head):
+    if len(layouts) == 1:
+        return hh.decode(layouts[0])
+    if head is None:
+        n_head, head = 1, hh.decode(layouts[0])
+    return compose_chain([head, *[hh.decode(la) for la in layouts[n_head:]]],
+                         shapes[n_head - 1:])[0]
 
 
 def assemble_sttp(p) -> np.ndarray:

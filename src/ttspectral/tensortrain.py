@@ -11,6 +11,10 @@ compose into an orthonormal frame of the full row dimension
 (:func:`frames_from_cores`), and rotating adjacent interface ranks by
 orthogonal matrices (:func:`gauge_transform`) changes the cores but neither
 the matricization orthonormality nor the represented tensor.
+
+:func:`compose_chain` starts from a leading block: the first core's frame,
+or the fixed head of a parameter chain, its leading cores without free
+parameters composed once per structure (:func:`~.sttp.chain_heads`).
 """
 
 from __future__ import annotations
@@ -139,8 +143,10 @@ def compose_chain(frames, shapes) -> tuple[np.ndarray, list[np.ndarray]]:
     """Compose matricized cores left to right.
 
     ``frames[k]`` is core k as its (r_left * n, r_right) matricization and
-    ``shapes[k]`` its shape.  Returns the composed block and the running
-    blocks, which the gradient tape keeps for its reverse pass.
+    ``shapes[k]`` its shape.  ``frames[0]`` may be any leading block whose
+    column count is core 1's r_left, such as several leading cores composed
+    beforehand; ``shapes[0]`` is not read.  Returns the composed block and
+    the running blocks, which the gradient tape keeps for its reverse pass.
     """
     b = frames[0]
     blocks = [b]
@@ -207,6 +213,9 @@ class ChainView(NamedTuple):
     global schedule over ``out_factors`` then the reversed ``in_factors``.
     svdp is the chain with one core per side, ranks ``(1, r, 1)``.
     ``build(u_layouts, v_layouts, spectrum)`` makes a ``scheme`` parameter set.
+    ``heads`` holds per side ``(n, block)``, its fixed head as in
+    :func:`~.sttp.chain_heads`; a view without one, svdp's, reads
+    ``(0, None)`` on each side.
     """
 
     scheme: str
@@ -218,6 +227,7 @@ class ChainView(NamedTuple):
     u_shapes: tuple[tuple[int, int, int], ...]
     v_shapes: tuple[tuple[int, int, int], ...]
     build: Callable
+    heads: tuple = ((0, None), (0, None))
 
     @property
     def layouts(self) -> tuple:

@@ -1,8 +1,8 @@
 """Shared test oracles: exhaustive contraction-tree search, the subset-DP
 planner, random diagrams, Householder QR, orthonormalize, encode and init
 through ``np.linalg.qr``, the sequential reflector sweep, the row-major
-closed-form sweep, the per-frame gradient tape, and the fit loops over
-parameter objects."""
+closed-form sweep, the chain composition and its VJP over every core, the
+per-frame gradient tape, and the fit loops over parameter objects."""
 
 import itertools
 import math
@@ -25,7 +25,6 @@ from ttspectral.spectral import (
 )
 from ttspectral.sttp import core_specs
 from ttspectral.svdp import SvdpParams
-from ttspectral.tensortrain import compose_chain
 
 
 def brute_force_min_cost(diagram):
@@ -399,10 +398,48 @@ def library_decode_vjp(layout, saves, g_frame):
     return hh.decode_layouts_vjp(saves, [g_frame])[0]
 
 
+def reference_compose_chain(frames, shapes):
+    """Compose every core's frame left to right, fixed ones included: the
+    composed block and the running blocks."""
+    b = frames[0]
+    blocks = [b]
+    for frame, (r_left, n, r_right) in zip(frames[1:], shapes[1:]):
+        b = (b @ frame.reshape(r_left, n * r_right)).reshape(-1, r_right)
+        blocks.append(b)
+    return b, blocks
+
+
+def reference_chain_vjp(frames, shapes, blocks, g_total):
+    """Per-frame gradients of :func:`reference_compose_chain`, down to
+    frame 0 whether it has free cells or not."""
+    g_frames = [None] * len(frames)
+    g = g_total
+    for k in range(len(frames) - 1, 0, -1):
+        r_left, n, r_right = shapes[k]
+        b_prev = blocks[k - 1]
+        g_flat = g.reshape(b_prev.shape[0], n * r_right)
+        g_frames[k] = (b_prev.T @ g_flat).reshape(r_left * n, r_right)
+        g = g_flat @ frames[k].reshape(r_left, n * r_right).T
+    g_frames[0] = g
+    return g_frames
+
+
+def reference_frames(params):
+    """``(u, v)`` of any parameter set: every layout decoded, each side
+    composed by :func:`reference_compose_chain`."""
+    view = params.chain
+    return tuple(reference_compose_chain([hh.decode(la) for la in layouts],
+                                         shapes)[0]
+                 for layouts, shapes in ((view.u_layouts, view.u_shapes),
+                                         (view.v_layouts, view.v_shapes)))
+
+
 def per_frame_tape(params, g_w, fwd=decode_fwd, vjp=decode_vjp):
     """Assembly and gradient with every layout decoded and pulled back alone,
     through ``fwd``/``vjp`` (the sequential sweep by default).
 
+    Each side is composed, and pulled back, over every core by
+    :func:`reference_compose_chain` and :func:`reference_chain_vjp`.
     Returns ``(w, frames, grad)``: the matrix, every frame in pack order, and
     the flat gradient of ``<g_w, W>``.
     """
@@ -417,7 +454,7 @@ def per_frame_tape(params, g_w, fwd=decode_fwd, vjp=decode_vjp):
     sp = params.spectrum
     sigma, sigma_save = normalize_spectrum(sp.s, sp.signs)
     decoded = [[fwd(la) for la in layouts] for layouts, _ in sides]
-    chains = [compose_chain([q for q, _ in side], shapes)
+    chains = [reference_compose_chain([q for q, _ in side], shapes)
               for side, (_, shapes) in zip(decoded, sides)]
     (u, _), (v, _) = chains
     w = (u * sigma) @ v.T
@@ -428,7 +465,8 @@ def per_frame_tape(params, g_w, fwd=decode_fwd, vjp=decode_vjp):
     parts = []
     for (layouts, shapes), side, (_, blocks), g in zip(
             sides, decoded, chains, (gu_mat, gv_mat)):
-        g_frames = ad._chain_vjp([q for q, _ in side], shapes, blocks, g)
+        g_frames = reference_chain_vjp([q for q, _ in side], shapes, blocks,
+                                       g)
         parts.extend(vjp(la, saves, gf)
                      for la, (_, saves), gf in zip(layouts, side, g_frames))
     gs = ad._sigma_vjp(sigma_save, g_sigma)

@@ -1,5 +1,8 @@
 """Both parameter types read as one chain view; svdp is the one-core chain."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -10,10 +13,24 @@ from ttspectral import planner as pl
 from ttspectral.fit import FitConfig, fit_matrix
 from ttspectral.sampling import random_sttp_params, random_svdp_params
 from ttspectral.schemes import SCHEMES
-from ttspectral.spectral import SpectrumParams
+from ttspectral.spectral import SpectrumParams, materialize_sigma
 from ttspectral.spectrum_modes import IDENTITY, LEARNED
-from ttspectral.sttp import SttpParams, core_specs, init_sttp_params
+from ttspectral.sttp import (
+    SttpParams,
+    chain_frames,
+    chain_heads,
+    core_specs,
+    init_sttp_params,
+)
 from ttspectral.svdp import SvdpParams, init_svdp_params
+
+from helpers import (
+    library_decode_fwd,
+    library_decode_vjp,
+    per_frame_tape,
+    reference_chain_vjp,
+    reference_frames,
+)
 
 
 class TestView:
@@ -64,11 +81,11 @@ class TestView:
             assert np.array_equal(grouped, hh.decode(layout))
 
     @pytest.mark.parametrize("maker,calls", [(random_svdp_params, 2),
-                                             (random_sttp_params, 9)])
+                                             (random_sttp_params, 5)])
     def test_apply_decodes_each_layout_with_free_cells(self, maker, calls,
                                                        monkeypatch):
-        # every layout goes through decode once, the 4 square reduced cores
-        # of sttp 16x72 r4 (no free cells) too
+        # each layout with free cells goes through decode once; the 4 square
+        # reduced cores of sttp 16x72 r4 (no free cells) are its fixed heads
         p = maker(16, 72, 4, LEARNED, 3)
         seen = []
         decode = hh.decode
@@ -76,7 +93,7 @@ class TestView:
                             lambda la: seen.append(la) or decode(la))
         pl.apply_map(p, np.ones((72, 2)))
         assert len(seen) == calls
-        assert seen == list(p.chain.layouts)
+        assert seen == [la for la in p.chain.layouts if la.params.size]
 
     @pytest.mark.parametrize("maker,lookups", [(random_svdp_params, 0),
                                                (random_sttp_params, 0)])
@@ -142,3 +159,103 @@ class TestIdentityEquality:
         assert p != twin
         assert hash(p) == hash(p)
         assert len({p, twin}) == 2
+
+
+def _padded_fixed_cores(p):
+    """``p`` with every layout without free cells on a larger canvas."""
+    def pad(layouts):
+        return tuple(hh.pad_layout(la, la.d + 3, la.r + 1)
+                     if not la.params.size else la for la in layouts)
+    return SttpParams(p.d_out, p.d_in, p.r, pad(p.u_layouts),
+                      pad(p.v_layouts), p.spectrum)
+
+
+# (params, fixed head cores per side); svdp views carry no head
+HEAD_CASES = {
+    "svdp 1x5 r1": (lambda: init_svdp_params(1, 5, 1, LEARNED, 0), (0, 0)),
+    "svdp 5x1 r1 identity": (
+        lambda: init_svdp_params(5, 1, 1, IDENTITY, 0), (0, 0)),
+    "svdp 4x6 r4 identity": (
+        lambda: random_svdp_params(4, 6, 4, IDENTITY, 1), (0, 0)),
+    "sttp 16x72 r4": (lambda: random_sttp_params(16, 72, 4, LEARNED, 2),
+                      (2, 2)),
+    "sttp 16x72 r4 identity": (
+        lambda: random_sttp_params(16, 72, 4, IDENTITY, 3), (2, 2)),
+    "sttp 256x256 r8": (lambda: random_sttp_params(256, 256, 8, LEARNED, 4),
+                        (3, 3)),
+    "sttp 1024x1024 r16": (
+        lambda: random_sttp_params(1024, 1024, 16, LEARNED, 5), (4, 4)),
+    "sttp 4x4 r4 identity": (
+        lambda: random_sttp_params(4, 4, 4, IDENTITY, 6), (2, 1)),
+    "sttp 16x72 r4 padded heads": (lambda: _padded_fixed_cores(
+        random_sttp_params(16, 72, 4, LEARNED, 7)), (2, 2)),
+}
+
+
+class TestFixedHeads:
+    """Each side composes from its fixed head's block, bit for bit the
+    composition and VJP over every core (``tests/helpers.py``)."""
+
+    @pytest.mark.parametrize("case", sorted(HEAD_CASES))
+    def test_bitwise_equal_to_the_all_core_oracle(self, case):
+        make, n_heads = HEAD_CASES[case]
+        p = make()
+        assert tuple(n for n, _ in p.chain.heads) == n_heads
+        u_ref, v_ref = reference_frames(p)
+        u, v = chain_frames(p)
+        assert u.tobytes() == u_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+        sigma = materialize_sigma(p.spectrum)
+        assert pl.decompress(p).tobytes() == \
+            ((u_ref * sigma) @ v_ref.T).tobytes()
+        for d_x in (1, 64):
+            x = np.random.default_rng(d_x).standard_normal((p.d_in, d_x))
+            four = pl.plan(pl.svdp_diagram(p.d_out, p.d_in, p.r, d_x))
+            want = pl.execute(four, {0: u_ref, 1: sigma, 2: v_ref, 3: x})
+            assert pl.apply_map(p, x).tobytes() == want.tobytes()
+        g_w = np.random.default_rng(8).standard_normal((p.d_out, p.d_in))
+        _, tape = ad.assemble_with_tape(p)
+        _, _, grad_ref = per_frame_tape(p, g_w, fwd=library_decode_fwd,
+                                        vjp=library_decode_vjp)
+        assert ad.vjp(tape, g_w).tobytes() == grad_ref.tobytes()
+
+    def test_a_side_without_free_cells_is_its_head_block(self):
+        p = random_sttp_params(4, 4, 4, IDENTITY, 6)
+        (n_u, head), _ = p.heads
+        assert n_u == len(p.u_layouts) == 2
+        assert not any(la.params.size for la in p.u_layouts)
+        assert chain_frames(p)[0] is head
+        assert not head.flags.writeable
+
+    def test_a_one_core_side_is_its_decoded_frame(self):
+        p = random_svdp_params(16, 72, 4, LEARNED, 0)
+        u, v = chain_frames(p)
+        assert u is hh.decode(p.u_layout) and v is hh.decode(p.v_layout)
+        p = random_sttp_params(5, 6, 2, LEARNED, 0)  # 5 is prime: one U core
+        assert chain_frames(p)[0] is hh.decode(p.u_layouts[0])
+
+    def test_heads_are_cached_per_structure(self):
+        a = random_sttp_params(16, 72, 4, LEARNED, 0)
+        b = init_sttp_params(16, 72, 4, LEARNED, 1)
+        assert a.heads is b.heads
+        assert a.heads is chain_heads(a.out_fac.factors, a.in_fac.factors, 4,
+                                      LEARNED)
+        # a clone rebuilds through the constructor, so it shares them too
+        for clone in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a),
+                      copy.copy(a)):
+            assert type(clone) is SttpParams and clone.heads is a.heads
+            assert ad.pack(clone).tobytes() == ad.pack(a).tobytes()
+
+    def test_the_tape_pulls_no_gradient_into_a_head(self):
+        p = random_sttp_params(16, 72, 4, LEARNED, 9)
+        _, tape = ad.assemble_with_tape(p)
+        g_w = np.random.default_rng(1).standard_normal((16, 72))
+        g_u, _, _ = tape.cotangents(g_w)
+        (chain, blocks), _ = tape.chains
+        assert chain[0] is p.heads[0][1] and len(chain) == 3
+        u_shapes = p.chain.u_shapes[1:]
+        got = ad._chain_vjp(chain, u_shapes, blocks, g_u, True)
+        want = reference_chain_vjp(chain, u_shapes, blocks, g_u)
+        assert got[0] is None and want[0] is not None
+        for a, b in zip(got[1:], want[1:]):
+            assert a.tobytes() == b.tobytes()

@@ -214,6 +214,15 @@ class TestOrthonormalize:
         with pytest.raises(DomainError, match="finite"):
             dense.orthonormalize(np.array([[1.0, bad], [0.0, 1.0], [0.0, 0.0]]))
 
+    def test_column_norm_past_float_range_raises(self):
+        # LAPACK's norm overflows and it returns NaN, inf and -0 silently;
+        # entries a quarter that size still orthonormalize to finite bits
+        with pytest.raises(NumericError, match="overflows"):
+            dense.orthonormalize(np.full((4, 2), 1e308))
+        m = np.full((4, 2), 2.5e307) + np.eye(4, 2) * 1e307
+        assert dense.orthonormalize(m).tobytes() == \
+            reference_orthonormalize(m).tobytes()
+
 
 class TestLapackGufuncs:
     def test_numpy_without_them_fails_at_import(self, monkeypatch):

@@ -614,6 +614,36 @@ class TestInitLayout:
         with pytest.raises(DomainError):
             hh.encode_as(hh.init_frame("xavier", 4, 2, 0), hh.FULL)
 
+    @pytest.mark.parametrize("scheme", hh.INIT_SCHEMES)
+    def test_negative_seed_is_named(self, scheme):
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            hh.init_frame(scheme, 4, 2, -1)
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            hh.init_frame(scheme, 4, 2, 1.0)
+        assert np.array_equal(hh.init_frame(scheme, 4, 2, np.uint8(3)),
+                              hh.init_frame(scheme, 4, 2, 3))
+
+
+class TestFixedFrame:
+    @pytest.mark.parametrize("d,variant", [(1, hh.FULL), (1, hh.REDUCED),
+                                           (4, hh.REDUCED), (9, hh.REDUCED)])
+    def test_no_free_cells_is_minus_identity(self, d, variant):
+        frame = hh.fixed_frame(d, d, variant)
+        # -1 on the diagonal, +0.0 (not -0.0) off it
+        minus_eye = np.where(np.eye(d, dtype=bool), -1.0, 0.0)
+        assert frame.tobytes() == minus_eye.tobytes()
+        assert not frame.flags.writeable
+        layout = hh.make_layout(d, d, variant)
+        assert hh.decode(layout) is frame
+        # a padded canvas sweeps to the same bits
+        padded = hh.make_layout(d, d, variant, d_pad=d + 3, r_pad=d + 1)
+        assert hh.decode(padded).tobytes() == frame.tobytes()
+
+    @pytest.mark.parametrize("d,r,variant", [
+        (2, 2, hh.FULL), (3, 2, hh.REDUCED), (5, 1, hh.FULL)])
+    def test_free_cells_have_none(self, d, r, variant):
+        assert hh.fixed_frame(d, r, variant) is None
+
 
 class TestValidation:
     def test_bad_param_count(self):

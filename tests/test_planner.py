@@ -431,10 +431,18 @@ class TestExecute:
         for x, y in zip(xs, want):
             assert np.array_equal(pl.apply_map(p, x), y)
 
-    def test_missing_binding(self):
+    @pytest.mark.parametrize("container", [dict, tuple])
+    def test_missing_binding(self, container):
+        # data maps node index to array, or lists the arrays in node order
         diagram = pl.svdp_diagram(4, 5, 2, 1)
-        with pytest.raises(BindingError):
-            pl.execute(pl.plan(diagram), {0: np.zeros((4, 2))})
+        arrays = [np.eye(4, 2), np.ones(2), np.eye(5, 2), np.ones((5, 1))]
+        bind = (lambda n: dict(enumerate(arrays[:n]))) if container is dict \
+            else (lambda n: tuple(arrays[:n]))
+        with pytest.raises(BindingError, match=r"node 1 \('sigma'\)"):
+            pl.execute(pl.plan(diagram), bind(1))
+        got = pl.execute(pl.plan(diagram), bind(4))
+        assert got.tobytes() == pl.execute(pl.plan(diagram),
+                                           dict(enumerate(arrays))).tobytes()
 
     def test_wrong_shape_binding(self):
         diagram = pl.svdp_diagram(4, 5, 2, 1)

@@ -468,7 +468,8 @@ class TestInitMatchesNumpyQr:
 
 
 def _clear_structure_caches():
-    for cache in (sttp._chain_schedule, sttp._chain_specs, hh._structure):
+    for cache in (sttp._chain_schedule, sttp._chain_specs, sttp._chain_heads,
+                  hh._structure):
         cache.cache_clear()
 
 
@@ -476,6 +477,9 @@ def _clear_structure_caches():
 INTEGER_ENTRIES = {
     "chain_schedule": lambda d, r: sttp.chain_schedule((d,), (5,), r),
     "chain_specs": lambda d, r: sttp.chain_specs((2, d), (5,), r, IDENTITY),
+    "core_specs": lambda d, r: sttp.core_specs(sttp.factorize(d),
+                                               sttp.factorize(5), r, LEARNED),
+    "chain_heads": lambda d, r: sttp.chain_heads((2, d), (5,), r, IDENTITY),
     "chain_dof": lambda d, r: sttp.chain_dof((d,), (2, 3), r, LEARNED),
     "svdp_dof": lambda d, r: svdp_dof(d, 5, r, LEARNED),
     "sttp_dof": lambda d, r: sttp.sttp_dof(d, 6, r, IDENTITY),
@@ -508,6 +512,13 @@ class TestIntegerInputsBeforeCaches:
         assert repr(call(d, r)) == want
         call(np.int64(d), np.int32(r))
         assert repr(call(d, r)) == want
+
+    def test_factorizations_hold_python_ints(self):
+        with pytest.raises(DomainError, match="factored dimension"):
+            sttp.DimFactorization(16, (2.0, 8))
+        fac = sttp.factorize(np.int64(20))
+        assert fac == sttp.DimFactorization(20, (2, 2, 5))
+        assert all(type(n) is int for n in (fac.d, *fac.factors))
 
 
 class TestNegativeSeed:
