@@ -19,8 +19,8 @@ out_fac, in_fac = sttp.factorize(d_out), sttp.factorize(d_in)
 print(f"{d_out} = {' * '.join(map(str, out_fac.factors))},  "
       f"{d_in} = {' * '.join(map(str, in_fac.factors))}")
 
-dims = sttp.global_dims(out_fac, in_fac)
-sched = sttp.build_schedule(out_fac, in_fac, r)
+sched = sttp.chain_schedule(out_fac.factors, in_fac.factors, r)
+dims = sched.dims
 print("chain dims (input factors reversed):", dims)
 print("rank caps:   ", (1, *rank_caps(dims), 1))
 print("capped ranks:", sched.ranks, f" (every interior rank is min({r}, cap))")

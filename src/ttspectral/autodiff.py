@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import householder as hh
-from .errors import DomainError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 from .spectral import normalize_spectrum
 from .spectrum_modes import IDENTITY
 from .sttp import core_specs  # noqa: F401  (perfbench/spans.py patches it)
@@ -50,8 +50,6 @@ __all__ = [
     "pack",
     "unpack",
     "FrobeniusLoss",
-    "InnerProductLoss",
-    "loss_value_and_grad",
     "fd_grad",
     "gradcheck",
     "GradcheckReport",
@@ -219,7 +217,7 @@ class StepProgram:
     def loss_and_grad(self, theta: np.ndarray, loss):
         """Loss value, flat gradient and tape of a one-member program."""
         (tape,) = self.forward(theta)
-        value, cotangents = _loss_terms(tape, loss)
+        value, cotangents = loss.terms(tape)
         return value, self.backward([tape], [cotangents]), tape
 
 
@@ -300,7 +298,7 @@ class FrobeniusLoss:
 
     def terms(self, tape: GradTape):
         """Value and factor cotangents at the taped factors."""
-        target = _matching(self.target, tape, "target")
+        target = _matching(self.target, tape)
         u, v, sigma = tape.u, tape.v, tape.sigma
         tv, tu = target @ v, target.T @ u
         dp = (u * tv).sum(axis=0)
@@ -318,13 +316,6 @@ class FrobeniusLoss:
                        (v * sigma - tu) * sigma)
 
 
-@dataclass(frozen=True)
-class InnerProductLoss:
-    """``<weights, W>``, the generic linear probe."""
-
-    weights: np.ndarray
-
-
 def _penalty_floored(sigma: np.ndarray) -> tuple[float, np.ndarray]:
     mags = np.maximum(np.abs(sigma), PENALTY_FLOOR)
     value = float(-np.sum(np.log(mags)))
@@ -332,10 +323,10 @@ def _penalty_floored(sigma: np.ndarray) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def _matching(array, tape: GradTape, name: str) -> np.ndarray:
+def _matching(array, tape: GradTape) -> np.ndarray:
     array = np.asarray(array, dtype=np.float64)
     if array.shape != tape.shape:
-        raise ShapeError(f"{name} shape does not match the assembled matrix")
+        raise ShapeError("target shape does not match the assembled matrix")
     return array
 
 
@@ -344,35 +335,13 @@ def _residual_value(tape: GradTape, target: np.ndarray) -> float:
     return 0.5 * float((resid * resid).sum())
 
 
-def _loss_value(tape: GradTape, loss) -> float:
+def _loss_value(tape: GradTape, loss: FrobeniusLoss) -> float:
     """Loss value from the assembled matrix, independent of the factored
     arithmetic: the finite-difference oracle's."""
-    if isinstance(loss, FrobeniusLoss):
-        value = _residual_value(tape, _matching(loss.target, tape, "target"))
-        if loss.lam > 0.0:
-            value += loss.lam * _penalty_floored(tape.sigma)[0]
-        return value
-    if isinstance(loss, InnerProductLoss):
-        weights = _matching(loss.weights, tape, "weights")
-        return float(np.sum(weights * tape.output))
-    raise DomainError(f"unknown loss spec {type(loss)!r}")
-
-
-def _loss_terms(tape: GradTape, loss) -> tuple[float, tuple]:
-    """Loss value at the tape and its cotangents ``(g_u, g_sigma, g_v)``."""
-    if isinstance(loss, FrobeniusLoss):
-        return loss.terms(tape)
-    return _loss_value(tape, loss), tape.cotangents(loss.weights)
-
-
-def loss_value_and_grad(params, loss) -> tuple[float, np.ndarray, GradTape]:
-    """Loss value and its flat analytic gradient at the given parameters."""
-    return StepProgram((params,)).loss_and_grad(pack(params), loss)
-
-
-def loss_value(params, loss) -> float:
-    """Loss value only, for the finite-difference oracle."""
-    return _loss_value(assemble_with_tape(params)[1], loss)
+    value = _residual_value(tape, _matching(loss.target, tape))
+    if loss.lam > 0.0:
+        value += loss.lam * _penalty_floored(tape.sigma)[0]
+    return value
 
 
 def fd_grad(f, theta: np.ndarray) -> np.ndarray:

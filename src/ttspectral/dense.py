@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError
+from .errors import DomainError, NumericError, ShapeError, check_integers
 
 try:
     from numpy.linalg._umath_linalg import inv as _inv
@@ -54,7 +54,7 @@ never overflows to a different frame or gradient."""
 
 
 def _check_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
+    dims = check_integers("dimension", dims)
     if len(dims) == 0:
         raise ShapeError("dims must be non-empty")
     if any(d < 1 for d in dims):
@@ -70,7 +70,7 @@ def multi_index(dims, idx) -> int:
     and ``1..prod(dims)``.
     """
     dims = _check_dims(dims)
-    idx = tuple(int(i) for i in idx)
+    idx = check_integers("index", idx)
     if len(idx) != len(dims):
         raise ShapeError(f"index arity {len(idx)} != tensor arity {len(dims)}")
     pos = 0

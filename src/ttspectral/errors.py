@@ -1,5 +1,5 @@
-"""Exception types shared across the library, and the integer check that
-raises one."""
+"""Exception types shared across the library, and the integer checks that
+raise one."""
 
 import numpy as np
 
@@ -39,3 +39,11 @@ def check_integer(name: str, value, low: int | None = None) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise DomainError(f"{name} must be >= {low}, got {value}")
+
+
+def check_integers(name: str, values) -> tuple[int, ...]:
+    """:func:`check_integer` on each value; the values as Python ints."""
+    values = tuple(values)
+    for value in values:
+        check_integer(name, value)
+    return tuple(map(int, values))

@@ -93,7 +93,9 @@ def _chain_manifest(view) -> tuple[list[str], dict[str, str]]:
                    "rank_schedule": _int_list(view.ranks)}
 
 
-def write_params(path, params) -> None:
+def _manifest(params) -> tuple[bytes, list[tuple[str, np.ndarray]]]:
+    """The manifest bytes of a parameter set, blank line included, and its
+    blocks ``(name, values)`` in payload order."""
     try:
         view = params.chain
     except AttributeError:
@@ -115,9 +117,13 @@ def write_params(path, params) -> None:
     if params.spectrum.mode != IDENTITY:
         blocks.append(("sigma", params.spectrum.s))
     lines.extend(f"block={name} {vals.size}" for name, vals in blocks)
-    manifest = "\n".join(lines) + "\n\n"
+    return ("\n".join(lines) + "\n\n").encode("utf-8"), blocks
+
+
+def write_params(path, params) -> None:
+    manifest, blocks = _manifest(params)
     with open(path, "wb") as fh:
-        fh.write(manifest.encode("utf-8"))
+        fh.write(manifest)
         for _, vals in blocks:
             fh.write(np.ascontiguousarray(vals).astype("<f8").tobytes())
 
@@ -153,7 +159,8 @@ def _parse_manifest(raw: bytes):
 
 
 def read_params(path):
-    """Reconstruct a parameter set; a rewrite reproduces the file bitwise."""
+    """Reconstruct a parameter set whose manifest is, byte for byte, the one
+    :func:`write_params` writes for it, so a rewrite reproduces the file."""
     with open(path, "rb") as fh:
         raw = fh.read()
     fields, blocks, payload = _parse_manifest(raw)
@@ -218,4 +225,6 @@ def read_params(path):
         raise FileFormatError(f"inconsistent parameter file: {exc}") from exc
     if chunks:
         raise FileFormatError(f"unused blocks: {sorted(chunks)}")
+    if _manifest(params)[0] != raw[: len(raw) - len(payload)]:
+        raise FileFormatError("manifest is not the one its parameters write")
     return params

@@ -177,6 +177,7 @@ def eckart_young_optimum(target: np.ndarray, r: int) -> float:
     target = np.asarray(target, dtype=np.float64)
     if target.ndim != 2:
         raise ShapeError(f"target must be a matrix, got ndim={target.ndim}")
+    check_integer("rank", r)
     cap = rank_cap(*target.shape)
     if not 1 <= r <= cap:
         raise DomainError(f"rank {r} outside [1, {cap}]")

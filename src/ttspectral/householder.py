@@ -34,7 +34,7 @@ Three layout variants exist:
   decode, but the larger canvas reorders the sums: padded and unpadded
   decodes agree to rounding, not bitwise.  So :func:`decode_batch` is
   bitwise only among layouts of one padded shape, and
-  :func:`decode_layouts` decodes each exact canvas shape on its own.
+  :class:`DecodePlan` decodes each exact canvas shape on its own.
 
 Layouts are immutable in fact: each holds a read-only copy of its
 parameters, and :func:`decode` keeps the read-only frame it decodes on the
@@ -42,7 +42,7 @@ layout, checked orthonormal once, so decoding a layout again (as every warm
 ``apply_map`` does) is a lookup.  A layout without free cells shares its
 structure's fixed frame.  A decoded layout costs ``d_pad * r_pad`` more
 floats, about the size of its dense canvas.  :func:`decode_batch` and the
-gradient tape (:func:`decode_layouts`) decode afresh every time and return
+gradient tape's :class:`DecodePlan` decode afresh every time and return
 writable arrays.
 """
 
@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -68,7 +67,6 @@ __all__ = [
     "fixed_frame",
     "decode",
     "decode_batch",
-    "decode_layouts",
     "DecodePlan",
     "encode",
     "encode_as",
@@ -326,31 +324,6 @@ def decode_batch(layouts) -> list[np.ndarray]:
         raise DomainError(f"batch mixes padded dims: {sorted(shapes)}")
     q = _reflect_sweep(np.stack([la.dense().T for la in layouts]))
     return [q[i, : la.d, : la.r] for i, la in enumerate(layouts)]
-
-
-def decode_layouts(layouts):
-    """The saving decode of layouts of any sizes, for a gradient tape.
-
-    The layouts run through a :class:`DecodePlan`; every frame is bitwise
-    :func:`decode`'s, and layouts without free cells take their cached,
-    read-only frame.  The result is ``(frames, tape)``, the tape holding
-    what :func:`decode_layouts_vjp` needs.
-    """
-    plan = DecodePlan(layouts, list(accumulate(
-        (la.params.size for la in layouts[:-1]), initial=0)))
-    frames, sweeps = plan.decode(
-        np.concatenate([np.zeros(0), *(la.params for la in layouts)]))
-    return frames, (plan, sweeps)
-
-
-def decode_layouts_vjp(tape: tuple, g_frames) -> list[np.ndarray]:
-    """Per-layout free-parameter gradients of a :func:`decode_layouts`,
-    given a cotangent on each frame; one backward sweep per forward sweep,
-    and an empty gradient for each layout without free cells."""
-    plan, sweeps = tape
-    grad = np.zeros(plan.size)
-    plan.vjp(sweeps, g_frames, grad)
-    return [grad[start:end] for start, end in plan.spans]
 
 
 class DecodePlan:

@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BindingError, DomainError, ShapeError
+from .errors import BindingError, DomainError, ShapeError, check_integers
 from .spectral import materialize_sigma
 from .sttp import assemble_sttp, chain_frames
 from .sttp import core_specs  # noqa: F401  (perfbench/spans.py patches it)
@@ -56,7 +56,6 @@ __all__ = [
     "TensorDiagram",
     "PlanStep",
     "ContractionPlan",
-    "step_cost",
     "plan",
     "execute",
     "svdp_diagram",
@@ -79,6 +78,7 @@ class DiagramNode:
     name: str = ""
 
     def __post_init__(self):
+        check_integers("node dimension", self.dims)
         if not self.dims or any(d < 1 for d in self.dims):
             raise ShapeError(f"node dims must be positive, got {self.dims}")
         if self.diagonal and (len(self.dims) != 2 or self.dims[0] != self.dims[1]):
@@ -178,30 +178,6 @@ class TensorDiagram:
 
     def signature(self):
         return self._signature
-
-
-def step_cost(left_dims, right_dims, shared, diagonal: bool = False) -> int:
-    """Multiply-add cost of one pairwise contraction.
-
-    ``shared`` lists ``(left_axis, right_axis)`` pairs.  Generic steps cost
-    ``2 * prod(distinct axis sizes)``; with ``diagonal`` (either operand is
-    a diagonal matrix node) a step along at least one shared axis is a
-    scaling and costs one multiply per element of its result.
-    """
-    left_dims = tuple(int(d) for d in left_dims)
-    right_dims = tuple(int(d) for d in right_dims)
-    shared = [(int(a), int(b)) for a, b in shared]
-    for a, b in shared:
-        if left_dims[a] != right_dims[b]:
-            raise ShapeError(f"shared axes {a},{b} have unequal sizes")
-    shared_right = {b for _, b in shared}
-    distinct = math.prod(left_dims) * math.prod(
-        d for i, d in enumerate(right_dims) if i not in shared_right
-    )
-    if diagonal and shared:
-        shared_prod = math.prod(left_dims[a] for a, _ in shared)
-        return distinct // shared_prod
-    return 2 * distinct
 
 
 @dataclass(frozen=True)

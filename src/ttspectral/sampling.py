@@ -15,7 +15,6 @@ from functools import partial
 
 import numpy as np
 
-from . import householder as hh
 from .errors import check_integer
 from .spectral import SpectrumParams
 from .spectrum_modes import IDENTITY
@@ -36,13 +35,6 @@ def random_spectrum(mode: str, r: int, rng: np.random.Generator,
         gap = 0.7 / (r - 1)
         mags = np.linspace(1.0, 0.3, r) + rng.uniform(-gap / 3, gap / 3, r)
     return SpectrumParams(mode, r, mags * signs, None, lam)
-
-
-def make_random_layout(d: int, r: int, variant: str, rng: np.random.Generator,
-                       d_pad: int | None = None, r_pad: int | None = None
-                       ) -> hh.HouseholderLayout:
-    layout = hh.make_layout(d, r, variant, None, d_pad, r_pad)
-    return layout.with_params(rng.standard_normal(layout.params.size))
 
 
 def _random_params(template, d_out: int, d_in: int, r: int, mode: str,

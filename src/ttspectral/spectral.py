@@ -15,13 +15,13 @@ the spectrum, and the parameter-count compression ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .dense import MAX_MAGNITUDE
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_integer, check_integers
 from .spectrum_modes import IDENTITY, LEARNED, LEARNED_REGULARIZED, SPECTRUM_MODES
 
 __all__ = [
@@ -69,6 +69,7 @@ class SpectrumParams:
     def __post_init__(self):
         if self.mode not in SPECTRUM_MODES:
             raise DomainError(f"unknown spectrum mode {self.mode!r}")
+        check_integer("spectrum rank", self.r)
         if self.r < 1:
             raise DomainError("spectrum needs r >= 1")
         signs = np.ones(self.r) if self.signs is None else \
@@ -207,6 +208,7 @@ class LayerBudget:
     extra: int = 0  # scalars not subject to reparameterization (bias, norms)
 
     def __post_init__(self):
+        check_integers("layer budget entry", astuple(self))
         if min(self.d_out, self.d_in) < 1 or self.dof < 0 or self.extra < 0:
             raise DomainError("layer budget entries must be non-negative")
 

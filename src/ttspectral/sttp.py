@@ -45,7 +45,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import householder as hh
-from .errors import DomainError, ShapeError, check_integer
+from .errors import DomainError, ShapeError, check_integer, check_integers
 from .spectral import SpectrumParams, init_spectrum, materialize_sigma
 from .spectrum_modes import IDENTITY
 from .tensortrain import (
@@ -61,10 +61,8 @@ __all__ = [
     "MAX_FACTORED_DIM",
     "factorize",
     "DimFactorization",
-    "global_dims",
     "rank_cap",
     "chain_schedule",
-    "build_schedule",
     "chain_specs",
     "check_chain",
     "core_specs",
@@ -121,8 +119,7 @@ class DimFactorization:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        for value in (self.d, *self.factors):
-            check_integer("factored dimension", value)
+        check_integers("factored dimension", (self.d, *self.factors))
         if self.d < 2:
             raise DomainError("factored dimension must be >= 2")
         if math.prod(self.factors) != self.d:
@@ -134,16 +131,6 @@ class DimFactorization:
 
     def __len__(self) -> int:
         return len(self.factors)
-
-
-def global_dims(out_fac: DimFactorization, in_fac: DimFactorization
-                ) -> tuple[int, ...]:
-    """Dimension list of the factored weight tensor.
-
-    Output factors in order, then input factors reversed, so that the
-    spectrum junction sits between position ``D_out`` and ``D_out + 1``.
-    """
-    return out_fac.factors + tuple(reversed(in_fac.factors))
 
 
 def rank_cap(d_out: int, d_in: int) -> int:
@@ -181,12 +168,6 @@ def _chain_schedule(out_factors, in_factors, r):
     sched = rank_schedule(out_factors + in_factors[::-1], r)
     assert sched.ranks[len(out_factors)] == r  # the middle cap is >= r
     return sched
-
-
-def build_schedule(out_fac: DimFactorization, in_fac: DimFactorization,
-                   r: int) -> RankSchedule:
-    """Capped rank schedule over the global dims; the middle rank equals r."""
-    return chain_schedule(out_fac.factors, in_fac.factors, r)
 
 
 @dataclass(frozen=True)
@@ -351,7 +332,7 @@ class SttpParams:
     side toward the spectrum, checked by :func:`check_chain` against
     :func:`chain_specs`.  The constructor derives the read-only attributes
     ``out_fac``, ``in_fac`` (:func:`factorize`), ``schedule``
-    (:func:`build_schedule`) and ``heads`` (:func:`chain_heads`) from the
+    (:func:`chain_schedule`) and ``heads`` (:func:`chain_heads`) from the
     dims and rank, so ``n_params`` always equals :func:`sttp_dof`; pickling
     and copying rebuild through it.  Its parts memoize their frames and
     sigma, so ``==`` and ``hash`` go by identity.
@@ -370,8 +351,8 @@ class SttpParams:
                     self.v_layouts, self.spectrum)
         object.__setattr__(self, "out_fac", out_fac)  # frozen: set once here
         object.__setattr__(self, "in_fac", in_fac)
-        object.__setattr__(self, "schedule",
-                           build_schedule(out_fac, in_fac, self.r))
+        object.__setattr__(self, "schedule", chain_schedule(
+            out_fac.factors, in_fac.factors, self.r))
         object.__setattr__(self, "heads", chain_heads(
             out_fac.factors, in_fac.factors, self.r, self.spectrum.mode))
 
@@ -501,7 +482,7 @@ def edge_case_is_svdp(d_out: int, d_in: int, r: int) -> tuple[bool, dict]:
     reduced form) and shows the parameter counts agree.
     """
     out_fac, in_fac = factorize(d_out), factorize(d_in)
-    sched = build_schedule(out_fac, in_fac, r)
+    sched = chain_schedule(out_fac.factors, in_fac.factors, r)
     dims = sched.dims
     caps = rank_caps(dims)
     middle = len(out_fac)

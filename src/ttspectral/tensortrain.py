@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dense import matricize_core, reshape
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_integer, check_integers
 
 __all__ = [
     "rank_caps",
@@ -49,7 +49,7 @@ def rank_caps(dims) -> list[int]:
     ``cap_k = min(prod_{j<=k} n_j, prod_{j>k} n_j)``; the endpoint ranks are
     always 1 and are not listed.
     """
-    dims = tuple(int(n) for n in dims)
+    dims = check_integers("dimension", dims)
     if not dims:
         raise DomainError("rank_caps needs at least one dimension")
     if any(n < 1 for n in dims):
@@ -90,7 +90,8 @@ class RankSchedule:
 
 def rank_schedule(dims, r: int) -> RankSchedule:
     """The capped-rank policy: interior rank k is ``min(r, cap_k)``."""
-    dims = tuple(int(n) for n in dims)
+    dims = check_integers("dimension", dims)
+    check_integer("rank", r)
     if r < 1:
         raise DomainError("rank must be >= 1")
     caps = rank_caps(dims)

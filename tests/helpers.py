@@ -2,7 +2,8 @@
 planner, random diagrams, Householder QR, orthonormalize, encode and init
 through ``np.linalg.qr``, the sequential reflector sweep, the row-major
 closed-form sweep, the chain composition and its VJP over every core, the
-per-frame gradient tape, and the fit loops over parameter objects."""
+per-frame gradient tape, and the fit loops over parameter objects; and the
+random layout fixture."""
 
 import itertools
 import math
@@ -387,15 +388,39 @@ def rowmajor_reflect_sweep_vjp(saved, g):
     return (g_cols / norms).transpose(0, 2, 1)
 
 
+def make_random_layout(d, r, variant, rng, d_pad=None, r_pad=None):
+    """A layout with a standard normal in every free cell."""
+    layout = hh.make_layout(d, r, variant, None, d_pad, r_pad)
+    return layout.with_params(rng.standard_normal(layout.params.size))
+
+
+def plan_vjp(plan, sweeps, g_frames):
+    """Per-layout free-parameter gradients of a :class:`DecodePlan`'s
+    decode, given a cotangent on each frame."""
+    grad = np.zeros(plan.size)
+    plan.vjp(sweeps, g_frames, grad)
+    return [grad[start:end] for start, end in plan.spans]
+
+
+def decode_packed(layouts):
+    """A :class:`DecodePlan` over layouts packed end to end, and its frames
+    and sweeps at the layouts' own parameters."""
+    ends = list(itertools.accumulate(la.params.size for la in layouts))
+    plan = hh.DecodePlan(layouts, [0, *ends[:-1]])
+    frames, sweeps = plan.decode(
+        np.concatenate([np.zeros(0), *(la.params for la in layouts)]))
+    return plan, frames, sweeps
+
+
 def library_decode_fwd(layout):
     """The library's saving decode of one layout on its own."""
-    (q,), saves = hh.decode_layouts([layout])
-    return q, saves
+    plan, (q,), sweeps = decode_packed([layout])
+    return q, (plan, sweeps)
 
 
 def library_decode_vjp(layout, saves, g_frame):
     """The library's decode gradient of one layout on its own."""
-    return hh.decode_layouts_vjp(saves, [g_frame])[0]
+    return plan_vjp(*saves, [g_frame])[0]
 
 
 def reference_compose_chain(frames, shapes):
@@ -489,8 +514,9 @@ def reference_fit_matrix(target, cfg):
     best_loss, best_theta, best_step = math.inf, theta.copy(), 0
     for step in range(cfg.max_steps):
         if (np.abs(theta) <= MAX_MAGNITUDE).all():
-            loss, grad, _ = ad.loss_value_and_grad(ad.unpack(params, theta),
-                                                   loss_spec)
+            p = ad.unpack(params, theta)
+            loss, grad, _ = ad.StepProgram((p,)).loss_and_grad(ad.pack(p),
+                                                               loss_spec)
         else:  # no parameter object holds it
             loss = math.nan
         trace.append(loss)

@@ -17,11 +17,7 @@ from ttspectral import planner as pl
 from ttspectral import sttp as stt
 from ttspectral import svdp as svd
 from ttspectral import tensortrain as tt
-from ttspectral.sampling import (
-    make_random_layout,
-    random_sttp_params,
-    random_svdp_params,
-)
+from ttspectral.sampling import random_sttp_params, random_svdp_params
 from ttspectral.spectral import (
     LayerBudget,
     NetworkSummary,
@@ -32,6 +28,7 @@ from ttspectral.spectrum_modes import IDENTITY, LEARNED, LEARNED_REGULARIZED
 
 from helpers import (
     brute_force_min_cost,
+    make_random_layout,
     one_shot_einsum,
     random_chain_diagram,
     unit_top_target,

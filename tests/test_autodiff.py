@@ -11,17 +11,19 @@ from ttspectral import autodiff as ad
 from ttspectral import householder as hh
 from ttspectral.errors import NumericError, ShapeError
 from ttspectral.planner import decompress
-from ttspectral.sampling import (
-    make_random_layout,
-    random_sttp_params,
-    random_svdp_params,
-)
+from ttspectral.sampling import random_sttp_params, random_svdp_params
 from ttspectral.schemes import SCHEMES
 from ttspectral.spectrum_modes import IDENTITY, LEARNED, LEARNED_REGULARIZED
 from ttspectral.sttp import sttp_dof
 from ttspectral.svdp import svdp_dof
 
-from helpers import library_decode_fwd, library_decode_vjp, per_frame_tape
+from helpers import (
+    library_decode_fwd,
+    library_decode_vjp,
+    make_random_layout,
+    per_frame_tape,
+    plan_vjp,
+)
 
 
 class TestFdGrad:
@@ -102,17 +104,16 @@ class TestVjp:
         rng = np.random.default_rng(6)
         for variant in (hh.FULL, hh.REDUCED):
             layout = make_random_layout(9, 4, variant, rng)
-            (q,), saves = hh.decode_layouts([layout])
-            (grad,) = hh.decode_layouts_vjp(saves, [2.0 * q])
+            q, saves = library_decode_fwd(layout)
+            grad = library_decode_vjp(layout, saves, 2.0 * q)
             assert np.max(np.abs(grad)) <= 1e-6
 
     def test_inner_product_loss_matches_fd(self):
         rng = np.random.default_rng(7)
         p = random_svdp_params(6, 5, 2, LEARNED, 8)
         g = rng.standard_normal((6, 5))
-        loss = ad.InnerProductLoss(g)
-        _, grad, _ = ad.loss_value_and_grad(p, loss)
-        fd = ad.fd_grad(lambda t: ad.loss_value(ad.unpack(p, t), loss),
+        grad = ad.vjp(ad.assemble_with_tape(p)[1], g)
+        fd = ad.fd_grad(lambda t: np.sum(g * decompress(ad.unpack(p, t))),
                         ad.pack(p))
         scale = max(1.0, float(np.max(np.abs(grad))))
         assert np.max(np.abs(grad - fd)) / scale <= 1e-6
@@ -202,8 +203,8 @@ class TestBatchedTape:
         assert swept == [i for i, n in enumerate(free) if n]
         shapes = {layouts[i].padded_shape for i in swept}
         assert len(sweeps) == len(shapes)
-        grads = hh.decode_layouts_vjp(tape.decode_saves,
-                                      [np.ones_like(q) for q in tape.frames])
+        grads = plan_vjp(*tape.decode_saves,
+                         [np.ones_like(q) for q in tape.frames])
         assert [g.size for g in grads] == free
         grad = ad.vjp(tape, np.ones_like(w))
         assert grad.size == sttp_dof(d_out, d_in, r, LEARNED) \
@@ -268,7 +269,8 @@ class TestFactoredFrobenius:
         p = SCHEMES[scheme].random(d_out, d_in, r, mode, seed, lam)
         target = np.random.default_rng(seed).standard_normal((d_out, d_in))
         loss = ad.FrobeniusLoss(target, lam)
-        value, grad, tape = ad.loss_value_and_grad(p, loss)
+        value, grad, tape = ad.StepProgram((p,)).loss_and_grad(ad.pack(p),
+                                                               loss)
         want_value, want_grad = dense_value_and_grad(tape, loss)
         assert abs(value - want_value) <= 1e-12 * max(1.0, abs(want_value))
         scale = max(1.0, float(np.max(np.abs(want_grad), initial=0.0)))
@@ -282,12 +284,13 @@ class TestFactoredFrobenius:
         p = maker(16, 72, 4, LEARNED, 3)
         target = decompress(p) * (1.0 + 1e-9)
         loss = ad.FrobeniusLoss(target)
-        value, grad, tape = ad.loss_value_and_grad(p, loss)
+        program, theta = ad.StepProgram((p,)), ad.pack(p)
+        value, grad, tape = program.loss_and_grad(theta, loss)
         dense = ad._loss_value(tape, loss)
         assert value == dense == pytest.approx(
             0.5e-18 * np.sum(target * target), rel=1e-6)
         monkeypatch.setattr(ad, "CANCELLATION_GUARD", -np.inf)
-        factored, factored_grad, _ = ad.loss_value_and_grad(p, loss)
+        factored, factored_grad, _ = program.loss_and_grad(theta, loss)
         assert abs(factored - dense) > dense
         # the guard swaps the value only; the gradient stays factored
         assert np.array_equal(factored_grad, grad)
@@ -296,7 +299,8 @@ class TestFactoredFrobenius:
         p = random_svdp_params(6, 5, 2, LEARNED, 0)
         target = np.zeros((6, 5))
         target[1, 2] = np.nan
-        value, _, _ = ad.loss_value_and_grad(p, ad.FrobeniusLoss(target))
+        value, _, _ = ad.StepProgram((p,)).loss_and_grad(
+            ad.pack(p), ad.FrobeniusLoss(target))
         assert np.isnan(value)
 
     def test_warm_step_allocates_no_matrix(self):
@@ -355,6 +359,7 @@ class TestGradcheck:
 
         p = random_svdp_params(5, 4, 2, LEARNED, 15)
         p = replace(p, spectrum=p.spectrum.with_s(np.array([0.5, -0.5])))
-        _, g1, _ = ad.loss_value_and_grad(p, ad.FrobeniusLoss(np.ones((5, 4))))
-        _, g2, _ = ad.loss_value_and_grad(p, ad.FrobeniusLoss(np.ones((5, 4))))
+        loss = ad.FrobeniusLoss(np.ones((5, 4)))
+        _, g1, _ = ad.StepProgram((p,)).loss_and_grad(ad.pack(p), loss)
+        _, g2, _ = ad.StepProgram((p,)).loss_and_grad(ad.pack(p), loss)
         assert np.array_equal(g1, g2)

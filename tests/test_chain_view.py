@@ -25,6 +25,7 @@ from ttspectral.sttp import (
 from ttspectral.svdp import SvdpParams, init_svdp_params
 
 from helpers import (
+    decode_packed,
     library_decode_fwd,
     library_decode_vjp,
     per_frame_tape,
@@ -74,9 +75,9 @@ class TestView:
         assert not np.any(ad.pack(template)[: -4])
 
     @pytest.mark.parametrize("maker", [random_svdp_params, random_sttp_params])
-    def test_decode_layouts_is_bitwise_per_layout_decode(self, maker):
+    def test_decode_plan_is_bitwise_per_layout_decode(self, maker):
         p = maker(16, 72, 4, LEARNED, 2)
-        saved, _ = hh.decode_layouts(p.chain.layouts)
+        _, saved, _ = decode_packed(p.chain.layouts)
         for grouped, layout in zip(saved, p.chain.layouts):
             assert np.array_equal(grouped, hh.decode(layout))
 

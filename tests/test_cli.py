@@ -262,6 +262,26 @@ class TestParamsFile:
             fileio.read_params(path)
         assert run_main(["inspect", "--params", str(path)])[0] == 3
 
+    @pytest.mark.parametrize("edit", [
+        (b"rank=3\n", b"rank=3\nfoo=bar\n"),
+        (b"rank=3\n", b"rank=3\nout_factors=6\n"),
+        (b"rank=3\n", b"rank=3\nsigns=1,1\n"),
+        (b"dout=6\n", b"dout= 6\n"),
+        (b"dout=6\n", b"dout=+6\n"),
+        (b"dout=6\n", b"dout=06\n"),
+        (b"dout=6\ndin=5\n", b"din=5\ndout=6\n"),
+    ])
+    def test_manifest_the_writer_would_not_write_rejected(self, tmp_path,
+                                                          edit):
+        path = tmp_path / "p.params"
+        fileio.write_params(path, random_svdp_params(6, 5, 3, LEARNED, 0))
+        raw = path.read_bytes()
+        assert edit[0] in raw
+        path.write_bytes(raw.replace(*edit, 1))
+        with pytest.raises(FileFormatError, match="manifest is not the one"):
+            fileio.read_params(path)
+        assert run_main(["inspect", "--params", str(path)])[0] == 3
+
     def test_dimension_past_the_factorization_bound_rejected(self, tmp_path):
         path = tmp_path / "p.params"
         path.write_bytes(HUGE_DOUT_FILE)

@@ -33,6 +33,13 @@ def enumerate_positions(dims):
 
 
 class TestMultiIndex:
+    @pytest.mark.parametrize("dims, idx", [
+        ((2.9, 3), (2, 1)), ((2, 3), (1.5, 1)), ((True, 3), (1, 1)),
+    ])
+    def test_non_integer_dims_and_indices_rejected(self, dims, idx):
+        with pytest.raises(DomainError, match="must be an integer"):
+            dense.multi_index(dims, idx)
+
     def test_first_element(self):
         assert dense.multi_index((2, 3), (1, 1)) == 1
 

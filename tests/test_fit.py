@@ -29,6 +29,11 @@ def unit_top_target(shape, seed):
 
 
 class TestEckartYoungOptimum:
+    @pytest.mark.parametrize("r", [2.5, 2.0, True])
+    def test_non_integer_rank_rejected(self, r):
+        with pytest.raises(DomainError, match="must be an integer"):
+            ft.eckart_young_optimum(np.diag([3.0, 2.0, 1.0]), r)
+
     def test_truncated_diagonal(self):
         assert ft.eckart_young_optimum(np.diag([3.0, 2.0, 1.0]), 2) == \
             pytest.approx(1.0)

@@ -12,14 +12,18 @@ from hypothesis import strategies as st
 from ttspectral import householder as hh
 from ttspectral.dense import inv, orthonormalize
 from ttspectral.errors import DomainError, ShapeError
-from ttspectral.sampling import make_random_layout
 
 from helpers import (
     decode_fwd,
+    decode_packed,
     decode_vjp,
     householder_qr,
     layout_from_dense,
+    library_decode_fwd,
+    library_decode_vjp,
+    make_random_layout,
     memory_layouts,
+    plan_vjp,
     reference_encode_as,
     rowmajor_reflect_sweep,
     rowmajor_reflect_sweep_vjp,
@@ -160,16 +164,17 @@ class TestDecodePlan:
         g_frames = [rng.standard_normal(f.shape) for f in frames]
         grad = np.full(80, np.nan)
         plan.vjp(sweeps, g_frames, grad)
-        per_layout = hh.decode_layouts_vjp(
-            hh.decode_layouts(layouts)[1], g_frames)
+        packed, _, packed_sweeps = decode_packed(layouts)
+        per_layout = plan_vjp(packed, packed_sweeps, g_frames)
         for g, la, pos in zip(per_layout, layouts, offsets):
             assert np.array_equal(grad[pos: pos + la.params.size], g)
         assert np.count_nonzero(~np.isnan(grad)) == \
             sum(la.params.size for la in layouts)
 
     def test_empty_layout_list(self):
-        frames, tape = hh.decode_layouts([])
-        assert frames == [] and hh.decode_layouts_vjp(tape, []) == []
+        plan = hh.DecodePlan([], [])
+        frames, sweeps = plan.decode(np.zeros(0))
+        assert frames == [] and plan_vjp(plan, sweeps, []) == []
 
 
 class TestImmutableLayout:
@@ -282,8 +287,8 @@ class TestClosedFormDecode:
 
     @staticmethod
     def check_against_sweep(layout, g_frame):
-        (q,), saves = hh.decode_layouts([layout])
-        (grad,) = hh.decode_layouts_vjp(saves, [g_frame])
+        q, saves = library_decode_fwd(layout)
+        grad = library_decode_vjp(layout, saves, g_frame)
         q_ref, saves_ref = decode_fwd(layout)
         grad_ref = decode_vjp(layout, saves_ref, g_frame)
         assert gram_residual(q) <= 1e-12

@@ -62,18 +62,12 @@ def cached_subset_dp_plan(diagram):
     return _ORACLE[key]
 
 
-class TestStepCost:
-    def test_matrix_vector(self):
-        assert pl.step_cost((3, 7), (7, 1), [(1, 0)]) == 2 * 3 * 7
-
-    def test_diagonal_scale(self):
-        assert pl.step_cost((4, 4), (4, 1), [(1, 0)], diagonal=True) == 4
-
-    def test_matrix_matrix(self):
-        assert pl.step_cost((16, 4), (4, 1), [(1, 0)]) == 2 * 16 * 4
-
-
 class TestDiagramValidation:
+    @pytest.mark.parametrize("dims", [(3.5, 2), (2, 2.0), (True, 2)])
+    def test_non_integer_node_dims_rejected(self, dims):
+        with pytest.raises(DomainError, match="must be an integer"):
+            pl.DiagramNode(dims)
+
     def test_double_edge_on_axis_rejected(self):
         nodes = [pl.DiagramNode((2, 2)), pl.DiagramNode((2,)),
                  pl.DiagramNode((2,))]
@@ -140,7 +134,7 @@ class TestPlanOptimality:
         diagram = pl.TensorDiagram(nodes, [(0, 1, 1, 0)], [(0, 0), (1, 1)])
         cplan = pl.plan(diagram)
         assert len(cplan.steps) == 1
-        assert cplan.total_flops == pl.step_cost((3, 4), (4, 2), [(1, 0)])
+        assert cplan.total_flops == 2 * 3 * 4 * 2
 
     @pytest.mark.parametrize("closed_form_shape", [
         (16, 72, 4), (10, 30, 2), (40, 9, 3), (25, 25, 5),

@@ -57,6 +57,14 @@ class TestMaterializeSigma:
 
 
 class TestImmutableSpectrum:
+    @pytest.mark.parametrize("mode, r, s", [
+        (sp.IDENTITY, 2.5, None), (sp.IDENTITY, True, None),
+        (sp.LEARNED, 2.0, [1.0, 0.5]),
+    ])
+    def test_non_integer_rank_rejected(self, mode, r, s):
+        with pytest.raises(DomainError, match="must be an integer"):
+            sp.SpectrumParams(mode, r, s)
+
     def test_writes_to_the_source_s_do_not_reach_the_spectrum(self):
         s = np.array([2.0, -1.0, 0.5])
         spec = sp.SpectrumParams(sp.LEARNED, 3, s)
@@ -318,6 +326,13 @@ class TestStableRank:
 
 
 class TestCompressionRatio:
+    @pytest.mark.parametrize("entries", [
+        (6.5, 5, 3), (6, 5.0, 3), (6, 5, True), (6, 5, 3, 0.5),
+    ])
+    def test_non_integer_budget_entry_rejected(self, entries):
+        with pytest.raises(DomainError, match="must be an integer"):
+            sp.LayerBudget(*entries)
+
     def test_unparameterized_is_100(self):
         net = sp.NetworkSummary((
             sp.LayerBudget(4, 5, dof=20),

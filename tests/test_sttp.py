@@ -69,19 +69,21 @@ class TestFactorize:
 
 class TestSchedule:
     def test_worked_instance(self):
-        sched = sttp.build_schedule(sttp.factorize(16), sttp.factorize(72), 4)
+        sched = sttp.chain_schedule(sttp.factorize(16).factors,
+                                    sttp.factorize(72).factors, 4)
         assert sched.dims == (2, 2, 2, 2, 3, 3, 2, 2, 2)
         assert sched.ranks == (1, 2, 4, 4, 4, 4, 4, 4, 2, 1)
 
     def test_middle_rank_equals_r(self):
         for d_out, d_in, r in ((16, 72, 4), (6, 35, 5), (8, 8, 3)):
             out_fac, in_fac = sttp.factorize(d_out), sttp.factorize(d_in)
-            sched = sttp.build_schedule(out_fac, in_fac, r)
+            sched = sttp.chain_schedule(out_fac.factors, in_fac.factors, r)
             assert sched.ranks[len(out_fac)] == r
 
     def test_rank_cap_enforced(self):
         with pytest.raises(DomainError):
-            sttp.build_schedule(sttp.factorize(4), sttp.factorize(6), 5)
+            sttp.chain_schedule(sttp.factorize(4).factors,
+                                sttp.factorize(6).factors, 5)
 
 
 class TestCoreSizeSchedule:
@@ -101,7 +103,7 @@ class TestCoreSizeSchedule:
 
     def test_cap_saturation_when_r_large(self):
         out_fac, in_fac = sttp.factorize(8), sttp.factorize(8)
-        sched = sttp.build_schedule(out_fac, in_fac, 8)
+        sched = sttp.chain_schedule(out_fac.factors, in_fac.factors, 8)
         from ttspectral.tensortrain import rank_caps
 
         caps = rank_caps(sched.dims)
@@ -125,7 +127,8 @@ class TestCoreSizeSchedule:
 class TestDof:
     def test_worked_instance_learned(self):
         # independent evaluation of the schedule sums: 232 - 104
-        sched = sttp.build_schedule(sttp.factorize(16), sttp.factorize(72), 4)
+        sched = sttp.chain_schedule(sttp.factorize(16).factors,
+                                    sttp.factorize(72).factors, 4)
         total = sum(
             sched.ranks[k] * sched.dims[k] * sched.ranks[k + 1]
             for k in range(len(sched.dims))
@@ -345,10 +348,12 @@ class TestParamsValidation:
         q = sttp.SttpParams(16, 72, 4, p.u_layouts, p.v_layouts, p.spectrum)
         out_fac, in_fac = sttp.factorize(16), sttp.factorize(72)
         assert (q.out_fac, q.in_fac) == (out_fac, in_fac)
-        assert q.schedule == sttp.build_schedule(out_fac, in_fac, 4)
+        assert q.schedule == sttp.chain_schedule(out_fac.factors,
+                                                 in_fac.factors, 4)
         assert q.n_params == sttp.sttp_dof(16, 72, 4, LEARNED)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            q.schedule = sttp.build_schedule(out_fac, in_fac, 3)
+            q.schedule = sttp.chain_schedule(out_fac.factors,
+                                              in_fac.factors, 3)
         small = random_sttp_params(4, 6, 2, LEARNED, 0)
         with pytest.raises(DomainError, match="rank 5 violates"):
             sttp.SttpParams(4, 6, 5, small.u_layouts, small.v_layouts,

@@ -10,7 +10,8 @@ from ttspectral import householder as hh
 from ttspectral import tensortrain as tt
 from ttspectral.dense import orthonormalize
 from ttspectral.errors import DomainError, ShapeError
-from ttspectral.sampling import make_random_layout
+
+from helpers import make_random_layout
 
 
 def contract_oracle(cores):
@@ -41,6 +42,16 @@ def random_orthonormal_chain(dims, ranks, seed):
 
 
 class TestRankCaps:
+    @pytest.mark.parametrize("name, args", [
+        ("rank_caps", ((2.5, 4),)), ("rank_caps", ((2, True),)),
+        ("rank_schedule", ((2, 2, 2), 2.5)),
+        ("rank_schedule", ((2, 2, 2), True)),
+        ("rank_schedule", ((2, 2.0, 2), 2)),
+    ])
+    def test_non_integer_sizes_rejected(self, name, args):
+        with pytest.raises(DomainError, match="must be an integer"):
+            getattr(tt, name)(*args)
+
     def test_4_3_2(self):
         # independent product enumeration: cap_k = min(prefix, suffix)
         dims = (4, 3, 2)
