@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import householder as hh
-from .errors import NumericError, ShapeError
+from .errors import DomainError, NumericError, ShapeError
 from .spectral import normalize_spectrum
 from .spectrum_modes import IDENTITY
 from .sttp import core_specs  # noqa: F401  (perfbench/spans.py patches it)
@@ -286,14 +286,28 @@ class FrobeniusLoss:
     The penalty term is ``lam * -sum log(max(|sigma_i|, floor))``; the floor
     is an optimization guard, distinct from the exact penalty definition,
     that keeps the loss finite if an entry crosses zero mid-descent.
+
+    The constructor requires a finite real matrix ``target``, which it
+    keeps as float64, and a finite ``lam >= 0``; it checks them once per
+    loss, not per step.
     """
 
     target: np.ndarray
     lam: float = 0.0
 
+    def __post_init__(self):
+        target = np.asarray(self.target)
+        if (target.dtype.kind not in "biuf" or target.ndim != 2
+                or not np.isfinite(target).all()):
+            raise DomainError("target must be a finite real matrix")
+        if not 0.0 <= self.lam < np.inf:  # NaN fails too
+            raise DomainError("regularizer weight must be finite and >= 0")
+        object.__setattr__(self, "target",  # frozen: set once here
+                           target.astype(np.float64, copy=False))
+
     @cached_property
     def _target_sq(self) -> float:
-        flat = np.asarray(self.target, dtype=np.float64).ravel(order="K")
+        flat = self.target.ravel(order="K")
         return float(flat @ flat)
 
     def terms(self, tape: GradTape):
@@ -323,8 +337,7 @@ def _penalty_floored(sigma: np.ndarray) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def _matching(array, tape: GradTape) -> np.ndarray:
-    array = np.asarray(array, dtype=np.float64)
+def _matching(array: np.ndarray, tape: GradTape) -> np.ndarray:
     if array.shape != tape.shape:
         raise ShapeError("target shape does not match the assembled matrix")
     return array

@@ -166,8 +166,7 @@ def cmd_inspect(args) -> int:
     params = fileio.read_params(args.params)
     sigma = materialize_sigma(params.spectrum)
     scheme = params.chain.scheme
-    dof = SCHEMES[scheme].dof(params.d_out, params.d_in, params.r,
-                              params.spectrum.mode)
+    dof = params.n_params
     net = NetworkSummary((LayerBudget(params.d_out, params.d_in, dof),))
     sigma_max = float(np.max(np.abs(sigma)))
     print(f"scheme={scheme}")

@@ -121,19 +121,14 @@ def fit_matrix(target: np.ndarray, cfg: FitConfig) -> FitResult:
     once the relative loss change drops below ``cfg.tol`` and raises
     :class:`DivergenceError` if the loss is not finite or blows past ``1e12``.
     """
-    target = np.asarray(target, dtype=np.float64)
-    if target.ndim != 2:
-        raise DomainError("fit target must be a matrix")
-    if not np.all(np.isfinite(target)):
-        raise DomainError("fit target must be finite")
-    d_out, d_in = target.shape
+    loss_spec = FrobeniusLoss(target, cfg.lam)  # checks the target
+    d_out, d_in = loss_spec.target.shape
     if cfg.rank > rank_cap(d_out, d_in):
         raise DomainError(
             f"rank {cfg.rank} exceeds cap {rank_cap(d_out, d_in)}"
         )
     params = _init_params(cfg, d_out, d_in)
     program = StepProgram((params,))
-    loss_spec = FrobeniusLoss(target, cfg.lam)
     trace: list[float] = []
     best_loss, best_theta, best_step = math.inf, None, 0
     for step, theta, loss, _ in _descend(

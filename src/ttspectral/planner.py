@@ -555,14 +555,17 @@ def decompress(params) -> np.ndarray:
 def apply_map(params, x: np.ndarray) -> np.ndarray:
     """Apply ``y = W x = U (sigma * (V^T x))``, never forming W.
 
-    ``x`` must be a finite d_in x d_x matrix.  The composed frames
+    ``x`` must be a finite real d_in x d_x matrix.  The composed frames
     (:func:`~.sttp.chain_frames`), sigma and ``x`` are bound into the
     four-node diagram, whose plan is FLOP-minimal and cached per shape; the
     value equals the decompress-then-multiply path to floating-point
     accuracy.  An input with no columns gives an empty d_out x 0 result
     without planning.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise DomainError("apply_map input must be real")
+    x = x.astype(np.float64, copy=False)
     if x.ndim != 2:
         raise ShapeError("apply_map expects a d_in x d_x matrix")
     if x.shape[0] != params.d_in:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ttspectral import autodiff as ad
 from ttspectral import householder as hh
-from ttspectral.errors import NumericError, ShapeError
+from ttspectral.errors import DomainError, NumericError, ShapeError
 from ttspectral.planner import decompress
 from ttspectral.sampling import random_sttp_params, random_svdp_params
 from ttspectral.schemes import SCHEMES
@@ -295,13 +295,21 @@ class TestFactoredFrobenius:
         # the guard swaps the value only; the gradient stays factored
         assert np.array_equal(factored_grad, grad)
 
-    def test_nan_target_gives_a_nan_loss(self):
-        p = random_svdp_params(6, 5, 2, LEARNED, 0)
-        target = np.zeros((6, 5))
-        target[1, 2] = np.nan
-        value, _, _ = ad.StepProgram((p,)).loss_and_grad(
-            ad.pack(p), ad.FrobeniusLoss(target))
-        assert np.isnan(value)
+    @pytest.mark.parametrize("target, lam", [
+        pytest.param(np.zeros((6, 5)), -1.0, id="negative-lam"),
+        pytest.param(np.zeros((6, 5)), np.nan, id="nan-lam"),
+        pytest.param(np.zeros((6, 5)), np.inf, id="inf-lam"),
+        pytest.param(np.where(np.eye(6, 5), np.nan, 0.0), 0.0,
+                     id="nan-target"),
+        pytest.param(np.where(np.eye(6, 5), -np.inf, 0.0), 0.0,
+                     id="inf-target"),
+        pytest.param(np.zeros((6, 5)) + 0j, 0.0, id="complex-target"),
+        pytest.param(np.zeros(30), 0.0, id="vector-target"),
+    ])
+    def test_bad_target_or_weight_rejected_at_construction(self, target,
+                                                           lam):
+        with pytest.raises(DomainError):
+            ad.FrobeniusLoss(target, lam)
 
     def test_warm_step_allocates_no_matrix(self):
         # svdp 1024^2 rank 16: one d_out x d_in float64 array is 8 MB

@@ -9,12 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttspectral import fileio, planner
+from ttspectral.autodiff import pack
 from ttspectral.cli import main
 from ttspectral.errors import FileFormatError
 from ttspectral.planner import decompress
 from ttspectral.schemes import SCHEMES
 from ttspectral.sampling import random_sttp_params, random_svdp_params
-from ttspectral.spectrum_modes import IDENTITY, LEARNED
+from ttspectral.spectrum_modes import (
+    IDENTITY,
+    LEARNED,
+    LEARNED_REGULARIZED,
+    SPECTRUM_MODES,
+)
 from ttspectral.sttp import init_sttp_params
 from ttspectral.svdp import init_svdp_params
 
@@ -116,6 +122,28 @@ class TestMatrixFile:
         with pytest.raises(FileFormatError):
             fileio.read_matrix(path)
 
+    @pytest.mark.parametrize("edit", [
+        (b"rows=2", b"rows=02"),
+        (b"cols=30", b"cols=+30"),
+        (b"cols=30", b"cols=3_0"),
+        (b"rows=2 cols=30", b"cols=30 rows=2"),
+        (b"dtype=f64 order=row-major", b"order=row-major dtype=f64"),
+        (b"row-major\n", b"row-major \n"),
+    ])
+    def test_header_the_writer_would_not_write_rejected(self, tmp_path,
+                                                        edit):
+        path = tmp_path / "m.mat"
+        fileio.write_matrix(path, np.arange(60.0).reshape(2, 30))
+        raw = path.read_bytes()
+        assert edit[0] in raw
+        path.write_bytes(raw.replace(*edit, 1))
+        with pytest.raises(FileFormatError, match="bad matrix header"):
+            fileio.read_matrix(path)
+        params = tmp_path / "p.params"
+        fileio.write_params(params, random_svdp_params(4, 2, 2, LEARNED, 0))
+        assert run_main(["apply", "--params", str(params), "--in", str(path),
+                         "--out", str(tmp_path / "y.mat")])[0] == 3
+
     def test_truncated_file_rejected_or_valid(self, tmp_path):
         fileio.write_matrix(tmp_path / "m.mat", SMALL_MATRIX)
         raw = (tmp_path / "m.mat").read_bytes()
@@ -154,6 +182,22 @@ class TestParamsFile:
         assert back.spectrum.lam == params.spectrum.lam
         fileio.write_params(b, back)
         assert a.read_bytes() == b.read_bytes()
+
+    @given(scheme=st.sampled_from(sorted(SCHEMES)),
+           mode=st.sampled_from(SPECTRUM_MODES),
+           d_out=st.integers(2, 24), d_in=st.integers(2, 24),
+           r=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_payload_is_the_pack_vector(self, fuzz_dir, scheme, mode, d_out,
+                                        d_in, r, seed):
+        lam = 0.25 if mode == LEARNED_REGULARIZED else 0.0
+        params = SCHEMES[scheme].random(d_out, d_in, min(r, d_out, d_in),
+                                        mode, seed, lam)
+        path = fuzz_dir / "pack.params"
+        fileio.write_params(path, params)
+        raw = path.read_bytes()
+        payload = raw[raw.index(b"\n\n") + 2:]
+        assert payload == pack(params).astype("<f8").tobytes()
 
     def test_declared_counts_equal_dof(self, tmp_path):
         from ttspectral.sttp import sttp_dof
@@ -249,16 +293,16 @@ class TestParamsFile:
                        raw[:k] + bytes([byte]) + raw[k + 1:],
                        fileio.read_params, fileio.write_params)
 
-    @pytest.mark.parametrize("edit, message", [
-        ((b"din=5\n", b"din=5\ndin=5\n"), "duplicate manifest field 'din'"),
-        ((b"\n\n", b"\nblock=sigma 0\n\n"), "duplicate block 'sigma'"),
-        ((b"\n\n", b"\nblock=extra 0\n\n"), r"unused blocks: \['extra'\]"),
+    @pytest.mark.parametrize("edit", [
+        (b"din=5\n", b"din=5\ndin=5\n"),
+        (b"\n\n", b"\nblock=sigma 0\n\n"),
+        (b"\n\n", b"\nblock=extra 0\n\n"),
     ])
-    def test_malformed_manifest_rejected(self, tmp_path, edit, message):
+    def test_malformed_manifest_rejected(self, tmp_path, edit):
         path = tmp_path / "p.params"
         fileio.write_params(path, random_svdp_params(6, 5, 3, LEARNED, 0))
         path.write_bytes(path.read_bytes().replace(*edit, 1))
-        with pytest.raises(FileFormatError, match=message):
+        with pytest.raises(FileFormatError, match="manifest is not the one"):
             fileio.read_params(path)
         assert run_main(["inspect", "--params", str(path)])[0] == 3
 

@@ -113,6 +113,13 @@ class TestFitMatrix:
                            seed=np.uint8(4))
         assert len(ft.fit_matrix(unit_top_target((8, 6), 2), cfg).trace) <= 3
 
+    def test_complex_target_rejected(self):
+        t = unit_top_target((8, 6), 2) + 0j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning either
+            with pytest.raises(DomainError, match="real"):
+                ft.fit_matrix(t, ft.FitConfig("svdp", 2, LEARNED, seed=0))
+
     def test_best_so_far_is_trace_minimum(self):
         t = unit_top_target((8, 6), 2)
         cfg = ft.FitConfig("svdp", 2, LEARNED, seed=0, max_steps=400)

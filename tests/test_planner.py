@@ -1,5 +1,7 @@
 """Diagram validation, plan optimality, execution, and map application."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -504,6 +506,15 @@ class TestApplyMap:
         x[2, 1] = bad
         with pytest.raises(DomainError, match="finite"):
             pl.apply_map(p, x)
+
+    @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
+    def test_complex_input_rejected(self, scheme):
+        maker = random_svdp_params if scheme == "svdp" else random_sttp_params
+        p = maker(4, 6, 2, LEARNED, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning either
+            with pytest.raises(DomainError, match="real"):
+                pl.apply_map(p, np.ones((6, 3)) + 1j)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["layout", "spectrum"])
