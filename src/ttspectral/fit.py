@@ -129,11 +129,16 @@ def fit_matrix(target: np.ndarray, cfg: FitConfig) -> FitResult:
         )
     params = _init_params(cfg, d_out, d_in)
     program = StepProgram((params,))
+
+    def forward(theta):
+        (tape,) = program.forward(theta)
+        loss, cotangents = loss_spec.terms(tape)
+        return loss, lambda: program.backward([tape], [cotangents]), tape
+
     trace: list[float] = []
     best_loss, best_theta, best_step = math.inf, None, 0
     for step, theta, loss, _ in _descend(
-            pack(params), cfg, cfg.max_steps,
-            lambda t: program.loss_and_grad(t, loss_spec),
+            pack(params), cfg, cfg.max_steps, forward,
             "loss {loss:.3e} diverged at step {step}; try a smaller "
             "learning rate than {lr}"):
         trace.append(loss)
@@ -144,26 +149,30 @@ def fit_matrix(target: np.ndarray, cfg: FitConfig) -> FitResult:
     return FitResult(unpack(params, best_theta), trace, best_loss, best_step)
 
 
-def _descend(theta, cfg, steps, value_and_grad, diverged):
-    """Gradient descent with momentum.  Each step yields ``(step, theta,
-    loss, tapes)`` after the divergence guards, then updates theta; the
-    caller stops early by breaking.  A theta entry that is not finite or
-    exceeds ``MAX_MAGNITUDE`` is caught before its forward, reported as a
-    NaN loss: no parameter object could hold it."""
+def _descend(theta, cfg, steps, forward, diverged):
+    """Gradient descent with momentum.  ``forward(theta)`` returns ``(loss,
+    backward, tapes)``, ``backward()`` giving the gradient at theta.  Each
+    step yields ``(step, theta, loss, tapes)`` after the divergence guards;
+    the caller stops early by breaking.  A step's reverse pass runs when
+    the next step updates theta, so the last step, and a step the caller
+    stops at, skip it.  A theta entry that is not finite or exceeds
+    ``MAX_MAGNITUDE`` is caught before its forward, reported as a NaN loss:
+    no parameter object could hold it."""
     velocity = np.zeros_like(theta)
     lr = cfg.effective_lr
     for step in range(steps):
+        if step:
+            velocity = cfg.momentum * velocity + backward()
+            # an overflow here is caught by the theta check below
+            with np.errstate(over="ignore", invalid="ignore"):
+                theta = theta - lr * velocity
         if not (np.abs(theta) <= MAX_MAGNITUDE).all():  # NaN fails too
             raise DivergenceError(diverged.format(loss=math.nan, step=step,
                                                   lr=lr))
-        loss, grad, tapes = value_and_grad(theta)
+        loss, backward, tapes = forward(theta)
         if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
             raise DivergenceError(diverged.format(loss=loss, step=step, lr=lr))
         yield step, theta, loss, tapes
-        velocity = cfg.momentum * velocity + grad
-        # an overflow here is caught by the next step's theta check
-        with np.errstate(over="ignore", invalid="ignore"):
-            theta = theta - lr * velocity
 
 
 def eckart_young_optimum(target: np.ndarray, r: int) -> float:
@@ -242,31 +251,35 @@ def demo_train(cfg: FitConfig, seed: int, d_in: int = 6, hidden: int = 8,
               _init_params(replace(cfg, seed=seed + 2), d_out, hidden))
     program = StepProgram(protos)
 
-    def value_and_grad(theta):
+    def forward(theta):
         tapes = program.forward(theta)
         w1, w2 = tapes[0].output, tapes[1].output
         pre = w1 @ x
         h = np.maximum(pre, 0.0)
         resid = w2 @ h - y
         loss = 0.5 * float((resid * resid).sum()) / n_samples
-        g_out = resid / n_samples
-        g_w2 = g_out @ h.T
-        g_w1 = (w2.T @ g_out) * (pre > 0) @ x.T
         g_sigma = [None, None]  # the penalty's gradient on each spectrum
         if cfg.lam > 0.0:
             for i, tape in enumerate(tapes):
                 pen, pen_grad = _penalty_floored(tape.sigma)
                 loss += cfg.lam * pen / n_samples
                 g_sigma[i] = cfg.lam * pen_grad / n_samples
-        cotangents = [tape.cotangents(g_w, g_extra) for tape, g_w, g_extra
-                      in zip(tapes, (g_w1, g_w2), g_sigma)]
-        return loss, program.backward(tapes, cotangents), tapes
+
+        def backward():
+            g_out = resid / n_samples
+            g_w2 = g_out @ h.T
+            g_w1 = (w2.T @ g_out) * (pre > 0) @ x.T
+            cotangents = [tape.cotangents(g_w, g_extra) for tape, g_w, g_extra
+                          in zip(tapes, (g_w1, g_w2), g_sigma)]
+            return program.backward(tapes, cotangents)
+
+        return loss, backward, tapes
 
     report = TrainReport()
     spectra = ([], [])
     theta = np.concatenate([pack(p) for p in protos])
     for _, _, loss, tapes in _descend(
-            theta, cfg, steps, value_and_grad,
+            theta, cfg, steps, forward,
             "demo loss {loss:.3e} diverged at step {step}"):
         report.losses.append(loss)
         for kept, tape in zip(spectra, tapes):

@@ -12,38 +12,32 @@ diagonal 1 keeps every column norm >= 1, so normalization never divides by
 zero.  The product is the UT transform (compact WY) ``I - U T^-1 U^T``,
 ``U = [u_1 ... u_r]``, ``T = I/2 + striu(U^T U)``: decode and its gradient
 are a few batched matmuls and one LAPACK inverse, with no reflector loop.
-The sweep works on column-major canvases (``r_pad x d_pad``, reflectors as
+The sweep works on column-major canvases (``r x d``, reflectors as
 contiguous rows), which the layouts' structures and :class:`DecodePlan`
 scatter into and gather from directly, so no sweep transposes a canvas.
 ``T`` is triangular with diagonal 1/2, never singular, so the inverse is
 :func:`~.dense.inv`, the LAPACK gufunc behind ``np.linalg.inv`` without
 the wrapper; encode's ``geqrf`` (:func:`~.dense.geqrf`) skips
 ``np.linalg.qr``'s wrapper the same way, with the same bits.
-A batch is bitwise each member decoded alone, as are same-seed reruns;
-applying one reflector at a time agrees to rounding only.
+A batch of one size is bitwise each member decoded alone, as are
+same-seed reruns; a member that :func:`decode_batch` pads, and applying
+one reflector at a time, agree to rounding only.
 
-Three layout variants exist:
+Two layout variants exist:
 
 * ``full`` - free cells strictly below the diagonal; dof = d*r - r*(r+1)/2.
 * ``reduced`` - additionally zeroes rows ``j+1..r`` of column ``j``; the
   decoded frame then has an upper-triangular leading r x r block (the
   gauge-fixed subset of frames); dof = d*r - r**2.
-* padded - either variant embedded in a ``d_pad x r_pad`` canvas whose extra
-  cells are structural zeros with a structural 1 on the diagonal of columns
-  ``j > r``.  Padding lets frames of different sizes share one batched
-  decode, but the larger canvas reorders the sums: padded and unpadded
-  decodes agree to rounding, not bitwise.  So :func:`decode_batch` is
-  bitwise only among layouts of one padded shape, and
-  :class:`DecodePlan` decodes each exact canvas shape on its own.
 
 Layouts are immutable in fact: each holds a read-only copy of its
 parameters, and :func:`decode` keeps the read-only frame it decodes on the
 layout, checked orthonormal once, so decoding a layout again (as every warm
 ``apply_map`` does) is a lookup.  A layout without free cells shares its
-structure's fixed frame.  A decoded layout costs ``d_pad * r_pad`` more
-floats, about the size of its dense canvas.  :func:`decode_batch` and the
-gradient tape's :class:`DecodePlan` decode afresh every time and return
-writable arrays.
+structure's fixed frame.  A decoded layout costs ``d * r`` more floats,
+the size of its dense canvas.  :func:`decode_batch` and the gradient
+tape's :class:`DecodePlan` decode afresh every time and return writable
+arrays.
 """
 
 from __future__ import annotations
@@ -86,42 +80,32 @@ FRAME_TOL = 1e-8
 """Largest Gram residual :func:`check_frame` accepts, 1e-8."""
 
 
-def layout_mask(d: int, r: int, variant: str, d_pad: int | None = None,
-                r_pad: int | None = None) -> np.ndarray:
-    """Boolean canvas marking the free parameter cells of a layout."""
-    d_pad = d if d_pad is None else d_pad
-    r_pad = r if r_pad is None else r_pad
-    _check_layout_dims(d, r, variant, d_pad, r_pad)
-    mask = np.zeros((d_pad, r_pad), dtype=bool)
+def layout_mask(d: int, r: int, variant: str) -> np.ndarray:
+    """Boolean d x r canvas marking the free parameter cells of a layout."""
+    _check_layout_dims(d, r, variant)
+    mask = np.zeros((d, r), dtype=bool)
     for j in range(r):
         lo = r if variant == REDUCED else j + 1
         mask[lo:d, j] = True
     return mask
 
 
-def _check_layout_dims(d, r, variant, d_pad, r_pad):
-    for name, value in (("d", d), ("r", r), ("d_pad", d_pad),
-                        ("r_pad", r_pad)):
-        check_integer(name, value)
+def _check_layout_dims(d, r, variant):
+    check_integer("d", d)
+    check_integer("r", r)
     if variant not in _VARIANTS:
         raise DomainError(f"unknown layout variant {variant!r}")
     if not (1 <= r <= d):
         raise DomainError(f"layout needs 1 <= r <= d, got d={d}, r={r}")
-    if d_pad < d or r_pad < r:
-        raise DomainError(
-            f"padded dims ({d_pad}, {r_pad}) must cover frame dims ({d}, {r})"
-        )
-    if r_pad > d_pad:
-        raise DomainError(f"padding needs r_pad <= d_pad, got ({d_pad}, {r_pad})")
 
 
 def dof(d: int, r: int, variant: str) -> int:
-    """Number of free scalars in a layout (padding adds none).
+    """Number of free scalars in a layout.
 
     ``full`` has ``d*r - r*(r+1)/2`` (the dimension of the frame manifold);
     ``reduced`` has ``d*r - r**2``, saving ``r*(r-1)/2`` by fixing the gauge.
     """
-    _check_layout_dims(d, r, variant, d, r)
+    _check_layout_dims(d, r, variant)
     if variant == FULL:
         return d * r - r * (r + 1) // 2
     return d * r - r * r
@@ -141,7 +125,7 @@ class HouseholderLayout:
     the layout nor its frame.
 
     :func:`decode` memoizes the read-only, checked frame on the layout,
-    which then holds it (a view of a ``d_pad x r_pad`` array) for as long
+    which then holds it (a ``d x r`` array) for as long
     as the layout lives.  Pickling or copying rebuilds the layout through its
     constructor, with a fresh read-only copy of ``params`` and no frame.
     Since a layout carries that memo, ``==`` and ``hash`` go by identity.
@@ -151,15 +135,11 @@ class HouseholderLayout:
     r: int
     variant: str
     params: np.ndarray
-    d_pad: int
-    r_pad: int
 
     def __post_init__(self):
-        _check_layout_dims(self.d, self.r, self.variant, self.d_pad,
-                           self.r_pad)
+        _check_layout_dims(self.d, self.r, self.variant)
         params = np.array(self.params, dtype=np.float64).ravel()
-        n_free = _structure(self.d, self.r, self.variant, self.d_pad,
-                            self.r_pad)[0].size
+        n_free = _structure(self.d, self.r, self.variant)[0].size
         if params.size != n_free:
             raise ShapeError(
                 f"expected {n_free} free parameters, got {params.size}")
@@ -170,81 +150,69 @@ class HouseholderLayout:
         object.__setattr__(self, "params", params)
 
     def __reduce__(self):
-        return (HouseholderLayout, (self.d, self.r, self.variant, self.params,
-                                    self.d_pad, self.r_pad))
+        return (HouseholderLayout, (self.d, self.r, self.variant, self.params))
 
     @cached_property
     def _frame(self) -> np.ndarray:
-        fixed = _structure(self.d, self.r, self.variant, self.d_pad,
-                           self.r_pad)[2]
+        fixed = _structure(self.d, self.r, self.variant)[2]
         if fixed is not None:
             return fixed
-        q = _reflect_sweep(self.dense().T[None])[0, : self.d, : self.r]
+        q = _reflect_sweep(self.dense().T[None])[0]
         check_frame(q)
         q.flags.writeable = False
         return q
 
-    @property
-    def padded_shape(self) -> tuple[int, int]:
-        return (self.d_pad, self.r_pad)
-
     def with_params(self, params) -> "HouseholderLayout":
-        return HouseholderLayout(self.d, self.r, self.variant, params,
-                                 self.d_pad, self.r_pad)
+        return HouseholderLayout(self.d, self.r, self.variant, params)
 
     def free_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, cols) of the free cells, column-major by reflector."""
-        return _structure(self.d, self.r, self.variant, self.d_pad,
-                          self.r_pad)[:2]
+        return _structure(self.d, self.r, self.variant)[:2]
 
     def dense(self) -> np.ndarray:
-        """Materialize the d_pad x r_pad canvas with structural cells.
+        """Materialize the d x r canvas with structural cells.
 
         The result is a fresh writable array in Fortran order: the
         transpose of the C-contiguous column-major canvas the sweep takes,
         so ``dense().T`` is that canvas without a copy.
         """
-        _, _, _, base, flat = _structure(self.d, self.r, self.variant,
-                                         self.d_pad, self.r_pad)
+        _, _, _, base, flat = _structure(self.d, self.r, self.variant)
         canvas = base.copy()
         canvas.reshape(-1)[flat] = self.params
         return canvas.T
 
 
-def make_layout(d: int, r: int, variant: str = FULL, params=None,
-                d_pad: int | None = None, r_pad: int | None = None
+def make_layout(d: int, r: int, variant: str = FULL, params=None
                 ) -> HouseholderLayout:
     """Construct a layout; ``params`` defaults to all zeros."""
     if params is None:
-        params = np.zeros(dof(d, r, variant))  # padding adds no free cells
-    return HouseholderLayout(d, r, variant, params,
-                             d if d_pad is None else d_pad,
-                             r if r_pad is None else r_pad)
+        params = np.zeros(dof(d, r, variant))
+    return HouseholderLayout(d, r, variant, params)
 
 
 def fixed_frame(d: int, r: int, variant: str) -> np.ndarray | None:
-    """The shared, read-only frame of an unpadded structure without free
-    cells (square reduced, or 1 x 1), the signed identity ``-I``; None for
-    a structure with free cells."""
-    return _structure(d, r, variant, d, r)[2]
+    """The shared, read-only frame of a structure without free cells
+    (square reduced, or 1 x 1), the signed identity ``-I``; None for a
+    structure with free cells."""
+    return _structure(d, r, variant)[2]
 
 
 @lru_cache(maxsize=1024)
-def _structure(d: int, r: int, variant: str, d_pad: int, r_pad: int):
+def _structure(d: int, r: int, variant: str):
     """``(rows, cols, frame, base, flat)`` of a structure, cached, read-only.
 
     ``rows``/``cols`` are the free cells.  ``base`` is the column-major
-    (``r_pad x d_pad``) canvas with every free cell zero, and ``flat`` the
-    free cells as flat indices into it.  A structure without free cells
-    (square reduced, or 1 x 1) decodes to a fixed ``frame``, decoded here
-    once; otherwise ``frame`` is None.
+    (``r x d``) canvas with every free cell zero, and ``flat`` the free
+    cells as flat indices into it.  A structure without free cells (square
+    reduced, or 1 x 1) decodes to a fixed ``frame``, decoded here once;
+    otherwise ``frame`` is None.
     """
-    cols, rows = np.nonzero(layout_mask(d, r, variant, d_pad, r_pad).T)
-    base = np.eye(r_pad, d_pad)
+    cols, rows = np.nonzero(layout_mask(d, r, variant).T)
+    base = np.eye(r, d)
     frame = None
     if rows.size == 0:
-        frame = _reflect_sweep(base[None])[0, :d, :r]
-    record = (rows, cols, frame, base, cols * d_pad + rows)
+        frame = _reflect_sweep(base[None])[0]
+    record = (rows, cols, frame, base, cols * d + rows)
     for a in record:
         if a is not None:
             a.flags.writeable = False
@@ -312,25 +280,35 @@ def decode(layout: HouseholderLayout) -> np.ndarray:
 
 
 def decode_batch(layouts) -> list[np.ndarray]:
-    """Decode several layouts sharing padded dims in one batched decode.
+    """Decode several layouts, of any sizes, in one batched sweep.
 
-    Bitwise identical to ``[decode(la) for la in layouts]``.
+    The batch pads itself to its largest ``(d, r)``, ``(d_pad, r_pad)``:
+    each layout is embedded in a ``d_pad x r_pad`` canvas whose extra cells
+    are structural zeros, with a structural 1 on the diagonal of columns
+    ``j >= r``, and its frame is the leading ``d x r`` block of that
+    canvas's.  The larger canvas reorders the sums, so a padded member
+    agrees with :func:`decode` to rounding, not bitwise; a batch of one
+    size is bitwise ``[decode(la) for la in layouts]``.  The frames are
+    fresh writable arrays.
     """
     layouts = list(layouts)
     if not layouts:
         return []
-    shapes = {la.padded_shape for la in layouts}
-    if len(shapes) != 1:
-        raise DomainError(f"batch mixes padded dims: {sorted(shapes)}")
-    q = _reflect_sweep(np.stack([la.dense().T for la in layouts]))
-    return [q[i, : la.d, : la.r] for i, la in enumerate(layouts)]
+    d_pad = max(la.d for la in layouts)
+    r_pad = max(la.r for la in layouts)  # <= d_pad, as every r <= d
+    canvases = np.tile(np.eye(r_pad, d_pad), (len(layouts), 1, 1))
+    for canvas, la in zip(canvases, layouts):
+        rows, cols = la.free_cells()
+        canvas[cols, rows] = la.params
+    q = _reflect_sweep(canvases)
+    return [q[k, : la.d, : la.r] for k, la in enumerate(layouts)]
 
 
 class DecodePlan:
     """The saving decode of fixed layout structures from one flat vector.
 
     Layout ``i`` reads its free cells from ``theta[offsets[i]:]``.  Layouts
-    of one exact canvas shape share one sweep; their group holds the stacked
+    of one ``(d, r)`` share one sweep; their group holds the stacked
     column-major base canvases, the flat index of the free cells in that
     stack and the positions in ``theta`` they read, through which the
     gradient gathers back.  Layouts without free cells take their cached
@@ -341,16 +319,14 @@ class DecodePlan:
         self.spans = [(pos, pos + la.params.size)
                       for la, pos in zip(layouts, offsets)]
         self.size = max((end for _, end in self.spans), default=0)
-        recs = [_structure(la.d, la.r, la.variant, la.d_pad, la.r_pad)
-                for la in layouts]
+        recs = [_structure(la.d, la.r, la.variant) for la in layouts]
         self.fixed = [rec[2] for rec in recs]
         by_shape: dict[tuple[int, int], list[int]] = {}
         for i, la in enumerate(layouts):
             if self.fixed[i] is None:
-                by_shape.setdefault(la.padded_shape, []).append(i)
+                by_shape.setdefault((la.d, la.r), []).append(i)
         self.groups = [(
-            members, [(i, layouts[i].d, layouts[i].r) for i in members],
-            np.stack([recs[i][3] for i in members]),
+            members, np.stack([recs[i][3] for i in members]),
             np.concatenate([recs[i][4] + k * recs[i][3].size
                             for k, i in enumerate(members)]),
             np.concatenate([np.arange(*self.spans[i]) for i in members]),
@@ -359,24 +335,24 @@ class DecodePlan:
     def decode(self, theta: np.ndarray):
         """Every frame, and per group ``(members, saves)`` for :meth:`vjp`."""
         frames, sweeps = list(self.fixed), []
-        for members, crops, base, cells, src in self.groups:
+        for members, base, cells, src in self.groups:
             canvases = base.copy()
             canvases.reshape(-1)[cells] = theta[src]
             q, saves = _reflect_sweep(canvases, save=True)
-            for k, (i, d, r) in enumerate(crops):
-                frames[i] = q[k, :d, :r]
+            for k, i in enumerate(members):
+                frames[i] = q[k]
             sweeps.append((members, saves))
         return frames, sweeps
 
     def vjp(self, sweeps, g_frames, grad: np.ndarray) -> None:
         """Write into ``grad``, where :meth:`decode` read ``theta``, the
         gradient of a cotangent on each frame."""
-        for (_, crops, base, cells, src), (_, saves) in zip(self.groups,
-                                                            sweeps):
-            n, r_pad, d_pad = base.shape
-            g = np.zeros((n, d_pad, r_pad))
-            for k, (i, d, r) in enumerate(crops):
-                g[k, :d, :r] = g_frames[i]
+        for (members, base, cells, src), (_, saves) in zip(self.groups,
+                                                           sweeps):
+            n, r, d = base.shape
+            g = np.empty((n, d, r))
+            for k, i in enumerate(members):
+                g[k] = g_frames[i]
             grad[src] = _reflect_sweep_vjp(saves, g).reshape(-1)[cells]
 
 
@@ -416,14 +392,14 @@ def encode_as(q: np.ndarray, variant: str
     q = np.asarray(q, dtype=np.float64)
     check_frame(q)  # finite and orthonormal, so geqrf cannot fail
     d, r = q.shape
-    rows, cols = _structure(d, r, variant, d, r)[:2]
+    rows, cols = _structure(d, r, variant)[:2]
     a, tau = geqrf(q)
     # the frame check forces every |R_ii| to within about 1e-8 of 1
     signs = np.sign(np.diagonal(a))
     # LAPACK skips a reflector whose subcolumn is already zero (tau = 0),
     # but a layout's structural 1 always reflects, negating that column.
     signs[tau == 0] *= -1.0
-    return HouseholderLayout(d, r, variant, a[rows, cols], d, r), signs
+    return HouseholderLayout(d, r, variant, a[rows, cols]), signs
 
 
 def init_frame(scheme: str, d: int, r: int, seed: int) -> np.ndarray:
@@ -444,10 +420,3 @@ def init_frame(scheme: str, d: int, r: int, seed: int) -> np.ndarray:
     if scheme == "random_orthogonal":
         return orthonormalize(rng.standard_normal((d, r)))
     return orthonormalize(eye + INIT_ALPHA * rng.standard_normal((d, r)))
-
-
-def pad_layout(layout: HouseholderLayout, d_pad: int, r_pad: int
-               ) -> HouseholderLayout:
-    """Re-home a layout on a larger canvas; the frame agrees to rounding."""
-    return make_layout(layout.d, layout.r, layout.variant, layout.params,
-                       d_pad, r_pad)

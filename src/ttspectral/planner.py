@@ -563,7 +563,7 @@ def apply_map(params, x: np.ndarray) -> np.ndarray:
     without planning.
     """
     x = np.asarray(x)
-    if x.dtype.kind == "c":
+    if x.dtype.kind not in "biuf":
         raise DomainError("apply_map input must be real")
     x = x.astype(np.float64, copy=False)
     if x.ndim != 2:

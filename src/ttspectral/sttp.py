@@ -261,8 +261,8 @@ def chain_heads(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
     have no free cells, and ``block`` is their frames composed by
     :func:`compose_chain` (read-only; None when ``n`` is 0).  Those frames
     are the fixed ``-I`` of each structure, so the block is the composed
-    frame of any layouts of these cores, padded ones too.  Cached per
-    structure, behind the integer checks."""
+    frame of any layouts of these cores.  Cached per structure, behind the
+    integer checks."""
     return _chain_heads(*_checked_structure(out_factors, in_factors, r),
                         spectrum_mode)
 

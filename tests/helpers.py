@@ -241,10 +241,10 @@ def householder_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return reflectors, np.triu(a[:r, :])
 
 
-def layout_from_dense(mat, d, r, variant=hh.FULL, d_pad=None, r_pad=None):
-    """The layout holding the free cells of a raw ``d_pad x r_pad`` canvas;
-    structural cells are ignored."""
-    layout = hh.make_layout(d, r, variant, None, d_pad, r_pad)
+def layout_from_dense(mat, d, r, variant=hh.FULL):
+    """The layout holding the free cells of a raw canvas of at least
+    ``d x r``; structural cells are ignored."""
+    layout = hh.make_layout(d, r, variant)
     return layout.with_params(np.asarray(mat, dtype=np.float64)[
         layout.free_cells()])
 
@@ -327,11 +327,22 @@ def reflectors_to_frame(reflectors: np.ndarray, r: int | None = None) -> np.ndar
     return q
 
 
-def decode_fwd(layout):
-    """Sequential reflector sweep of one layout, one reflector at a time,
-    saving per-reflector intermediates: the reference for the library's
+def padded_canvas(layout, d_pad, r_pad):
+    """The row-major canvas of ``layout`` padded by hand to ``d_pad x
+    r_pad``: ``eye(d_pad, r_pad)`` plus its free cells, the canvas
+    ``decode_batch`` sweeps for a member of a batch whose largest dims are
+    ``(d_pad, r_pad)``."""
+    canvas = np.eye(d_pad, r_pad)
+    canvas[layout.free_cells()] = layout.params
+    return canvas
+
+
+def decode_fwd(layout, pad=None):
+    """Sequential reflector sweep of one layout, on its canvas padded to
+    ``pad = (d_pad, r_pad)`` when given, one reflector at a time, saving
+    per-reflector intermediates: the reference for the library's
     closed-form decode."""
-    mat = layout.dense()
+    mat = padded_canvas(layout, *(pad or (layout.d, layout.r)))
     dp, rp = mat.shape
     q = np.eye(dp, rp)
     saves = []
@@ -346,7 +357,7 @@ def decode_fwd(layout):
 
 def decode_vjp(layout, saves, g_frame):
     """Gradient of one decoded frame w.r.t. the layout's free parameters."""
-    dp, rp = layout.padded_shape
+    dp, rp = saves[0][1].size, len(saves)  # one save per canvas column
     g = np.zeros((dp, rp))
     g[: layout.d, : layout.r] = g_frame
     g_canvas = np.zeros((dp, rp))
@@ -360,7 +371,7 @@ def decode_vjp(layout, saves, g_frame):
 
 
 def rowmajor_reflect_sweep(canvases, save=False):
-    """The closed-form sweep on row-major (batch, d_pad, r_pad) canvases,
+    """The closed-form sweep on row-major (batch, d, r) canvases,
     transposing them itself and inverting T through ``np.linalg.inv``: the
     reference for the library's column-major kernel, which must equal it
     bitwise."""
@@ -388,9 +399,9 @@ def rowmajor_reflect_sweep_vjp(saved, g):
     return (g_cols / norms).transpose(0, 2, 1)
 
 
-def make_random_layout(d, r, variant, rng, d_pad=None, r_pad=None):
+def make_random_layout(d, r, variant, rng):
     """A layout with a standard normal in every free cell."""
-    layout = hh.make_layout(d, r, variant, None, d_pad, r_pad)
+    layout = hh.make_layout(d, r, variant)
     return layout.with_params(rng.standard_normal(layout.params.size))
 
 

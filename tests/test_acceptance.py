@@ -44,9 +44,11 @@ def test_criterion_01_orthonormality_suite():
         for d, r in SHAPE_FAMILIES:
             for variant in (hh.FULL, hh.REDUCED):
                 plain = make_random_layout(d, r, variant, rng)
-                padded = hh.pad_layout(plain, d + 5, r + 3)
-                for layout in (plain, padded):
-                    q = hh.decode(layout)
+                # the plain frame, and the frame decode_batch gives it
+                # padded to (d + 5, r + 3) by a member of those dims
+                padded, _ = hh.decode_batch(
+                    [plain, hh.make_layout(d + 5, r + 3)])
+                for q in (hh.decode(plain), padded):
                     gram = np.linalg.norm(q.T @ q - np.eye(r))
                     assert gram <= 1e-10, (d, r, variant, seed, gram)
                     if variant == hh.REDUCED:
@@ -324,7 +326,7 @@ def test_criterion_10_round_trips(tmp_path):
         assert a.read_bytes() == b.read_bytes()
     # batch decode bitwise equals sequential decode
     rng = np.random.default_rng(9100)
-    layouts = [make_random_layout(7, 3, v, rng, 9, 4)
+    layouts = [make_random_layout(7, 3, v, rng)
                for v in (hh.FULL, hh.REDUCED, hh.FULL)]
     for q, layout in zip(hh.decode_batch(layouts), layouts):
         assert np.array_equal(q, hh.decode(layout))

@@ -201,7 +201,7 @@ class TestBatchedTape:
         _, sweeps = tape.decode_saves
         swept = sorted(i for members, _ in sweeps for i in members)
         assert swept == [i for i, n in enumerate(free) if n]
-        shapes = {layouts[i].padded_shape for i in swept}
+        shapes = {(layouts[i].d, layouts[i].r) for i in swept}
         assert len(sweeps) == len(shapes)
         grads = plan_vjp(*tape.decode_saves,
                          [np.ones_like(q) for q in tape.frames])
@@ -222,10 +222,10 @@ class TestStepProgram:
         theta = np.concatenate([ad.pack(p) for p in ps])
         tapes = program.forward(theta)
         _, sweeps = tapes[0].decode_saves
-        shapes = {la.padded_shape for p in ps for la in p.chain.layouts
+        shapes = {(la.d, la.r) for p in ps for la in p.chain.layouts
                   if la.params.size}
         assert len(sweeps) == len(shapes) < sum(
-            len({la.padded_shape for la in p.chain.layouts if la.params.size})
+            len({(la.d, la.r) for la in p.chain.layouts if la.params.size})
             for p in ps)
         rng = np.random.default_rng(42)
         g_ws = [rng.standard_normal(t.output.shape) for t in tapes]

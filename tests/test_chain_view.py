@@ -162,15 +162,6 @@ class TestIdentityEquality:
         assert len({p, twin}) == 2
 
 
-def _padded_fixed_cores(p):
-    """``p`` with every layout without free cells on a larger canvas."""
-    def pad(layouts):
-        return tuple(hh.pad_layout(la, la.d + 3, la.r + 1)
-                     if not la.params.size else la for la in layouts)
-    return SttpParams(p.d_out, p.d_in, p.r, pad(p.u_layouts),
-                      pad(p.v_layouts), p.spectrum)
-
-
 # (params, fixed head cores per side); svdp views carry no head
 HEAD_CASES = {
     "svdp 1x5 r1": (lambda: init_svdp_params(1, 5, 1, LEARNED, 0), (0, 0)),
@@ -188,8 +179,8 @@ HEAD_CASES = {
         lambda: random_sttp_params(1024, 1024, 16, LEARNED, 5), (4, 4)),
     "sttp 4x4 r4 identity": (
         lambda: random_sttp_params(4, 4, 4, IDENTITY, 6), (2, 1)),
-    "sttp 16x72 r4 padded heads": (lambda: _padded_fixed_cores(
-        random_sttp_params(16, 72, 4, LEARNED, 7)), (2, 2)),
+    "sttp 72x16 r4": (lambda: random_sttp_params(72, 16, 4, LEARNED, 7),
+                      (2, 2)),
 }
 
 

@@ -12,7 +12,7 @@ from ttspectral import fileio, planner
 from ttspectral.autodiff import pack
 from ttspectral.cli import main
 from ttspectral.errors import FileFormatError
-from ttspectral.planner import decompress
+from ttspectral.planner import apply_map, decompress
 from ttspectral.schemes import SCHEMES
 from ttspectral.sampling import random_sttp_params, random_svdp_params
 from ttspectral.spectrum_modes import (
@@ -178,7 +178,9 @@ class TestParamsFile:
         a, b = tmp_path / "a.params", tmp_path / "b.params"
         fileio.write_params(a, params)
         back = fileio.read_params(a)
-        assert np.allclose(decompress(back), decompress(params), atol=0)
+        assert decompress(back).tobytes() == decompress(params).tobytes()
+        x = np.random.default_rng(0).standard_normal((params.d_in, 3))
+        assert apply_map(back, x).tobytes() == apply_map(params, x).tobytes()
         assert back.spectrum.lam == params.spectrum.lam
         fileio.write_params(b, back)
         assert a.read_bytes() == b.read_bytes()

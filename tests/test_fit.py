@@ -126,6 +126,22 @@ class TestFitMatrix:
         res = ft.fit_matrix(t, cfg)
         assert res.best_loss == min(res.trace)
 
+    @pytest.mark.parametrize("max_steps,tol", [(4, 1e-300), (5000, 1e-14)],
+                             ids=["last-step", "tol-stop"])
+    def test_reverse_pass_only_for_a_step_taken(self, monkeypatch, max_steps,
+                                                tol):
+        # the step that ends a fit, at max_steps or by the tol test,
+        # updates nothing, so its gradient is never formed
+        calls = []
+        real = ft.StepProgram.backward
+        monkeypatch.setattr(ft.StepProgram, "backward",
+                            lambda *args: calls.append(1) or real(*args))
+        cfg = ft.FitConfig("svdp", 2, LEARNED, seed=0, max_steps=max_steps,
+                           tol=tol)
+        res = ft.fit_matrix(unit_top_target((8, 6), 2), cfg)
+        assert 1 < len(res.trace) <= max_steps
+        assert len(calls) == len(res.trace) - 1
+
     def test_divergence_guard(self):
         # assembled matrices are norm-bounded, so only a huge target can
         # push the loss past the cap; the guard must still fire
@@ -295,14 +311,15 @@ class TestDemoTrain:
             ft._vjp_full(tape, np.zeros_like(w), extra)
         assert np.max(np.abs(both - split)) <= 1e-13
 
-        # one reverse pass of the step program per step covers both layers
+        # one reverse pass of the step program per update covers both
+        # layers; the last step updates nothing, so it runs none
         calls = []
         real = ft.StepProgram.backward
         monkeypatch.setattr(ft.StepProgram, "backward",
                             lambda *args: calls.append(1) or real(*args))
         cfg = ft.FitConfig(scheme, 2, LEARNED_REGULARIZED, 0.05)
         ft.demo_train(cfg, 0, steps=3)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("kwargs", [
         {"steps": 0}, {"steps": -3}, {"n_samples": 0}, {"d_in": 0},

@@ -1,6 +1,7 @@
 """Frame parameterizations: layouts, decode/encode, batching, initialization."""
 
 import copy
+import dataclasses
 import pickle
 import warnings
 
@@ -23,6 +24,7 @@ from helpers import (
     library_decode_vjp,
     make_random_layout,
     memory_layouts,
+    padded_canvas,
     plan_vjp,
     reference_encode_as,
     rowmajor_reflect_sweep,
@@ -54,10 +56,6 @@ class TestLayoutCounts:
     def test_square_frames(self, r):
         assert hh.dof(r, r, hh.FULL) == r * (r - 1) // 2
         assert hh.dof(r, r, hh.REDUCED) == 0
-
-    def test_padding_adds_no_cells(self):
-        assert int(hh.layout_mask(5, 2, hh.FULL, 7, 4).sum()) == \
-            hh.dof(5, 2, hh.FULL)
 
     def test_r_exceeds_d(self):
         with pytest.raises(DomainError):
@@ -104,6 +102,16 @@ class TestDecode:
             below = q[:4, :4][np.tril_indices(4, -1)]
             assert np.max(np.abs(below)) <= 1e-12
 
+    def test_structural_cells_ignore_garbage(self):
+        # adversarial canvas: nonzero values in every structural cell are
+        # discarded at construction, so they cannot leak into the frame
+        canvas = np.random.default_rng(3).standard_normal((5, 2)) * 10
+        layout = layout_from_dense(canvas, 5, 2, hh.FULL)
+        structural = ~hh.layout_mask(5, 2, hh.FULL)
+        assert np.array_equal(layout.dense()[structural],
+                              np.eye(5, 2)[structural])
+        assert gram_residual(hh.decode(layout)) <= 1e-10
+
     def test_frame_norm_constant(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -137,9 +145,9 @@ class TestDecode:
 class TestDecodePlan:
     def test_dense_copies_the_cached_base(self):
         rng = np.random.default_rng(30)
-        layout = make_random_layout(7, 3, hh.FULL, rng, 9, 4)
+        layout = make_random_layout(7, 3, hh.FULL, rng)
         canvas = layout.dense()
-        expected = np.eye(9, 4)
+        expected = np.eye(7, 3)
         expected[layout.free_cells()] = layout.params
         assert np.array_equal(canvas, expected)
         canvas[:] = 5.0  # a fresh writable array; the cache is untouched
@@ -205,15 +213,12 @@ class TestImmutableLayout:
             layout.params[0] = 1.0
 
     @pytest.mark.parametrize("variant", [hh.FULL, hh.REDUCED])
-    @pytest.mark.parametrize("pad", [None, (9, 5)])
-    def test_decode_memoizes_the_read_only_frame(self, variant, pad):
-        d_pad, r_pad = pad or (None, None)
-        layout = make_random_layout(7, 3, variant, np.random.default_rng(42),
-                                    d_pad, r_pad)
+    def test_decode_memoizes_the_read_only_frame(self, variant):
+        layout = make_random_layout(7, 3, variant, np.random.default_rng(42))
         q = hh.decode(layout)
         assert hh.decode(layout) is q
         assert not q.flags.writeable
-        fresh = hh._reflect_sweep(layout.dense().T[None])[0, :7, :3]
+        fresh = hh._reflect_sweep(layout.dense().T[None])[0]
         assert q.shape == fresh.shape == (7, 3)
         assert q.tobytes() == fresh.tobytes()
         with pytest.raises(ValueError):
@@ -223,15 +228,15 @@ class TestImmutableLayout:
         lambda la: pickle.loads(pickle.dumps(la)), copy.deepcopy, copy.copy],
         ids=["pickle", "deepcopy", "copy"])
     def test_pickle_and_copy_rebuild_through_the_constructor(self, clone):
-        layout = make_random_layout(8, 3, hh.FULL, np.random.default_rng(43),
-                                    10, 4)
+        layout = make_random_layout(8, 3, hh.FULL, np.random.default_rng(43))
         q = hh.decode(layout)
         twin = clone(layout)
         assert "_frame" not in vars(twin)
         assert not twin.params.flags.writeable
         assert twin.params.tobytes() == layout.params.tobytes()
-        assert (twin.d, twin.r, twin.variant, twin.padded_shape) == (
-            8, 3, hh.FULL, (10, 4))
+        assert [f.name for f in dataclasses.fields(twin)] == [
+            "d", "r", "variant", "params"]
+        assert (twin.d, twin.r, twin.variant) == (8, 3, hh.FULL)
         got = hh.decode(twin)
         assert not got.flags.writeable
         assert got.tobytes() == q.tobytes()
@@ -255,18 +260,15 @@ class TestImmutableLayout:
         with pytest.raises(DomainError, match="not orthonormal"):
             hh.decode(layout)
 
-    @pytest.mark.parametrize("d,r,variant,pad", [
-        (4, 4, hh.REDUCED, None), (1, 1, hh.FULL, None),
-        (3, 3, hh.REDUCED, (5, 4))])
+    @pytest.mark.parametrize("d,r,variant", [
+        (4, 4, hh.REDUCED), (1, 1, hh.FULL), (1, 1, hh.REDUCED)])
     def test_decode_without_free_cells_shares_the_fixed_frame(
-            self, d, r, variant, pad):
-        d_pad, r_pad = pad or (d, r)
-        layout = hh.make_layout(d, r, variant, None, d_pad, r_pad)
-        fixed = hh._structure(d, r, variant, d_pad, r_pad)[2]
+            self, d, r, variant):
+        layout = hh.make_layout(d, r, variant)
+        fixed = hh._structure(d, r, variant)[2]
         assert hh.decode(layout) is fixed
-        assert hh.decode(hh.make_layout(d, r, variant, None, d_pad,
-                                        r_pad)) is fixed
-        fresh = hh._reflect_sweep(layout.dense().T[None])[0, :d, :r]
+        assert hh.decode(hh.make_layout(d, r, variant)) is fixed
+        fresh = hh._reflect_sweep(layout.dense().T[None])[0]
         assert fixed.tobytes() == fresh.tobytes()
 
     def test_decode_batch_frames_stay_fresh_and_writable(self):
@@ -286,10 +288,24 @@ class TestClosedFormDecode:
     """The UT-transform decode against the sequential reflector sweep."""
 
     @staticmethod
-    def check_against_sweep(layout, g_frame):
-        q, saves = library_decode_fwd(layout)
-        grad = library_decode_vjp(layout, saves, g_frame)
-        q_ref, saves_ref = decode_fwd(layout)
+    def library_padded(layout, pad, g_frame):
+        """Frame and free-cell gradient of the library's sweep kernels on
+        the layout's canvas padded by hand to ``pad``."""
+        d, r = layout.d, layout.r
+        cols = np.ascontiguousarray(padded_canvas(layout, *pad).T)[None]
+        q, saved = hh._reflect_sweep(cols, save=True)
+        g = np.zeros(q.shape)
+        g[0, :d, :r] = g_frame
+        grad = hh._reflect_sweep_vjp(saved, g)[0].T
+        return q[0, :d, :r], grad[layout.free_cells()]
+
+    def check_against_sweep(self, layout, g_frame, pad=None):
+        if pad is None:
+            q, saves = library_decode_fwd(layout)
+            grad = library_decode_vjp(layout, saves, g_frame)
+        else:
+            q, grad = self.library_padded(layout, pad, g_frame)
+        q_ref, saves_ref = decode_fwd(layout, pad)
         grad_ref = decode_vjp(layout, saves_ref, g_frame)
         assert gram_residual(q) <= 1e-12
         assert np.max(np.abs(q - q_ref)) <= 1e-13
@@ -308,11 +324,18 @@ class TestClosedFormDecode:
         d_pad = d + d_extra
         r_pad = min(r + r_extra, d_pad)
         rng = np.random.default_rng(seed)
-        layout = hh.make_layout(d, r, variant, None, d_pad, r_pad)
+        layout = hh.make_layout(d, r, variant)
         layout = layout.with_params(
             10.0 ** log_scale * rng.standard_normal(layout.params.size))
-        q = self.check_against_sweep(layout, rng.standard_normal((d, r)))
-        assert np.array_equal(q, hh.decode(layout))
+        if (d_pad, r_pad) == (d, r):
+            q = self.check_against_sweep(layout, rng.standard_normal((d, r)))
+            assert np.array_equal(q, hh.decode(layout))
+        else:
+            # decode_batch pads the layout so next to a d_pad x r_pad member
+            q = self.check_against_sweep(layout, rng.standard_normal((d, r)),
+                                         (d_pad, r_pad))
+            batch = [layout, hh.make_layout(d_pad, r_pad)]
+            assert np.array_equal(q, hh.decode_batch(batch)[0])
 
     @pytest.mark.parametrize("c", [1e2, 1e3, 1e4, 1e5, 1e6])
     def test_nearly_parallel_reflectors(self, c):
@@ -341,8 +364,8 @@ class TestColumnMajorSweep:
                                                    batch, nan):
         rng = np.random.default_rng(d * 100 + r * 10 + batch)
         d_pad, r_pad = pad or (d, r)
-        rows = np.stack([make_random_layout(d, r, variant, rng, d_pad,
-                                            r_pad).dense()
+        rows = np.stack([padded_canvas(make_random_layout(d, r, variant, rng),
+                                       d_pad, r_pad)
                          for _ in range(batch)])
         if nan:
             rows[-1, d - 1, 0] = np.nan
@@ -376,54 +399,62 @@ class TestColumnMajorSweep:
         assert got.tobytes() == np.linalg.inv(t).tobytes()
 
 
-class TestPaddedDecode:
-    def test_padded_equals_unpadded(self):
-        # same math on a larger canvas: equal up to summation-order rounding
-        rng = np.random.default_rng(2)
-        for variant in (hh.FULL, hh.REDUCED):
-            plain = make_random_layout(5, 2, variant, rng)
-            padded = hh.pad_layout(plain, 8, 4)
-            assert np.allclose(hh.decode(padded), hh.decode(plain),
-                               atol=1e-13, rtol=0)
+# mixed batches, each as (d, r, variant) per member
+MIXED_BATCHES = {
+    "5x2 3x3": [(5, 2, hh.FULL), (3, 3, hh.FULL)],
+    "5x2 8x4": [(5, 2, hh.FULL), (8, 4, hh.REDUCED)],
+    "7x3 9x4 7x3": [(7, 3, hh.FULL), (9, 4, hh.REDUCED), (7, 3, hh.REDUCED)],
+    "3x3 fixed 6x1": [(3, 3, hh.REDUCED), (6, 1, hh.FULL)],
+    "1x1 12x4 9x6 4x2": [(1, 1, hh.FULL), (12, 4, hh.FULL),
+                         (9, 6, hh.REDUCED), (4, 2, hh.FULL)],
+    "72x3 12x3": [(72, 3, hh.FULL), (12, 3, hh.REDUCED)],
+}
+
+
+def mixed_batch(case, seed):
+    return [make_random_layout(d, r, variant, np.random.default_rng(seed + k))
+            for k, (d, r, variant) in enumerate(MIXED_BATCHES[case])]
+
+
+class TestDecodeBatch:
+    @pytest.mark.parametrize("case", sorted(MIXED_BATCHES))
+    def test_mixed_batch_equals_the_row_major_oracle(self, case):
+        # the oracle sweeps canvases padded by hand to the batch's largest
+        # (d, r): eye(d_pad, r_pad) plus each member's free cells
+        layouts = mixed_batch(case, 10)
+        d_pad = max(la.d for la in layouts)
+        r_pad = max(la.r for la in layouts)
+        want = rowmajor_reflect_sweep(np.stack(
+            [padded_canvas(la, d_pad, r_pad) for la in layouts]))
+        got = hh.decode_batch(layouts)
+        for k, (q, la) in enumerate(zip(got, layouts)):
+            assert q.shape == (la.d, la.r)
+            assert q.tobytes() == want[k, : la.d, : la.r].tobytes()
+
+    @pytest.mark.parametrize("case", sorted(MIXED_BATCHES))
+    def test_mixed_batch_frames_are_orthonormal_and_close_to_decode(self,
+                                                                    case):
+        # padding reorders the reflector-norm sums, so a padded member
+        # agrees with its own decode to rounding, not bitwise
+        layouts = mixed_batch(case, 20)
+        for q, la in zip(hh.decode_batch(layouts), layouts):
+            assert gram_residual(q) <= 1e-10
+            assert np.max(np.abs(q - hh.decode(la))) <= 1e-13
+            if la.variant == hh.REDUCED:
+                below = q[: la.r, : la.r][np.tril_indices(la.r, -1)]
+                assert np.max(np.abs(below), initial=0.0) <= 1e-12
 
     @pytest.mark.parametrize("d", [3, 5, 7, 9, 12])
     def test_padded_to_72_rows_agrees_to_rounding(self, d):
-        # padding reorders the reflector-norm sums, so the two decodes need
-        # not be bitwise equal; they agree to within rounding
         rng = np.random.default_rng(d)
         for variant in (hh.FULL, hh.REDUCED):
             plain = make_random_layout(d, 3, variant, rng)
-            padded = hh.pad_layout(plain, 72, 3)
-            err = np.max(np.abs(hh.decode(padded) - hh.decode(plain)))
-            assert err <= 1e-15
-
-    def test_structural_cells_ignore_garbage(self):
-        # adversarial canvas: nonzero values in every structural cell are
-        # discarded at construction, so padding cannot leak into the frame
-        rng = np.random.default_rng(3)
-        canvas = rng.standard_normal((8, 4)) * 10
-        layout = layout_from_dense(canvas, 5, 2, hh.FULL, 8, 4)
-        reference = hh.make_layout(5, 2, hh.FULL, layout.params)
-        assert np.allclose(hh.decode(layout), hh.decode(reference),
-                           atol=1e-13, rtol=0)
-        assert gram_residual(hh.decode(layout)) <= 1e-10
-
-    def test_batch_mixed_sizes(self):
-        rng = np.random.default_rng(4)
-        a = make_random_layout(5, 2, hh.FULL, rng, 5, 3)
-        b = make_random_layout(3, 3, hh.FULL, rng, 5, 3)
-        qa, qb = hh.decode_batch([a, b])
-        assert qa.shape == (5, 2) and qb.shape == (3, 3)
-        assert gram_residual(qa) <= 1e-10
-        assert gram_residual(qb) <= 1e-10
-        assert np.array_equal(
-            qa, hh.decode(make_random_layout(5, 2, hh.FULL,
-                                             np.random.default_rng(4), 5, 3))
-        )
+            q, _ = hh.decode_batch([plain, hh.make_layout(72, 3)])
+            assert np.max(np.abs(q - hh.decode(plain))) <= 1e-15
 
     def test_batch_bitwise_equals_sequential(self):
         rng = np.random.default_rng(6)
-        layouts = [make_random_layout(6, 3, v, rng, 6, 3)
+        layouts = [make_random_layout(6, 3, v, rng)
                    for v in (hh.FULL, hh.REDUCED, hh.FULL, hh.REDUCED)]
         batch = hh.decode_batch(layouts)
         for la, q in zip(layouts, batch):
@@ -435,19 +466,15 @@ class TestPaddedDecode:
         (q,) = hh.decode_batch([layout])
         assert np.array_equal(q, hh.decode(layout))
 
+    def test_empty_batch(self):
+        assert hh.decode_batch([]) == []
+
     def test_frames_without_free_cells_are_writable(self):
         layouts = [hh.make_layout(3, 3, hh.REDUCED) for _ in range(2)]
         qa, qb = hh.decode_batch(layouts)
         qa *= np.array([1.0, -1.0, 1.0])
         assert np.array_equal(qb, hh.decode(layouts[1]))
         assert np.array_equal(hh.decode_batch(layouts)[0], qb)
-
-    def test_mixed_padded_dims_rejected(self):
-        rng = np.random.default_rng(8)
-        a = make_random_layout(4, 2, hh.FULL, rng, 6, 3)
-        b = make_random_layout(4, 2, hh.FULL, rng, 5, 3)
-        with pytest.raises(DomainError):
-            hh.decode_batch([a, b])
 
 
 class TestEncode:
@@ -640,9 +667,9 @@ class TestFixedFrame:
         assert not frame.flags.writeable
         layout = hh.make_layout(d, d, variant)
         assert hh.decode(layout) is frame
-        # a padded canvas sweeps to the same bits
-        padded = hh.make_layout(d, d, variant, d_pad=d + 3, r_pad=d + 1)
-        assert hh.decode(padded).tobytes() == frame.tobytes()
+        # padded in a batch, it sweeps to the same bits
+        padded, _ = hh.decode_batch([layout, hh.make_layout(d + 3, d + 1)])
+        assert padded.tobytes() == frame.tobytes()
 
     @pytest.mark.parametrize("d,r,variant", [
         (2, 2, hh.FULL), (3, 2, hh.REDUCED), (5, 1, hh.FULL)])
@@ -657,9 +684,9 @@ class TestValidation:
 
     def test_constructor_checks_the_param_count(self):
         with pytest.raises(ShapeError, match="expected 5 free parameters"):
-            hh.HouseholderLayout(4, 2, hh.FULL, np.zeros(4), 4, 2)
+            hh.HouseholderLayout(4, 2, hh.FULL, np.zeros(4))
         with pytest.raises(ShapeError, match="expected 0 free parameters"):
-            hh.HouseholderLayout(3, 3, hh.REDUCED, np.zeros(3), 3, 3)
+            hh.HouseholderLayout(3, 3, hh.REDUCED, np.zeros(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_params_rejected(self, bad):
@@ -669,24 +696,18 @@ class TestValidation:
         canvas[5, 2] = bad
         layout = hh.make_layout(6, 3, hh.FULL)
         for build in (lambda: hh.make_layout(6, 3, hh.FULL, theta),
-                      lambda: hh.make_layout(6, 3, hh.FULL, theta, 8, 4),
                       lambda: layout.with_params(theta),
                       lambda: layout_from_dense(canvas, 6, 3)):
             with pytest.raises(DomainError, match="finite"):
                 build()
 
-    @pytest.mark.parametrize("field", ["d", "r", "d_pad", "r_pad"])
+    @pytest.mark.parametrize("field", ["d", "r"])
     @pytest.mark.parametrize("bad", [6.0, True])
     def test_non_integer_dims_rejected_ahead_of_the_cache(self, field, bad):
         # the int structure is cached, and a float key would hit it
         hh.make_layout(6, 3)
-        dims = {"d": 6, "r": 3, "d_pad": 6, "r_pad": 3, field: bad}
+        dims = {"d": 6, "r": 3, field: bad}
         with pytest.raises(DomainError, match=f"{field} must be an integer"):
             hh.HouseholderLayout(variant=hh.FULL, params=np.zeros(12), **dims)
         with pytest.raises(DomainError, match=f"{field} must be an integer"):
-            hh.make_layout(dims["d"], dims["r"], hh.FULL, None, dims["d_pad"],
-                           dims["r_pad"])
-
-    def test_padding_smaller_than_frame(self):
-        with pytest.raises(DomainError):
-            hh.make_layout(4, 2, hh.FULL, None, 3, 2)
+            hh.make_layout(dims["d"], dims["r"], hh.FULL)

@@ -507,14 +507,28 @@ class TestApplyMap:
         with pytest.raises(DomainError, match="finite"):
             pl.apply_map(p, x)
 
+    @pytest.mark.parametrize("x", [
+        pytest.param(np.ones((6, 3)) + 1j, id="complex"),
+        pytest.param(np.full((6, 3), "1.0"), id="str"),
+        pytest.param(np.full((6, 3), b"1.0"), id="bytes"),
+        pytest.param(np.zeros((6, 3), "datetime64[s]"), id="datetime64"),
+        pytest.param(np.zeros((6, 3), "timedelta64[s]"), id="timedelta64"),
+        pytest.param(np.ones((6, 3), object), id="object"),
+    ])
     @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
-    def test_complex_input_rejected(self, scheme):
+    def test_input_of_a_non_real_kind_rejected(self, scheme, x):
+        # apply_map and FrobeniusLoss take the same dtype kinds: bool,
+        # signed and unsigned integer, and float
+        from ttspectral.autodiff import FrobeniusLoss
+
         maker = random_svdp_params if scheme == "svdp" else random_sttp_params
         p = maker(4, 6, 2, LEARNED, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no ComplexWarning either
             with pytest.raises(DomainError, match="real"):
-                pl.apply_map(p, np.ones((6, 3)) + 1j)
+                pl.apply_map(p, x)
+            with pytest.raises(DomainError, match="real"):
+                FrobeniusLoss(x.T)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["layout", "spectrum"])
