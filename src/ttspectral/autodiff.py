@@ -147,9 +147,9 @@ class StepProgram:
     Built once from prototype parameters, of which only the structure is
     kept: theta is their :func:`pack` vectors end to end.  The program holds
     one :class:`~ttspectral.householder.DecodePlan` over all their layouts,
-    so same-shape canvases of different members share a sweep, and per
-    member its layout range, spectrum slice and signs, and per side its
-    chain: the fixed head's block (:func:`~.sttp.chain_heads`), if any,
+    so the small canvases of one rank, of any member, share a padded
+    sweep, and per member its layout range, spectrum slice and signs, and
+    per side its chain: the fixed head's block (:func:`~.sttp.chain_heads`), if any,
     then the frames after the head, with their shapes.
     """
 

@@ -20,8 +20,9 @@ scatter into and gather from directly, so no sweep transposes a canvas.
 the wrapper; encode's ``geqrf`` (:func:`~.dense.geqrf`) skips
 ``np.linalg.qr``'s wrapper the same way, with the same bits.
 A batch of one size is bitwise each member decoded alone, as are
-same-seed reruns; a member that :func:`decode_batch` pads, and applying
-one reflector at a time, agree to rounding only.
+same-seed reruns; a member that :func:`decode_batch` or :class:`DecodePlan`
+pads to a longer canvas, and applying one reflector at a time, agree to
+rounding only.
 
 Two layout variants exist:
 
@@ -282,10 +283,8 @@ def decode(layout: HouseholderLayout) -> np.ndarray:
 def decode_batch(layouts) -> list[np.ndarray]:
     """Decode several layouts, of any sizes, in one batched sweep.
 
-    The batch pads itself to its largest ``(d, r)``, ``(d_pad, r_pad)``:
-    each layout is embedded in a ``d_pad x r_pad`` canvas whose extra cells
-    are structural zeros, with a structural 1 on the diagonal of columns
-    ``j >= r``, and its frame is the leading ``d x r`` block of that
+    The batch pads itself to its largest ``(d, r)`` (:func:`_padded`), and
+    each layout's frame is the leading ``d x r`` block of its padded
     canvas's.  The larger canvas reorders the sums, so a padded member
     agrees with :func:`decode` to rounding, not bitwise; a batch of one
     size is bitwise ``[decode(la) for la in layouts]``.  The frames are
@@ -294,43 +293,74 @@ def decode_batch(layouts) -> list[np.ndarray]:
     layouts = list(layouts)
     if not layouts:
         return []
-    d_pad = max(la.d for la in layouts)
-    r_pad = max(la.r for la in layouts)  # <= d_pad, as every r <= d
-    canvases = np.tile(np.eye(r_pad, d_pad), (len(layouts), 1, 1))
-    for canvas, la in zip(canvases, layouts):
-        rows, cols = la.free_cells()
-        canvas[cols, rows] = la.params
+    canvases, cells = _padded(layouts)
+    canvases.reshape(-1)[cells] = np.concatenate(
+        [la.params for la in layouts])
     q = _reflect_sweep(canvases)
     return [q[k, : la.d, : la.r] for k, la in enumerate(layouts)]
+
+
+def _padded(layouts):
+    """``(base, cells)`` of layouts padded to their largest ``(d, r)``,
+    ``(d_pad, r_pad)``: the stacked column-major canvases (``r_pad x
+    d_pad`` each, ``eye(r_pad, d_pad)``, so the extra cells are structural
+    zeros and columns ``j >= r`` reflect by their structural 1), and the
+    flat index of every layout's free cells in that stack, in order."""
+    d_pad = max(la.d for la in layouts)
+    r_pad = max(la.r for la in layouts)  # <= d_pad, as every r <= d
+    base = np.tile(np.eye(r_pad, d_pad), (len(layouts), 1, 1))
+    cells = []
+    for k, la in enumerate(layouts):
+        rows, cols = la.free_cells()
+        cells.append((k * r_pad + cols) * d_pad + rows)
+    return base, np.concatenate(cells)
+
+
+# Largest d * r (canvas cells) of a canvas that DecodePlan pads into its
+# rank's shared sweep.  Timed on one Xeon core (one BLAS thread, numpy
+# 2.4.6, timeit minimum of 7), decode plus VJP of a 2r x r canvas beside a
+# d x r one, padded into one sweep, took 0.42-0.86 of the time of two exact
+# sweeps wherever d * r <= 1024, at every r from 1 to 16.  At 2048 cells it
+# took 0.84-1.02, and at 4096 cells 1.02-2.04 (1.82 at 4096 x 1), so the
+# cell count, not d * r * r, sets where padding stops paying.
+_PAD_LIMIT = 1024
 
 
 class DecodePlan:
     """The saving decode of fixed layout structures from one flat vector.
 
-    Layout ``i`` reads its free cells from ``theta[offsets[i]:]``.  Layouts
-    of one ``(d, r)`` share one sweep; their group holds the stacked
+    Layout ``i`` reads its free cells from ``theta[offsets[i]:]``.  The
+    layouts with free cells form sweep groups: every canvas of one rank
+    ``r`` with at most ``_PAD_LIMIT`` (1024) cells, ``d * r``, joins that
+    rank's group, padded to the group's largest ``d`` as in
+    :func:`decode_batch` (``r`` is never padded), and each larger canvas
+    joins the group of its exact ``(d, r)``.  A member's frame is the
+    leading ``d`` rows of its canvas's.  A group holds the stacked
     column-major base canvases, the flat index of the free cells in that
     stack and the positions in ``theta`` they read, through which the
     gradient gathers back.  Layouts without free cells take their cached
     frame.
+
+    An unpadded member is bitwise its layout decoded alone; a padded one
+    agrees to rounding, as the longer canvas reorders its sums.
     """
 
     def __init__(self, layouts, offsets):
         self.spans = [(pos, pos + la.params.size)
                       for la, pos in zip(layouts, offsets)]
         self.size = max((end for _, end in self.spans), default=0)
-        recs = [_structure(la.d, la.r, la.variant) for la in layouts]
-        self.fixed = [rec[2] for rec in recs]
-        by_shape: dict[tuple[int, int], list[int]] = {}
+        self.fixed = [fixed_frame(la.d, la.r, la.variant) for la in layouts]
+        self.rows = [la.d for la in layouts]
+        by_key: dict = {}
         for i, la in enumerate(layouts):
             if self.fixed[i] is None:
-                by_shape.setdefault((la.d, la.r), []).append(i)
+                small = la.d * la.r <= _PAD_LIMIT
+                by_key.setdefault(la.r if small else (la.d, la.r),
+                                  []).append(i)
         self.groups = [(
-            members, np.stack([recs[i][3] for i in members]),
-            np.concatenate([recs[i][4] + k * recs[i][3].size
-                            for k, i in enumerate(members)]),
+            members, *_padded([layouts[i] for i in members]),
             np.concatenate([np.arange(*self.spans[i]) for i in members]),
-        ) for members in by_shape.values()]
+        ) for members in by_key.values()]
 
     def decode(self, theta: np.ndarray):
         """Every frame, and per group ``(members, saves)`` for :meth:`vjp`."""
@@ -340,7 +370,7 @@ class DecodePlan:
             canvases.reshape(-1)[cells] = theta[src]
             q, saves = _reflect_sweep(canvases, save=True)
             for k, i in enumerate(members):
-                frames[i] = q[k]
+                frames[i] = q[k, : self.rows[i]]
             sweeps.append((members, saves))
         return frames, sweeps
 
@@ -349,10 +379,10 @@ class DecodePlan:
         gradient of a cotangent on each frame."""
         for (members, base, cells, src), (_, saves) in zip(self.groups,
                                                            sweeps):
-            n, r, d = base.shape
-            g = np.empty((n, d, r))
+            n, r, d_pad = base.shape
+            g = np.zeros((n, d_pad, r))
             for k, i in enumerate(members):
-                g[k] = g_frames[i]
+                g[k, : self.rows[i]] = g_frames[i]
             grad[src] = _reflect_sweep_vjp(saves, g).reshape(-1)[cells]
 
 

@@ -405,6 +405,20 @@ def make_random_layout(d, r, variant, rng):
     return layout.with_params(rng.standard_normal(layout.params.size))
 
 
+def sweep_groups(layouts):
+    """The layout indices of each sweep a :class:`DecodePlan` over
+    ``layouts`` runs, in order: the layouts with free cells, one group per
+    rank ``r`` for canvases of at most 1024 cells (``d * r``, padded to
+    the group's largest ``d``) and one per exact ``(d, r)`` for larger
+    ones."""
+    groups = {}
+    for i, la in enumerate(layouts):
+        if la.params.size:
+            key = la.r if la.d * la.r <= 1024 else (la.d, la.r)
+            groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
 def plan_vjp(plan, sweeps, g_frames):
     """Per-layout free-parameter gradients of a :class:`DecodePlan`'s
     decode, given a cotangent on each frame."""

@@ -18,11 +18,16 @@ from ttspectral.sttp import sttp_dof
 from ttspectral.svdp import svdp_dof
 
 from helpers import (
+    decode_packed,
     library_decode_fwd,
     library_decode_vjp,
     make_random_layout,
+    padded_canvas,
     per_frame_tape,
     plan_vjp,
+    rowmajor_reflect_sweep,
+    rowmajor_reflect_sweep_vjp,
+    sweep_groups,
 )
 
 
@@ -192,7 +197,8 @@ class TestBatchedTape:
     def test_parameter_free_cores_skip_the_sweeps(self, d_out, d_in, r,
                                                   n_fixed):
         # square reduced cores carry no parameters: they get a cached frame,
-        # join no sweep and contribute an empty gradient slice
+        # join no sweep and contribute an empty gradient slice; the cores
+        # with free cells sweep in the plan's groups
         p = random_sttp_params(d_out, d_in, r, LEARNED, 22)
         w, tape = ad.assemble_with_tape(p)
         layouts = p.u_layouts + p.v_layouts
@@ -201,14 +207,90 @@ class TestBatchedTape:
         _, sweeps = tape.decode_saves
         swept = sorted(i for members, _ in sweeps for i in members)
         assert swept == [i for i, n in enumerate(free) if n]
-        shapes = {(layouts[i].d, layouts[i].r) for i in swept}
-        assert len(sweeps) == len(shapes)
+        assert [members for members, _ in sweeps] == sweep_groups(layouts)
+        assert len(sweeps) == 1  # every core with free cells is small
         grads = plan_vjp(*tape.decode_saves,
                          [np.ones_like(q) for q in tape.frames])
         assert [g.size for g in grads] == free
         grad = ad.vjp(tape, np.ones_like(w))
         assert grad.size == sttp_dof(d_out, d_in, r, LEARNED) \
             == ad.pack(p).size
+
+
+class TestPaddedSweeps:
+    """A step's plan pads the small canvases of one rank into one sweep."""
+
+    # the parameter sets whose layouts one plan decodes, packed end to end
+    CASES = {
+        "svdp 16x72 r4": lambda mode: (random_svdp_params(16, 72, 4, mode,
+                                                          50),),
+        "sttp 16x72 r4": lambda mode: (random_sttp_params(16, 72, 4, mode,
+                                                          51),),
+        "demo svdp": lambda mode: (random_svdp_params(8, 6, 3, mode, 52),
+                                   random_svdp_params(4, 8, 3, mode, 53)),
+        "demo sttp": lambda mode: (random_sttp_params(8, 6, 3, mode, 54),
+                                   random_sttp_params(4, 8, 3, mode, 55)),
+    }
+
+    @staticmethod
+    def plan_case(case, mode):
+        layouts = [la for p in TestPaddedSweeps.CASES[case](mode)
+                   for la in p.chain.layouts]
+        return layouts, *decode_packed(layouts)
+
+    @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_groups_equal_decode_batch_and_the_row_major_oracle(self, case,
+                                                                mode):
+        # per group: the frames are decode_batch's of the group's layouts,
+        # and frames and gradient are the row-major sweep's on canvases
+        # padded by hand to the group's longest, bit for bit
+        layouts, plan, frames, sweeps = self.plan_case(case, mode)
+        groups = sweep_groups(layouts)
+        assert [members for members, _ in sweeps] == groups
+        assert len(groups) == 1
+        rng = np.random.default_rng(56)
+        g_frames = [rng.standard_normal(q.shape) for q in frames]
+        grads = plan_vjp(plan, sweeps, g_frames)
+        for members in groups:
+            group = [layouts[i] for i in members]
+            d_pad, r = max(la.d for la in group), group[0].r
+            q_ref, saved = rowmajor_reflect_sweep(
+                np.stack([padded_canvas(la, d_pad, r) for la in group]),
+                save=True)
+            g = np.zeros(q_ref.shape)
+            for k, la in enumerate(group):
+                g[k, : la.d] = g_frames[members[k]]
+            g_ref = rowmajor_reflect_sweep_vjp(saved, g)
+            batch = hh.decode_batch(group)
+            for k, (i, la) in enumerate(zip(members, group)):
+                assert frames[i].shape == (la.d, r)
+                assert frames[i].tobytes() == batch[k].tobytes() \
+                    == q_ref[k, : la.d].tobytes()
+                assert grads[i].tobytes() \
+                    == g_ref[k][la.free_cells()].tobytes()
+
+    @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_padded_frames_are_orthonormal_and_close_to_decode(self, case,
+                                                               mode):
+        layouts, _, frames, _ = self.plan_case(case, mode)
+        for q, la in zip(frames, layouts):
+            assert np.max(np.abs(q - hh.decode(la))) <= 1e-15
+            assert np.linalg.norm(q.T @ q - np.eye(la.r)) <= 1e-10
+
+    @pytest.mark.parametrize("d_out,d_in,r", [(64, 1024, 16), (1024, 64, 16),
+                                              (8, 4096, 4)])
+    def test_lopsided_svdp_keeps_one_sweep_per_exact_shape(self, d_out, d_in,
+                                                           r):
+        # a canvas of more than 1024 cells is not padded, nor padded into;
+        # the small one beside it sweeps alone
+        layouts = list(random_svdp_params(d_out, d_in, r, LEARNED,
+                                          57).chain.layouts)
+        _, frames, sweeps = decode_packed(layouts)
+        assert [members for members, _ in sweeps] == [[0], [1]]
+        for q, la in zip(frames, layouts):
+            assert np.array_equal(q, hh.decode(la))
 
 
 class TestStepProgram:
@@ -221,12 +303,14 @@ class TestStepProgram:
         program = ad.StepProgram(ps)
         theta = np.concatenate([ad.pack(p) for p in ps])
         tapes = program.forward(theta)
+        # every canvas has rank 3 and at most 24 cells: one padded sweep
         _, sweeps = tapes[0].decode_saves
-        shapes = {(la.d, la.r) for p in ps for la in p.chain.layouts
-                  if la.params.size}
-        assert len(sweeps) == len(shapes) < sum(
-            len({(la.d, la.r) for la in p.chain.layouts if la.params.size})
-            for p in ps)
+        layouts = [la for p in ps for la in p.chain.layouts]
+        assert [members for members, _ in sweeps] \
+            == sweep_groups(layouts) == [[i for i, la in enumerate(layouts)
+                                          if la.params.size]]
+        assert len(sweeps) < sum(len(sweep_groups(p.chain.layouts))
+                                 for p in ps)
         rng = np.random.default_rng(42)
         g_ws = [rng.standard_normal(t.output.shape) for t in tapes]
         grad = program.backward(tapes, [t.cotangents(g_w)
@@ -351,6 +435,29 @@ class TestGradcheck:
                                                   lam))
         assert report.passed and report.max_rel_err <= 1e-6
         assert report.n_params == sttp_dof(16, 72, 4, mode)
+
+    @pytest.mark.parametrize("maker", [random_svdp_params, random_sttp_params])
+    @pytest.mark.parametrize("mode", [IDENTITY, LEARNED, LEARNED_REGULARIZED])
+    def test_two_member_program_of_the_demo_pair(self, maker, mode):
+        # one padded sweep decodes both layers' canvases; gradcheck's rule
+        # on the program's flat theta
+        lam = 0.1 if mode == LEARNED_REGULARIZED else 0.0
+        ps = (maker(8, 6, 3, mode, 16, lam), maker(4, 8, 3, mode, 17, lam))
+        rng = np.random.default_rng(18)
+        losses = [ad.FrobeniusLoss(rng.standard_normal((8, 6)), lam),
+                  ad.FrobeniusLoss(rng.standard_normal((4, 8)), lam)]
+        program = ad.StepProgram(ps)
+        theta = np.concatenate([ad.pack(p) for p in ps])
+        tapes = program.forward(theta)
+        assert len(tapes[0].decode_saves[1]) == 1
+        assert not any(t.sigma_tied for t in tapes)
+        grad = program.backward(tapes, [loss.terms(t)[1]
+                                        for t, loss in zip(tapes, losses)])
+        fd = ad.fd_grad(lambda t: sum(
+            ad._loss_value(tape, loss)
+            for tape, loss in zip(program.forward(t), losses)), theta)
+        scale = max(1.0, float(np.max(np.abs(grad))))
+        assert np.max(np.abs(grad - fd)) / scale <= ad.GRADCHECK_TOL
 
     def test_tie_detected_and_skipped(self):
         p = random_svdp_params(5, 4, 2, LEARNED, 14)
