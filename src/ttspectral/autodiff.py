@@ -250,8 +250,9 @@ def pack(params) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def unpack(params, theta: np.ndarray):
-    """Rebuild a parameter object of the same structure from a flat vector."""
+def unpack(params, theta: np.ndarray, spectrum=None):
+    """Rebuild a parameter object of the same structure from a flat vector,
+    with the signs and weight of ``spectrum`` (same mode), or ``params``'s."""
     theta = np.asarray(theta, dtype=np.float64).ravel()
     if theta.size != params.n_params:
         raise ShapeError(
@@ -262,7 +263,7 @@ def unpack(params, theta: np.ndarray):
     for la in view.layouts:
         layouts.append(la.with_params(theta[pos: pos + la.params.size]))
         pos += la.params.size
-    spectrum = params.spectrum
+    spectrum = params.spectrum if spectrum is None else spectrum
     if spectrum.mode != IDENTITY:
         spectrum = spectrum.with_s(theta[pos:])
     return view.rebuild(layouts, spectrum)
@@ -314,7 +315,7 @@ class FrobeniusLoss:
         """Value and factor cotangents at the taped factors."""
         target = _matching(self.target, tape)
         u, v, sigma = tape.u, tape.v, tape.sigma
-        tv, tu = target @ v, target.T @ u
+        tv, tu = target @ v, (u.T @ target).T
         dp = (u * tv).sum(axis=0)
         value = 0.5 * (float(sigma @ sigma) - 2.0 * float(sigma @ dp)
                        + self._target_sq)

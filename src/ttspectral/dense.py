@@ -49,8 +49,9 @@ __all__ = [
 MAX_MAGNITUDE = 2.0 ** 500
 """Largest free-parameter magnitude, 2**500 (about 3.3e150), that a layout,
 a spectrum or a descent step accepts.  Its square times any canvas length
-below 2**23 stays finite, so a reflector norm or a spectrum's ``max|s|**2``
-never overflows to a different frame or gradient."""
+below 2**23 stays finite, so the Gram entries ``c_i . c_j`` of a canvas's
+raw reflectors or a spectrum's ``max|s|**2`` never overflow to a different
+frame or gradient."""
 
 
 def _check_dims(dims) -> tuple[int, ...]:

@@ -170,9 +170,8 @@ def read_params(path):
             raise FileFormatError(
                 f"blocks hold {total} values, dims and rank need {expected}")
         template = scheme.template(d_out, d_in, r, mode)
-        view = template.chain
-        spectrum = SpectrumParams(mode, r, template.spectrum.s, signs, lam)
-        params = unpack(view.rebuild(view.layouts, spectrum), values)
+        params = unpack(template, values, SpectrumParams(
+            mode, r, template.spectrum.s, signs, lam))
     except FileFormatError:
         raise
     except Exception as exc:

@@ -5,20 +5,20 @@ parameters laid out LAPACK-style: column ``j`` holds reflector ``j`` with a
 structural 1 on the diagonal and structural zeros above it.  The decoded
 frame is the product of the reflections applied to a truncated identity,
 
-    Q = H(1) H(2) ... H(r) I_{d x r},      H(i) = I - 2 u_i u_i^T,
+    Q = H(1) H(2) ... H(r) I_{d x r},      H(i) = I - 2 c_i c_i^T / |c_i|^2,
 
-with ``u_i`` the normalized ``i``-th column of the layout.  The structural
-diagonal 1 keeps every column norm >= 1, so normalization never divides by
-zero.  The product is the UT transform (compact WY) ``I - U T^-1 U^T``,
-``U = [u_1 ... u_r]``, ``T = I/2 + striu(U^T U)``: decode and its gradient
-are a few batched matmuls and one LAPACK inverse, with no reflector loop.
-The sweep works on column-major canvases (``r x d``, reflectors as
-contiguous rows), which the layouts' structures and :class:`DecodePlan`
-scatter into and gather from directly, so no sweep transposes a canvas.
-``T`` is triangular with diagonal 1/2, never singular, so the inverse is
-:func:`~.dense.inv`, the LAPACK gufunc behind ``np.linalg.inv`` without
-the wrapper; encode's ``geqrf`` (:func:`~.dense.geqrf`) skips
-``np.linalg.qr``'s wrapper the same way, with the same bits.
+with ``c_i`` the raw ``i``-th column of the layout, never normalized.  The
+product is the UT transform (compact WY) on raw Householder vectors,
+``I - C T^-1 C^T``, ``T = diag(C^T C)/2 + striu(C^T C)`` (Joffrain et al.,
+ACM TOMS 2006): decode and its gradient are a few batched matmuls and one
+LAPACK inverse, with no reflector loop.  The sweep works on column-major
+canvases (``r x d``, reflectors as contiguous rows), which the layouts'
+structures and :class:`DecodePlan` scatter into and gather from directly,
+so no sweep transposes a canvas.  The structural diagonal 1 keeps every
+``|c_i| >= 1``, so ``T`` is triangular with diagonal at least 1/2, never
+singular, and the inverse is :func:`~.dense.inv`, the LAPACK gufunc behind
+``np.linalg.inv`` without the wrapper; encode's ``geqrf``
+(:func:`~.dense.geqrf`) skips ``np.linalg.qr``'s wrapper the same way.
 A batch of one size is bitwise each member decoded alone, as are
 same-seed reruns; a member that :func:`decode_batch` or :class:`DecodePlan`
 pads to a longer canvas, and applying one reflector at a time, agree to
@@ -222,8 +222,8 @@ def _structure(d: int, r: int, variant: str):
 
 @lru_cache(maxsize=256)
 def _wy_constants(dp: int, rp: int):
-    """Read-only strict-upper mask and I/2 (rp x rp), and I_{dp x rp}."""
-    consts = (~np.tri(rp, dtype=bool), 0.5 * np.eye(rp), np.eye(dp, rp))
+    """Read-only W (rp x rp: 1 above the diagonal, 1/2 on it), I_{dp x rp}."""
+    consts = (np.triu(np.ones((rp, rp))) - 0.5 * np.eye(rp), np.eye(dp, rp))
     for a in consts:
         a.flags.writeable = False
     return consts
@@ -233,40 +233,36 @@ def _reflect_sweep(canvases: np.ndarray, save: bool = False):
     """Apply the reflector product of each stacked canvas to E = I_{dp x rp}.
 
     ``canvases`` is C-contiguous, column-major: shape (batch, r_pad, d_pad),
-    reflector ``j`` in row ``j``.  Each frame (batch, d_pad, r_pad) is
-    ``E - U S``, ``S = T^-1 U[:r_pad]^T``.  Stacked BLAS and LAPACK calls
-    run per item and each norm sums a contiguous row, so a batch of one is
-    bitwise a member of a larger batch.  With ``save`` the result is
-    ``(q, saved)``, ``saved`` holding the unit reflectors as rows, the
-    norms, ``T^-1``, ``S``.
+    raw reflector ``c_j`` in row ``j``.  Each frame (batch, d_pad, r_pad) is
+    ``E - C^T S``, ``S = T^-1 C[:, :r_pad]``, ``T = (C C^T) * W``.  Stacked
+    BLAS and LAPACK calls run per item, so a batch of one is bitwise a
+    member of a larger batch.  With ``save`` the result is ``(q, saved)``,
+    ``saved`` holding the canvases, ``T^-1`` and ``S``; the canvases are
+    the caller's, which must not write to them afterwards.
     """
     rp, dp = canvases.shape[1:]
-    upper, half_eye, eye = _wy_constants(dp, rp)
-    norms = np.sqrt((canvases * canvases).sum(axis=2, keepdims=True))
-    units = canvases / norms  # norms >= 1 thanks to the structural diagonal 1
-    # T = I/2 + striu(U^T U) is triangular with diagonal 1/2, never singular
-    m = inv(np.where(upper, units @ units.transpose(0, 2, 1), half_eye))
-    s = m @ units[:, :, :rp]
-    q = eye - units.transpose(0, 2, 1) @ s
-    return (q, (units, norms, m, s)) if save else q
+    w, eye = _wy_constants(dp, rp)
+    # T is triangular with diagonal |c_j|^2 / 2 >= 1/2, never singular
+    m = inv((canvases @ canvases.transpose(0, 2, 1)) * w)
+    s = m @ canvases[:, :, :rp]
+    q = eye - canvases.transpose(0, 2, 1) @ s
+    return (q, (canvases, m, s)) if save else q
 
 
 def _reflect_sweep_vjp(saved: tuple, g: np.ndarray) -> np.ndarray:
     """Gradient of a saved sweep w.r.t. its canvases, given ``g`` on its q.
 
     ``g`` has the frame shape (batch, d_pad, r_pad), the result the
-    column-major canvas shape (batch, r_pad, d_pad).  With ``V = U^T`` and
-    ``A = V[:, :r_pad]``, ``A_bar = T^-T (-V g)``, and the strict upper
-    part ``P`` of ``T_bar = -A_bar S^T`` reaches ``V`` as ``(P + P^T) V``.
+    column-major canvas shape (batch, r_pad, d_pad): with ``A = T^-T C g``
+    and ``P = (A S^T) * W``, it is ``(P + P^T) C - S g^T``, less ``A`` in
+    the leading ``r_pad`` columns.
     """
-    units, norms, m, s = saved
-    upper = _wy_constants(*g.shape[1:])[0]
-    a_bar = m.transpose(0, 2, 1) @ -(units @ g)
-    p = np.where(upper, a_bar @ -s.transpose(0, 2, 1), 0.0)
-    v_bar = (p + p.transpose(0, 2, 1)) @ units - s @ g.transpose(0, 2, 1)
-    v_bar[:, :, : g.shape[2]] += a_bar
-    g_cols = v_bar - units * (units * v_bar).sum(axis=2, keepdims=True)
-    return g_cols / norms
+    c, m, s = saved
+    a = m.transpose(0, 2, 1) @ (c @ g)
+    p = (a @ s.transpose(0, 2, 1)) * _wy_constants(*g.shape[1:])[0]
+    c_bar = (p + p.transpose(0, 2, 1)) @ c - s @ g.transpose(0, 2, 1)
+    c_bar[:, :, : g.shape[2]] -= a
+    return c_bar
 
 
 def decode(layout: HouseholderLayout) -> np.ndarray:

@@ -371,32 +371,28 @@ def decode_vjp(layout, saves, g_frame):
 
 
 def rowmajor_reflect_sweep(canvases, save=False):
-    """The closed-form sweep on row-major (batch, d, r) canvases,
-    transposing them itself and inverting T through ``np.linalg.inv``: the
-    reference for the library's column-major kernel, which must equal it
-    bitwise."""
-    upper, half_eye, eye = hh._wy_constants(*canvases.shape[1:])
+    """The closed-form sweep on raw reflector rows, taking row-major
+    (batch, d, r) canvases, transposing them itself and inverting ``T =
+    (C C^T) * W`` through ``np.linalg.inv``: the reference for the
+    library's column-major kernel, which must equal it bitwise."""
+    w, eye = hh._wy_constants(*canvases.shape[1:])
     cols = np.ascontiguousarray(canvases.transpose(0, 2, 1))
-    norms = np.sqrt((cols * cols).sum(axis=2, keepdims=True))
-    units = cols / norms
-    m = np.linalg.inv(np.where(upper, units @ units.transpose(0, 2, 1),
-                               half_eye))
-    s = m @ units[:, :, : eye.shape[1]]
-    q = eye - units.transpose(0, 2, 1) @ s
-    return (q, (units, norms, m, s)) if save else q
+    m = np.linalg.inv((cols @ cols.transpose(0, 2, 1)) * w)
+    s = m @ cols[:, :, : eye.shape[1]]
+    q = eye - cols.transpose(0, 2, 1) @ s
+    return (q, (cols, m, s)) if save else q
 
 
 def rowmajor_reflect_sweep_vjp(saved, g):
     """Gradient of :func:`rowmajor_reflect_sweep`, row-major like its
     canvases."""
-    units, norms, m, s = saved
-    upper = hh._wy_constants(*g.shape[1:])[0]
-    a_bar = m.transpose(0, 2, 1) @ -(units @ g)
-    p = np.where(upper, a_bar @ -s.transpose(0, 2, 1), 0.0)
-    v_bar = (p + p.transpose(0, 2, 1)) @ units - s @ g.transpose(0, 2, 1)
-    v_bar[:, :, : g.shape[2]] += a_bar
-    g_cols = v_bar - units * (units * v_bar).sum(axis=2, keepdims=True)
-    return (g_cols / norms).transpose(0, 2, 1)
+    cols, m, s = saved
+    w = hh._wy_constants(*g.shape[1:])[0]
+    a = m.transpose(0, 2, 1) @ (cols @ g)
+    p = (a @ s.transpose(0, 2, 1)) * w
+    c_bar = (p + p.transpose(0, 2, 1)) @ cols - s @ g.transpose(0, 2, 1)
+    c_bar[:, :, : g.shape[2]] -= a
+    return c_bar.transpose(0, 2, 1)
 
 
 def make_random_layout(d, r, variant, rng):

@@ -426,15 +426,21 @@ class TestGradcheck:
         assert report.max_rel_err <= 1e-6
         assert report.n_params == svdp_dof(8, 6, 3, mode)
 
-    @pytest.mark.parametrize("mode", [IDENTITY, LEARNED, LEARNED_REGULARIZED])
-    def test_sttp_worked_shapes(self, mode):
+    # 64x64 r8 sweeps one 6-member rank-8 group, 128x96 r8 one of 7
+    @pytest.mark.parametrize("d_out,d_in,r,mode", [
+        pytest.param(16, 72, 4, mode, id=mode)
+        for mode in (IDENTITY, LEARNED, LEARNED_REGULARIZED)] + [
+        pytest.param(d_out, d_in, 8, mode, id=f"{d_out}x{d_in}r8-{mode}")
+        for d_out, d_in in ((64, 64), (128, 96))
+        for mode in (LEARNED, IDENTITY)])
+    def test_sttp_worked_shapes(self, d_out, d_in, r, mode):
         rng = np.random.default_rng(12)
         lam = 0.1 if mode == LEARNED_REGULARIZED else 0.0
-        p = random_sttp_params(16, 72, 4, mode, 13, lam)
-        report = ad.gradcheck(p, ad.FrobeniusLoss(rng.standard_normal((16, 72)),
-                                                  lam))
+        p = random_sttp_params(d_out, d_in, r, mode, 13, lam)
+        report = ad.gradcheck(p, ad.FrobeniusLoss(
+            rng.standard_normal((d_out, d_in)), lam))
         assert report.passed and report.max_rel_err <= 1e-6
-        assert report.n_params == sttp_dof(16, 72, 4, mode)
+        assert report.n_params == sttp_dof(d_out, d_in, r, mode)
 
     @pytest.mark.parametrize("maker", [random_svdp_params, random_sttp_params])
     @pytest.mark.parametrize("mode", [IDENTITY, LEARNED, LEARNED_REGULARIZED])

@@ -201,6 +201,25 @@ class TestParamsFile:
         payload = raw[raw.index(b"\n\n") + 2:]
         assert payload == pack(params).astype("<f8").tobytes()
 
+    @pytest.mark.parametrize("maker", [random_svdp_params,
+                                       random_sttp_params])
+    @pytest.mark.parametrize("mode", [IDENTITY, LEARNED_REGULARIZED])
+    def test_a_read_builds_one_parameter_set_from_the_template(
+            self, tmp_path, monkeypatch, maker, mode):
+        # the all-zero template, then unpack's set with the file's spectrum
+        params = maker(12, 18, 3, mode, 6, 0.25)
+        path = tmp_path / "p.params"
+        fileio.write_params(path, params)
+        cls, built = type(params), []
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda p: built.append(p) or check(p))
+        back = fileio.read_params(path)
+        assert len(built) == 2 and built[1] is back
+        assert not any(la.params.any() for la in built[0].chain.layouts)
+        assert back.spectrum.lam == 0.25
+        assert back.spectrum.signs.tobytes() == params.spectrum.signs.tobytes()
+
     def test_declared_counts_equal_dof(self, tmp_path):
         from ttspectral.sttp import sttp_dof
 

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ttspectral import householder as hh
-from ttspectral.dense import inv, orthonormalize
+from ttspectral.dense import MAX_MAGNITUDE, inv, orthonormalize
 from ttspectral.errors import DomainError, ShapeError
 
 from helpers import (
@@ -348,6 +348,52 @@ class TestClosedFormDecode:
         self.check_against_sweep(layout, rng.standard_normal((64, 16)))
 
 
+class TestMagnitudeBound:
+    """Decode and its gradient at the layout's magnitude bound, where the
+    Gram entries ``c_i . c_j`` of the raw reflectors reach about ``d *
+    2**1000``, against the sequential sweep."""
+
+    @staticmethod
+    def filled_layout(d, r, variant, fill, rng):
+        """Every free cell ``+-MAX_MAGNITUDE`` (``max``), or reflector ``j``
+        uniform in ``+-2**k_j``, ``k_j`` uniform in [-60, 500] (``scales``)."""
+        layout = hh.make_layout(d, r, variant)
+        cols = layout.free_cells()[1]
+        if fill == "max":
+            return layout.with_params(
+                MAX_MAGNITUDE * rng.choice([-1.0, 1.0], cols.size))
+        scales = 2.0 ** rng.uniform(-60.0, 500.0, r)
+        return layout.with_params(
+            rng.uniform(-1.0, 1.0, cols.size) * scales[cols])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("fill", ["max", "scales"])
+    @pytest.mark.parametrize("d,r,variant", [
+        (4096, 16, hh.FULL), (64, 8, hh.REDUCED), (5, 5, hh.FULL)])
+    def test_frames_and_gradients_match_the_sequential_sweep(
+            self, d, r, variant, fill, seed):
+        rng = np.random.default_rng([d, r, seed])
+        layout = self.filled_layout(d, r, variant, fill, rng)
+        g = rng.standard_normal((d, r))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = hh.decode(layout)
+            q_plan, saves = library_decode_fwd(layout)
+            grad = library_decode_vjp(layout, saves, g)
+        q_ref, saves_ref = decode_fwd(layout)
+        grad_ref = decode_vjp(layout, saves_ref, g)
+        assert np.isfinite(q).all() and np.isfinite(grad).all()
+        assert q_plan.tobytes() == q.tobytes()
+        assert gram_residual(q) <= 1e-10
+        assert np.max(np.abs(q - q_ref)) <= 1e-12
+        # a canvas gradient's first-order scale, |g| over the shortest
+        # reflector; at the bound a gradient far below it loses relative
+        # accuracy once T^-1 (about |c|^-2) times the rest underflows
+        scale = np.linalg.norm(g) / np.linalg.norm(layout.dense(),
+                                                   axis=0).min()
+        assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * scale
+
+
 class TestColumnMajorSweep:
     """The kernel takes column-major canvases and inverts T through the
     LAPACK gufunc directly; the row-major ``np.linalg.inv`` sweep is its
@@ -389,12 +435,10 @@ class TestColumnMajorSweep:
     @pytest.mark.parametrize("batch,r", [(1, 1), (1, 4), (3, 4), (2, 8),
                                          (5, 16)])
     def test_lapack_inverse_equals_np_linalg_inv(self, batch, r):
-        # the stacked T = I/2 + striu(U^T U) the sweep inverts
+        # the stacked T = (C C^T) * W the sweep inverts, on raw rows C
         rng = np.random.default_rng(batch * 10 + r)
-        units = rng.standard_normal((batch, r, 3 * r))
-        units /= np.linalg.norm(units, axis=2, keepdims=True)
-        t = np.where(~np.tri(r, dtype=bool), units @ units.transpose(0, 2, 1),
-                     0.5 * np.eye(r))
+        rows = rng.standard_normal((batch, r, 3 * r))
+        t = (rows @ rows.transpose(0, 2, 1)) * hh._wy_constants(3 * r, r)[0]
         got = inv(t)
         assert got.tobytes() == np.linalg.inv(t).tobytes()
 
@@ -434,7 +478,7 @@ class TestDecodeBatch:
     @pytest.mark.parametrize("case", sorted(MIXED_BATCHES))
     def test_mixed_batch_frames_are_orthonormal_and_close_to_decode(self,
                                                                     case):
-        # padding reorders the reflector-norm sums, so a padded member
+        # padding reorders the Gram sums, so a padded member
         # agrees with its own decode to rounding, not bitwise
         layouts = mixed_batch(case, 20)
         for q, la in zip(hh.decode_batch(layouts), layouts):
