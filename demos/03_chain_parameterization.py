@@ -19,7 +19,10 @@ out_fac, in_fac = sttp.factorize(d_out), sttp.factorize(d_in)
 print(f"{d_out} = {' * '.join(map(str, out_fac.factors))},  "
       f"{d_in} = {' * '.join(map(str, in_fac.factors))}")
 
-sched = sttp.chain_schedule(out_fac.factors, in_fac.factors, r)
+# the dims, r and the spectrum mode fix the schedule, the core specs and the
+# fixed heads: one cached record per structure
+structure = sttp.chain_structure(out_fac.factors, in_fac.factors, r, "learned")
+sched = structure.schedule
 dims = sched.dims
 print("chain dims (input factors reversed):", dims)
 print("rank caps:   ", (1, *rank_caps(dims), 1))

@@ -10,8 +10,8 @@ records the intermediates and its backward transits them in reverse from
 cotangents on the factors, producing the gradient with respect to every
 free parameter (structural layout cells receive none).  Each chain side
 starts from its fixed head, the block of its leading cores without free
-cells that :func:`~.sttp.chain_heads` composes once per structure; the
-reverse pass through the chain stops at the first core with free cells.
+cells (:attr:`~.sttp.ChainStructure.heads`, composed once per structure);
+the reverse pass through the chain stops at the first core with free cells.
 The matrix ``W = (u * sigma) @ v.T`` is formed only when a caller reads
 :attr:`GradTape.output`; a cotangent on ``W`` reaches the factors through
 :meth:`GradTape.cotangents`.  :class:`FrobeniusLoss` hands its cotangents
@@ -149,8 +149,9 @@ class StepProgram:
     one :class:`~ttspectral.householder.DecodePlan` over all their layouts,
     so the small canvases of one rank, of any member, share a padded
     sweep, and per member its layout range, spectrum slice and signs, and
-    per side its chain: the fixed head's block (:func:`~.sttp.chain_heads`), if any,
-    then the frames after the head, with their shapes.
+    per side its chain: the fixed head's block
+    (:attr:`~.sttp.ChainStructure.heads`), if any, then the frames after
+    the head, with their shapes.
     """
 
     def __init__(self, protos):
@@ -359,11 +360,18 @@ def _loss_value(tape: GradTape, loss: FrobeniusLoss) -> float:
 
 
 def fd_grad(f, theta: np.ndarray) -> np.ndarray:
-    """Central differences with ``h_i = FD_STEP * max(1, |theta_i|)``."""
+    """Central differences with ``h_i = FD_STEP * max(1, |theta_i|) *
+    max(1, |f(theta)|)^(1/3)``: the rounding error, about ``eps |f| / h``,
+    plus the truncation error, about ``h^2`` times the third derivative, is
+    least at a step proportional to ``|f|^(1/3)``."""
     theta = np.asarray(theta, dtype=np.float64)
+    f_theta = f(theta)
+    if not np.isfinite(f_theta):
+        raise NumericError("non-finite loss at the base point")
+    step = FD_STEP * max(1.0, abs(f_theta)) ** (1.0 / 3.0)
     grad = np.empty_like(theta)
     for i in range(theta.size):
-        h = FD_STEP * max(1.0, abs(theta[i]))
+        h = step * max(1.0, abs(theta[i]))
         up = theta.copy()
         up[i] += h
         down = theta.copy()

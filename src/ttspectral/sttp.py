@@ -23,23 +23,25 @@ have square matricizations, which carry no free parameters in reduced form.
 Such a core's frame is the constant ``-I`` of its structure
 (:func:`~.householder.fixed_frame`), so it is structure, not parameters.
 Per side, the cores before the first one with free cells are the side's
-fixed head: :func:`chain_heads` composes their block once per structure,
-and :func:`chain_frames` and the gradient tape compose each side from that
-block, whose cores they neither decode nor pull gradients into.
+fixed head; :func:`chain_frames` and the gradient tape compose each side
+from its block, whose cores they neither decode nor pull gradients into.
 
-The structure (rank schedule and check on r, gauge rule, dof, template,
-initializer) is written once over factor tuples, the ``chain_*`` functions
-and :func:`init_chain`.  svdp is the one-core chain ``(d_out,)``, ``(d_in,)``;
+The factor tuples, r and the spectrum mode fix all else, one cached
+:class:`ChainStructure` per structure (:func:`chain_structure`): the rank
+schedule and check on r, the gauge rule and the fixed heads.  The dof,
+template and initializer read it (the ``chain_*`` functions and
+:func:`init_chain`).  svdp is the one-core chain ``(d_out,)``, ``(d_in,)``;
 those never go through :func:`factorize`, so a dimension of 1 works there.
-Both parameter types run :func:`check_chain` at construction, so every
-svdp and sttp parameter set has exactly its scheme's dof free parameters.
+Both parameter types look the record up once at construction and run
+:func:`check_chain` against it, so every svdp and sttp parameter set has
+exactly its scheme's dof free parameters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from operator import attrgetter
 
 import numpy as np
@@ -62,11 +64,9 @@ __all__ = [
     "factorize",
     "DimFactorization",
     "rank_cap",
-    "chain_schedule",
-    "chain_specs",
+    "chain_structure",
     "check_chain",
     "core_specs",
-    "chain_heads",
     "core_size_schedule",
     "chain_dof",
     "sttp_dof",
@@ -140,36 +140,6 @@ def rank_cap(d_out: int, d_in: int) -> int:
     return min(d_out, d_in)
 
 
-def _checked_structure(out_factors, in_factors, r):
-    """The factor tuples and rank as Python ints, once each factor is an
-    integer >= 1 and the rank an integer, so the caches behind the
-    ``chain_*`` entries never hold a key that a rejected call made."""
-    for value in (*out_factors, *in_factors):
-        check_integer("factor", value, 1)
-    check_integer("rank", r)
-    return tuple(map(int, out_factors)), tuple(map(int, in_factors)), int(r)
-
-
-def chain_schedule(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
-                   r: int) -> RankSchedule:
-    """Capped rank schedule over the global dims of the factor tuples; the
-    check ``1 <= r <= min(d_out, d_in)`` makes the middle rank r.  Cached
-    per structure, behind the integer checks."""
-    return _chain_schedule(*_checked_structure(out_factors, in_factors, r))
-
-
-@lru_cache(maxsize=256)
-def _chain_schedule(out_factors, in_factors, r):
-    d_out, d_in = math.prod(out_factors), math.prod(in_factors)
-    cap = rank_cap(d_out, d_in)
-    if not 1 <= r <= cap:
-        raise DomainError(
-            f"rank {r} violates 1 <= r <= min({d_out}, {d_in}) = {cap}")
-    sched = rank_schedule(out_factors + in_factors[::-1], r)
-    assert sched.ranks[len(out_factors)] == r  # the middle cap is >= r
-    return sched
-
-
 @dataclass(frozen=True)
 class CoreSpec:
     """Shape and layout variant of one chain core.
@@ -195,42 +165,83 @@ class CoreSpec:
 _CORE_SHAPE = attrgetter("shape")
 
 
-def chain_specs(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
-                r: int, spectrum_mode: str
-                ) -> tuple[tuple[CoreSpec, ...], tuple[CoreSpec, ...]]:
-    """Per-core shapes and variants for the U side and the V side.
+@dataclass(frozen=True)
+class ChainStructure:
+    """What the factor tuples, rank and spectrum mode fix in a chain:
+    ``schedule``, the capped rank schedule over the global dims (middle rank
+    ``r``), and ``specs``, per side (U, then V) the core specs from the
+    outer (dimension) end toward the spectrum, under the gauge rule: all
+    cores are reduced except the one adjacent to the spectrum on each side;
+    with the identity spectrum, U's adjacent core is reduced as well."""
 
-    Within each side, cores run from the outer (dimension) end toward the
-    spectrum.  The gauge rule: all cores are reduced except the one adjacent
-    to the spectrum on each side; with the identity spectrum, U's adjacent
-    core is reduced as well (V's stays full).  Cached per structure, behind
-    the integer checks.
-    """
-    return _chain_specs(*_checked_structure(out_factors, in_factors, r),
-                        spectrum_mode)
+    schedule: RankSchedule
+    specs: tuple[tuple[CoreSpec, ...], tuple[CoreSpec, ...]]
+
+    @cached_property
+    def heads(self) -> tuple[tuple[int, np.ndarray | None], ...]:
+        """Per side (U, then V), ``(n, block)``: the side's first ``n`` cores
+        have no free cells, and ``block`` is their frames composed by
+        :func:`compose_chain` (read-only; None when ``n`` is 0).  Those
+        frames are the fixed ``-I`` of each structure, so the block is the
+        composed frame of any layouts of these cores.  Composed on first
+        read, so counting the dof never allocates it."""
+        heads = []
+        for side in self.specs:
+            frames = []
+            for spec in side:
+                frame = hh.fixed_frame(*spec.frame_dims, spec.variant)
+                if frame is None:
+                    break
+                frames.append(frame)
+            block = None
+            if frames:
+                block = compose_chain(frames, [spec.shape for spec in side])[0]
+                block.flags.writeable = False
+            heads.append((len(frames), block))
+        return tuple(heads)
+
+
+def chain_structure(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
+                    r: int, spectrum_mode: str) -> ChainStructure:
+    """The cached record of the chain over the given factor tuples.  Each
+    factor must be an integer >= 1 and r an integer, checked before the
+    cache so that it never holds a key a rejected call made; then ``1 <= r
+    <= min(d_out, d_in)``."""
+    for value in (*out_factors, *in_factors):
+        check_integer("factor", value, 1)
+    check_integer("rank", r)
+    return _chain_structure(tuple(map(int, out_factors)),
+                            tuple(map(int, in_factors)), int(r), spectrum_mode)
 
 
 @lru_cache(maxsize=256)
-def _chain_specs(out_factors, in_factors, r, spectrum_mode):
-    ranks = _chain_schedule(out_factors, in_factors, r).ranks
+def _chain_structure(out_factors, in_factors, r, spectrum_mode):
+    d_out, d_in = math.prod(out_factors), math.prod(in_factors)
+    cap = rank_cap(d_out, d_in)
+    if not 1 <= r <= cap:
+        raise DomainError(
+            f"rank {r} violates 1 <= r <= min({d_out}, {d_in}) = {cap}")
+    sched = rank_schedule(out_factors + in_factors[::-1], r)
+    ranks = sched.ranks
+    assert ranks[len(out_factors)] == r  # the middle cap is >= r
     u_last = hh.REDUCED if spectrum_mode == IDENTITY else hh.FULL
     # V-side local ranks mirror the tail of the global schedule.
     sides = (("u", out_factors, ranks[:len(out_factors) + 1], u_last),
              ("v", in_factors, ranks[len(out_factors):][::-1], hh.FULL))
-    return tuple(
+    return ChainStructure(sched, tuple(
         tuple(CoreSpec(side, k, (side_ranks[k], n, side_ranks[k + 1]),
                        last if k == len(factors) - 1 else hh.REDUCED)
               for k, n in enumerate(factors))
-        for side, factors, side_ranks, last in sides)
+        for side, factors, side_ranks, last in sides))
 
 
-def check_chain(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
-                r: int, u_layouts, v_layouts, spectrum) -> None:
+def check_chain(structure: ChainStructure, u_layouts, v_layouts,
+                spectrum) -> None:
     """Structure check of a chain parameter set, svdp's too: per side the
-    layout count and each core's ``(d, r, variant)`` against
-    :func:`chain_specs` (the gauge rule), then the spectrum length."""
-    specs = chain_specs(out_factors, in_factors, r, spectrum.mode)
-    for name, layouts, side in zip("UV", (u_layouts, v_layouts), specs):
+    layout count and each core's ``(d, r, variant)`` against the record's
+    specs (the gauge rule), then the spectrum length."""
+    for name, layouts, side in zip("UV", (u_layouts, v_layouts),
+                                   structure.specs):
         if len(layouts) != len(side):
             raise ShapeError(f"{name} side expects {len(side)} layouts")
         for layout, spec in zip(layouts, side):
@@ -238,51 +249,21 @@ def check_chain(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
             if got != (*spec.frame_dims, spec.variant):
                 raise ShapeError(f"{name} core {spec.local_k}: layout {got} "
                                  f"!= {spec.frame_dims}, {spec.variant}")
-    if spectrum.r != r:
+    if spectrum.r != structure.schedule.r:
         raise ShapeError("spectrum length does not match rank")
 
 
 def core_specs(out_fac: DimFactorization, in_fac: DimFactorization, r: int,
                spectrum_mode: str
                ) -> tuple[tuple[CoreSpec, ...], tuple[CoreSpec, ...]]:
-    """:func:`chain_specs` of two factorizations.  Their factors are
-    integers already, so only the rank is checked before the cache, and a
-    Python int skips the call: warm ``apply_map`` calls this every time."""
+    """The structure record's specs of two factorizations.  Their factors
+    are integers already, so only the rank is checked before the cache, and
+    a Python int skips the call: warm ``apply_map`` calls this every time."""
     if type(r) is not int:
         check_integer("rank", r)
         r = int(r)
-    return _chain_specs(out_fac.factors, in_fac.factors, r, spectrum_mode)
-
-
-def chain_heads(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
-                r: int, spectrum_mode: str
-                ) -> tuple[tuple[int, np.ndarray | None], ...]:
-    """Per side (U, then V), ``(n, block)``: the side's first ``n`` cores
-    have no free cells, and ``block`` is their frames composed by
-    :func:`compose_chain` (read-only; None when ``n`` is 0).  Those frames
-    are the fixed ``-I`` of each structure, so the block is the composed
-    frame of any layouts of these cores.  Cached per structure, behind the
-    integer checks."""
-    return _chain_heads(*_checked_structure(out_factors, in_factors, r),
-                        spectrum_mode)
-
-
-@lru_cache(maxsize=256)
-def _chain_heads(out_factors, in_factors, r, spectrum_mode):
-    heads = []
-    for side in _chain_specs(out_factors, in_factors, r, spectrum_mode):
-        frames = []
-        for spec in side:
-            frame = hh.fixed_frame(*spec.frame_dims, spec.variant)
-            if frame is None:
-                break
-            frames.append(frame)
-        block = None
-        if frames:
-            block = compose_chain(frames, [spec.shape for spec in side])[0]
-            block.flags.writeable = False
-        heads.append((len(frames), block))
-    return tuple(heads)
+    return _chain_structure(out_fac.factors, in_fac.factors, r,
+                            spectrum_mode).specs
 
 
 def core_size_schedule(out_fac: DimFactorization, in_fac: DimFactorization,
@@ -293,8 +274,8 @@ def core_size_schedule(out_fac: DimFactorization, in_fac: DimFactorization,
     The V side is listed from the spectrum outward, matching the left-to-
     right order of the assembled chain.
     """
-    u_specs, v_specs = chain_specs(out_fac.factors, in_fac.factors, r,
-                                   spectrum_mode)
+    u_specs, v_specs = chain_structure(out_fac.factors, in_fac.factors, r,
+                                       spectrum_mode).specs
     return [(*spec.frame_dims, spec.variant)
             for spec in (*u_specs, *reversed(v_specs))]
 
@@ -308,8 +289,8 @@ def chain_dof(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
     Identity spectrum: ``r*(r+1)/2`` less (r spectrum values plus the
     ``r*(r-1)/2`` gauge parameters removed from U's innermost core).
     """
-    sched = chain_schedule(out_factors, in_factors, r)
-    dims, ranks = sched.dims, sched.ranks
+    sched = chain_structure(out_factors, in_factors, r, spectrum_mode).schedule
+    dims, ranks, r = sched.dims, sched.ranks, sched.r
     total = sum(ranks[k] * n * ranks[k + 1] for k, n in enumerate(dims))
     total -= sum(ranks[k] ** 2 for k in range(1, len(dims)))
     if spectrum_mode == IDENTITY:
@@ -329,13 +310,14 @@ class SttpParams:
 
     The fields are those of :class:`~.svdp.SvdpParams` with one layout per
     core: ``u_layouts`` and ``v_layouts`` run from the outer end of each
-    side toward the spectrum, checked by :func:`check_chain` against
-    :func:`chain_specs`.  The constructor derives the read-only attributes
-    ``out_fac``, ``in_fac`` (:func:`factorize`), ``schedule``
-    (:func:`chain_schedule`) and ``heads`` (:func:`chain_heads`) from the
-    dims and rank, so ``n_params`` always equals :func:`sttp_dof`; pickling
-    and copying rebuild through it.  Its parts memoize their frames and
-    sigma, so ``==`` and ``hash`` go by identity.
+    side toward the spectrum.  The constructor derives the read-only
+    attributes ``out_fac``, ``in_fac`` (:func:`factorize`) and
+    ``structure`` (:func:`chain_structure`, looked up once) from the dims,
+    rank and spectrum mode, and runs :func:`check_chain` against it, so
+    ``n_params`` always equals :func:`sttp_dof`; ``schedule`` and ``heads``
+    are the record's.  Pickling and copying rebuild through the
+    constructor.  Its parts memoize their frames and sigma, so ``==`` and
+    ``hash`` go by identity.
     """
 
     d_out: int
@@ -347,14 +329,12 @@ class SttpParams:
 
     def __post_init__(self):
         out_fac, in_fac = factorize(self.d_out), factorize(self.d_in)
-        check_chain(out_fac.factors, in_fac.factors, self.r, self.u_layouts,
-                    self.v_layouts, self.spectrum)
+        structure = chain_structure(out_fac.factors, in_fac.factors, self.r,
+                                    self.spectrum.mode)
+        check_chain(structure, self.u_layouts, self.v_layouts, self.spectrum)
         object.__setattr__(self, "out_fac", out_fac)  # frozen: set once here
         object.__setattr__(self, "in_fac", in_fac)
-        object.__setattr__(self, "schedule", chain_schedule(
-            out_fac.factors, in_fac.factors, self.r))
-        object.__setattr__(self, "heads", chain_heads(
-            out_fac.factors, in_fac.factors, self.r, self.spectrum.mode))
+        object.__setattr__(self, "structure", structure)
 
     def __reduce__(self):
         return (SttpParams, (self.d_out, self.d_in, self.r, self.u_layouts,
@@ -366,10 +346,13 @@ class SttpParams:
                 + sum(la.params.size for la in self.v_layouts)
                 + self.spectrum.n_params)
 
+    schedule = property(attrgetter("structure.schedule"))
+    heads = property(attrgetter("structure.heads"))
+
     @property
     def chain(self) -> ChainView:
         """The chain view; core shapes as in :func:`core_specs`, heads as
-        in :func:`chain_heads`."""
+        in :attr:`ChainStructure.heads`."""
         shapes = [tuple(map(_CORE_SHAPE, side)) for side in core_specs(
             self.out_fac, self.in_fac, self.r, self.spectrum.mode)]
         return ChainView(
@@ -384,7 +367,8 @@ def chain_template(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
     all-zero layouts and spectrum ones."""
     u_layouts, v_layouts = (
         tuple(hh.make_layout(*spec.frame_dims, spec.variant) for spec in specs)
-        for specs in chain_specs(out_factors, in_factors, r, spectrum_mode))
+        for specs in chain_structure(out_factors, in_factors, r,
+                                     spectrum_mode).specs)
     return u_layouts, v_layouts, init_spectrum(spectrum_mode, r)
 
 
@@ -421,7 +405,7 @@ def init_chain(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
     spectrum, so the assembled matrix is the drawn frames' product.
     ``seed`` is an integer >= 0."""
     check_integer("seed", seed, 0)
-    specs = chain_specs(out_factors, in_factors, r, spectrum_mode)
+    specs = chain_structure(out_factors, in_factors, r, spectrum_mode).specs
     rng = np.random.default_rng(seed)
     frames = [[hh.init_frame(init_scheme, *spec.frame_dims,
                              int(rng.integers(2**32)))
@@ -444,9 +428,9 @@ def chain_frames(p) -> tuple[np.ndarray, np.ndarray]:
 
     A one-core side is its decoded frame (:func:`~.householder.decode`,
     checked orthonormal once).  Any other side is its fixed head's block
-    (:func:`chain_heads`), or its decoded first core when it has none,
-    composed afresh by :func:`compose_chain` with the decoded cores after
-    it, as the tape does.
+    (:attr:`ChainStructure.heads`), or its decoded first core when it has
+    none, composed afresh by :func:`compose_chain` with the decoded cores
+    after it, as the tape does.
     """
     view = p.chain
     (n_u, u_head), (n_v, v_head) = view.heads
@@ -482,7 +466,8 @@ def edge_case_is_svdp(d_out: int, d_in: int, r: int) -> tuple[bool, dict]:
     reduced form) and shows the parameter counts agree.
     """
     out_fac, in_fac = factorize(d_out), factorize(d_in)
-    sched = chain_schedule(out_fac.factors, in_fac.factors, r)
+    sched = chain_structure(out_fac.factors, in_fac.factors, r,
+                            "learned").schedule
     dims = sched.dims
     caps = rank_caps(dims)
     middle = len(out_fac)

@@ -28,6 +28,7 @@ from .spectrum_modes import IDENTITY
 from .sttp import (
     assemble_sttp,
     chain_dof,
+    chain_structure,
     chain_template,
     check_chain,
     init_chain,
@@ -60,11 +61,11 @@ def svdp_dof(d_out: int, d_in: int, r: int, spectrum_mode: str) -> int:
 class SvdpParams:
     """Complete parameter set: two frame layouts plus the spectrum.
 
-    The constructor runs :func:`~.sttp.check_chain` as
-    :class:`~.sttp.SttpParams` does, gauge rule included (reduced U with an
-    identity spectrum, full/full otherwise), so ``n_params`` always equals
-    :func:`svdp_dof`.  Its parts memoize their frames and sigma, so ``==``
-    and ``hash`` go by identity.
+    The constructor runs :func:`~.sttp.check_chain` against the one-core
+    :func:`~.sttp.chain_structure` as :class:`~.sttp.SttpParams` does, gauge
+    rule included (reduced U with an identity spectrum, full/full
+    otherwise), so ``n_params`` always equals :func:`svdp_dof`.  Its parts
+    memoize their frames and sigma, so ``==`` and ``hash`` go by identity.
     """
 
     d_out: int
@@ -75,8 +76,9 @@ class SvdpParams:
     spectrum: SpectrumParams
 
     def __post_init__(self):
-        check_chain((self.d_out,), (self.d_in,), self.r, (self.u_layout,),
-                    (self.v_layout,), self.spectrum)
+        check_chain(chain_structure((self.d_out,), (self.d_in,), self.r,
+                                    self.spectrum.mode),
+                    (self.u_layout,), (self.v_layout,), self.spectrum)
 
     @property
     def n_params(self) -> int:

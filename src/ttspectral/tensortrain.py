@@ -14,7 +14,8 @@ the matricization orthonormality nor the represented tensor.
 
 :func:`compose_chain` starts from a leading block: the first core's frame,
 or the fixed head of a parameter chain, its leading cores without free
-parameters composed once per structure (:func:`~.sttp.chain_heads`).
+parameters composed once per structure
+(:attr:`~.sttp.ChainStructure.heads`).
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ class ChainView(NamedTuple):
     svdp is the chain with one core per side, ranks ``(1, r, 1)``.
     ``build(u_layouts, v_layouts, spectrum)`` makes a ``scheme`` parameter set.
     ``heads`` holds per side ``(n, block)``, its fixed head as in
-    :func:`~.sttp.chain_heads`; a view without one, svdp's, reads
+    :attr:`~.sttp.ChainStructure.heads`; a view without one, svdp's, reads
     ``(0, None)`` on each side.
     """
 

@@ -290,7 +290,7 @@ def reference_init_params(scheme, d_out, d_in, r, mode, seed,
         factors = (sttp.factorize(d_out).factors, sttp.factorize(d_in).factors)
     rng = np.random.default_rng(seed)
     sides = []
-    for specs in sttp.chain_specs(*factors, r, mode):
+    for specs in sttp.chain_structure(*factors, r, mode).specs:
         layouts, carry = [], np.ones(1)
         for spec in specs:
             d, rr = spec.frame_dims

@@ -18,7 +18,7 @@ from ttspectral.spectrum_modes import IDENTITY, LEARNED
 from ttspectral.sttp import (
     SttpParams,
     chain_frames,
-    chain_heads,
+    chain_structure,
     core_specs,
     init_sttp_params,
 )
@@ -229,13 +229,15 @@ class TestFixedHeads:
     def test_heads_are_cached_per_structure(self):
         a = random_sttp_params(16, 72, 4, LEARNED, 0)
         b = init_sttp_params(16, 72, 4, LEARNED, 1)
-        assert a.heads is b.heads
-        assert a.heads is chain_heads(a.out_fac.factors, a.in_fac.factors, 4,
-                                      LEARNED)
+        record = chain_structure(a.out_fac.factors, a.in_fac.factors, 4,
+                                 LEARNED)
+        assert a.structure is b.structure is record
+        assert a.heads is b.heads is record.heads
         # a clone rebuilds through the constructor, so it shares them too
         for clone in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a),
                       copy.copy(a)):
-            assert type(clone) is SttpParams and clone.heads is a.heads
+            assert type(clone) is SttpParams
+            assert clone.structure is record and clone.heads is a.heads
             assert ad.pack(clone).tobytes() == ad.pack(a).tobytes()
 
     def test_the_tape_pulls_no_gradient_into_a_head(self):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttspectral import fileio, planner
-from ttspectral.autodiff import pack
+from ttspectral import cli, fileio, planner
+from ttspectral.autodiff import FrobeniusLoss, pack
 from ttspectral.cli import main
 from ttspectral.errors import FileFormatError
 from ttspectral.planner import apply_map, decompress
@@ -60,6 +60,26 @@ HUGE_DOUT_FILE = (b"STTPPARAMS v1\nscheme=sttp\ndout=2305843009213693951\n"
                   b"out_factors=2305843009213693951\nin_factors=2,2\n"
                   b"rank_schedule=1,1,1,1\nblock=sigma 1\n\n"
                   + np.array(1.0, "<f8").tobytes())
+# (scheme, dout, din, rank) of the gradcheck instances that CI runs
+GRADCHECK_INSTANCES = [("svdp", 8, 6, 3), ("sttp", 16, 72, 4),
+                       ("sttp", 64, 64, 8), ("svdp", 64, 48, 8),
+                       ("sttp", 256, 256, 8)]
+
+
+def gradcheck_flags(scheme, d_out, d_in, r):
+    return ["--scheme", scheme, "--dout", str(d_out), "--din", str(d_in),
+            "--rank", str(r), "--seed", "0"]
+
+
+class SkewedLoss(FrobeniusLoss):
+    """The Frobenius loss with its cotangent on U scaled by ``1 + 1e-4``,
+    so that its gradient is wrong by that relative amount."""
+
+    def terms(self, tape):
+        value, (g_u, g_sigma, g_v) = super().terms(tape)
+        return value, (g_u * (1.0 + 1e-4), g_sigma, g_v)
+
+
 SMALL_PARAMS = [
     lambda: random_svdp_params(6, 5, 3, IDENTITY, 1),
     lambda: random_sttp_params(12, 18, 3, "learned_regularized", 5, lam=0.25),
@@ -544,6 +564,18 @@ peak_intermediate=24
                      "0"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "dof=33" in out
+
+    @pytest.mark.parametrize("instance", GRADCHECK_INSTANCES)
+    def test_gradcheck_instances_pass(self, instance, capsys):
+        assert main(["gradcheck", *gradcheck_flags(*instance)]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("instance", GRADCHECK_INSTANCES)
+    def test_gradcheck_fails_a_wrong_gradient(self, instance, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr(cli, "FrobeniusLoss", SkewedLoss)
+        assert main(["gradcheck", *gradcheck_flags(*instance)]) == 4
+        assert "FAIL" in capsys.readouterr().out
 
     def test_fit_writes_trace_and_params(self, tmp_path, capsys):
         t_path = tmp_path / "t.mat"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,13 @@ from ttspectral.svdp import SvdpParams, init_svdp_params, svdp_dof
 from ttspectral.tensortrain import tt_contract
 
 from helpers import reference_init_params
+
+
+def schedule_of(d_out, d_in, r):
+    """The rank schedule of the record of the learned-spectrum chain."""
+    return sttp.chain_structure(sttp.factorize(d_out).factors,
+                                sttp.factorize(d_in).factors, r,
+                                LEARNED).schedule
 
 
 def layout_cell_count(params) -> int:
@@ -69,21 +77,18 @@ class TestFactorize:
 
 class TestSchedule:
     def test_worked_instance(self):
-        sched = sttp.chain_schedule(sttp.factorize(16).factors,
-                                    sttp.factorize(72).factors, 4)
+        sched = schedule_of(16, 72, 4)
         assert sched.dims == (2, 2, 2, 2, 3, 3, 2, 2, 2)
         assert sched.ranks == (1, 2, 4, 4, 4, 4, 4, 4, 2, 1)
 
     def test_middle_rank_equals_r(self):
         for d_out, d_in, r in ((16, 72, 4), (6, 35, 5), (8, 8, 3)):
-            out_fac, in_fac = sttp.factorize(d_out), sttp.factorize(d_in)
-            sched = sttp.chain_schedule(out_fac.factors, in_fac.factors, r)
-            assert sched.ranks[len(out_fac)] == r
+            sched = schedule_of(d_out, d_in, r)
+            assert sched.ranks[len(sttp.factorize(d_out))] == r
 
     def test_rank_cap_enforced(self):
         with pytest.raises(DomainError):
-            sttp.chain_schedule(sttp.factorize(4).factors,
-                                sttp.factorize(6).factors, 5)
+            schedule_of(4, 6, 5)
 
 
 class TestCoreSizeSchedule:
@@ -102,8 +107,7 @@ class TestCoreSizeSchedule:
             [(2, 2), (4, 2), (4, 2), (2, 2)]
 
     def test_cap_saturation_when_r_large(self):
-        out_fac, in_fac = sttp.factorize(8), sttp.factorize(8)
-        sched = sttp.chain_schedule(out_fac.factors, in_fac.factors, 8)
+        sched = schedule_of(8, 8, 8)
         from ttspectral.tensortrain import rank_caps
 
         caps = rank_caps(sched.dims)
@@ -127,8 +131,7 @@ class TestCoreSizeSchedule:
 class TestDof:
     def test_worked_instance_learned(self):
         # independent evaluation of the schedule sums: 232 - 104
-        sched = sttp.chain_schedule(sttp.factorize(16).factors,
-                                    sttp.factorize(72).factors, 4)
+        sched = schedule_of(16, 72, 4)
         total = sum(
             sched.ranks[k] * sched.dims[k] * sched.ranks[k + 1]
             for k in range(len(sched.dims))
@@ -348,12 +351,12 @@ class TestParamsValidation:
         q = sttp.SttpParams(16, 72, 4, p.u_layouts, p.v_layouts, p.spectrum)
         out_fac, in_fac = sttp.factorize(16), sttp.factorize(72)
         assert (q.out_fac, q.in_fac) == (out_fac, in_fac)
-        assert q.schedule == sttp.chain_schedule(out_fac.factors,
-                                                 in_fac.factors, 4)
+        assert q.structure is sttp.chain_structure(
+            out_fac.factors, in_fac.factors, 4, LEARNED)
+        assert q.schedule == schedule_of(16, 72, 4)
         assert q.n_params == sttp.sttp_dof(16, 72, 4, LEARNED)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            q.schedule = sttp.chain_schedule(out_fac.factors,
-                                              in_fac.factors, 3)
+            q.schedule = schedule_of(16, 72, 3)
         small = random_sttp_params(4, 6, 2, LEARNED, 0)
         with pytest.raises(DomainError, match="rank 5 violates"):
             sttp.SttpParams(4, 6, 5, small.u_layouts, small.v_layouts,
@@ -388,6 +391,43 @@ class TestParamsValidation:
                         random_sttp_params(16, 72, 3, LEARNED, 0).spectrum)
         with pytest.raises(ShapeError, match=message):
             sttp.SttpParams(16, 72, 4, **parts)
+
+
+class TestStructureRecord:
+    @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
+    def test_one_lookup_and_one_check_per_construction(self, scheme,
+                                                       monkeypatch):
+        p = SCHEMES[scheme].random(16, 72, 4, LEARNED, 0)
+        view = p.chain
+        checked = []
+        monkeypatch.setattr(sttp, "check_integer",
+                            lambda name, *_: checked.append(name))
+        before = sttp._chain_structure.cache_info()
+        q = view.rebuild(view.layouts, p.spectrum)
+        after = sttp._chain_structure.cache_info()
+        assert type(q) is type(p)
+        assert after.hits + after.misses == before.hits + before.misses + 1
+        n_factors = len(view.out_factors) + len(view.in_factors)
+        assert checked == ["factor"] * n_factors + ["rank"]
+
+    def test_counting_the_dof_composes_no_head(self, monkeypatch):
+        # 2**32 is 32 factors of 2: an eager U head would be a 2**31 x 2**31
+        # block
+        def composed(*args):
+            raise AssertionError("a head was composed")
+
+        monkeypatch.setattr(hh, "fixed_frame", composed)
+        sttp._chain_structure.cache_clear()
+        tracemalloc.start()
+        try:
+            dof = sttp.sttp_dof(2**32, 2**32, 2**31, LEARNED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dof == 13835058055282163712
+        assert peak < 2**16
+        record = sttp.chain_structure((2,) * 32, (2,) * 32, 2**31, LEARNED)
+        assert "heads" not in vars(record)
 
 
 def _read_back(path, scheme, *shape):
@@ -473,18 +513,18 @@ class TestInitMatchesNumpyQr:
 
 
 def _clear_structure_caches():
-    for cache in (sttp._chain_schedule, sttp._chain_specs, sttp._chain_heads,
-                  hh._structure):
+    for cache in (sttp._chain_structure, hh._structure):
         cache.cache_clear()
 
 
 # each entry takes a dimension and a rank; d >= 2 so that sttp_dof factors it
 INTEGER_ENTRIES = {
-    "chain_schedule": lambda d, r: sttp.chain_schedule((d,), (5,), r),
-    "chain_specs": lambda d, r: sttp.chain_specs((2, d), (5,), r, IDENTITY),
+    "chain_structure": lambda d, r: sttp.chain_structure((d,), (5,), r,
+                                                         LEARNED),
     "core_specs": lambda d, r: sttp.core_specs(sttp.factorize(d),
                                                sttp.factorize(5), r, LEARNED),
-    "chain_heads": lambda d, r: sttp.chain_heads((2, d), (5,), r, IDENTITY),
+    "chain_structure.heads": lambda d, r: sttp.chain_structure(
+        (2, d), (5,), r, IDENTITY).heads,
     "chain_dof": lambda d, r: sttp.chain_dof((d,), (2, 3), r, LEARNED),
     "svdp_dof": lambda d, r: svdp_dof(d, 5, r, LEARNED),
     "sttp_dof": lambda d, r: sttp.sttp_dof(d, 6, r, IDENTITY),
