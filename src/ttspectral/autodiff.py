@@ -8,10 +8,12 @@ hand-written vector-Jacobian rule.  A :class:`StepProgram`, built once per
 parameter structure, runs them on a flat parameter vector: its forward
 records the intermediates and its backward transits them in reverse from
 cotangents on the factors, producing the gradient with respect to every
-free parameter (structural layout cells receive none).  Each chain side
-starts from its fixed head, the block of its leading cores without free
-cells (:attr:`~.sttp.ChainStructure.heads`, composed once per structure);
-the reverse pass through the chain stops at the first core with free cells.
+free parameter (structural layout cells receive none).  A program reads
+each set's chain from its :class:`~.sttp.ChainStructure` record and its
+layouts.  Each chain side starts from its fixed head, the block of its
+leading cores without free cells (:attr:`~.sttp.ChainStructure.heads`,
+composed once per structure); the reverse pass through the chain stops at
+the first core with free cells.
 The matrix ``W = (u * sigma) @ v.T`` is formed only when a caller reads
 :attr:`GradTape.output`; a cotangent on ``W`` reaches the factors through
 :meth:`GradTape.cotangents`.  :class:`FrobeniusLoss` hands its cotangents
@@ -149,7 +151,7 @@ class StepProgram:
     one :class:`~ttspectral.householder.DecodePlan` over all their layouts,
     so the small canvases of one rank, of any member, share a padded
     sweep, and per member its layout range, spectrum slice and signs, and
-    per side its chain: the fixed head's block
+    per side its chain from the member's record: the fixed head's block
     (:attr:`~.sttp.ChainStructure.heads`), if any, then the frames after
     the head, with their shapes.
     """
@@ -157,11 +159,11 @@ class StepProgram:
     def __init__(self, protos):
         layouts, offsets, self.members, pos = [], [], [], 0
         for params in protos:
-            view, first = params.chain, len(layouts)
+            first, structure = len(layouts), params.structure
             sides = []
             for side_layouts, shapes, (n_head, head) in zip(
-                    (view.u_layouts, view.v_layouts),
-                    (view.u_shapes, view.v_shapes), view.heads):
+                    (params.u_layouts, params.v_layouts), structure.shapes,
+                    structure.heads):
                 # the head's block stands in for its first n_head cores
                 skip = max(n_head - 1, 0)
                 sides.append(((head,) if n_head else (), len(layouts) + n_head,
@@ -245,7 +247,7 @@ def _vjp_full(tape: GradTape, g_w: np.ndarray, g_sigma_extra) -> np.ndarray:
 
 def pack(params) -> np.ndarray:
     """Flatten all free parameters: layouts in pipeline order, then spectrum."""
-    parts = [la.params for la in params.chain.layouts]
+    parts = [la.params for la in params.layouts]
     if params.spectrum.mode != IDENTITY:
         parts.append(params.spectrum.s)
     return np.concatenate(parts)
@@ -259,15 +261,14 @@ def unpack(params, theta: np.ndarray, spectrum=None):
         raise ShapeError(
             f"expected {params.n_params} parameters, got {theta.size}"
         )
-    view = params.chain
     layouts, pos = [], 0
-    for la in view.layouts:
+    for la in params.layouts:
         layouts.append(la.with_params(theta[pos: pos + la.params.size]))
         pos += la.params.size
     spectrum = params.spectrum if spectrum is None else spectrum
     if spectrum.mode != IDENTITY:
         spectrum = spectrum.with_s(theta[pos:])
-    return view.rebuild(layouts, spectrum)
+    return params.rebuild(layouts, spectrum)
 
 
 @dataclass(frozen=True)

@@ -59,12 +59,12 @@ def cmd_plan(args) -> int:
         raise DomainError(f"--dx must be a positive column count, got {args.dx}")
     params = SCHEMES[args.scheme].template(args.dout, args.din, args.rank,
                                            args.spectrum)
-    view = params.chain
+    structure = params.structure
     if args.scheme == "svdp":  # the one-core chain, with its own node names
         diagram = svdp_diagram(args.dout, args.din, args.rank, args.dx)
     else:
-        diagram = sttp_diagram(view.out_factors, view.in_factors, view.ranks,
-                               args.dx)
+        diagram = sttp_diagram(structure.out_factors, structure.in_factors,
+                               structure.schedule.ranks, args.dx)
     cplan = plan(diagram)
     for i, step in enumerate(cplan.steps):
         kind = "scale" if step.scaling else "contract"
@@ -165,7 +165,7 @@ def cmd_demo_train(args) -> int:
 def cmd_inspect(args) -> int:
     params = fileio.read_params(args.params)
     sigma = materialize_sigma(params.spectrum)
-    scheme = params.chain.scheme
+    scheme = params.scheme
     dof = params.n_params
     net = NetworkSummary((LayerBudget(params.d_out, params.d_in, dof),))
     sigma_max = float(np.max(np.abs(sigma)))

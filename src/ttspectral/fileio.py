@@ -90,13 +90,13 @@ def _manifest(params) -> bytes:
     factorizations and rank schedule.
     """
     try:
-        view = params.chain
+        structure = params.structure
     except AttributeError:
         raise FileFormatError(f"cannot serialize {type(params)!r}") from None
     spectrum = params.spectrum
     lines = [
         _PARAMS_MAGIC,
-        f"scheme={view.scheme}",
+        f"scheme={params.scheme}",
         f"dout={params.d_out}",
         f"din={params.d_in}",
         f"rank={params.r}",
@@ -105,15 +105,15 @@ def _manifest(params) -> bytes:
     ]
     if spectrum.mode == IDENTITY:
         lines.append(f"signs={_int_list(spectrum.signs)}")
-    if view.scheme == "svdp":
+    if params.scheme == "svdp":
         names = ["u", "v"]
     else:
-        lines += [f"out_factors={_int_list(view.out_factors)}",
-                  f"in_factors={_int_list(view.in_factors)}",
-                  f"rank_schedule={_int_list(view.ranks)}"]
-        names = ([f"u_core_{k + 1}" for k in range(len(view.u_layouts))]
-                 + [f"v_core_{k + 1}" for k in range(len(view.v_layouts))])
-    sizes = [la.params.size for la in view.layouts]
+        lines += [f"out_factors={_int_list(structure.out_factors)}",
+                  f"in_factors={_int_list(structure.in_factors)}",
+                  f"rank_schedule={_int_list(structure.schedule.ranks)}"]
+        names = ([f"u_core_{k + 1}" for k in range(len(params.u_layouts))]
+                 + [f"v_core_{k + 1}" for k in range(len(params.v_layouts))])
+    sizes = [la.params.size for la in params.layouts]
     if spectrum.mode != IDENTITY:
         names.append("sigma")
         sizes.append(spectrum.s.size)

@@ -535,9 +535,8 @@ def naive_flops(params, d_x: int) -> int:
     frame by the spectrum (``r * min(d_out, d_in)``), the rank-r frame
     product (``2 r d_out d_in``), and the dense apply (``2 d_out d_in d_x``).
     """
-    view = params.chain
     chain = 0
-    for shapes in (view.u_shapes, view.v_shapes):
+    for shapes in params.structure.shapes:
         rows = shapes[0][1]
         for r_left, n, r_right in shapes[1:]:
             chain += 2 * rows * r_left * n * r_right

@@ -43,10 +43,10 @@ def _random_params(template, d_out: int, d_in: int, r: int, mode: str,
     ``seed`` is an integer >= 0."""
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    view = template(d_out, d_in, r, mode).chain
+    params = template(d_out, d_in, r, mode)
     layouts = [la.with_params(rng.standard_normal(la.params.size))
-               for la in view.layouts]
-    return view.rebuild(layouts, random_spectrum(mode, r, rng, lam))
+               for la in params.layouts]
+    return params.rebuild(layouts, random_spectrum(mode, r, rng, lam))
 
 
 random_svdp_params = partial(_random_params, svdp_template)

@@ -1,8 +1,9 @@
 """The parameterization schemes by name.
 
-Both schemes share every other code path through their chain view
-(:class:`ttspectral.tensortrain.ChainView`) and the ``chain_*`` structure
-functions of :mod:`ttspectral.sttp`; svdp is the one-core chain.
+Both schemes share every other code path: a parameter set of either reads
+its chain from its :class:`ttspectral.sttp.ChainStructure` record and its
+own layouts, and the ``chain_*`` structure functions of
+:mod:`ttspectral.sttp` serve both; svdp is the one-core chain.
 """
 
 from __future__ import annotations

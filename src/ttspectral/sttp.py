@@ -28,20 +28,22 @@ from its block, whose cores they neither decode nor pull gradients into.
 
 The factor tuples, r and the spectrum mode fix all else, one cached
 :class:`ChainStructure` per structure (:func:`chain_structure`): the rank
-schedule and check on r, the gauge rule and the fixed heads.  The dof,
-template and initializer read it (the ``chain_*`` functions and
-:func:`init_chain`).  svdp is the one-core chain ``(d_out,)``, ``(d_in,)``;
-those never go through :func:`factorize`, so a dimension of 1 works there.
-Both parameter types look the record up once at construction and run
-:func:`check_chain` against it, so every svdp and sttp parameter set has
-exactly its scheme's dof free parameters.
+schedule and check on r, the gauge rule, the core shapes, the dof and the
+fixed heads.  The template and initializer read it (the ``chain_*``
+functions and :func:`init_chain`).  svdp is the one-core chain ``(d_out,)``,
+``(d_in,)``; those never go through :func:`factorize`, so a dimension of 1
+works there.  Both parameter types look the record up once at construction
+and run :func:`check_chain` against it, so every svdp and sttp parameter set
+has exactly its scheme's dof free parameters.  They keep it as
+``structure``: every reader of a set's chain (frames, tape, files, planner,
+CLI) takes the chain from that record and the set's own layouts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -50,13 +52,7 @@ from . import householder as hh
 from .errors import DomainError, ShapeError, check_integer, check_integers
 from .spectral import SpectrumParams, init_spectrum, materialize_sigma
 from .spectrum_modes import IDENTITY
-from .tensortrain import (
-    ChainView,
-    RankSchedule,
-    compose_chain,
-    rank_caps,
-    rank_schedule,
-)
+from .tensortrain import RankSchedule, compose_chain, rank_caps, rank_schedule
 from .tensortrain import frames_from_cores  # noqa: F401  (perfbench patches it)
 
 __all__ = [
@@ -162,20 +158,24 @@ class CoreSpec:
         return r_left * n, r_right
 
 
-_CORE_SHAPE = attrgetter("shape")
-
-
 @dataclass(frozen=True)
 class ChainStructure:
-    """What the factor tuples, rank and spectrum mode fix in a chain:
-    ``schedule``, the capped rank schedule over the global dims (middle rank
-    ``r``), and ``specs``, per side (U, then V) the core specs from the
-    outer (dimension) end toward the spectrum, under the gauge rule: all
-    cores are reduced except the one adjacent to the spectrum on each side;
-    with the identity spectrum, U's adjacent core is reduced as well."""
+    """What the factor tuples, rank and spectrum mode fix in a chain, svdp's
+    one-core chain too: ``out_factors`` and ``in_factors``; ``schedule``,
+    the capped rank schedule over the global dims (middle rank ``r``);
+    ``specs``, per side (U, then V) the core specs from the outer
+    (dimension) end toward the spectrum, under the gauge rule: all cores
+    are reduced except the one adjacent to the spectrum on each side; with
+    the identity spectrum, U's adjacent core is reduced as well;
+    ``shapes``, per side the specs' core shapes; and ``dof``, the
+    free-parameter count (:func:`chain_dof`)."""
 
+    out_factors: tuple[int, ...]
+    in_factors: tuple[int, ...]
     schedule: RankSchedule
     specs: tuple[tuple[CoreSpec, ...], tuple[CoreSpec, ...]]
+    shapes: tuple[tuple[tuple[int, int, int], ...], ...]
+    dof: int
 
     @cached_property
     def heads(self) -> tuple[tuple[int, np.ndarray | None], ...]:
@@ -186,7 +186,7 @@ class ChainStructure:
         composed frame of any layouts of these cores.  Composed on first
         read, so counting the dof never allocates it."""
         heads = []
-        for side in self.specs:
+        for side, shapes in zip(self.specs, self.shapes):
             frames = []
             for spec in side:
                 frame = hh.fixed_frame(*spec.frame_dims, spec.variant)
@@ -195,7 +195,7 @@ class ChainStructure:
                 frames.append(frame)
             block = None
             if frames:
-                block = compose_chain(frames, [spec.shape for spec in side])[0]
+                block = compose_chain(frames, shapes)[0]
                 block.flags.writeable = False
             heads.append((len(frames), block))
         return tuple(heads)
@@ -228,11 +228,19 @@ def _chain_structure(out_factors, in_factors, r, spectrum_mode):
     # V-side local ranks mirror the tail of the global schedule.
     sides = (("u", out_factors, ranks[:len(out_factors) + 1], u_last),
              ("v", in_factors, ranks[len(out_factors):][::-1], hh.FULL))
-    return ChainStructure(sched, tuple(
+    specs = tuple(
         tuple(CoreSpec(side, k, (side_ranks[k], n, side_ranks[k + 1]),
                        last if k == len(factors) - 1 else hh.REDUCED)
               for k, n in enumerate(factors))
-        for side, factors, side_ranks, last in sides))
+        for side, factors, side_ranks, last in sides)
+    dims = sched.dims
+    dof = sum(ranks[k] * n * ranks[k + 1] for k, n in enumerate(dims))
+    dof -= sum(ranks[k] ** 2 for k in range(1, len(dims)))
+    if spectrum_mode == IDENTITY:
+        dof -= r * (r + 1) // 2
+    return ChainStructure(
+        out_factors, in_factors, sched, specs,
+        tuple(tuple(spec.shape for spec in side) for side in specs), dof)
 
 
 def check_chain(structure: ChainStructure, u_layouts, v_layouts,
@@ -289,13 +297,7 @@ def chain_dof(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
     Identity spectrum: ``r*(r+1)/2`` less (r spectrum values plus the
     ``r*(r-1)/2`` gauge parameters removed from U's innermost core).
     """
-    sched = chain_structure(out_factors, in_factors, r, spectrum_mode).schedule
-    dims, ranks, r = sched.dims, sched.ranks, sched.r
-    total = sum(ranks[k] * n * ranks[k + 1] for k, n in enumerate(dims))
-    total -= sum(ranks[k] ** 2 for k in range(1, len(dims)))
-    if spectrum_mode == IDENTITY:
-        total -= r * (r + 1) // 2
-    return total
+    return chain_structure(out_factors, in_factors, r, spectrum_mode).dof
 
 
 def sttp_dof(d_out: int, d_in: int, r: int, spectrum_mode: str) -> int:
@@ -313,12 +315,14 @@ class SttpParams:
     side toward the spectrum.  The constructor derives the read-only
     attributes ``out_fac``, ``in_fac`` (:func:`factorize`) and
     ``structure`` (:func:`chain_structure`, looked up once) from the dims,
-    rank and spectrum mode, and runs :func:`check_chain` against it, so
-    ``n_params`` always equals :func:`sttp_dof`; ``schedule`` and ``heads``
-    are the record's.  Pickling and copying rebuild through the
-    constructor.  Its parts memoize their frames and sigma, so ``==`` and
-    ``hash`` go by identity.
+    rank and spectrum mode, and runs :func:`check_chain` against it;
+    ``n_params`` is the record's dof, :func:`sttp_dof`, and ``schedule`` is
+    the record's.  Pickling and copying rebuild through the constructor.
+    Its parts memoize their frames and sigma, so ``==`` and ``hash`` go by
+    identity.
     """
+
+    scheme = "sttp"
 
     d_out: int
     d_in: int
@@ -340,25 +344,30 @@ class SttpParams:
         return (SttpParams, (self.d_out, self.d_in, self.r, self.u_layouts,
                              self.v_layouts, self.spectrum))
 
-    @property
-    def n_params(self) -> int:
-        return (sum(la.params.size for la in self.u_layouts)
-                + sum(la.params.size for la in self.v_layouts)
-                + self.spectrum.n_params)
-
+    n_params = property(attrgetter("structure.dof"))
     schedule = property(attrgetter("structure.schedule"))
-    heads = property(attrgetter("structure.heads"))
 
     @property
-    def chain(self) -> ChainView:
-        """The chain view; core shapes as in :func:`core_specs`, heads as
-        in :attr:`ChainStructure.heads`."""
-        shapes = [tuple(map(_CORE_SHAPE, side)) for side in core_specs(
-            self.out_fac, self.in_fac, self.r, self.spectrum.mode)]
-        return ChainView(
-            "sttp", self.out_fac.factors, self.in_fac.factors,
-            self.schedule.ranks, self.u_layouts, self.v_layouts, *shapes,
-            partial(SttpParams, self.d_out, self.d_in, self.r), self.heads)
+    def specs(self) -> tuple[tuple[CoreSpec, ...], tuple[CoreSpec, ...]]:
+        """The record's specs, read through :func:`core_specs` on each call.
+
+        A warm ``apply_map`` reads them once, in :func:`chain_frames`: that
+        call is the ``sttp.core_specs`` span which the benchmark self-test
+        ``test_traced_calls_run_the_library_and_are_restored`` asserts,
+        until the library owns its spans (ROADMAP item 1b)."""
+        return core_specs(self.out_fac, self.in_fac, self.r,
+                          self.spectrum.mode)
+
+    @property
+    def layouts(self) -> tuple[hh.HouseholderLayout, ...]:
+        """Every layout in pack order: the U side, then the V side."""
+        return self.u_layouts + self.v_layouts
+
+    def rebuild(self, layouts, spectrum) -> "SttpParams":
+        """The same structure with new layouts (pack order) and spectrum."""
+        n_u = len(self.u_layouts)
+        return SttpParams(self.d_out, self.d_in, self.r, tuple(layouts[:n_u]),
+                          tuple(layouts[n_u:]), spectrum)
 
 
 def chain_template(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
@@ -375,7 +384,7 @@ def chain_template(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
 def sttp_template(d_out: int, d_in: int, r: int, spectrum_mode: str
                   ) -> SttpParams:
     """Parameters of the given structure with all-zero layouts and spectrum
-    ones, as a template for :meth:`ChainView.rebuild`."""
+    ones, as a template for :meth:`SttpParams.rebuild`."""
     return SttpParams(d_out, d_in, r, *chain_template(
         factorize(d_out).factors, factorize(d_in).factors, r, spectrum_mode))
 
@@ -424,7 +433,7 @@ def init_sttp_params(d_out: int, d_in: int, r: int, spectrum_mode: str,
 
 
 def chain_frames(p) -> tuple[np.ndarray, np.ndarray]:
-    """The d_out x r frame U and d_in x r frame V of any chain view.
+    """The d_out x r frame U and d_in x r frame V of any parameter set.
 
     A one-core side is its decoded frame (:func:`~.householder.decode`,
     checked orthonormal once).  Any other side is its fixed head's block
@@ -432,23 +441,23 @@ def chain_frames(p) -> tuple[np.ndarray, np.ndarray]:
     none, composed afresh by :func:`compose_chain` with the decoded cores
     after it, as the tape does.
     """
-    view = p.chain
-    (n_u, u_head), (n_v, v_head) = view.heads
-    return (_side_frame(view.u_layouts, view.u_shapes, n_u, u_head),
-            _side_frame(view.v_layouts, view.v_shapes, n_v, v_head))
+    # p.specs, not the record's shapes: one core_specs call (SttpParams.specs)
+    (u_head, v_head), (u_specs, v_specs) = p.structure.heads, p.specs
+    return (_side_frame(p.u_layouts, u_specs, *u_head),
+            _side_frame(p.v_layouts, v_specs, *v_head))
 
 
-def _side_frame(layouts, shapes, n_head, head):
+def _side_frame(layouts, specs, n_head, head):
     if len(layouts) == 1:
         return hh.decode(layouts[0])
     if head is None:
         n_head, head = 1, hh.decode(layouts[0])
     return compose_chain([head, *[hh.decode(la) for la in layouts[n_head:]]],
-                         shapes[n_head - 1:])[0]
+                         [spec.shape for spec in specs[n_head - 1:]])[0]
 
 
 def assemble_sttp(p) -> np.ndarray:
-    """Materialize the d_out x d_in matrix of any chain view (svdp's too).
+    """Materialize the d_out x d_in matrix of any parameter set (svdp's too).
 
     ``(u * sigma) @ v.T`` over the :func:`chain_frames`; the singular values
     of the result are ``|sigma|``.

@@ -11,12 +11,15 @@ uses the reduced (gauge-fixed) layout.
 
 This is the :mod:`ttspectral.sttp` chain with one core per side, factors
 ``(d_out,)`` and ``(d_in,)``: its structure check, gauge rule included, dof
-count, template and initializer are the chain's.
+count, template and initializer are the chain's, and a parameter set reads
+its core shapes and fixed heads from its chain's
+:class:`~ttspectral.sttp.ChainStructure` record, as an sttp set does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -34,7 +37,6 @@ from .sttp import (
     init_chain,
     rank_cap,
 )
-from .tensortrain import ChainView
 
 __all__ = [
     "rank_cap",
@@ -61,12 +63,18 @@ def svdp_dof(d_out: int, d_in: int, r: int, spectrum_mode: str) -> int:
 class SvdpParams:
     """Complete parameter set: two frame layouts plus the spectrum.
 
-    The constructor runs :func:`~.sttp.check_chain` against the one-core
-    :func:`~.sttp.chain_structure` as :class:`~.sttp.SttpParams` does, gauge
-    rule included (reduced U with an identity spectrum, full/full
-    otherwise), so ``n_params`` always equals :func:`svdp_dof`.  Its parts
-    memoize their frames and sigma, so ``==`` and ``hash`` go by identity.
+    The constructor looks up the one-core :func:`~.sttp.chain_structure`,
+    keeps it as the read-only attribute ``structure`` and runs
+    :func:`~.sttp.check_chain` against it, as :class:`~.sttp.SttpParams`
+    does, gauge rule included (reduced U with an identity spectrum,
+    full/full otherwise); ``n_params`` is the record's dof,
+    :func:`svdp_dof`.  A set reads as the chain through ``u_layouts`` and
+    ``v_layouts``, one layout each.  Pickling and copying rebuild through
+    the constructor.  Its parts memoize their frames and sigma, so ``==``
+    and ``hash`` go by identity.
     """
+
+    scheme = "svdp"
 
     d_out: int
     d_in: int
@@ -76,29 +84,32 @@ class SvdpParams:
     spectrum: SpectrumParams
 
     def __post_init__(self):
-        check_chain(chain_structure((self.d_out,), (self.d_in,), self.r,
-                                    self.spectrum.mode),
-                    (self.u_layout,), (self.v_layout,), self.spectrum)
+        structure = chain_structure((self.d_out,), (self.d_in,), self.r,
+                                    self.spectrum.mode)
+        check_chain(structure, self.u_layouts, self.v_layouts, self.spectrum)
+        object.__setattr__(self, "structure", structure)  # frozen: set once
 
-    @property
-    def n_params(self) -> int:
-        return (self.u_layout.params.size + self.v_layout.params.size
-                + self.spectrum.n_params)
+    def __reduce__(self):
+        return (SvdpParams, (self.d_out, self.d_in, self.r, self.u_layout,
+                             self.v_layout, self.spectrum))
 
-    @property
-    def chain(self) -> ChainView:
-        """The one-core-per-side chain; its dims never go through factorize."""
-        d_out, d_in, r = self.d_out, self.d_in, self.r
-        return ChainView(
-            "svdp", (d_out,), (d_in,), (1, r, 1), (self.u_layout,),
-            (self.v_layout,), ((1, d_out, r),), ((1, d_in, r),),
-            lambda u, v, sp: SvdpParams(d_out, d_in, r, *u, *v, sp))
+    n_params = property(attrgetter("structure.dof"))
+    specs = property(attrgetter("structure.specs"))
+    u_layouts = property(lambda self: (self.u_layout,))
+    v_layouts = property(lambda self: (self.v_layout,))
+    layouts = property(attrgetter("u_layout", "v_layout"))
+
+    def rebuild(self, layouts, spectrum) -> "SvdpParams":
+        """The same structure with new layouts (pack order) and spectrum."""
+        u_layout, v_layout = layouts
+        return SvdpParams(self.d_out, self.d_in, self.r, u_layout, v_layout,
+                          spectrum)
 
 
 def svdp_template(d_out: int, d_in: int, r: int, spectrum_mode: str
                   ) -> SvdpParams:
     """Parameters of the given structure with all-zero layouts and spectrum
-    ones, as a template for :meth:`ChainView.rebuild`."""
+    ones, as a template for :meth:`SvdpParams.rebuild`."""
     (u_layout,), (v_layout,), spectrum = chain_template(
         (d_out,), (d_in,), r, spectrum_mode)
     return SvdpParams(d_out, d_in, r, u_layout, v_layout, spectrum)

@@ -15,14 +15,15 @@ the matricization orthonormality nor the represented tensor.
 :func:`compose_chain` starts from a leading block: the first core's frame,
 or the fixed head of a parameter chain, its leading cores without free
 parameters composed once per structure
-(:attr:`~.sttp.ChainStructure.heads`).
+(:attr:`~.sttp.ChainStructure.heads`).  The chain of a parameter set, its
+factors, ranks, core shapes and heads, is described once, by its
+:class:`~.sttp.ChainStructure` record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,6 @@ __all__ = [
     "tt_contract",
     "compose_chain",
     "frames_from_cores",
-    "ChainView",
     "gauge_transform",
 ]
 
@@ -152,8 +152,9 @@ def compose_chain(frames, shapes) -> tuple[np.ndarray, list[np.ndarray]]:
     """
     b = frames[0]
     blocks = [b]
-    for frame, (r_left, n, r_right) in zip(frames[1:], shapes[1:]):
-        b = (b @ frame.reshape(r_left, n * r_right)).reshape(-1, r_right)
+    for k in range(1, len(frames)):
+        r_left, n, r_right = shapes[k]
+        b = (b @ frames[k].reshape(r_left, n * r_right)).reshape(-1, r_right)
         blocks.append(b)
     return b, blocks
 
@@ -205,38 +206,3 @@ def gauge_transform(cores, q_list) -> list[np.ndarray]:
             new = np.einsum("anb,bc->anc", new, right)
         out.append(new)
     return out
-
-
-class ChainView(NamedTuple):
-    """A parameter set read as two chains of Householder-parameterized cores.
-
-    Per side, layouts run from the outer end toward the spectrum (pack
-    order) with their (r_left, n, r_right) core shapes; ``ranks`` is the
-    global schedule over ``out_factors`` then the reversed ``in_factors``.
-    svdp is the chain with one core per side, ranks ``(1, r, 1)``.
-    ``build(u_layouts, v_layouts, spectrum)`` makes a ``scheme`` parameter set.
-    ``heads`` holds per side ``(n, block)``, its fixed head as in
-    :attr:`~.sttp.ChainStructure.heads`; a view without one, svdp's, reads
-    ``(0, None)`` on each side.
-    """
-
-    scheme: str
-    out_factors: tuple[int, ...]
-    in_factors: tuple[int, ...]
-    ranks: tuple[int, ...]
-    u_layouts: tuple
-    v_layouts: tuple
-    u_shapes: tuple[tuple[int, int, int], ...]
-    v_shapes: tuple[tuple[int, int, int], ...]
-    build: Callable
-    heads: tuple = ((0, None), (0, None))
-
-    @property
-    def layouts(self) -> tuple:
-        """Every layout in pack order: the U side, then the V side."""
-        return self.u_layouts + self.v_layouts
-
-    def rebuild(self, layouts, spectrum):
-        """The same structure with new layouts (pack order) and spectrum."""
-        n_u = len(self.u_layouts)
-        return self.build(tuple(layouts[:n_u]), tuple(layouts[n_u:]), spectrum)

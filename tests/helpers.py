@@ -473,11 +473,11 @@ def reference_chain_vjp(frames, shapes, blocks, g_total):
 def reference_frames(params):
     """``(u, v)`` of any parameter set: every layout decoded, each side
     composed by :func:`reference_compose_chain`."""
-    view = params.chain
     return tuple(reference_compose_chain([hh.decode(la) for la in layouts],
                                          shapes)[0]
-                 for layouts, shapes in ((view.u_layouts, view.u_shapes),
-                                         (view.v_layouts, view.v_shapes)))
+                 for layouts, shapes in zip((params.u_layouts,
+                                             params.v_layouts),
+                                            params.structure.shapes))
 
 
 def per_frame_tape(params, g_w, fwd=decode_fwd, vjp=decode_vjp):

@@ -235,7 +235,7 @@ class TestPaddedSweeps:
     @staticmethod
     def plan_case(case, mode):
         layouts = [la for p in TestPaddedSweeps.CASES[case](mode)
-                   for la in p.chain.layouts]
+                   for la in p.layouts]
         return layouts, *decode_packed(layouts)
 
     @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
@@ -286,7 +286,7 @@ class TestPaddedSweeps:
         # a canvas of more than 1024 cells is not padded, nor padded into;
         # the small one beside it sweeps alone
         layouts = list(random_svdp_params(d_out, d_in, r, LEARNED,
-                                          57).chain.layouts)
+                                          57).layouts)
         _, frames, sweeps = decode_packed(layouts)
         assert [members for members, _ in sweeps] == [[0], [1]]
         for q, la in zip(frames, layouts):
@@ -305,11 +305,11 @@ class TestStepProgram:
         tapes = program.forward(theta)
         # every canvas has rank 3 and at most 24 cells: one padded sweep
         _, sweeps = tapes[0].decode_saves
-        layouts = [la for p in ps for la in p.chain.layouts]
+        layouts = [la for p in ps for la in p.layouts]
         assert [members for members, _ in sweeps] \
             == sweep_groups(layouts) == [[i for i, la in enumerate(layouts)
                                           if la.params.size]]
-        assert len(sweeps) < sum(len(sweep_groups(p.chain.layouts))
+        assert len(sweeps) < sum(len(sweep_groups(p.layouts))
                                  for p in ps)
         rng = np.random.default_rng(42)
         g_ws = [rng.standard_normal(t.output.shape) for t in tapes]

@@ -1,4 +1,5 @@
-"""Both parameter types read as one chain view; svdp is the one-core chain."""
+"""Both parameter types read their chain from their structure record and
+their own layouts; svdp is the one-core chain."""
 
 import copy
 import pickle
@@ -38,29 +39,32 @@ class TestView:
     @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
     def test_svdp_is_the_one_core_chain(self, mode):
         p = random_svdp_params(16, 72, 4, mode, 0)
-        view = p.chain
-        assert view.scheme == "svdp"
-        assert (view.out_factors, view.in_factors) == ((16,), (72,))
-        assert view.ranks == (1, 4, 1)
-        assert view.u_layouts == (p.u_layout,)
-        assert view.v_layouts == (p.v_layout,)
-        assert view.u_shapes == ((1, 16, 4),)
-        assert view.v_shapes == ((1, 72, 4),)
+        s = p.structure
+        assert p.scheme == "svdp"
+        assert s is chain_structure((16,), (72,), 4, mode)
+        assert (s.out_factors, s.in_factors) == ((16,), (72,))
+        assert s.schedule.ranks == (1, 4, 1)
+        assert p.u_layouts == (p.u_layout,)
+        assert p.v_layouts == (p.v_layout,)
+        assert p.layouts == (p.u_layout, p.v_layout)
+        assert p.specs is s.specs
+        assert s.shapes == (((1, 16, 4),), ((1, 72, 4),))
 
     def test_sttp_view_follows_core_specs(self):
         p = random_sttp_params(16, 72, 4, LEARNED, 0)
-        view = p.chain
+        s = p.structure
         u_specs, v_specs = core_specs(p.out_fac, p.in_fac, p.r, LEARNED)
-        assert view.scheme == "sttp"
-        assert view.ranks == p.schedule.ranks
-        assert view.layouts == p.u_layouts + p.v_layouts
-        assert view.u_shapes == tuple(spec.shape for spec in u_specs)
-        assert view.v_shapes == tuple(spec.shape for spec in v_specs)
+        assert p.scheme == "sttp"
+        assert (s.out_factors, s.in_factors) == ((2, 2, 2, 2), (2, 2, 2, 3, 3))
+        assert p.specs is s.specs == (u_specs, v_specs)
+        assert p.layouts == p.u_layouts + p.v_layouts
+        assert s.shapes == (tuple(spec.shape for spec in u_specs),
+                            tuple(spec.shape for spec in v_specs))
 
     @pytest.mark.parametrize("maker", [random_svdp_params, random_sttp_params])
     def test_rebuild_keeps_type_and_structure(self, maker):
         p = maker(12, 18, 3, LEARNED, 1)
-        q = p.chain.rebuild(list(p.chain.layouts), p.spectrum)
+        q = p.rebuild(list(p.layouts), p.spectrum)
         assert type(q) is type(p)
         assert isinstance(q, SvdpParams) == (maker is random_svdp_params)
         assert np.array_equal(ad.pack(q), ad.pack(p))
@@ -69,16 +73,15 @@ class TestView:
     def test_template_has_the_scheme_structure(self, scheme):
         template = SCHEMES[scheme].template(16, 72, 4, LEARNED)
         random = SCHEMES[scheme].random(16, 72, 4, LEARNED, 0)
-        assert template.chain.u_shapes == random.chain.u_shapes
-        assert template.chain.v_shapes == random.chain.v_shapes
+        assert template.structure is random.structure
         assert template.n_params == SCHEMES[scheme].dof(16, 72, 4, LEARNED)
         assert not np.any(ad.pack(template)[: -4])
 
     @pytest.mark.parametrize("maker", [random_svdp_params, random_sttp_params])
     def test_decode_plan_is_bitwise_per_layout_decode(self, maker):
         p = maker(16, 72, 4, LEARNED, 2)
-        _, saved, _ = decode_packed(p.chain.layouts)
-        for grouped, layout in zip(saved, p.chain.layouts):
+        _, saved, _ = decode_packed(p.layouts)
+        for grouped, layout in zip(saved, p.layouts):
             assert np.array_equal(grouped, hh.decode(layout))
 
     @pytest.mark.parametrize("maker,calls", [(random_svdp_params, 2),
@@ -94,7 +97,7 @@ class TestView:
                             lambda la: seen.append(la) or decode(la))
         pl.apply_map(p, np.ones((72, 2)))
         assert len(seen) == calls
-        assert seen == [la for la in p.chain.layouts if la.params.size]
+        assert seen == [la for la in p.layouts if la.params.size]
 
     @pytest.mark.parametrize("maker,lookups", [(random_svdp_params, 0),
                                                (random_sttp_params, 0)])
@@ -162,13 +165,14 @@ class TestIdentityEquality:
         assert len({p, twin}) == 2
 
 
-# (params, fixed head cores per side); svdp views carry no head
+# (params, fixed head cores per side); a one-core side without free cells
+# (1 x 1, or square reduced) is a head of one core, svdp's too
 HEAD_CASES = {
-    "svdp 1x5 r1": (lambda: init_svdp_params(1, 5, 1, LEARNED, 0), (0, 0)),
+    "svdp 1x5 r1": (lambda: init_svdp_params(1, 5, 1, LEARNED, 0), (1, 0)),
     "svdp 5x1 r1 identity": (
-        lambda: init_svdp_params(5, 1, 1, IDENTITY, 0), (0, 0)),
+        lambda: init_svdp_params(5, 1, 1, IDENTITY, 0), (0, 1)),
     "svdp 4x6 r4 identity": (
-        lambda: random_svdp_params(4, 6, 4, IDENTITY, 1), (0, 0)),
+        lambda: random_svdp_params(4, 6, 4, IDENTITY, 1), (1, 0)),
     "sttp 16x72 r4": (lambda: random_sttp_params(16, 72, 4, LEARNED, 2),
                       (2, 2)),
     "sttp 16x72 r4 identity": (
@@ -192,7 +196,7 @@ class TestFixedHeads:
     def test_bitwise_equal_to_the_all_core_oracle(self, case):
         make, n_heads = HEAD_CASES[case]
         p = make()
-        assert tuple(n for n, _ in p.chain.heads) == n_heads
+        assert tuple(n for n, _ in p.structure.heads) == n_heads
         u_ref, v_ref = reference_frames(p)
         u, v = chain_frames(p)
         assert u.tobytes() == u_ref.tobytes()
@@ -213,7 +217,7 @@ class TestFixedHeads:
 
     def test_a_side_without_free_cells_is_its_head_block(self):
         p = random_sttp_params(4, 4, 4, IDENTITY, 6)
-        (n_u, head), _ = p.heads
+        (n_u, head), _ = p.structure.heads
         assert n_u == len(p.u_layouts) == 2
         assert not any(la.params.size for la in p.u_layouts)
         assert chain_frames(p)[0] is head
@@ -226,18 +230,19 @@ class TestFixedHeads:
         p = random_sttp_params(5, 6, 2, LEARNED, 0)  # 5 is prime: one U core
         assert chain_frames(p)[0] is hh.decode(p.u_layouts[0])
 
-    def test_heads_are_cached_per_structure(self):
-        a = random_sttp_params(16, 72, 4, LEARNED, 0)
-        b = init_sttp_params(16, 72, 4, LEARNED, 1)
-        record = chain_structure(a.out_fac.factors, a.in_fac.factors, 4,
-                                 LEARNED)
+    @pytest.mark.parametrize("scheme,factors", [
+        ("sttp", ((2, 2, 2, 2), (2, 2, 2, 3, 3))), ("svdp", ((16,), (72,)))])
+    def test_heads_are_cached_per_structure(self, scheme, factors):
+        a = SCHEMES[scheme].random(16, 72, 4, LEARNED, 0)
+        b = SCHEMES[scheme].init(16, 72, 4, LEARNED, 1)
+        record = chain_structure(*factors, 4, LEARNED)
         assert a.structure is b.structure is record
-        assert a.heads is b.heads is record.heads
+        assert a.structure.heads is b.structure.heads is record.heads
         # a clone rebuilds through the constructor, so it shares them too
         for clone in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a),
                       copy.copy(a)):
-            assert type(clone) is SttpParams
-            assert clone.structure is record and clone.heads is a.heads
+            assert type(clone) is type(a)
+            assert clone.structure is record
             assert ad.pack(clone).tobytes() == ad.pack(a).tobytes()
 
     def test_the_tape_pulls_no_gradient_into_a_head(self):
@@ -246,8 +251,8 @@ class TestFixedHeads:
         g_w = np.random.default_rng(1).standard_normal((16, 72))
         g_u, _, _ = tape.cotangents(g_w)
         (chain, blocks), _ = tape.chains
-        assert chain[0] is p.heads[0][1] and len(chain) == 3
-        u_shapes = p.chain.u_shapes[1:]
+        assert chain[0] is p.structure.heads[0][1] and len(chain) == 3
+        u_shapes = p.structure.shapes[0][1:]
         got = ad._chain_vjp(chain, u_shapes, blocks, g_u, True)
         want = reference_chain_vjp(chain, u_shapes, blocks, g_u)
         assert got[0] is None and want[0] is not None

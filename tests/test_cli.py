@@ -236,7 +236,7 @@ class TestParamsFile:
                             lambda p: built.append(p) or check(p))
         back = fileio.read_params(path)
         assert len(built) == 2 and built[1] is back
-        assert not any(la.params.any() for la in built[0].chain.layouts)
+        assert not any(la.params.any() for la in built[0].layouts)
         assert back.spectrum.lam == 0.25
         assert back.spectrum.signs.tobytes() == params.spectrum.signs.tobytes()
 
@@ -251,6 +251,12 @@ class TestParamsFile:
                   for line in manifest.splitlines()
                   if line.startswith("block=")]
         assert sum(counts) == sttp_dof(16, 72, 4, LEARNED)
+
+    def test_an_object_without_a_chain_record_is_not_written(self, tmp_path):
+        path = tmp_path / "p.params"
+        with pytest.raises(FileFormatError, match="cannot serialize"):
+            fileio.write_params(path, object())
+        assert not path.exists()
 
     def test_payload_length_checked(self, tmp_path):
         params = random_svdp_params(6, 5, 3, LEARNED, 0)

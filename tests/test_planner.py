@@ -50,8 +50,9 @@ def step_pairs(cplan):
 
 
 def library_diagram(scheme, d_out, d_in, r, spectrum, d_x):
-    view = SCHEMES[scheme].template(d_out, d_in, r, spectrum).chain
-    return pl.sttp_diagram(view.out_factors, view.in_factors, view.ranks, d_x)
+    structure = SCHEMES[scheme].template(d_out, d_in, r, spectrum).structure
+    return pl.sttp_diagram(structure.out_factors, structure.in_factors,
+                           structure.schedule.ranks, d_x)
 
 
 _ORACLE: dict = {}
@@ -546,16 +547,16 @@ class TestApplyMap:
             pl.apply_map(ad.unpack(p, theta), np.ones((6, 3)))
 
     def test_svdp_applies_through_the_one_core_chain_plan(self):
-        # the svdp chain view's diagram is the four-node svdp diagram: one
+        # the svdp chain's diagram is the four-node svdp diagram: one
         # cached plan, and the same bits as binding the frames by hand
         from ttspectral import householder as hh
         from ttspectral.spectral import materialize_sigma
 
         for d_out, d_in, r in ((16, 72, 4), (1, 5, 1), (5, 1, 1)):
             p = random_svdp_params(d_out, d_in, r, LEARNED, 3)
-            view = p.chain
-            chain = pl.sttp_diagram(view.out_factors, view.in_factors,
-                                    view.ranks, 3)
+            s = p.structure
+            chain = pl.sttp_diagram(s.out_factors, s.in_factors,
+                                    s.schedule.ranks, 3)
             four = pl.svdp_diagram(d_out, d_in, r, 3)
             assert chain.signature() == four.signature()
             assert pl.plan(chain) is pl.plan(four)
@@ -584,9 +585,9 @@ class TestApplyMap:
     @pytest.mark.parametrize("d_x", [1, 64])
     def test_sixteen_node_chain_matches_decompress(self, d_x):
         p = random_sttp_params(128, 128, 4, LEARNED, 7)
-        view = p.chain
-        diagram = pl.sttp_diagram(view.out_factors, view.in_factors,
-                                  view.ranks, d_x)
+        s = p.structure
+        diagram = pl.sttp_diagram(s.out_factors, s.in_factors,
+                                  s.schedule.ranks, d_x)
         assert len(diagram.nodes) == 16
         x = np.random.default_rng(d_x).standard_normal((128, d_x))
         got = pl.apply_map(p, x)
@@ -599,11 +600,11 @@ class TestApplyMap:
     def test_large_chains_plan_and_match_decompress(self, shape, nodes,
                                                     mode):
         p = random_sttp_params(*shape, mode, 8)
-        view = p.chain
+        s = p.structure
         w = pl.decompress(p)
         for d_x in (1, 64):
-            diagram = pl.sttp_diagram(view.out_factors, view.in_factors,
-                                      view.ranks, d_x)
+            diagram = pl.sttp_diagram(s.out_factors, s.in_factors,
+                                      s.schedule.ranks, d_x)
             assert len(diagram.nodes) == nodes
             assert_plan_structure(diagram, pl.plan(diagram))
             x = np.random.default_rng(d_x).standard_normal((shape[1], d_x))
@@ -639,9 +640,9 @@ class TestApplyMap:
             d_out, d_in = max(d_out, 2), max(d_in, 2)
         r = 1 + int(r_frac * (min(d_out, d_in) - 1))
         p = SCHEMES[scheme].random(d_out, d_in, r, mode, seed)
-        view = p.chain
-        assert len(pl.sttp_diagram(view.out_factors, view.in_factors,
-                                   view.ranks, d_x).nodes) <= 12
+        s = p.structure
+        assert len(pl.sttp_diagram(s.out_factors, s.in_factors,
+                                   s.schedule.ranks, d_x).nodes) <= 12
         x = np.random.default_rng(seed).standard_normal((d_in, d_x))
         want = pl.decompress(p) @ x
         got = pl.apply_map(p, x)

@@ -163,8 +163,7 @@ class TestDof:
             chain, plain = (
                 init(d_out, d_in, r, mode, 11, scheme, lam=0.01)
                 for init in (sttp.init_sttp_params, init_svdp_params))
-            for a, b in zip(chain.chain.layouts, plain.chain.layouts,
-                            strict=True):
+            for a, b in zip(chain.layouts, plain.layouts, strict=True):
                 assert (a.d, a.r, a.variant) == (b.d, b.r, b.variant)
                 assert a.params.tobytes() == b.params.tobytes()
             sa, sb = chain.spectrum, plain.spectrum
@@ -226,9 +225,9 @@ class TestAssemble:
         p = random_sttp_params(4, 6, 2, LEARNED, 7)
         u_cores, v_cores = ([hh.decode(la).reshape(shape)
                              for la, shape in zip(layouts, shapes)]
-                            for layouts, shapes in (
-                                (p.chain.u_layouts, p.chain.u_shapes),
-                                (p.chain.v_layouts, p.chain.v_shapes)))
+                            for layouts, shapes in zip(
+                                (p.u_layouts, p.v_layouts),
+                                p.structure.shapes))
         sigma = materialize_sigma(p.spectrum)
         u_cores[-1] = u_cores[-1] * sigma  # scale the spectrum-facing rank
         chain = u_cores + [np.transpose(c, (2, 1, 0))
@@ -398,16 +397,15 @@ class TestStructureRecord:
     def test_one_lookup_and_one_check_per_construction(self, scheme,
                                                        monkeypatch):
         p = SCHEMES[scheme].random(16, 72, 4, LEARNED, 0)
-        view = p.chain
         checked = []
         monkeypatch.setattr(sttp, "check_integer",
                             lambda name, *_: checked.append(name))
         before = sttp._chain_structure.cache_info()
-        q = view.rebuild(view.layouts, p.spectrum)
+        q = p.rebuild(p.layouts, p.spectrum)
         after = sttp._chain_structure.cache_info()
         assert type(q) is type(p)
         assert after.hits + after.misses == before.hits + before.misses + 1
-        n_factors = len(view.out_factors) + len(view.in_factors)
+        n_factors = len(p.structure.out_factors) + len(p.structure.in_factors)
         assert checked == ["factor"] * n_factors + ["rank"]
 
     def test_counting_the_dof_composes_no_head(self, monkeypatch):
@@ -470,7 +468,8 @@ class TestEveryMaker:
         p = PARAM_MAKERS[maker](tmp_path / "made.params", scheme, *dims, mode)
         assert isinstance(p, {"svdp": SvdpParams,
                               "sttp": sttp.SttpParams}[scheme])
-        assert p.n_params == SCHEMES[scheme].dof(*dims, mode)
+        assert p.n_params == p.structure.dof == SCHEMES[scheme].dof(*dims,
+                                                                    mode)
         a, b = tmp_path / "a.params", tmp_path / "b.params"
         fileio.write_params(a, p)
         fileio.write_params(b, fileio.read_params(a))
