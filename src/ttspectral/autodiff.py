@@ -5,12 +5,11 @@ The pipeline layout -> frames -> (core chains) -> factors ``(u, sigma, v)``
 application, frame/core reshapes, chain matmuls, the max-magnitude spectrum
 normalization, and the log-magnitude penalty.  Each primitive has a
 hand-written vector-Jacobian rule.  A :class:`StepProgram`, built once per
-parameter structure, runs them on a flat parameter vector: its forward
-records the intermediates and its backward transits them in reverse from
-cotangents on the factors, producing the gradient with respect to every
-free parameter (structural layout cells receive none).  A program reads
-each set's chain from its :class:`~.sttp.ChainStructure` record and its
-layouts.  Each chain side starts from its fixed head, the block of its
+tuple of :class:`~.sttp.ChainStructure` records, runs them on a flat
+parameter vector: its forward records the intermediates and its backward
+transits them in reverse from cotangents on the factors, producing the
+gradient with respect to every free parameter (structural layout cells
+receive none).  Each chain side starts from its fixed head, the block of its
 leading cores without free cells (:attr:`~.sttp.ChainStructure.heads`,
 composed once per structure); the reverse pass through the chain stops at
 the first core with free cells.
@@ -33,7 +32,7 @@ points so gradcheck can skip them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from . import householder as hh
 from .errors import DomainError, NumericError, ShapeError
 from .spectral import normalize_spectrum
 from .spectrum_modes import IDENTITY
+from .schemes import SCHEMES
 from .sttp import core_specs  # noqa: F401  (perfbench/spans.py patches it)
 from .tensortrain import compose_chain
 
@@ -90,7 +90,7 @@ def _chain_vjp(frames, shapes, blocks, g_total, fixed_lead=False):
 def _sigma_vjp(save, g_sigma):
     if save is None:
         return None
-    s, k, m, _ = save
+    s, k, m = save
     gs = g_sigma / m
     gs[k] -= np.sign(s[k]) * float(g_sigma @ s) / (m * m)
     return gs
@@ -117,7 +117,10 @@ class GradTape:
 
     @property
     def sigma_tied(self) -> bool:
-        return self.sigma_save is not None and self.sigma_save[3]
+        """Whether two spectrum entries tie at the largest magnitude."""
+        save = self.sigma_save  # (s, k, m), or None for identity
+        return save is not None and np.count_nonzero(
+            np.abs(save[0]) == save[2]) > 1
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -146,44 +149,27 @@ class GradTape:
 class StepProgram:
     """The forward and reverse pass of parameter sets on one flat theta.
 
-    Built once from prototype parameters, of which only the structure is
-    kept: theta is their :func:`pack` vectors end to end.  The program holds
-    one :class:`~ttspectral.householder.DecodePlan` over all their layouts,
-    so the small canvases of one rank, of any member, share a padded
-    sweep, and per member its layout range, spectrum slice and signs, and
-    per side its chain from the member's record: the fixed head's block
-    (:attr:`~.sttp.ChainStructure.heads`), if any, then the frames after
-    the head, with their shapes.
+    A member is a chain structure record and its spectrum's signs; theta is
+    the members' :func:`pack` vectors end to end.  What the records fix is
+    built once per tuple of records (:func:`_program_parts`): one
+    :class:`~ttspectral.householder.DecodePlan` over all their layouts, so
+    the small canvases of one rank, of any member, share a padded sweep,
+    and per member its layout range, spectrum slice and per side its
+    chain: the fixed head's block (:attr:`~.sttp.ChainStructure.heads`),
+    if any, then the frames after the head, with their shapes.
     """
 
-    def __init__(self, protos):
-        layouts, offsets, self.members, pos = [], [], [], 0
-        for params in protos:
-            first, structure = len(layouts), params.structure
-            sides = []
-            for side_layouts, shapes, (n_head, head) in zip(
-                    (params.u_layouts, params.v_layouts), structure.shapes,
-                    structure.heads):
-                # the head's block stands in for its first n_head cores
-                skip = max(n_head - 1, 0)
-                sides.append(((head,) if n_head else (), len(layouts) + n_head,
-                              len(layouts) + len(side_layouts), shapes[skip:],
-                              skip))
-                for la in side_layouts:
-                    layouts.append(la)
-                    offsets.append(pos)
-                    pos += la.params.size
-            n_s = params.spectrum.n_params
-            self.members.append((first, len(layouts), sides,
-                                 slice(pos, pos + n_s), params.spectrum.signs))
-            pos += n_s
-        self.size, self.decode = pos, hh.DecodePlan(layouts, offsets)
+    def __init__(self, structures, signs):
+        self.size, self.decode, self.members = _program_parts(
+            tuple(structures))
+        self.signs = tuple(signs)
 
     def forward(self, theta: np.ndarray) -> list[GradTape]:
         """Every member's factors ``(u, sigma, v)``; one tape per member."""
         frames, sweeps = self.decode.decode(theta)
         tapes = []
-        for first, stop, sides, spectrum, signs in self.members:
+        for (first, stop, sides, spectrum), signs in zip(self.members,
+                                                         self.signs):
             sigma, sigma_save = normalize_spectrum(theta[spectrum], signs)
             chains = []
             for lead, start, end, shapes, _ in sides:
@@ -205,7 +191,7 @@ class StepProgram:
         if len(tapes) != len(self.members):
             raise ShapeError("the reverse pass needs every member's tape")
         grad, g_frames = np.zeros(self.size), []
-        for tape, (_, _, sides, spectrum, _), (g_u, g_sigma, g_v) in zip(
+        for tape, (_, _, sides, spectrum), (g_u, g_sigma, g_v) in zip(
                 tapes, self.members, cotangents):
             gs = _sigma_vjp(tape.sigma_save, g_sigma)
             if gs is not None:
@@ -224,9 +210,33 @@ class StepProgram:
         return value, self.backward([tape], [cotangents]), tape
 
 
+@lru_cache(maxsize=64)
+def _program_parts(structures):
+    """``(size, decode plan, members)`` of the records' programs: a member
+    is ``(first, stop, sides, spectrum)``, a side ``(lead, start, end,
+    shapes, skip)``."""
+    dims, offsets, members, pos, n_layouts = [], [], [], 0, 0
+    for structure in structures:
+        first, sides = n_layouts, []
+        for specs, shapes, (n_head, head) in zip(
+                structure.specs, structure.shapes, structure.heads):
+            # the head's block stands in for its first n_head cores
+            skip = max(n_head - 1, 0)
+            sides.append(((head,) if n_head else (), n_layouts + n_head,
+                          n_layouts + len(specs), shapes[skip:], skip))
+            n_layouts += len(specs)
+            dims += [(*spec.frame_dims, spec.variant) for spec in specs]
+        offsets += [pos + start for start in structure.offsets[:-1]]
+        spectrum = slice(pos + structure.offsets[-1], pos + structure.dof)
+        members.append((first, n_layouts, tuple(sides), spectrum))
+        pos += structure.dof
+    return pos, hh.DecodePlan(dims, offsets), tuple(members)
+
+
 def assemble_with_tape(params) -> tuple[np.ndarray, GradTape]:
     """Assemble the matrix while recording intermediates for :func:`vjp`."""
-    (tape,) = StepProgram((params,)).forward(pack(params))
+    (tape,) = StepProgram((params.structure,),
+                          (params.spectrum.signs,)).forward(pack(params))
     return tape.output, tape
 
 
@@ -261,14 +271,9 @@ def unpack(params, theta: np.ndarray, spectrum=None):
         raise ShapeError(
             f"expected {params.n_params} parameters, got {theta.size}"
         )
-    layouts, pos = [], 0
-    for la in params.layouts:
-        layouts.append(la.with_params(theta[pos: pos + la.params.size]))
-        pos += la.params.size
-    spectrum = params.spectrum if spectrum is None else spectrum
-    if spectrum.mode != IDENTITY:
-        spectrum = spectrum.with_s(theta[pos:])
-    return params.rebuild(layouts, spectrum)
+    return SCHEMES[params.scheme].unpack(
+        params.structure, theta,
+        params.spectrum if spectrum is None else spectrum)
 
 
 @dataclass(frozen=True)
@@ -400,7 +405,8 @@ def gradcheck(params, loss) -> GradcheckReport:
     spectrum normalization ties are flagged and reported as skipped (the
     subgradient rule is deterministic but not a derivative there).
     """
-    program, theta = StepProgram((params,)), pack(params)
+    program = StepProgram((params.structure,), (params.spectrum.signs,))
+    theta = pack(params)
     _, grad, tape = program.loss_and_grad(theta, loss)
     if tape.sigma_tied:
         return GradcheckReport(float("nan"), -1, grad.size, True, True)

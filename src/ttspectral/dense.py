@@ -1,5 +1,5 @@
-"""Dense tensor substrate: element ordering, reshaping, orthonormalization,
-the LAPACK kernels the frames use, and the SVD oracle.
+"""Dense tensor substrate: element ordering, reshaping, the LAPACK kernels
+the frames use, and the SVD oracle.
 
 Dense tensors are plain ``numpy.ndarray`` objects of dtype float64 stored in
 C (row-major) order.  Row-major order realizes the 1-based multi-index
@@ -9,7 +9,7 @@ library therefore only touches metadata, never the buffer.
 
 All functions are pure; randomness enters only through explicit seeds.
 
-QR, ``geqrf`` and the inverse call the LAPACK gufuncs behind
+``geqrf`` and the inverse call the LAPACK gufuncs behind
 ``np.linalg.qr`` and ``np.linalg.inv`` (numpy's private ``_umath_linalg``)
 without the wrappers: same bits, a fraction of the cost on a frame's small
 matrices.  No other module touches that private API.  A numpy without
@@ -29,18 +29,16 @@ from .errors import DomainError, NumericError, ShapeError, check_integers
 try:
     from numpy.linalg._umath_linalg import inv as _inv
     from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw
-    from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced
 except ImportError as exc:
     raise ImportError(
-        "ttspectral needs numpy>=2.4.6 for the LAPACK gufuncs qr_r_raw, "
-        "qr_reduced and inv in numpy.linalg._umath_linalg; numpy "
+        "ttspectral needs numpy>=2.4.6 for the LAPACK gufuncs qr_r_raw "
+        "and inv in numpy.linalg._umath_linalg; numpy "
         f"{np.__version__} lacks one: {exc}") from exc
 
 __all__ = [
     "multi_index",
     "reshape",
     "matricize_core",
-    "orthonormalize",
     "geqrf",
     "inv",
     "svd_full",
@@ -99,31 +97,6 @@ def matricize_core(t: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matricize_core expects a 3-D core, got ndim={t.ndim}")
     a, b, c = t.shape
     return reshape(t, (a * b, c))
-
-
-def orthonormalize(m: np.ndarray) -> np.ndarray:
-    """Orthonormal frame spanning the columns of ``m`` (d x r, d >= r).
-
-    Computed from LAPACK's Householder QR; the result is sign-fixed so that
-    the triangular factor has a non-negative diagonal, which makes
-    ``orthonormalize(I + eps*N)`` land next to ``I`` rather than ``-I``.
-    Bitwise ``np.linalg.qr``'s Q with that sign fix.  A column norm past
-    float range (LAPACK returns a non-finite frame then, without a warning)
-    raises :class:`NumericError`.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError("orthonormalize expects a matrix")
-    if m.shape[0] < m.shape[1]:
-        raise DomainError(f"orthonormalize needs d >= r, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise DomainError("orthonormalize needs finite entries")
-    a, tau = geqrf(m)
-    q = _qr_reduced(a, tau, signature="dd->d")
-    if not np.isfinite(q).all():
-        raise NumericError("orthonormalize: a column norm overflows float "
-                           "range")
-    return q * np.where(np.diagonal(a) < 0, -1.0, 1.0)
 
 
 def geqrf(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

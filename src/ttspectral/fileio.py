@@ -23,7 +23,8 @@ scheme, dims, rank, spectrum mode, regularizer weight, the sign vector
 manifest), the factorizations and rank schedule (chain scheme only), and
 one ``block=<name> <count>`` line per layout and, in the learned modes,
 one for sigma.  The payload is the set's :func:`~.autodiff.pack` vector,
-read back through :func:`~.autodiff.unpack`; the block counts add up to
+read back onto the scheme's structure record (``SCHEMES[name].unpack``),
+one parameter set per read; the block counts add up to
 its length, the scheme's free-parameter count, which the reader checks
 from the dims and rank before it builds any layout.
 """
@@ -32,10 +33,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import pack, unpack
+from .autodiff import pack
 from .errors import FileFormatError
 from .schemes import SCHEMES
-from .spectral import SpectrumParams
+from .spectral import init_spectrum
 from .spectrum_modes import IDENTITY
 from .sttp import core_specs  # noqa: F401  (perfbench/spans.py patches it)
 
@@ -169,9 +170,8 @@ def read_params(path):
         if total != expected:
             raise FileFormatError(
                 f"blocks hold {total} values, dims and rank need {expected}")
-        template = scheme.template(d_out, d_in, r, mode)
-        params = unpack(template, values, SpectrumParams(
-            mode, r, template.spectrum.s, signs, lam))
+        params = scheme.unpack(scheme.structure(d_out, d_in, r, mode), values,
+                               init_spectrum(mode, r, signs, lam))
     except FileFormatError:
         raise
     except Exception as exc:

@@ -5,8 +5,8 @@ Plain gradient descent with momentum over the free parameters.  Defaults
 chain scheme) come from a coarse sweep on 16x12 rank-4 targets; they are
 deliberately unsophisticated so that runs are reproducible bit for bit from
 a seed.  Both fits step one :class:`~ttspectral.autodiff.StepProgram` (in
-the demo, over both layers) on the flat parameters alone, through one
-momentum loop; parameter objects are built only at init and for the result.
+the demo, over both layers) on :func:`~ttspectral.sttp.init_chain`'s pack
+vector, through one momentum loop; only a fit's result is an object.
 
 The demo trains a two-layer network (parameterized linear, relu,
 parameterized linear) on synthetic regression data whose ground-truth map
@@ -19,7 +19,7 @@ the invariant is checkable from outside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,8 +41,9 @@ from .errors import (
     check_integer,
 )
 from .schemes import SCHEMES
-from .spectral import lipschitz_bound, stable_rank_from_spectrum
+from .spectral import init_spectrum, lipschitz_bound, stable_rank_from_spectrum
 from .spectrum_modes import LEARNED
+from .sttp import init_chain
 from .svdp import rank_cap
 
 __all__ = [
@@ -69,7 +70,10 @@ class FitConfig:
     lr: float | None = None  # scheme default when None
     momentum: float = 0.9
     max_steps: int = 5000
-    tol: float = 1e-14  # relative loss-change stopping threshold
+    tol: float = 1e-14
+    """Relative loss-change stop; the default is within about 10x of the
+    factored loss's rounding (``eps ||T||^2``), so a fit to a target out of
+    reach can stop on noise, and a change of rounding moves its stop."""
     seed: int = 0
     init_scheme: str = "noisy_identity"
 
@@ -109,11 +113,6 @@ class FitResult:
         return float(np.linalg.norm(decompress(self.params) - target))
 
 
-def _init_params(cfg: FitConfig, d_out: int, d_in: int):
-    return SCHEMES[cfg.scheme].init(d_out, d_in, cfg.rank, cfg.spectrum_mode,
-                                    cfg.seed, cfg.init_scheme, lam=cfg.lam)
-
-
 def fit_matrix(target: np.ndarray, cfg: FitConfig) -> FitResult:
     """Minimize ``0.5 ||W(theta) - target||_F^2`` (plus optional penalty).
 
@@ -127,8 +126,10 @@ def fit_matrix(target: np.ndarray, cfg: FitConfig) -> FitResult:
         raise DomainError(
             f"rank {cfg.rank} exceeds cap {rank_cap(d_out, d_in)}"
         )
-    params = _init_params(cfg, d_out, d_in)
-    program = StepProgram((params,))
+    scheme = SCHEMES[cfg.scheme]
+    structure = scheme.structure(d_out, d_in, cfg.rank, cfg.spectrum_mode)
+    theta, signs = init_chain(structure, cfg.seed, cfg.init_scheme)
+    program = StepProgram((structure,), (signs,))
 
     def forward(theta):
         (tape,) = program.forward(theta)
@@ -138,7 +139,7 @@ def fit_matrix(target: np.ndarray, cfg: FitConfig) -> FitResult:
     trace: list[float] = []
     best_loss, best_theta, best_step = math.inf, None, 0
     for step, theta, loss, _ in _descend(
-            pack(params), cfg, cfg.max_steps, forward,
+            theta, cfg, cfg.max_steps, forward,
             "loss {loss:.3e} diverged at step {step}; try a smaller "
             "learning rate than {lr}"):
         trace.append(loss)
@@ -146,7 +147,9 @@ def fit_matrix(target: np.ndarray, cfg: FitConfig) -> FitResult:
             best_loss, best_theta, best_step = loss, theta, step
         if step > 0 and abs(trace[-2] - loss) <= cfg.tol * max(1.0, trace[-2]):
             break
-    return FitResult(unpack(params, best_theta), trace, best_loss, best_step)
+    spectrum = init_spectrum(cfg.spectrum_mode, cfg.rank, signs, cfg.lam)
+    return FitResult(scheme.unpack(structure, best_theta, spectrum), trace,
+                     best_loss, best_step)
 
 
 def _descend(theta, cfg, steps, forward, diverged):
@@ -247,9 +250,12 @@ def demo_train(cfg: FitConfig, seed: int, d_in: int = 6, hidden: int = 8,
     truth = _lipschitz_one_map(rng, d_out, hidden, d_in)
     y = truth(x) + 0.01 * rng.standard_normal((d_out, n_samples))
 
-    protos = (_init_params(replace(cfg, seed=seed + 1), hidden, d_in),
-              _init_params(replace(cfg, seed=seed + 2), d_out, hidden))
-    program = StepProgram(protos)
+    structures = tuple(SCHEMES[cfg.scheme].structure(
+        rows, cols, cfg.rank, cfg.spectrum_mode)
+        for rows, cols in ((hidden, d_in), (d_out, hidden)))
+    thetas, signs = zip(*(init_chain(structure, seed + k, cfg.init_scheme)
+                          for k, structure in enumerate(structures, 1)))
+    program = StepProgram(structures, signs)
 
     def forward(theta):
         tapes = program.forward(theta)
@@ -277,9 +283,8 @@ def demo_train(cfg: FitConfig, seed: int, d_in: int = 6, hidden: int = 8,
 
     report = TrainReport()
     spectra = ([], [])
-    theta = np.concatenate([pack(p) for p in protos])
     for _, _, loss, tapes in _descend(
-            theta, cfg, steps, forward,
+            np.concatenate(thetas), cfg, steps, forward,
             "demo loss {loss:.3e} diverged at step {step}"):
         report.losses.append(loss)
         for kept, tape in zip(spectra, tapes):

@@ -19,6 +19,7 @@ so no sweep transposes a canvas.  The structural diagonal 1 keeps every
 singular, and the inverse is :func:`~.dense.inv`, the LAPACK gufunc behind
 ``np.linalg.inv`` without the wrapper; encode's ``geqrf``
 (:func:`~.dense.geqrf`) skips ``np.linalg.qr``'s wrapper the same way.
+A fresh layout (:func:`init_cells`) is one ``geqrf`` of a drawn matrix.
 A batch of one size is bitwise each member decoded alone, as are
 same-seed reruns; a member that :func:`decode_batch` or :class:`DecodePlan`
 pads to a longer canvas, and applying one reflector at a time, agree to
@@ -49,7 +50,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dense import MAX_MAGNITUDE, geqrf, inv, orthonormalize
+from .dense import MAX_MAGNITUDE, geqrf, inv
 from .errors import DomainError, ShapeError, check_integer
 
 __all__ = [
@@ -65,7 +66,7 @@ __all__ = [
     "DecodePlan",
     "encode",
     "encode_as",
-    "init_frame",
+    "init_cells",
     "check_frame",
     "INIT_SCHEMES",
 ]
@@ -289,25 +290,25 @@ def decode_batch(layouts) -> list[np.ndarray]:
     layouts = list(layouts)
     if not layouts:
         return []
-    canvases, cells = _padded(layouts)
+    canvases, cells = _padded([(la.d, la.r, la.variant) for la in layouts])
     canvases.reshape(-1)[cells] = np.concatenate(
         [la.params for la in layouts])
     q = _reflect_sweep(canvases)
     return [q[k, : la.d, : la.r] for k, la in enumerate(layouts)]
 
 
-def _padded(layouts):
-    """``(base, cells)`` of layouts padded to their largest ``(d, r)``,
-    ``(d_pad, r_pad)``: the stacked column-major canvases (``r_pad x
-    d_pad`` each, ``eye(r_pad, d_pad)``, so the extra cells are structural
-    zeros and columns ``j >= r`` reflect by their structural 1), and the
-    flat index of every layout's free cells in that stack, in order."""
-    d_pad = max(la.d for la in layouts)
-    r_pad = max(la.r for la in layouts)  # <= d_pad, as every r <= d
-    base = np.tile(np.eye(r_pad, d_pad), (len(layouts), 1, 1))
+def _padded(dims):
+    """``(base, cells)`` of layouts ``(d, r, variant)`` padded to their
+    largest ``(d, r)``, ``(d_pad, r_pad)``: the stacked column-major
+    canvases (``r_pad x d_pad`` each, ``eye(r_pad, d_pad)``, so the extra
+    cells are structural zeros and columns ``j >= r`` reflect by their
+    structural 1), and the flat index of each layout's free cells in it."""
+    d_pad = max(d for d, _, _ in dims)
+    r_pad = max(r for _, r, _ in dims)  # <= d_pad, as every r <= d
+    base = np.tile(np.eye(r_pad, d_pad), (len(dims), 1, 1))
     cells = []
-    for k, la in enumerate(layouts):
-        rows, cols = la.free_cells()
+    for k, key in enumerate(dims):
+        rows, cols = _structure(*key)[:2]
         cells.append((k * r_pad + cols) * d_pad + rows)
     return base, np.concatenate(cells)
 
@@ -325,8 +326,9 @@ _PAD_LIMIT = 1024
 class DecodePlan:
     """The saving decode of fixed layout structures from one flat vector.
 
-    Layout ``i`` reads its free cells from ``theta[offsets[i]:]``.  The
-    layouts with free cells form sweep groups: every canvas of one rank
+    Layout ``i``, ``dims[i] = (d, r, variant)``, reads its free cells from
+    ``theta[offsets[i]:]``.  The layouts with free cells form sweep
+    groups: every canvas of one rank
     ``r`` with at most ``_PAD_LIMIT`` (1024) cells, ``d * r``, joins that
     rank's group, padded to the group's largest ``d`` as in
     :func:`decode_batch` (``r`` is never padded), and each larger canvas
@@ -334,29 +336,31 @@ class DecodePlan:
     leading ``d`` rows of its canvas's.  A group holds the stacked
     column-major base canvases, the flat index of the free cells in that
     stack and the positions in ``theta`` they read, through which the
-    gradient gathers back.  Layouts without free cells take their cached
-    frame.
+    gradient gathers back, read-only.  Layouts without free cells take
+    their cached frame.
 
     An unpadded member is bitwise its layout decoded alone; a padded one
     agrees to rounding, as the longer canvas reorders its sums.
     """
 
-    def __init__(self, layouts, offsets):
-        self.spans = [(pos, pos + la.params.size)
-                      for la, pos in zip(layouts, offsets)]
+    def __init__(self, dims, offsets):
+        self.spans = tuple((pos, pos + _structure(*key)[0].size)
+                           for key, pos in zip(dims, offsets))
         self.size = max((end for _, end in self.spans), default=0)
-        self.fixed = [fixed_frame(la.d, la.r, la.variant) for la in layouts]
-        self.rows = [la.d for la in layouts]
+        self.fixed = tuple(fixed_frame(*key) for key in dims)
+        self.rows = tuple(d for d, _, _ in dims)
         by_key: dict = {}
-        for i, la in enumerate(layouts):
+        for i, (d, r, _) in enumerate(dims):
             if self.fixed[i] is None:
-                small = la.d * la.r <= _PAD_LIMIT
-                by_key.setdefault(la.r if small else (la.d, la.r),
+                by_key.setdefault(r if d * r <= _PAD_LIMIT else (d, r),
                                   []).append(i)
-        self.groups = [(
-            members, *_padded([layouts[i] for i in members]),
-            np.concatenate([np.arange(*self.spans[i]) for i in members]),
-        ) for members in by_key.values()]
+        self.groups = []
+        for members in by_key.values():
+            group = (*_padded([dims[i] for i in members]), np.concatenate(
+                [np.arange(*self.spans[i]) for i in members]))
+            for a in group:
+                a.flags.writeable = False
+            self.groups.append((members, *group))
 
     def decode(self, theta: np.ndarray):
         """Every frame, and per group ``(members, saves)`` for :meth:`vjp`."""
@@ -420,29 +424,37 @@ def encode_as(q: np.ndarray, variant: str
     d, r = q.shape
     rows, cols = _structure(d, r, variant)[:2]
     a, tau = geqrf(q)
-    # the frame check forces every |R_ii| to within about 1e-8 of 1
+    return HouseholderLayout(d, r, variant, a[rows, cols]), _qr_signs(a, tau)
+
+
+def _qr_signs(a: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Column signs of a ``geqrf`` result: the signs of R's diagonal, negated
+    where LAPACK skipped a reflector whose subcolumn is already zero (``tau
+    == 0``), as a layout's structural 1 always reflects."""
     signs = np.sign(np.diagonal(a))
-    # LAPACK skips a reflector whose subcolumn is already zero (tau = 0),
-    # but a layout's structural 1 always reflects, negating that column.
     signs[tau == 0] *= -1.0
-    return HouseholderLayout(d, r, variant, a[rows, cols]), signs
+    return signs
 
 
-def init_frame(scheme: str, d: int, r: int, seed: int) -> np.ndarray:
-    """The d x r orthonormal frame one of three initialization schemes draws.
-
-    ``identity`` is the truncated identity; ``random_orthogonal`` the
-    orthonormalization of a standard-normal matrix; ``noisy_identity`` the
-    orthonormalization of ``I + INIT_ALPHA * N``.  Deterministic per seed,
-    an integer >= 0.
-    """
+def init_cells(scheme: str, d: int, r: int, variant: str, seed: int,
+               flips: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Free cells and column signs of a fresh layout, one ``geqrf`` of the
+    d x r matrix a scheme draws from ``seed`` (an integer >= 0): ``I``,
+    standard normal (``random_orthogonal``) or ``I + INIT_ALPHA * N``, its
+    rows times ``flips`` if given.  ``decode(layout) * signs`` is that
+    matrix's orthonormal frame, whose :func:`encode_as` these are (up to
+    rounding): ``M = Q R`` with R's diagonal positive moves no reflector."""
     check_integer("seed", seed, 0)
     if scheme not in INIT_SCHEMES:
         raise DomainError(f"unknown init scheme {scheme!r}")
-    rng = np.random.default_rng(seed)
-    eye = np.eye(d, r)
-    if scheme == "identity":
-        return eye
-    if scheme == "random_orthogonal":
-        return orthonormalize(rng.standard_normal((d, r)))
-    return orthonormalize(eye + INIT_ALPHA * rng.standard_normal((d, r)))
+    _check_layout_dims(d, r, variant)
+    rows, cols = _structure(d, r, variant)[:2]
+    m = np.eye(d, r)
+    if scheme != "identity":
+        noise = np.random.default_rng(seed).standard_normal((d, r))
+        m = noise if scheme == "random_orthogonal" else m + INIT_ALPHA * noise
+    if flips is not None:
+        m *= flips[:, None]
+    a, tau = geqrf(m)
+    return a[rows, cols], _qr_signs(a, tau)

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import check_integer
 from .spectral import SpectrumParams
 from .spectrum_modes import IDENTITY
-from .sttp import sttp_template
-from .svdp import svdp_template
+from .sttp import sttp_structure, unpack_sttp
+from .svdp import svdp_structure, unpack_svdp
 
 __all__ = ["random_spectrum", "random_svdp_params", "random_sttp_params"]
 
@@ -37,17 +37,16 @@ def random_spectrum(mode: str, r: int, rng: np.random.Generator,
     return SpectrumParams(mode, r, mags * signs, None, lam)
 
 
-def _random_params(template, d_out: int, d_in: int, r: int, mode: str,
-                   seed: int, lam: float = 0.0):
+def _random_params(structure_of, unpack, d_out: int, d_in: int, r: int,
+                   mode: str, seed: int, lam: float = 0.0):
     """Standard normals for every free cell in pack order, then a spectrum;
     ``seed`` is an integer >= 0."""
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    params = template(d_out, d_in, r, mode)
-    layouts = [la.with_params(rng.standard_normal(la.params.size))
-               for la in params.layouts]
-    return params.rebuild(layouts, random_spectrum(mode, r, rng, lam))
+    structure = structure_of(d_out, d_in, r, mode)
+    return unpack(structure, rng.standard_normal(structure.offsets[-1]),
+                  random_spectrum(mode, r, rng, lam))
 
 
-random_svdp_params = partial(_random_params, svdp_template)
-random_sttp_params = partial(_random_params, sttp_template)
+random_svdp_params = partial(_random_params, svdp_structure, unpack_svdp)
+random_sttp_params = partial(_random_params, sttp_structure, unpack_sttp)

@@ -126,8 +126,8 @@ def normalize_spectrum(s: np.ndarray | None, signs: np.ndarray):
     """``(sigma, save)``: ``signs`` if ``s`` is None or empty (identity),
     else ``s / max|s|``, which needs a nonzero entry and maps the largest
     magnitude ``m`` to exactly +-1.  ``save`` is None for identity, else
-    ``(s, k, m, tie)`` for the gradient tape: ``k`` indexes ``m`` (ties
-    resolve to the smallest index), and ``tie`` says whether one occurred.
+    ``(s, k, m)`` for the gradient tape: ``k`` indexes ``m`` (ties resolve
+    to the smallest index; the tape tells a tie only when asked).
     """
     if s is None or not s.size:
         return signs.copy(), None
@@ -136,8 +136,7 @@ def normalize_spectrum(s: np.ndarray | None, signs: np.ndarray):
     m = float(mags[k])
     if m == 0.0:
         raise DomainError("degenerate spectrum: all entries are zero")
-    tie = np.count_nonzero(mags == m) > 1
-    return s / m, (s, k, m, tie)
+    return s / m, (s, k, m)
 
 
 def materialize_sigma(sp: SpectrumParams) -> np.ndarray:

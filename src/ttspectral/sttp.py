@@ -28,9 +28,10 @@ from its block, whose cores they neither decode nor pull gradients into.
 
 The factor tuples, r and the spectrum mode fix all else, one cached
 :class:`ChainStructure` per structure (:func:`chain_structure`): the rank
-schedule and check on r, the gauge rule, the core shapes, the dof and the
-fixed heads.  The template and initializer read it (the ``chain_*``
-functions and :func:`init_chain`).  svdp is the one-core chain ``(d_out,)``,
+schedule and check on r, the gauge rule, the core shapes and offsets, the
+dof and the fixed heads.  A set is built from it and a pack vector
+(:func:`unpack_chain`), a fresh one from :func:`init_chain`'s, one
+``geqrf`` per core.  svdp is the one-core chain ``(d_out,)``,
 ``(d_in,)``; those never go through :func:`factorize`, so a dimension of 1
 works there.  Both parameter types look the record up once at construction
 and run :func:`check_chain` against it, so every svdp and sttp parameter set
@@ -43,7 +44,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from itertools import accumulate
 from operator import attrgetter
 
 import numpy as np
@@ -61,14 +63,17 @@ __all__ = [
     "DimFactorization",
     "rank_cap",
     "chain_structure",
+    "sttp_structure",
     "check_chain",
     "core_specs",
     "core_size_schedule",
-    "chain_dof",
     "sttp_dof",
     "SttpParams",
-    "chain_template",
     "init_chain",
+    "unpack_chain",
+    "unpack_sttp",
+    "init_params",
+    "template_params",
     "init_sttp_params",
     "sttp_template",
     "chain_frames",
@@ -167,14 +172,18 @@ class ChainStructure:
     (dimension) end toward the spectrum, under the gauge rule: all cores
     are reduced except the one adjacent to the spectrum on each side; with
     the identity spectrum, U's adjacent core is reduced as well;
-    ``shapes``, per side the specs' core shapes; and ``dof``, the
-    free-parameter count (:func:`chain_dof`)."""
+    ``shapes``, per side the specs' core shapes; ``offsets``, where each
+    core's cells, then the spectrum, start in the pack vector; and
+    ``dof``, the free-parameter count (the module's formula; the identity
+    spectrum's less ``r`` values and U's innermost ``r*(r-1)/2`` gauge
+    cells)."""
 
     out_factors: tuple[int, ...]
     in_factors: tuple[int, ...]
     schedule: RankSchedule
     specs: tuple[tuple[CoreSpec, ...], tuple[CoreSpec, ...]]
     shapes: tuple[tuple[tuple[int, int, int], ...], ...]
+    offsets: tuple[int, ...]
     dof: int
 
     @cached_property
@@ -238,9 +247,12 @@ def _chain_structure(out_factors, in_factors, r, spectrum_mode):
     dof -= sum(ranks[k] ** 2 for k in range(1, len(dims)))
     if spectrum_mode == IDENTITY:
         dof -= r * (r + 1) // 2
+    offsets = (0, *accumulate(hh.dof(*spec.frame_dims, spec.variant)
+                              for side in specs for spec in side))
     return ChainStructure(
         out_factors, in_factors, sched, specs,
-        tuple(tuple(spec.shape for spec in side) for side in specs), dof)
+        tuple(tuple(spec.shape for spec in side) for side in specs), offsets,
+        dof)
 
 
 def check_chain(structure: ChainStructure, u_layouts, v_layouts,
@@ -288,22 +300,16 @@ def core_size_schedule(out_fac: DimFactorization, in_fac: DimFactorization,
             for spec in (*u_specs, *reversed(v_specs))]
 
 
-def chain_dof(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
-              r: int, spectrum_mode: str) -> int:
-    """Free-parameter count of the chain over the given factor tuples.
-
-    Learned spectrum: ``sum_k R_{k-1} n_k R_k - sum_{interior} R_k^2`` over
-    the global schedule, the dimension of the fixed-rank tensor manifold.
-    Identity spectrum: ``r*(r+1)/2`` less (r spectrum values plus the
-    ``r*(r-1)/2`` gauge parameters removed from U's innermost core).
-    """
-    return chain_structure(out_factors, in_factors, r, spectrum_mode).dof
+def sttp_structure(d_out: int, d_in: int, r: int, spectrum_mode: str
+                   ) -> ChainStructure:
+    """:func:`chain_structure` over the prime factorizations of the dims."""
+    return chain_structure(factorize(d_out).factors, factorize(d_in).factors,
+                           r, spectrum_mode)
 
 
 def sttp_dof(d_out: int, d_in: int, r: int, spectrum_mode: str) -> int:
-    """:func:`chain_dof` over the prime factorizations of the dims."""
-    return chain_dof(factorize(d_out).factors, factorize(d_in).factors, r,
-                     spectrum_mode)
+    """Free-parameter count of the chain over the prime factorizations."""
+    return sttp_structure(d_out, d_in, r, spectrum_mode).dof
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,73 +369,76 @@ class SttpParams:
         """Every layout in pack order: the U side, then the V side."""
         return self.u_layouts + self.v_layouts
 
-    def rebuild(self, layouts, spectrum) -> "SttpParams":
-        """The same structure with new layouts (pack order) and spectrum."""
-        n_u = len(self.u_layouts)
-        return SttpParams(self.d_out, self.d_in, self.r, tuple(layouts[:n_u]),
-                          tuple(layouts[n_u:]), spectrum)
 
+def init_chain(structure: ChainStructure, seed: int,
+               init_scheme: str = "noisy_identity"
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """A fresh chain's pack vector ``theta`` and its spectrum's signs.
 
-def chain_template(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
-                   r: int, spectrum_mode: str):
-    """``(u_layouts, v_layouts, spectrum)`` of the given structure with
-    all-zero layouts and spectrum ones."""
-    u_layouts, v_layouts = (
-        tuple(hh.make_layout(*spec.frame_dims, spec.variant) for spec in specs)
-        for specs in chain_structure(out_factors, in_factors, r,
-                                     spectrum_mode).specs)
-    return u_layouts, v_layouts, init_spectrum(spectrum_mode, r)
-
-
-def sttp_template(d_out: int, d_in: int, r: int, spectrum_mode: str
-                  ) -> SttpParams:
-    """Parameters of the given structure with all-zero layouts and spectrum
-    ones, as a template for :meth:`SttpParams.rebuild`."""
-    return SttpParams(d_out, d_in, r, *chain_template(
-        factorize(d_out).factors, factorize(d_in).factors, r, spectrum_mode))
-
-
-def _encode_chain(frames, specs) -> tuple[tuple, np.ndarray]:
-    """Encode a chain of target core frames, carrying encode signs inward.
-
-    Each encoding loses per-column signs; flipping the next core's rows by
-    the carried signs is an (orthogonal, diagonal) gauge rotation, so the
-    composed chain reproduces the intended frame product up to a final
-    column-sign vector, which is returned for absorption into the spectrum.
-    """
-    layouts = []
-    carry = np.ones(1)
-    for frame, spec in zip(frames, specs):
-        flipped = frame * np.repeat(carry, spec.shape[1])[:, None]
-        layout, carry = hh.encode_as(flipped, spec.variant)
-        layouts.append(layout)
-    return tuple(layouts), carry
-
-
-def init_chain(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
-               r: int, spectrum_mode: str, seed: int,
-               init_scheme: str = "noisy_identity", lam: float = 0.0):
-    """Fresh ``(u_layouts, v_layouts, spectrum)``: each core frame drawn by
-    the init scheme and encoded, the lost column signs folded into the
-    spectrum, so the assembled matrix is the drawn frames' product.
-    ``seed`` is an integer >= 0."""
+    Each core is :func:`~.householder.init_cells` of its own seed (drawn
+    from ``seed``, an integer >= 0), rows flipped by the previous core's
+    signs: a diagonal gauge rotation, so the chain is the product of the
+    drawn frames up to the last signs per side, whose product the
+    spectrum takes (a learned one's free vector, theta's tail, too)."""
     check_integer("seed", seed, 0)
-    specs = chain_structure(out_factors, in_factors, r, spectrum_mode).specs
     rng = np.random.default_rng(seed)
-    frames = [[hh.init_frame(init_scheme, *spec.frame_dims,
-                             int(rng.integers(2**32)))
-               for spec in side] for side in specs]
-    (u_layouts, su), (v_layouts, sv) = map(_encode_chain, frames, specs)
-    return u_layouts, v_layouts, init_spectrum(spectrum_mode, r, su * sv, lam)
+    parts, carries = [], []
+    for side in structure.specs:
+        carry = None
+        for spec in side:
+            flips = None if carry is None else np.repeat(carry, spec.shape[1])
+            cells, carry = hh.init_cells(init_scheme, *spec.frame_dims,
+                                         spec.variant,
+                                         int(rng.integers(2**32)), flips)
+            parts.append(cells)
+        carries.append(carry)
+    signs = carries[0] * carries[1]
+    if structure.dof > structure.offsets[-1]:  # a learned spectrum
+        parts.append(signs)
+    return np.concatenate(parts), signs
 
 
-def init_sttp_params(d_out: int, d_in: int, r: int, spectrum_mode: str,
-                     seed: int, init_scheme: str = "noisy_identity",
-                     lam: float = 0.0) -> SttpParams:
-    """Fresh chain parameters; per-core frames follow the init scheme."""
-    return SttpParams(d_out, d_in, r, *init_chain(
-        factorize(d_out).factors, factorize(d_in).factors, r, spectrum_mode,
-        seed, init_scheme, lam))
+def unpack_chain(make, structure: ChainStructure, theta: np.ndarray,
+                 spectrum):
+    """The parameter set ``make(d_out, d_in, r, u_layouts, v_layouts,
+    spectrum)`` of a pack vector ``theta``: each core's layout on its cells,
+    and ``spectrum`` (mode, signs and weight) with theta's tail, if theta
+    holds one, as its free vector."""
+    offsets, (u_specs, v_specs) = structure.offsets, structure.specs
+    layouts = tuple(
+        hh.HouseholderLayout(*spec.frame_dims, spec.variant, theta[a:b])
+        for spec, a, b in zip(u_specs + v_specs, offsets, offsets[1:]))
+    if theta.size > offsets[-1]:  # a learned spectrum's free vector
+        spectrum = spectrum.with_s(theta[offsets[-1]:])
+    return make(math.prod(structure.out_factors),
+                math.prod(structure.in_factors), structure.schedule.r,
+                layouts[:len(u_specs)], layouts[len(u_specs):], spectrum)
+
+
+def init_params(structure_of, unpack, d_out: int, d_in: int, r: int,
+                spectrum_mode: str, seed: int,
+                init_scheme: str = "noisy_identity", lam: float = 0.0):
+    """Fresh parameters of the scheme with ``structure_of(d_out, d_in, r,
+    spectrum_mode)`` and ``unpack(structure, theta, spectrum)``:
+    :func:`init_chain`'s pack vector, unpacked."""
+    structure = structure_of(d_out, d_in, r, spectrum_mode)
+    theta, signs = init_chain(structure, seed, init_scheme)
+    return unpack(structure, theta,
+                  init_spectrum(spectrum_mode, r, signs, lam))
+
+
+def template_params(structure_of, unpack, d_out: int, d_in: int, r: int,
+                    spectrum_mode: str):
+    """Parameters of a scheme's structure, as :func:`init_params`, with
+    all-zero layouts and spectrum ones: a template for ``unpack``."""
+    structure = structure_of(d_out, d_in, r, spectrum_mode)
+    return unpack(structure, np.zeros(structure.offsets[-1]),
+                  init_spectrum(spectrum_mode, r))
+
+
+unpack_sttp = partial(unpack_chain, SttpParams)
+init_sttp_params = partial(init_params, sttp_structure, unpack_sttp)
+sttp_template = partial(template_params, sttp_structure, unpack_sttp)
 
 
 def chain_frames(p) -> tuple[np.ndarray, np.ndarray]:
@@ -490,6 +499,6 @@ def edge_case_is_svdp(d_out: int, d_in: int, r: int) -> tuple[bool, dict]:
         "square_cores": square,
         "sigma_adjacent_frames": (sizes[middle - 1][:2], sizes[middle][:2]),
         "sttp_dof": sttp_dof(d_out, d_in, r, "learned"),
-        "svdp_dof": chain_dof((d_out,), (d_in,), r, "learned"),
+        "svdp_dof": chain_structure((d_out,), (d_in,), r, "learned").dof,
     }
     return saturated, witness

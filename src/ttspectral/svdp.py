@@ -19,6 +19,7 @@ its core shapes and fixed heads from its chain's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -29,24 +30,33 @@ from .spectral import SpectrumParams
 from .spectral import materialize_sigma  # noqa: F401  (perfbench patches it)
 from .spectrum_modes import IDENTITY
 from .sttp import (
+    ChainStructure,
     assemble_sttp,
-    chain_dof,
     chain_structure,
-    chain_template,
     check_chain,
-    init_chain,
+    init_params,
     rank_cap,
+    template_params,
+    unpack_chain,
 )
 
 __all__ = [
     "rank_cap",
+    "svdp_structure",
     "svdp_dof",
     "SvdpParams",
     "init_svdp_params",
+    "unpack_svdp",
     "svdp_template",
     "assemble",
     "redundancy_witness",
 ]
+
+
+def svdp_structure(d_out: int, d_in: int, r: int, spectrum_mode: str
+                   ) -> ChainStructure:
+    """:func:`~.sttp.chain_structure` of the one-core chain."""
+    return chain_structure((d_out,), (d_in,), r, spectrum_mode)
 
 
 def svdp_dof(d_out: int, d_in: int, r: int, spectrum_mode: str) -> int:
@@ -56,7 +66,7 @@ def svdp_dof(d_out: int, d_in: int, r: int, spectrum_mode: str) -> int:
     spectrum values).  Identity spectrum: ``r*(d_out + d_in) - r*(3r + 1)/2``
     (reduced U frame, full V frame, no spectrum values).
     """
-    return chain_dof((d_out,), (d_in,), r, spectrum_mode)
+    return svdp_structure(d_out, d_in, r, spectrum_mode).dof
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,29 +109,11 @@ class SvdpParams:
     v_layouts = property(lambda self: (self.v_layout,))
     layouts = property(attrgetter("u_layout", "v_layout"))
 
-    def rebuild(self, layouts, spectrum) -> "SvdpParams":
-        """The same structure with new layouts (pack order) and spectrum."""
-        u_layout, v_layout = layouts
-        return SvdpParams(self.d_out, self.d_in, self.r, u_layout, v_layout,
-                          spectrum)
 
-
-def svdp_template(d_out: int, d_in: int, r: int, spectrum_mode: str
-                  ) -> SvdpParams:
-    """Parameters of the given structure with all-zero layouts and spectrum
-    ones, as a template for :meth:`SvdpParams.rebuild`."""
-    (u_layout,), (v_layout,), spectrum = chain_template(
-        (d_out,), (d_in,), r, spectrum_mode)
-    return SvdpParams(d_out, d_in, r, u_layout, v_layout, spectrum)
-
-
-def init_svdp_params(d_out: int, d_in: int, r: int, spectrum_mode: str,
-                     seed: int, init_scheme: str = "noisy_identity",
-                     lam: float = 0.0) -> SvdpParams:
-    """Fresh parameters of the one-core chain, as :func:`~.sttp.init_chain`."""
-    (u_layout,), (v_layout,), spectrum = init_chain(
-        (d_out,), (d_in,), r, spectrum_mode, seed, init_scheme, lam)
-    return SvdpParams(d_out, d_in, r, u_layout, v_layout, spectrum)
+unpack_svdp = partial(unpack_chain, lambda d_out, d_in, r, u, v, spectrum:
+                      SvdpParams(d_out, d_in, r, *u, *v, spectrum))
+init_svdp_params = partial(init_params, svdp_structure, unpack_svdp)
+svdp_template = partial(template_params, svdp_structure, unpack_svdp)
 
 
 def assemble(p: SvdpParams) -> np.ndarray:

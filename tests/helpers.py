@@ -1,13 +1,14 @@
 """Shared test oracles: exhaustive contraction-tree search, the subset-DP
-planner, random diagrams, Householder QR, orthonormalize, encode and init
-through ``np.linalg.qr``, the sequential reflector sweep, the row-major
+planner, random diagrams, Householder QR, orthonormalize, encode and the
+orthonormalize-then-encode init through ``np.linalg.qr``, the one-QR
+init through ``np.linalg.qr(mode="raw")``, the sequential reflector sweep,
+the row-major
 closed-form sweep, the chain composition and its VJP over every core, the
 per-frame gradient tape, and the fit loops over parameter objects; and the
 random layout fixture."""
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from ttspectral import householder as hh
 from ttspectral import planner as pl
 from ttspectral import sttp
 from ttspectral.dense import MAX_MAGNITUDE
+from ttspectral.schemes import SCHEMES
 from ttspectral.errors import DivergenceError, DomainError, ShapeError
 from ttspectral.spectral import (
     init_spectrum,
@@ -270,40 +272,58 @@ def reference_encode_as(q, variant=hh.FULL):
     q = np.asarray(q, dtype=np.float64)
     hh.check_frame(q)
     d, r = q.shape
-    h, tau = np.linalg.qr(q, mode="raw")  # geqrf; h.T is its output
+    cells, signs = reference_qr_cells(q, variant)
+    return hh.make_layout(d, r, variant, cells), signs
+
+
+def reference_draw(init_scheme, d, r, seed):
+    """The d x r matrix an init scheme draws from a per-core seed."""
+    m = np.eye(d, r)
+    if init_scheme == "random_orthogonal":
+        return np.random.default_rng(seed).standard_normal((d, r))
+    if init_scheme == "noisy_identity":
+        m = m + hh.INIT_ALPHA * np.random.default_rng(seed).standard_normal(
+            (d, r))
+    return m
+
+
+def reference_qr_cells(m, variant=hh.FULL):
+    """Free cells and column signs of one ``np.linalg.qr(mode="raw")`` of
+    ``m``, gathered through a full layout."""
+    d, r = m.shape
+    h, tau = np.linalg.qr(m, mode="raw")  # geqrf; h.T is its output
     signs = np.sign(np.diag(h.T))
     signs[tau == 0] *= -1.0
     layout = layout_from_dense(h.T, d, r, hh.FULL)
     if variant == hh.REDUCED:
         layout = layout_from_dense(layout.dense(), d, r, hh.REDUCED)
-    return layout, signs
+    return layout.params, signs
 
 
 def reference_init_params(scheme, d_out, d_in, r, mode, seed,
-                          init_scheme="noisy_identity"):
-    """``init_svdp_params``/``init_sttp_params`` with every frame drawn by
-    :func:`reference_orthonormalize` and encoded by
-    :func:`reference_encode_as`."""
-    if scheme == "svdp":
-        factors = ((d_out,), (d_in,))
-    else:
-        factors = (sttp.factorize(d_out).factors, sttp.factorize(d_in).factors)
+                          init_scheme="noisy_identity", one_qr=True):
+    """``init_svdp_params``/``init_sttp_params`` through ``np.linalg.qr``:
+    each core's drawn matrix, rows flipped by the carried signs, taken
+    through one :func:`reference_qr_cells` (``one_qr``), or orthonormalized
+    by :func:`reference_orthonormalize` first (the identity is a frame
+    already) and the frame encoded by :func:`reference_encode_as`, the
+    orthonormalize-then-encode route."""
+    structure = SCHEMES[scheme].structure(d_out, d_in, r, mode)
     rng = np.random.default_rng(seed)
     sides = []
-    for specs in sttp.chain_structure(*factors, r, mode).specs:
+    for specs in structure.specs:
         layouts, carry = [], np.ones(1)
         for spec in specs:
-            d, rr = spec.frame_dims
-            frame_rng = np.random.default_rng(int(rng.integers(2**32)))
-            frame = np.eye(d, rr)
-            if init_scheme == "random_orthogonal":
-                frame = reference_orthonormalize(
-                    frame_rng.standard_normal((d, rr)))
-            elif init_scheme == "noisy_identity":
-                frame = reference_orthonormalize(
-                    frame + hh.INIT_ALPHA * frame_rng.standard_normal((d, rr)))
-            flipped = frame * np.repeat(carry, spec.shape[1])[:, None]
-            layout, carry = reference_encode_as(flipped, spec.variant)
+            m = reference_draw(init_scheme, *spec.frame_dims,
+                               int(rng.integers(2**32)))
+            if not one_qr and init_scheme != "identity":
+                m = reference_orthonormalize(m)
+            flipped = m * np.repeat(carry, spec.shape[1])[:, None]
+            if one_qr:
+                cells, carry = reference_qr_cells(flipped, spec.variant)
+                layout = hh.make_layout(*spec.frame_dims, spec.variant, cells)
+            else:
+                layout, carry = reference_encode_as(flipped, spec.variant)
             layouts.append(layout)
         sides.append((tuple(layouts), carry))
     (u_layouts, su), (v_layouts, sv) = sides
@@ -423,11 +443,24 @@ def plan_vjp(plan, sweeps, g_frames):
     return [grad[start:end] for start, end in plan.spans]
 
 
+def layout_dims(layouts):
+    """The ``(d, r, variant)`` of each layout, as :class:`DecodePlan`
+    takes them."""
+    return [(la.d, la.r, la.variant) for la in layouts]
+
+
+def step_program(*params):
+    """The :class:`~ttspectral.autodiff.StepProgram` over parameter sets:
+    their structure records and spectrum signs."""
+    return ad.StepProgram([p.structure for p in params],
+                          [p.spectrum.signs for p in params])
+
+
 def decode_packed(layouts):
     """A :class:`DecodePlan` over layouts packed end to end, and its frames
     and sweeps at the layouts' own parameters."""
     ends = list(itertools.accumulate(la.params.size for la in layouts))
-    plan = hh.DecodePlan(layouts, [0, *ends[:-1]])
+    plan = hh.DecodePlan(layout_dims(layouts), [0, *ends[:-1]])
     frames, sweeps = plan.decode(
         np.concatenate([np.zeros(0), *(la.params for la in layouts)]))
     return plan, frames, sweeps
@@ -526,7 +559,9 @@ def reference_fit_matrix(target, cfg):
     """:func:`ttspectral.fit.fit_matrix` as a loop over parameter objects:
     each step unpacks theta and tapes the new parameters."""
     target = np.asarray(target, dtype=np.float64)
-    params = ft._init_params(cfg, *target.shape)
+    params = SCHEMES[cfg.scheme].init(*target.shape, cfg.rank,
+                                      cfg.spectrum_mode, cfg.seed,
+                                      cfg.init_scheme, cfg.lam)
     loss_spec = ad.FrobeniusLoss(target, cfg.lam)
     theta = ad.pack(params)
     velocity = np.zeros_like(theta)
@@ -536,8 +571,8 @@ def reference_fit_matrix(target, cfg):
     for step in range(cfg.max_steps):
         if (np.abs(theta) <= MAX_MAGNITUDE).all():
             p = ad.unpack(params, theta)
-            loss, grad, _ = ad.StepProgram((p,)).loss_and_grad(ad.pack(p),
-                                                               loss_spec)
+            loss, grad, _ = step_program(p).loss_and_grad(ad.pack(p),
+                                                          loss_spec)
         else:  # no parameter object holds it
             loss = math.nan
         trace.append(loss)
@@ -565,8 +600,10 @@ def reference_demo_train(cfg, seed, d_in=6, hidden=8, d_out=4, n_samples=64,
     x = rng.standard_normal((d_in, n_samples))
     truth = ft._lipschitz_one_map(rng, d_out, hidden, d_in)
     y = truth(x) + 0.01 * rng.standard_normal((d_out, n_samples))
-    protos = (ft._init_params(replace(cfg, seed=seed + 1), hidden, d_in),
-              ft._init_params(replace(cfg, seed=seed + 2), d_out, hidden))
+    protos = [SCHEMES[cfg.scheme].init(rows, cols, cfg.rank, cfg.spectrum_mode,
+                                       seed + k, cfg.init_scheme, cfg.lam)
+              for k, (rows, cols) in enumerate(((hidden, d_in),
+                                                (d_out, hidden)), 1)]
     theta = [ad.pack(p) for p in protos]
     velocity = [np.zeros_like(t) for t in theta]
     lr = cfg.effective_lr

@@ -27,6 +27,7 @@ from helpers import (
     plan_vjp,
     rowmajor_reflect_sweep,
     rowmajor_reflect_sweep_vjp,
+    step_program,
     sweep_groups,
 )
 
@@ -300,7 +301,7 @@ class TestStepProgram:
                                                             mode):
         # the demo's two layers: 8x6 and 4x8, rank 3
         ps = (maker(8, 6, 3, mode, 40), maker(4, 8, 3, mode, 41))
-        program = ad.StepProgram(ps)
+        program = step_program(*ps)
         theta = np.concatenate([ad.pack(p) for p in ps])
         tapes = program.forward(theta)
         # every canvas has rank 3 and at most 24 cells: one padded sweep
@@ -353,8 +354,7 @@ class TestFactoredFrobenius:
         p = SCHEMES[scheme].random(d_out, d_in, r, mode, seed, lam)
         target = np.random.default_rng(seed).standard_normal((d_out, d_in))
         loss = ad.FrobeniusLoss(target, lam)
-        value, grad, tape = ad.StepProgram((p,)).loss_and_grad(ad.pack(p),
-                                                               loss)
+        value, grad, tape = step_program(p).loss_and_grad(ad.pack(p), loss)
         want_value, want_grad = dense_value_and_grad(tape, loss)
         assert abs(value - want_value) <= 1e-12 * max(1.0, abs(want_value))
         scale = max(1.0, float(np.max(np.abs(want_grad), initial=0.0)))
@@ -368,7 +368,7 @@ class TestFactoredFrobenius:
         p = maker(16, 72, 4, LEARNED, 3)
         target = decompress(p) * (1.0 + 1e-9)
         loss = ad.FrobeniusLoss(target)
-        program, theta = ad.StepProgram((p,)), ad.pack(p)
+        program, theta = step_program(p), ad.pack(p)
         value, grad, tape = program.loss_and_grad(theta, loss)
         dense = ad._loss_value(tape, loss)
         assert value == dense == pytest.approx(
@@ -399,7 +399,7 @@ class TestFactoredFrobenius:
         # svdp 1024^2 rank 16: one d_out x d_in float64 array is 8 MB
         d, r = 1024, 16
         p = SCHEMES["svdp"].init(d, d, r, LEARNED, 0, "noisy_identity")
-        program = ad.StepProgram((p,))
+        program = step_program(p)
         theta = ad.pack(p)
         loss = ad.FrobeniusLoss(
             np.random.default_rng(0).standard_normal((d, d)))
@@ -452,7 +452,7 @@ class TestGradcheck:
         rng = np.random.default_rng(18)
         losses = [ad.FrobeniusLoss(rng.standard_normal((8, 6)), lam),
                   ad.FrobeniusLoss(rng.standard_normal((4, 8)), lam)]
-        program = ad.StepProgram(ps)
+        program = step_program(*ps)
         theta = np.concatenate([ad.pack(p) for p in ps])
         tapes = program.forward(theta)
         assert len(tapes[0].decode_saves[1]) == 1
@@ -481,6 +481,6 @@ class TestGradcheck:
         p = random_svdp_params(5, 4, 2, LEARNED, 15)
         p = replace(p, spectrum=p.spectrum.with_s(np.array([0.5, -0.5])))
         loss = ad.FrobeniusLoss(np.ones((5, 4)))
-        _, g1, _ = ad.StepProgram((p,)).loss_and_grad(ad.pack(p), loss)
-        _, g2, _ = ad.StepProgram((p,)).loss_and_grad(ad.pack(p), loss)
+        _, g1, _ = step_program(p).loss_and_grad(ad.pack(p), loss)
+        _, g2, _ = step_program(p).loss_and_grad(ad.pack(p), loss)
         assert np.array_equal(g1, g2)

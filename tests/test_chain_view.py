@@ -62,9 +62,9 @@ class TestView:
                             tuple(spec.shape for spec in v_specs))
 
     @pytest.mark.parametrize("maker", [random_svdp_params, random_sttp_params])
-    def test_rebuild_keeps_type_and_structure(self, maker):
+    def test_unpack_keeps_type_and_structure(self, maker):
         p = maker(12, 18, 3, LEARNED, 1)
-        q = p.rebuild(list(p.layouts), p.spectrum)
+        q = ad.unpack(p, ad.pack(p))
         assert type(q) is type(p)
         assert isinstance(q, SvdpParams) == (maker is random_svdp_params)
         assert np.array_equal(ad.pack(q), ad.pack(p))

@@ -224,9 +224,10 @@ class TestParamsFile:
     @pytest.mark.parametrize("maker", [random_svdp_params,
                                        random_sttp_params])
     @pytest.mark.parametrize("mode", [IDENTITY, LEARNED_REGULARIZED])
-    def test_a_read_builds_one_parameter_set_from_the_template(
-            self, tmp_path, monkeypatch, maker, mode):
-        # the all-zero template, then unpack's set with the file's spectrum
+    def test_a_read_builds_one_parameter_set(self, tmp_path, monkeypatch,
+                                             maker, mode):
+        # the payload unpacked onto the structure record, with the file's
+        # spectrum: the set it returns is the only one built
         params = maker(12, 18, 3, mode, 6, 0.25)
         path = tmp_path / "p.params"
         fileio.write_params(path, params)
@@ -235,8 +236,7 @@ class TestParamsFile:
         monkeypatch.setattr(cls, "__post_init__",
                             lambda p: built.append(p) or check(p))
         back = fileio.read_params(path)
-        assert len(built) == 2 and built[1] is back
-        assert not any(la.params.any() for la in built[0].layouts)
+        assert built == [back]
         assert back.spectrum.lam == 0.25
         assert back.spectrum.signs.tobytes() == params.spectrum.signs.tobytes()
 

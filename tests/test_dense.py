@@ -16,7 +16,6 @@ from ttspectral.errors import DomainError, NumericError, ShapeError
 
 from helpers import (
     householder_qr,
-    memory_layouts,
     reference_orthonormalize,
     reflectors_to_frame,
 )
@@ -148,7 +147,7 @@ class TestHouseholderQr:
 
     def test_orthonormal_input_gives_diagonal_sign_r(self):
         rng = np.random.default_rng(0)
-        q = dense.orthonormalize(rng.standard_normal((6, 4)))
+        q = reference_orthonormalize(rng.standard_normal((6, 4)))
         _, r = householder_qr(q)
         off = r - np.diag(np.diag(r))
         assert np.linalg.norm(off) < 1e-12
@@ -181,54 +180,6 @@ class TestHouseholderQr:
     def test_wide_matrix_rejected(self):
         with pytest.raises(DomainError):
             householder_qr(np.zeros((2, 3)))
-
-
-class TestOrthonormalize:
-    @given(d=st.integers(1, 40), r_frac=st.floats(0.0, 1.0),
-           seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_python_qr_oracle(self, d, r_frac, seed):
-        r = 1 + int(r_frac * (d - 1))
-        m = np.random.default_rng(seed).standard_normal((d, r))
-        reflectors, rmat = householder_qr(m)
-        want = reflectors_to_frame(reflectors, r) * np.where(
-            np.diag(rmat) < 0, -1.0, 1.0)
-        # two QR codes' frames differ by O(eps * cond(m))
-        tol = 1e-13 * max(1.0, np.linalg.cond(m) / 100)
-        assert np.max(np.abs(dense.orthonormalize(m) - want)) <= tol
-
-    @pytest.mark.parametrize("order", ["C", "F", "strided"])
-    @pytest.mark.parametrize("d,r", [(1, 1), (5, 5), (6, 3), (9, 1),
-                                     (72, 4)])
-    def test_bits_equal_np_linalg_qr(self, d, r, order):
-        # the QR gufuncs called directly against np.linalg.qr; exact zeros
-        # (identity, sparse, all zero) are where a signed zero would differ
-        rng = np.random.default_rng(10 * d + r)
-        sparse = rng.standard_normal((d, r)) * (rng.random((d, r)) < 0.5)
-        for m in (rng.standard_normal((d, r)), np.eye(d, r), -np.eye(d, r),
-                  np.eye(d, r) + 1e-4 * rng.standard_normal((d, r)), sparse,
-                  np.zeros((d, r))):
-            m = memory_layouts(m)[order]
-            assert dense.orthonormalize(m).tobytes() == \
-                reference_orthonormalize(m).tobytes()
-
-    def test_wide_matrix_rejected(self):
-        with pytest.raises(DomainError):
-            dense.orthonormalize(np.zeros((2, 3)))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(DomainError, match="finite"):
-            dense.orthonormalize(np.array([[1.0, bad], [0.0, 1.0], [0.0, 0.0]]))
-
-    def test_column_norm_past_float_range_raises(self):
-        # LAPACK's norm overflows and it returns NaN, inf and -0 silently;
-        # entries a quarter that size still orthonormalize to finite bits
-        with pytest.raises(NumericError, match="overflows"):
-            dense.orthonormalize(np.full((4, 2), 1e308))
-        m = np.full((4, 2), 2.5e307) + np.eye(4, 2) * 1e307
-        assert dense.orthonormalize(m).tobytes() == \
-            reference_orthonormalize(m).tobytes()
 
 
 class TestLapackGufuncs:

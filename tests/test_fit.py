@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ttspectral import fit as ft
+from ttspectral import householder as hh
 from ttspectral.autodiff import pack
 from ttspectral.dense import svd_full
 from ttspectral.errors import (
@@ -16,8 +17,11 @@ from ttspectral.errors import (
 )
 from ttspectral.planner import decompress
 from ttspectral.sampling import random_sttp_params, random_svdp_params
+from ttspectral.schemes import SCHEMES
 from ttspectral.spectral import materialize_sigma
-from ttspectral.spectrum_modes import LEARNED, LEARNED_REGULARIZED
+from ttspectral.spectrum_modes import IDENTITY, LEARNED, LEARNED_REGULARIZED
+from ttspectral.sttp import SttpParams
+from ttspectral.svdp import SvdpParams
 
 from helpers import reference_demo_train, reference_fit_matrix
 
@@ -342,7 +346,7 @@ def bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
-MODES = [(LEARNED, 0.0), ("identity", 0.0), (LEARNED_REGULARIZED, 0.01)]
+MODES = [(LEARNED, 0.0), (IDENTITY, 0.0), (LEARNED_REGULARIZED, 0.01)]
 
 
 class TestStepProgramMatchesObjectLoops:
@@ -410,3 +414,71 @@ class TestStepProgramMatchesObjectLoops:
             with pytest.raises(DivergenceError) as got:
                 ft.demo_train(cfg, 0, steps=20)
         assert str(got.value) == str(ref.value)
+
+
+class TestFitsRunOnTheta:
+    """A fit starts from the init's pack vector and builds no parameter
+    object before its result; the demo builds none."""
+
+    @staticmethod
+    def count_constructions(monkeypatch):
+        built = []
+        for cls in (SvdpParams, SttpParams, hh.HouseholderLayout):
+            check = cls.__post_init__
+            monkeypatch.setattr(
+                cls, "__post_init__",
+                lambda obj, check=check: built.append(obj) or check(obj))
+        return built
+
+    @staticmethod
+    def stepped_thetas(monkeypatch):
+        thetas, forward = [], ft.StepProgram.forward
+        monkeypatch.setattr(
+            ft.StepProgram, "forward",
+            lambda program, theta: thetas.append(theta.copy())
+            or forward(program, theta))
+        return thetas
+
+    @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
+    def test_fit_builds_only_its_result(self, monkeypatch, scheme):
+        built = self.count_constructions(monkeypatch)
+        cfg = ft.FitConfig(scheme, 3, LEARNED, seed=4, max_steps=5)
+        res = ft.fit_matrix(unit_top_target((12, 18), 9), cfg)
+        # the result's layouts, then the result itself
+        assert built == [*res.params.layouts, res.params]
+
+    @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
+    def test_demo_builds_no_parameter_object(self, monkeypatch, scheme):
+        built = self.count_constructions(monkeypatch)
+        ft.demo_train(ft.FitConfig(scheme, 3, LEARNED), 2, steps=3)
+        assert built == []
+
+    @pytest.mark.parametrize("mode,lam", MODES)
+    @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
+    def test_first_theta_is_the_packed_init(self, monkeypatch, scheme, mode,
+                                            lam):
+        thetas = self.stepped_thetas(monkeypatch)
+        cfg = ft.FitConfig(scheme, 4, mode, lam=lam, seed=6, max_steps=2,
+                           init_scheme="random_orthogonal")
+        ft.fit_matrix(unit_top_target((16, 72), 1), cfg)
+        want = pack(SCHEMES[scheme].init(16, 72, 4, mode, 6,
+                                         "random_orthogonal", lam))
+        assert bits(thetas[0]) == bits(want)
+
+    @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
+    def test_demo_first_theta_packs_both_layers(self, monkeypatch, scheme):
+        thetas = self.stepped_thetas(monkeypatch)
+        ft.demo_train(ft.FitConfig(scheme, 3, IDENTITY), 7, steps=2)
+        want = [pack(SCHEMES[scheme].init(rows, cols, 3, IDENTITY, seed))
+                for rows, cols, seed in ((8, 6, 8), (4, 8, 9))]
+        assert bits(thetas[0]) == bits(np.concatenate(want))
+
+    def test_programs_share_what_their_records_fix(self):
+        # built once per tuple of records: a second fit's program reuses it
+        structure = SCHEMES["sttp"].structure(16, 72, 4, LEARNED)
+        a = ft.StepProgram((structure,), (np.ones(4),))
+        b = ft.StepProgram((structure,), (-np.ones(4),))
+        assert a.decode is b.decode and a.members is b.members
+        for _, base, cells, src in a.decode.groups:
+            assert not (base.flags.writeable or cells.flags.writeable
+                        or src.flags.writeable)

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ttspectral import householder as hh
-from ttspectral.dense import MAX_MAGNITUDE, inv, orthonormalize
+from ttspectral.dense import MAX_MAGNITUDE, inv
 from ttspectral.errors import DomainError, ShapeError
 
 from helpers import (
@@ -19,6 +19,7 @@ from helpers import (
     decode_packed,
     decode_vjp,
     householder_qr,
+    layout_dims,
     layout_from_dense,
     library_decode_fwd,
     library_decode_vjp,
@@ -27,6 +28,8 @@ from helpers import (
     padded_canvas,
     plan_vjp,
     reference_encode_as,
+    reference_orthonormalize,
+    reference_qr_cells,
     rowmajor_reflect_sweep,
     rowmajor_reflect_sweep_vjp,
 )
@@ -164,7 +167,7 @@ class TestDecodePlan:
         theta = np.full(80, np.nan)
         for la, pos in zip(layouts, offsets):
             theta[pos: pos + la.params.size] = la.params
-        plan = hh.DecodePlan(layouts, offsets)
+        plan = hh.DecodePlan(layout_dims(layouts), offsets)
         frames, sweeps = plan.decode(theta)
         assert len(sweeps) == 2
         for frame, la in zip(frames, layouts):
@@ -189,7 +192,7 @@ class TestImmutableLayout:
     def test_source_arrays_do_not_alias_the_layout(self):
         rng = np.random.default_rng(40)
         theta = rng.standard_normal(hh.dof(5, 2, hh.FULL))
-        q = orthonormalize(rng.standard_normal((5, 2)))
+        q = reference_orthonormalize(rng.standard_normal((5, 2)))
         built = {  # encode_as first: the loop shifts q off orthonormal
             "encode_as": lambda: hh.encode_as(q, hh.FULL)[0],
             "make_layout": lambda: hh.make_layout(5, 2, hh.FULL, theta),
@@ -560,7 +563,7 @@ class TestEncode:
         rest[np.flatnonzero(axes)] = False
         q = np.eye(d, r)
         if not axes.all():
-            q[np.ix_(rest, ~axes)] = orthonormalize(
+            q[np.ix_(rest, ~axes)] = reference_orthonormalize(
                 rng.standard_normal((rest.sum(), r - axes.sum())))
         q *= np.where(rng.integers(0, 2, r) == 0, -1.0, 1.0)
         layout, signs = hh.encode(q)
@@ -584,7 +587,7 @@ class TestEncode:
         r = 1 + int(r_frac * (d - 1))
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal((d, r))
-        q = orthonormalize(rng.standard_normal((d, r)))
+        q = reference_orthonormalize(rng.standard_normal((d, r)))
         q = q * (1.0 + 10.0 ** log_eps * rng.standard_normal(r)) \
             + 10.0 ** log_eps * noise / np.linalg.norm(noise)
         try:
@@ -623,13 +626,14 @@ class TestEncodeMatchesNumpyQr:
     def frames(d, r, rng):
         perm = np.eye(d)[rng.permutation(d)][:, :r]
         block = np.zeros((d, r))
-        block[: max(r, d - 2)] = orthonormalize(
+        block[: max(r, d - 2)] = reference_orthonormalize(
             rng.standard_normal((max(r, d - 2), r)))
         return (np.eye(d, r), np.eye(d, r) * np.where(np.arange(r) % 2, -1.0,
                                                       1.0),
-                perm, block, orthonormalize(rng.standard_normal((d, r))),
-                orthonormalize(np.eye(d, r)
-                               + hh.INIT_ALPHA * rng.standard_normal((d, r))))
+                perm, block,
+                reference_orthonormalize(rng.standard_normal((d, r))),
+                reference_orthonormalize(np.eye(d, r) + hh.INIT_ALPHA
+                                         * rng.standard_normal((d, r))))
 
     @pytest.mark.parametrize("order", ["C", "F", "strided"])
     @pytest.mark.parametrize("d,r", [(1, 1), (2, 1), (5, 5), (6, 3), (9, 1),
@@ -656,48 +660,77 @@ class TestEncodeMatchesNumpyQr:
 
 
 class TestInitLayout:
+    """The per-core init: one geqrf of the drawn matrix."""
+
     def test_identity_scheme(self):
-        layout, signs = hh.encode_as(hh.init_frame("identity", 6, 3, 0),
-                                     hh.FULL)
+        cells, signs = hh.init_cells("identity", 6, 3, hh.FULL, 0)
+        layout = hh.make_layout(6, 3, hh.FULL, cells)
         assert np.allclose(hh.decode(layout) * signs, np.eye(6, 3), atol=1e-10)
 
     def test_random_orthogonal(self):
-        layout, _ = hh.encode_as(hh.init_frame("random_orthogonal", 10, 4, 1),
-                                 hh.FULL)
+        cells, signs = hh.init_cells("random_orthogonal", 10, 4, hh.FULL, 1)
+        layout = hh.make_layout(10, 4, hh.FULL, cells)
         assert gram_residual(hh.decode(layout)) <= 1e-10
+        # the frame is the draw's orthonormalization, sign-fixed
+        m = np.random.default_rng(1).standard_normal((10, 4))
+        assert np.max(np.abs(hh.decode(layout) * signs
+                             - reference_orthonormalize(m))) <= 1e-14
 
     def test_noisy_identity_stays_near_identity(self):
         alpha = 1e-4
         for seed in range(50):
-            layout, signs = hh.encode_as(
-                hh.init_frame("noisy_identity", 8, 3, seed), hh.FULL)
-            frame = hh.decode(layout) * signs
+            cells, signs = hh.init_cells("noisy_identity", 8, 3, hh.FULL, seed)
+            frame = hh.decode(hh.make_layout(8, 3, hh.FULL, cells)) * signs
             assert np.linalg.norm(frame - np.eye(8, 3)) <= 10 * alpha * \
                 np.sqrt(8 * 3)
 
     def test_deterministic(self):
-        a, _ = hh.encode_as(hh.init_frame("noisy_identity", 7, 2, 42), hh.FULL)
-        b, _ = hh.encode_as(hh.init_frame("noisy_identity", 7, 2, 42), hh.FULL)
-        assert np.array_equal(a.params, b.params)
+        a = hh.init_cells("noisy_identity", 7, 2, hh.FULL, 42)
+        b = hh.init_cells("noisy_identity", 7, 2, hh.FULL, 42)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
     def test_reduced_variant(self):
-        layout, _ = hh.encode_as(hh.init_frame("identity", 6, 3, 0),
-                                 hh.REDUCED)
+        cells, _ = hh.init_cells("identity", 6, 3, hh.REDUCED, 0)
+        layout = hh.make_layout(6, 3, hh.REDUCED, cells)
         assert layout.variant == hh.REDUCED
         assert gram_residual(hh.decode(layout)) <= 1e-10
 
+    @pytest.mark.parametrize("scheme", hh.INIT_SCHEMES)
+    @pytest.mark.parametrize("variant", [hh.FULL, hh.REDUCED])
+    def test_flipped_rows_bitwise_one_numpy_qr(self, scheme, variant):
+        rng = np.random.default_rng(7)
+        flips = np.where(rng.integers(0, 2, 9) == 0, -1.0, 1.0)
+        cells, signs = hh.init_cells(scheme, 9, 3, variant, 5, flips)
+        m = np.eye(9, 3)
+        if scheme != "identity":
+            noise = np.random.default_rng(5).standard_normal((9, 3))
+            m = noise if scheme == "random_orthogonal" else \
+                m + hh.INIT_ALPHA * noise
+        ref_cells, ref_signs = reference_qr_cells(m * flips[:, None], variant)
+        assert cells.tobytes() == ref_cells.tobytes()
+        assert signs.tobytes() == ref_signs.tobytes()
+
     def test_unknown_scheme(self):
-        with pytest.raises(DomainError):
-            hh.encode_as(hh.init_frame("xavier", 4, 2, 0), hh.FULL)
+        with pytest.raises(DomainError, match="init scheme"):
+            hh.init_cells("xavier", 4, 2, hh.FULL, 0)
+
+    def test_bad_dims_and_variant(self):
+        with pytest.raises(DomainError, match="variant"):
+            hh.init_cells("identity", 4, 2, "upper", 0)
+        with pytest.raises(DomainError, match="1 <= r <= d"):
+            hh.init_cells("identity", 2, 4, hh.FULL, 0)
+        with pytest.raises(DomainError, match="must be an integer"):
+            hh.init_cells("identity", 4.0, 2, hh.FULL, 0)
 
     @pytest.mark.parametrize("scheme", hh.INIT_SCHEMES)
     def test_negative_seed_is_named(self, scheme):
         with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
-            hh.init_frame(scheme, 4, 2, -1)
+            hh.init_cells(scheme, 4, 2, hh.FULL, -1)
         with pytest.raises(DomainError, match="seed must be an integer"):
-            hh.init_frame(scheme, 4, 2, 1.0)
-        assert np.array_equal(hh.init_frame(scheme, 4, 2, np.uint8(3)),
-                              hh.init_frame(scheme, 4, 2, 3))
+            hh.init_cells(scheme, 4, 2, hh.FULL, 1.0)
+        for got, want in zip(hh.init_cells(scheme, 4, 2, hh.FULL, np.uint8(3)),
+                             hh.init_cells(scheme, 4, 2, hh.FULL, 3)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestFixedFrame:

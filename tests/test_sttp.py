@@ -17,7 +17,7 @@ from ttspectral.dense import svd_full
 from ttspectral.errors import DomainError, ShapeError
 from ttspectral.planner import decompress
 from ttspectral.sampling import random_sttp_params
-from ttspectral.spectral import materialize_sigma
+from ttspectral.spectral import init_spectrum, materialize_sigma
 from ttspectral.spectrum_modes import IDENTITY, LEARNED, SPECTRUM_MODES
 from ttspectral.schemes import SCHEMES
 from ttspectral.svdp import SvdpParams, init_svdp_params, svdp_dof
@@ -401,7 +401,7 @@ class TestStructureRecord:
         monkeypatch.setattr(sttp, "check_integer",
                             lambda name, *_: checked.append(name))
         before = sttp._chain_structure.cache_info()
-        q = p.rebuild(p.layouts, p.spectrum)
+        q = SCHEMES[scheme].unpack(p.structure, pack(p), p.spectrum)
         after = sttp._chain_structure.cache_info()
         assert type(q) is type(p)
         assert after.hits + after.misses == before.hits + before.misses + 1
@@ -434,12 +434,13 @@ def _read_back(path, scheme, *shape):
 
 
 def _constructed(scheme, d_out, d_in, r, mode):
+    structure = SCHEMES[scheme].structure(d_out, d_in, r, mode)
+    theta, signs = sttp.init_chain(structure, 5)
+    _, _, _, u, v, spectrum = sttp.unpack_chain(
+        lambda *parts: parts, structure, theta, init_spectrum(mode, r, signs))
     if scheme == "svdp":
-        (u,), (v,), spectrum = sttp.init_chain((d_out,), (d_in,), r, mode, 5)
-        return SvdpParams(d_out, d_in, r, u, v, spectrum)
-    return sttp.SttpParams(d_out, d_in, r, *sttp.init_chain(
-        sttp.factorize(d_out).factors, sttp.factorize(d_in).factors, r, mode,
-        5))
+        return SvdpParams(d_out, d_in, r, *u, *v, spectrum)
+    return sttp.SttpParams(d_out, d_in, r, u, v, spectrum)
 
 
 PARAM_MAKERS = {
@@ -492,10 +493,11 @@ INIT_SHAPES = [("svdp", 16, 72, 4), ("sttp", 16, 72, 4), ("sttp", 256, 256, 8),
 
 
 class TestInitMatchesNumpyQr:
-    """Init through the QR gufuncs against init through ``np.linalg.qr``:
-    the same pack vector and spectrum signs, bit for bit.  The shapes take
-    in square reduced cores (sttp 16x16 r4, svdp 4x4 r4 with the identity
-    spectrum), r = 1, and svdp 1x5 and 5x1."""
+    """Init through the QR gufunc against init through one
+    ``np.linalg.qr(mode="raw")`` per core of the row-flipped draw: the same
+    pack vector and spectrum signs, bit for bit.  The shapes take in square
+    reduced cores (sttp 16x16 r4, svdp 4x4 r4 with the identity spectrum),
+    r = 1, and svdp 1x5 and 5x1."""
 
     @pytest.mark.parametrize("init_scheme", hh.INIT_SCHEMES)
     @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
@@ -511,6 +513,34 @@ class TestInitMatchesNumpyQr:
                 ref.spectrum.signs.tobytes()
 
 
+class TestInitMatchesOrthonormalizeThenEncode:
+    """One QR per core against the route that orthonormalizes each draw and
+    encodes the frame (a second QR).  ``geqrf(D M)`` and ``geqrf(D Q)``
+    have the same reflectors when ``M = Q R`` with a positive R diagonal,
+    so the spectrum signs agree bit for bit, the identity init entirely,
+    and every layout to rounding: within 1e-15 of its largest cell."""
+
+    @pytest.mark.parametrize("init_scheme", hh.INIT_SCHEMES)
+    @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
+    @pytest.mark.parametrize("shape", INIT_SHAPES + [
+        ("sttp", 1024, 1024, 16), ("svdp", 256, 256, 8)])
+    def test_signs_bitwise_and_layouts_to_rounding(self, shape, mode,
+                                                   init_scheme):
+        scheme, *dims = shape
+        for seed in range(20):
+            got = SCHEMES[scheme].init(*dims, mode, seed, init_scheme)
+            ref = reference_init_params(scheme, *dims, mode, seed,
+                                        init_scheme, one_qr=False)
+            assert got.spectrum.signs.tobytes() == \
+                ref.spectrum.signs.tobytes()
+            if init_scheme == "identity":
+                assert pack(got).tobytes() == pack(ref).tobytes()
+            for la, want in zip(got.layouts, ref.layouts):
+                scale = np.max(np.abs(want.params), initial=0.0)
+                assert np.max(np.abs(la.params - want.params),
+                              initial=0.0) <= 1e-15 * scale
+
+
 def _clear_structure_caches():
     for cache in (sttp._chain_structure, hh._structure):
         cache.cache_clear()
@@ -524,7 +554,8 @@ INTEGER_ENTRIES = {
                                                sttp.factorize(5), r, LEARNED),
     "chain_structure.heads": lambda d, r: sttp.chain_structure(
         (2, d), (5,), r, IDENTITY).heads,
-    "chain_dof": lambda d, r: sttp.chain_dof((d,), (2, 3), r, LEARNED),
+    "chain_structure.dof": lambda d, r: sttp.chain_structure(
+        (d,), (2, 3), r, LEARNED).dof,
     "svdp_dof": lambda d, r: svdp_dof(d, 5, r, LEARNED),
     "sttp_dof": lambda d, r: sttp.sttp_dof(d, 6, r, IDENTITY),
     "make_layout": lambda d, r: hh.make_layout(d, r, hh.REDUCED),
@@ -567,7 +598,8 @@ class TestIntegerInputsBeforeCaches:
 
 class TestNegativeSeed:
     @pytest.mark.parametrize("init", [
-        lambda seed: sttp.init_chain((4,), (2, 3), 2, LEARNED, seed),
+        lambda seed: sttp.init_chain(
+            sttp.chain_structure((4,), (2, 3), 2, LEARNED), seed),
         lambda seed: init_svdp_params(4, 6, 2, LEARNED, seed),
         lambda seed: sttp.init_sttp_params(4, 6, 2, IDENTITY, seed)],
         ids=["init_chain", "init_svdp_params", "init_sttp_params"])
