@@ -7,8 +7,8 @@ exactly 1 - a Lipschitz-1 layer by construction.
 
 import numpy as np
 
+from ttspectral import decompress, svdp
 from ttspectral import householder as hh
-from ttspectral import svdp
 from ttspectral.dense import svd_full
 from ttspectral.sampling import random_svdp_params
 from ttspectral.spectral import (
@@ -20,7 +20,7 @@ from ttspectral.spectral import (
 )
 
 p = random_svdp_params(16, 12, 4, "learned", seed=7)
-w = svdp.assemble(p)
+w = decompress(p)
 sigma = materialize_sigma(p.spectrum)
 _, sv, _ = svd_full(w)
 print("parameterized 16x12, rank 4")
@@ -47,7 +47,7 @@ qmat = np.array([[np.cos(angle), -np.sin(angle)],
 u_layout, v_layout, signs = svdp.redundancy_witness(p, qmat)
 rotated = (hh.decode(u_layout) * signs) @ hh.decode(v_layout).T
 print("\ngauge rotation by 0.7 rad:")
-print("  ||W' - W|| =", np.linalg.norm(rotated - svdp.assemble(p)))
+print("  ||W' - W|| =", np.linalg.norm(rotated - decompress(p)))
 print("  ||U' - U|| =", np.linalg.norm(hh.decode(u_layout)
                                        - hh.decode(p.u_layout)))
 print("same matrix, different parameters - the redundancy the reduced "

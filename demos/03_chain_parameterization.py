@@ -39,7 +39,7 @@ print(f"dense     : {d_out * d_in:4d}")
 
 # --- the assembled matrix has the same controlled spectrum -------------------
 p = random_sttp_params(d_out, d_in, r, "learned", seed=3)
-w = sttp.assemble_sttp(p)
+w = sttp.decompress(p)
 _, sv, _ = svd_full(w)
 print("\nassembled 16x72 from chain parameters")
 print("top singular values:", np.round(sv[:5], 4),

@@ -21,8 +21,8 @@ from .spectral import (
     lipschitz_bound,
     materialize_sigma,
 )
-from .sttp import assemble_sttp, factorize, init_sttp_params, sttp_dof
-from .svdp import assemble, init_svdp_params, svdp_dof
+from .sttp import decompress, factorize, init_sttp_params, sttp_dof
+from .svdp import init_svdp_params, svdp_dof
 from .tensortrain import frames_from_cores, rank_caps, tt_contract
 
 __version__ = "0.1.0"
@@ -36,10 +36,9 @@ __all__ = [
     "decode_batch",
     "encode",
     "make_layout",
-    "assemble",
+    "decompress",
     "init_svdp_params",
     "svdp_dof",
-    "assemble_sttp",
     "factorize",
     "init_sttp_params",
     "sttp_dof",

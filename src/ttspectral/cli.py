@@ -39,8 +39,8 @@ from .sttp import factorize
 
 
 def cmd_dof(args) -> int:
-    dof = SCHEMES[args.scheme].dof(args.dout, args.din, args.rank,
-                                   args.spectrum)
+    dof = SCHEMES[args.scheme].structure(args.dout, args.din, args.rank,
+                                         args.spectrum).dof
     numel = args.dout * args.din
     net = NetworkSummary((LayerBudget(args.dout, args.din, dof),))
     print(f"dof={dof}")

@@ -164,13 +164,13 @@ def read_params(path):
     if not np.all(np.isfinite(values)):
         raise FileFormatError("parameter payload holds non-finite values")
     try:
-        # The closed-form count goes first, so that declared dims cannot
-        # make the reader allocate beyond the file's size.
-        expected = scheme.dof(d_out, d_in, r, mode)
-        if total != expected:
-            raise FileFormatError(
-                f"blocks hold {total} values, dims and rank need {expected}")
-        params = scheme.unpack(scheme.structure(d_out, d_in, r, mode), values,
+        # The record's count is checked first, so that declared dims
+        # cannot make the reader allocate beyond the file's size.
+        structure = scheme.structure(d_out, d_in, r, mode)
+        if total != structure.dof:
+            raise FileFormatError(f"blocks hold {total} values, dims and "
+                                  f"rank need {structure.dof}")
+        params = scheme.unpack(structure, values,
                                init_spectrum(mode, r, signs, lam))
     except FileFormatError:
         raise

@@ -43,8 +43,7 @@ from .errors import (
 from .schemes import SCHEMES
 from .spectral import init_spectrum, lipschitz_bound, stable_rank_from_spectrum
 from .spectrum_modes import LEARNED
-from .sttp import init_chain
-from .svdp import rank_cap
+from .sttp import init_chain, rank_cap
 
 __all__ = [
     "FitConfig",
@@ -122,10 +121,6 @@ def fit_matrix(target: np.ndarray, cfg: FitConfig) -> FitResult:
     """
     loss_spec = FrobeniusLoss(target, cfg.lam)  # checks the target
     d_out, d_in = loss_spec.target.shape
-    if cfg.rank > rank_cap(d_out, d_in):
-        raise DomainError(
-            f"rank {cfg.rank} exceeds cap {rank_cap(d_out, d_in)}"
-        )
     scheme = SCHEMES[cfg.scheme]
     structure = scheme.structure(d_out, d_in, cfg.rank, cfg.spectrum_mode)
     theta, signs = init_chain(structure, cfg.seed, cfg.init_scheme)
@@ -243,8 +238,6 @@ def demo_train(cfg: FitConfig, seed: int, d_in: int = 6, hidden: int = 8,
     steps = cfg.max_steps if steps is None else steps
     if steps < 1 or min(d_in, hidden, d_out, n_samples) < 1:
         raise DomainError("demo steps and sizes must be positive")
-    if cfg.rank > min(rank_cap(hidden, d_in), rank_cap(d_out, hidden)):
-        raise DomainError("demo rank exceeds a layer's cap")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((d_in, n_samples))
     truth = _lipschitz_one_map(rng, d_out, hidden, d_in)

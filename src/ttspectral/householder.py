@@ -65,7 +65,6 @@ __all__ = [
     "decode_batch",
     "DecodePlan",
     "encode",
-    "encode_as",
     "init_cells",
     "check_frame",
     "INIT_SCHEMES",
@@ -119,10 +118,10 @@ class HouseholderLayout:
 
     ``params`` stores the free cells column-major by reflector: all free
     cells of column 0 (top to bottom), then column 1, and so on.  Instances
-    are immutable; use :func:`make_layout` or ``with_params``.  The
-    constructor checks that the dims are integers, before it reads the
-    structure cache, and that ``params`` holds one finite value per free
-    cell, of magnitude at most ``dense.MAX_MAGNITUDE``; it keeps a
+    are immutable; the constructor, or :func:`make_layout`, builds one with
+    other ``params``.  It checks that the dims are integers, before it
+    reads the structure cache, and that ``params`` holds one finite value
+    per free cell, of magnitude at most ``dense.MAX_MAGNITUDE``; it keeps a
     read-only copy, so writing to the array it was given changes neither
     the layout nor its frame.
 
@@ -163,9 +162,6 @@ class HouseholderLayout:
         check_frame(q)
         q.flags.writeable = False
         return q
-
-    def with_params(self, params) -> "HouseholderLayout":
-        return HouseholderLayout(self.d, self.r, self.variant, params)
 
     def free_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, cols) of the free cells, column-major by reflector."""
@@ -397,23 +393,17 @@ def check_frame(q: np.ndarray) -> None:
         raise DomainError(f"columns not orthonormal: Gram residual {resid:.3e}")
 
 
-def encode(q: np.ndarray) -> tuple[HouseholderLayout, np.ndarray]:
-    """Recover a full layout and column signs from an orthonormal frame.
+def encode(q: np.ndarray, variant: str = FULL
+           ) -> tuple[HouseholderLayout, np.ndarray]:
+    """Recover a layout of the given variant and column signs from an
+    orthonormal frame.
 
-    ``decode(layout) @ diag(signs)`` reproduces ``q``.  The layout is the
-    reflector canvas of LAPACK ``geqrf`` (unit-diagonal reflectors below
-    the diagonal).  The signs are the diagonal of its triangular factor,
-    which for orthonormal input is ``diag(+-1)``; the parameterization
-    cannot represent them itself, so they are returned for the caller to
-    absorb (e.g. into a spectrum).
-    """
-    return encode_as(q, FULL)
-
-
-def encode_as(q: np.ndarray, variant: str
-              ) -> tuple[HouseholderLayout, np.ndarray]:
-    """:func:`encode` into a layout of the given variant, built straight
-    from the ``geqrf`` canvas.
+    ``decode(layout) @ diag(signs)`` reproduces ``q`` for the full variant.
+    The layout is built straight from the reflector canvas of LAPACK
+    ``geqrf`` (unit-diagonal reflectors below the diagonal).  The signs are
+    the diagonal of its triangular factor, which for orthonormal input is
+    ``diag(+-1)``; the parameterization cannot represent them itself, so
+    they are returned for the caller to absorb (e.g. into a spectrum).
 
     For the reduced variant the encoded gauge cells are left out: exact
     when the frame's leading block is already upper triangular (identity),
@@ -443,7 +433,7 @@ def init_cells(scheme: str, d: int, r: int, variant: str, seed: int,
     d x r matrix a scheme draws from ``seed`` (an integer >= 0): ``I``,
     standard normal (``random_orthogonal``) or ``I + INIT_ALPHA * N``, its
     rows times ``flips`` if given.  ``decode(layout) * signs`` is that
-    matrix's orthonormal frame, whose :func:`encode_as` these are (up to
+    matrix's orthonormal frame, whose :func:`encode` these are (up to
     rounding): ``M = Q R`` with R's diagonal positive moves no reflector."""
     check_integer("seed", seed, 0)
     if scheme not in INIT_SCHEMES:

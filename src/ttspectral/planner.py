@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import BindingError, DomainError, ShapeError, check_integers
 from .spectral import materialize_sigma
-from .sttp import assemble_sttp, chain_frames
+from .sttp import chain_frames, decompress
 from .sttp import core_specs  # noqa: F401  (perfbench/spans.py patches it)
 
 __all__ = [
@@ -544,11 +544,6 @@ def naive_flops(params, d_x: int) -> int:
     d_out, d_in, r = params.d_out, params.d_in, params.r
     return (chain + r * min(d_out, d_in) + 2 * r * d_out * d_in
             + 2 * d_out * d_in * d_x)
-
-
-def decompress(params) -> np.ndarray:
-    """Materialize the full matrix (reference path for apply_map)."""
-    return assemble_sttp(params)
 
 
 def apply_map(params, x: np.ndarray) -> np.ndarray:

@@ -53,7 +53,7 @@ import numpy as np
 from . import householder as hh
 from .errors import DomainError, ShapeError, check_integer, check_integers
 from .spectral import SpectrumParams, init_spectrum, materialize_sigma
-from .spectrum_modes import IDENTITY
+from .spectrum_modes import IDENTITY, SPECTRUM_MODES
 from .tensortrain import RankSchedule, compose_chain, rank_caps, rank_schedule
 from .tensortrain import frames_from_cores  # noqa: F401  (perfbench patches it)
 
@@ -77,7 +77,7 @@ __all__ = [
     "init_sttp_params",
     "sttp_template",
     "chain_frames",
-    "assemble_sttp",
+    "decompress",
     "edge_case_is_svdp",
 ]
 
@@ -163,7 +163,7 @@ class CoreSpec:
         return r_left * n, r_right
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainStructure:
     """What the factor tuples, rank and spectrum mode fix in a chain, svdp's
     one-core chain too: ``out_factors`` and ``in_factors``; ``schedule``,
@@ -176,7 +176,8 @@ class ChainStructure:
     core's cells, then the spectrum, start in the pack vector; and
     ``dof``, the free-parameter count (the module's formula; the identity
     spectrum's less ``r`` values and U's innermost ``r*(r-1)/2`` gauge
-    cells)."""
+    cells).  One record stands for its structure, so ``==`` and ``hash`` go
+    by identity."""
 
     out_factors: tuple[int, ...]
     in_factors: tuple[int, ...]
@@ -213,18 +214,26 @@ class ChainStructure:
 def chain_structure(out_factors: tuple[int, ...], in_factors: tuple[int, ...],
                     r: int, spectrum_mode: str) -> ChainStructure:
     """The cached record of the chain over the given factor tuples.  Each
-    factor must be an integer >= 1 and r an integer, checked before the
-    cache so that it never holds a key a rejected call made; then ``1 <= r
-    <= min(d_out, d_in)``."""
+    factor must be an integer >= 1, r an integer and the spectrum mode one
+    of ``SPECTRUM_MODES``, checked before the cache so that it never holds
+    a key a rejected call made; then ``1 <= r <= min(d_out, d_in)``.  The
+    two learned modes share one record."""
     for value in (*out_factors, *in_factors):
         check_integer("factor", value, 1)
     check_integer("rank", r)
+    _check_mode(spectrum_mode)
     return _chain_structure(tuple(map(int, out_factors)),
-                            tuple(map(int, in_factors)), int(r), spectrum_mode)
+                            tuple(map(int, in_factors)), int(r),
+                            spectrum_mode == IDENTITY)
+
+
+def _check_mode(spectrum_mode):
+    if spectrum_mode not in SPECTRUM_MODES:
+        raise DomainError(f"unknown spectrum mode {spectrum_mode!r}")
 
 
 @lru_cache(maxsize=256)
-def _chain_structure(out_factors, in_factors, r, spectrum_mode):
+def _chain_structure(out_factors, in_factors, r, identity):
     d_out, d_in = math.prod(out_factors), math.prod(in_factors)
     cap = rank_cap(d_out, d_in)
     if not 1 <= r <= cap:
@@ -233,7 +242,7 @@ def _chain_structure(out_factors, in_factors, r, spectrum_mode):
     sched = rank_schedule(out_factors + in_factors[::-1], r)
     ranks = sched.ranks
     assert ranks[len(out_factors)] == r  # the middle cap is >= r
-    u_last = hh.REDUCED if spectrum_mode == IDENTITY else hh.FULL
+    u_last = hh.REDUCED if identity else hh.FULL
     # V-side local ranks mirror the tail of the global schedule.
     sides = (("u", out_factors, ranks[:len(out_factors) + 1], u_last),
              ("v", in_factors, ranks[len(out_factors):][::-1], hh.FULL))
@@ -245,7 +254,7 @@ def _chain_structure(out_factors, in_factors, r, spectrum_mode):
     dims = sched.dims
     dof = sum(ranks[k] * n * ranks[k + 1] for k, n in enumerate(dims))
     dof -= sum(ranks[k] ** 2 for k in range(1, len(dims)))
-    if spectrum_mode == IDENTITY:
+    if identity:
         dof -= r * (r + 1) // 2
     offsets = (0, *accumulate(hh.dof(*spec.frame_dims, spec.variant)
                               for side in specs for spec in side))
@@ -277,13 +286,15 @@ def core_specs(out_fac: DimFactorization, in_fac: DimFactorization, r: int,
                spectrum_mode: str
                ) -> tuple[tuple[CoreSpec, ...], tuple[CoreSpec, ...]]:
     """The structure record's specs of two factorizations.  Their factors
-    are integers already, so only the rank is checked before the cache, and
-    a Python int skips the call: warm ``apply_map`` calls this every time."""
+    are integers already, so only the rank and the mode are checked before
+    the cache, and a Python int skips the rank's call: warm ``apply_map``
+    calls this every time."""
     if type(r) is not int:
         check_integer("rank", r)
         r = int(r)
+    _check_mode(spectrum_mode)
     return _chain_structure(out_fac.factors, in_fac.factors, r,
-                            spectrum_mode).specs
+                            spectrum_mode == IDENTITY).specs
 
 
 def core_size_schedule(out_fac: DimFactorization, in_fac: DimFactorization,
@@ -360,7 +371,7 @@ class SttpParams:
         A warm ``apply_map`` reads them once, in :func:`chain_frames`: that
         call is the ``sttp.core_specs`` span which the benchmark self-test
         ``test_traced_calls_run_the_library_and_are_restored`` asserts,
-        until the library owns its spans (ROADMAP item 1b)."""
+        until the library owns its spans (ROADMAP item 9)."""
         return core_specs(self.out_fac, self.in_fac, self.r,
                           self.spectrum.mode)
 
@@ -465,7 +476,7 @@ def _side_frame(layouts, specs, n_head, head):
                          [spec.shape for spec in specs[n_head - 1:]])[0]
 
 
-def assemble_sttp(p) -> np.ndarray:
+def decompress(p) -> np.ndarray:
     """Materialize the d_out x d_in matrix of any parameter set (svdp's too).
 
     ``(u * sigma) @ v.T`` over the :func:`chain_frames`; the singular values

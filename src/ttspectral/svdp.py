@@ -13,7 +13,8 @@ This is the :mod:`ttspectral.sttp` chain with one core per side, factors
 ``(d_out,)`` and ``(d_in,)``: its structure check, gauge rule included, dof
 count, template and initializer are the chain's, and a parameter set reads
 its core shapes and fixed heads from its chain's
-:class:`~ttspectral.sttp.ChainStructure` record, as an sttp set does.
+:class:`~ttspectral.sttp.ChainStructure` record, as an sttp set does;
+:func:`~ttspectral.sttp.decompress` materializes either.
 """
 
 from __future__ import annotations
@@ -31,24 +32,20 @@ from .spectral import materialize_sigma  # noqa: F401  (perfbench patches it)
 from .spectrum_modes import IDENTITY
 from .sttp import (
     ChainStructure,
-    assemble_sttp,
     chain_structure,
     check_chain,
     init_params,
-    rank_cap,
     template_params,
     unpack_chain,
 )
 
 __all__ = [
-    "rank_cap",
     "svdp_structure",
     "svdp_dof",
     "SvdpParams",
     "init_svdp_params",
     "unpack_svdp",
     "svdp_template",
-    "assemble",
     "redundancy_witness",
 ]
 
@@ -114,16 +111,6 @@ unpack_svdp = partial(unpack_chain, lambda d_out, d_in, r, u, v, spectrum:
                       SvdpParams(d_out, d_in, r, *u, *v, spectrum))
 init_svdp_params = partial(init_params, svdp_structure, unpack_svdp)
 svdp_template = partial(template_params, svdp_structure, unpack_svdp)
-
-
-def assemble(p: SvdpParams) -> np.ndarray:
-    """Materialize W = U @ diag(sigma) @ V^T as a d_out x d_in matrix.
-
-    The singular values of the result are ``|sigma|``; no d_out x d_out
-    intermediate is formed.  This is the one-core case of
-    :func:`ttspectral.sttp.assemble_sttp`.
-    """
-    return assemble_sttp(p)
 
 
 def redundancy_witness(p: SvdpParams, q: np.ndarray):

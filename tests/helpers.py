@@ -246,9 +246,9 @@ def householder_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def layout_from_dense(mat, d, r, variant=hh.FULL):
     """The layout holding the free cells of a raw canvas of at least
     ``d x r``; structural cells are ignored."""
-    layout = hh.make_layout(d, r, variant)
-    return layout.with_params(np.asarray(mat, dtype=np.float64)[
-        layout.free_cells()])
+    rows, cols = hh.make_layout(d, r, variant).free_cells()
+    return hh.make_layout(d, r, variant,
+                          np.asarray(mat, dtype=np.float64)[rows, cols])
 
 
 def memory_layouts(m):
@@ -266,7 +266,7 @@ def reference_orthonormalize(m):
     return q * np.where(np.diag(rmat) < 0, -1.0, 1.0)
 
 
-def reference_encode_as(q, variant=hh.FULL):
+def reference_encode(q, variant=hh.FULL):
     """Encode through ``np.linalg.qr(mode="raw")``: the full layout of the
     geqrf canvas, re-gathered into a reduced one through its dense canvas."""
     q = np.asarray(q, dtype=np.float64)
@@ -306,7 +306,7 @@ def reference_init_params(scheme, d_out, d_in, r, mode, seed,
     each core's drawn matrix, rows flipped by the carried signs, taken
     through one :func:`reference_qr_cells` (``one_qr``), or orthonormalized
     by :func:`reference_orthonormalize` first (the identity is a frame
-    already) and the frame encoded by :func:`reference_encode_as`, the
+    already) and the frame encoded by :func:`reference_encode`, the
     orthonormalize-then-encode route."""
     structure = SCHEMES[scheme].structure(d_out, d_in, r, mode)
     rng = np.random.default_rng(seed)
@@ -323,7 +323,7 @@ def reference_init_params(scheme, d_out, d_in, r, mode, seed,
                 cells, carry = reference_qr_cells(flipped, spec.variant)
                 layout = hh.make_layout(*spec.frame_dims, spec.variant, cells)
             else:
-                layout, carry = reference_encode_as(flipped, spec.variant)
+                layout, carry = reference_encode(flipped, spec.variant)
             layouts.append(layout)
         sides.append((tuple(layouts), carry))
     (u_layouts, su), (v_layouts, sv) = sides
@@ -417,8 +417,8 @@ def rowmajor_reflect_sweep_vjp(saved, g):
 
 def make_random_layout(d, r, variant, rng):
     """A layout with a standard normal in every free cell."""
-    layout = hh.make_layout(d, r, variant)
-    return layout.with_params(rng.standard_normal(layout.params.size))
+    return hh.make_layout(d, r, variant,
+                          rng.standard_normal(hh.dof(d, r, variant)))
 
 
 def sweep_groups(layouts):

@@ -7,10 +7,12 @@ import pickle
 import numpy as np
 import pytest
 
+import ttspectral
 from ttspectral import autodiff as ad
 from ttspectral import fileio
 from ttspectral import householder as hh
 from ttspectral import planner as pl
+from ttspectral import sttp
 from ttspectral.fit import FitConfig, fit_matrix
 from ttspectral.sampling import random_sttp_params, random_svdp_params
 from ttspectral.schemes import SCHEMES
@@ -69,13 +71,20 @@ class TestView:
         assert isinstance(q, SvdpParams) == (maker is random_svdp_params)
         assert np.array_equal(ad.pack(q), ad.pack(p))
 
+    @pytest.mark.parametrize("mode", [LEARNED, IDENTITY])
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-    def test_template_has_the_scheme_structure(self, scheme):
-        template = SCHEMES[scheme].template(16, 72, 4, LEARNED)
-        random = SCHEMES[scheme].random(16, 72, 4, LEARNED, 0)
+    def test_template_has_the_scheme_structure(self, scheme, mode):
+        template = SCHEMES[scheme].template(16, 72, 4, mode)
+        random = SCHEMES[scheme].random(16, 72, 4, mode, 0)
         assert template.structure is random.structure
-        assert template.n_params == SCHEMES[scheme].dof(16, 72, 4, LEARNED)
+        assert template.n_params == SCHEMES[scheme].structure(16, 72, 4,
+                                                              mode).dof
         assert not np.any(ad.pack(template)[: -4])
+        # one assembly under three names: the product of the chain frames
+        assert ttspectral.decompress is pl.decompress is sttp.decompress
+        u, v = chain_frames(random)
+        assert sttp.decompress(random).tobytes() == \
+            ((u * materialize_sigma(random.spectrum)) @ v.T).tobytes()
 
     @pytest.mark.parametrize("maker", [random_svdp_params, random_sttp_params])
     def test_decode_plan_is_bitwise_per_layout_decode(self, maker):

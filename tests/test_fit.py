@@ -453,6 +453,21 @@ class TestFitsRunOnTheta:
         ft.demo_train(ft.FitConfig(scheme, 3, LEARNED), 2, steps=3)
         assert built == []
 
+    @pytest.mark.parametrize("rank,mode,message", [
+        (7, LEARNED, "rank 7 violates"),
+        (3, "bogus", "unknown spectrum mode 'bogus'")])
+    @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
+    def test_structure_errors_raise_before_the_first_step(
+            self, monkeypatch, scheme, rank, mode, message):
+        # the chain record's check is the only rank and mode check
+        thetas = self.stepped_thetas(monkeypatch)
+        cfg = ft.FitConfig(scheme, rank, mode, max_steps=5)
+        with pytest.raises(DomainError, match=message):
+            ft.fit_matrix(unit_top_target((6, 12), 9), cfg)
+        with pytest.raises(DomainError, match=message):
+            ft.demo_train(cfg, 0, steps=5)
+        assert thetas == []
+
     @pytest.mark.parametrize("mode,lam", MODES)
     @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
     def test_first_theta_is_the_packed_init(self, monkeypatch, scheme, mode,

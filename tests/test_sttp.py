@@ -18,7 +18,12 @@ from ttspectral.errors import DomainError, ShapeError
 from ttspectral.planner import decompress
 from ttspectral.sampling import random_sttp_params
 from ttspectral.spectral import init_spectrum, materialize_sigma
-from ttspectral.spectrum_modes import IDENTITY, LEARNED, SPECTRUM_MODES
+from ttspectral.spectrum_modes import (
+    IDENTITY,
+    LEARNED,
+    LEARNED_REGULARIZED,
+    SPECTRUM_MODES,
+)
 from ttspectral.schemes import SCHEMES
 from ttspectral.svdp import SvdpParams, init_svdp_params, svdp_dof
 from ttspectral.tensortrain import tt_contract
@@ -200,7 +205,7 @@ class TestDof:
 class TestAssemble:
     def test_identity_spectrum_unit_singular_values(self):
         p = sttp.init_sttp_params(16, 72, 4, IDENTITY, 0, "identity")
-        w = sttp.assemble_sttp(p)
+        w = sttp.decompress(p)
         _, s, _ = svd_full(w)
         assert np.allclose(s[:4], 1.0, atol=1e-10)
         assert np.all(s[4:] <= 1e-10)
@@ -208,14 +213,14 @@ class TestAssemble:
     @pytest.mark.parametrize("seed", range(5))
     def test_rank_bounded_by_r(self, seed):
         p = random_sttp_params(16, 72, 4, LEARNED, seed)
-        _, s, _ = svd_full(sttp.assemble_sttp(p))
+        _, s, _ = svd_full(sttp.decompress(p))
         assert np.all(s[4:] <= 1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_singular_values_match_sigma(self, seed):
         p = random_sttp_params(12, 18, 3, LEARNED, seed)
         sigma = materialize_sigma(p.spectrum)
-        _, s, _ = svd_full(sttp.assemble_sttp(p))
+        _, s, _ = svd_full(sttp.decompress(p))
         assert np.allclose(s[:3], np.sort(np.abs(sigma))[::-1], atol=1e-9)
 
     def test_matches_full_chain_contraction(self):
@@ -239,16 +244,16 @@ class TestAssemble:
             range(n_out + n_in - 1, n_out - 1, -1)
         )
         w = np.transpose(full, order).reshape(p.d_out, p.d_in)
-        assert np.allclose(w, sttp.assemble_sttp(p), atol=1e-12)
+        assert np.allclose(w, sttp.decompress(p), atol=1e-12)
 
     def test_identity_init_is_truncated_identity(self):
         p = sttp.init_sttp_params(16, 12, 4, LEARNED, 0, "identity")
-        w = sttp.assemble_sttp(p)
+        w = sttp.decompress(p)
         assert np.allclose(w, np.eye(16, 4) @ np.eye(12, 4).T, atol=1e-10)
 
     def test_noisy_identity_init_stays_close(self):
         p = sttp.init_sttp_params(16, 12, 4, LEARNED, 3, "noisy_identity")
-        w = sttp.assemble_sttp(p)
+        w = sttp.decompress(p)
         target = np.eye(16, 4) @ np.eye(12, 4).T
         assert np.linalg.norm(w - target) <= 1e-2
 
@@ -265,7 +270,7 @@ class TestCrossPathConsistency:
         d_out, d_in, r = shape
         for mode in (LEARNED, IDENTITY):
             p = random_sttp_params(d_out, d_in, r, mode, d_out + d_in)
-            w_chain = sttp.assemble_sttp(p)
+            w_chain = sttp.decompress(p)
             w_tape, _ = assemble_with_tape(p)
             assert np.allclose(w_tape, w_chain, atol=1e-13, rtol=0)
             w_applied = apply_map(p, np.eye(d_in))
@@ -286,8 +291,8 @@ class TestJacobianNonRedundancy:
             up, down = theta.copy(), theta.copy()
             up[i] += h
             down[i] -= h
-            diff = sttp.assemble_sttp(unpack(p, up)) - \
-                sttp.assemble_sttp(unpack(p, down))
+            diff = sttp.decompress(unpack(p, up)) - \
+                sttp.decompress(unpack(p, down))
             jac[:, i] = diff.ravel() / (2 * h)
         return jac
 
@@ -392,7 +397,43 @@ class TestParamsValidation:
             sttp.SttpParams(16, 72, 4, **parts)
 
 
+# each entry takes a spectrum mode, at 8 x 6 rank 3
+MODE_ENTRIES = {
+    **{f"SCHEMES[{scheme!r}].{name}":
+       lambda mode, entry=getattr(SCHEMES[scheme], name), extra=extra:
+       entry(8, 6, 3, mode, *extra)
+       for scheme in SCHEMES
+       for name, extra in (("init", (0,)), ("random", (0,)), ("template", ()),
+                           ("structure", ()))},
+    "svdp_dof": lambda mode: svdp_dof(8, 6, 3, mode),
+    "sttp_dof": lambda mode: sttp.sttp_dof(8, 6, 3, mode),
+    "chain_structure": lambda mode: sttp.chain_structure((8,), (6,), 3, mode),
+    "core_specs": lambda mode: sttp.core_specs(
+        sttp.factorize(8), sttp.factorize(6), 3, mode),
+}
+
+
 class TestStructureRecord:
+    @pytest.mark.parametrize("entry", sorted(MODE_ENTRIES))
+    def test_unknown_mode_rejected_ahead_of_the_cache(self, entry):
+        sttp._chain_structure.cache_clear()
+        with pytest.raises(DomainError,
+                           match="unknown spectrum mode 'bogus'"):
+            MODE_ENTRIES[entry]("bogus")
+        assert sttp._chain_structure.cache_info().currsize == 0
+        MODE_ENTRIES[entry](LEARNED)
+        assert sttp._chain_structure.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("factors", [((8,), (6,)), ((2, 2, 2), (2, 3))])
+    def test_learned_modes_share_one_record(self, factors):
+        learned = sttp.chain_structure(*factors, 3, LEARNED)
+        assert learned is sttp.chain_structure(*factors, 3,
+                                               LEARNED_REGULARIZED)
+        assert learned is not sttp.chain_structure(*factors, 3, IDENTITY)
+        # one record per structure: it hashes and compares by identity
+        assert type(learned).__hash__ is object.__hash__
+        assert type(learned).__eq__ is object.__eq__
+
     @pytest.mark.parametrize("scheme", ["svdp", "sttp"])
     def test_one_lookup_and_one_check_per_construction(self, scheme,
                                                        monkeypatch):
@@ -469,8 +510,8 @@ class TestEveryMaker:
         p = PARAM_MAKERS[maker](tmp_path / "made.params", scheme, *dims, mode)
         assert isinstance(p, {"svdp": SvdpParams,
                               "sttp": sttp.SttpParams}[scheme])
-        assert p.n_params == p.structure.dof == SCHEMES[scheme].dof(*dims,
-                                                                    mode)
+        assert p.n_params == p.structure.dof == SCHEMES[scheme].structure(
+            *dims, mode).dof
         a, b = tmp_path / "a.params", tmp_path / "b.params"
         fileio.write_params(a, p)
         fileio.write_params(b, fileio.read_params(a))

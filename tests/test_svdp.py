@@ -5,6 +5,7 @@ import pytest
 
 from ttspectral import householder as hh
 from ttspectral import svdp
+from ttspectral.sttp import decompress, rank_cap
 from ttspectral.dense import svd_full
 from ttspectral.errors import DomainError, ShapeError
 from ttspectral.sampling import random_svdp_params
@@ -14,13 +15,13 @@ from ttspectral.spectrum_modes import IDENTITY, LEARNED
 
 class TestRankCap:
     def test_conv_first_layer(self):
-        assert svdp.rank_cap(64, 27) == 27
+        assert rank_cap(64, 27) == 27
 
     def test_square(self):
-        assert svdp.rank_cap(5, 5) == 5
+        assert rank_cap(5, 5) == 5
 
     def test_row_vector(self):
-        assert svdp.rank_cap(1, 100) == 1
+        assert rank_cap(1, 100) == 1
 
 
 class TestDof:
@@ -70,7 +71,7 @@ class TestDof:
 class TestAssemble:
     def test_identity_init_gives_truncated_identity(self):
         p = svdp.init_svdp_params(6, 5, 3, IDENTITY, 0, "identity")
-        w = svdp.assemble(p)
+        w = decompress(p)
         assert np.allclose(w, np.eye(6, 3) @ np.eye(5, 3).T, atol=1e-10)
 
     def test_zero_sigma_entry_drops_rank(self):
@@ -79,13 +80,13 @@ class TestAssemble:
         s[2] = 0.0
         p = svdp.SvdpParams(6, 5, 3, p.u_layout, p.v_layout,
                             p.spectrum.with_s(s))
-        _, sv, _ = svd_full(svdp.assemble(p))
+        _, sv, _ = svd_full(decompress(p))
         assert sv[2] <= 1e-10
 
     @pytest.mark.parametrize("seed", range(10))
     def test_singular_values_match_sigma(self, seed):
         p = random_svdp_params(4, 3, 2, LEARNED, seed)
-        w = svdp.assemble(p)
+        w = decompress(p)
         sigma = materialize_sigma(p.spectrum)
         _, sv, _ = svd_full(w)
         assert np.allclose(sv[:2], np.sort(np.abs(sigma))[::-1], atol=1e-9)
@@ -155,7 +156,7 @@ class TestSpanProperty:
         target = (u[:, :3] * (s[:3] / s[0])) @ v[:, :3].T
         params, scale = from_truncated_svd(target, 3)
         assert scale == pytest.approx(1.0, rel=1e-12)
-        w = svdp.assemble(params)
+        w = decompress(params)
         assert np.linalg.norm(w - target) <= 1e-9 * np.linalg.norm(target)
 
     def test_scale_reported_for_unnormalized_targets(self):
@@ -165,7 +166,7 @@ class TestSpanProperty:
         u, sv, v = svd_full(target)
         best = (u[:, :4] * sv[:4]) @ v[:, :4].T
         assert np.max(np.abs(materialize_sigma(params.spectrum))) == 1.0
-        w = svdp.assemble(params)
+        w = decompress(params)
         assert np.linalg.norm(scale * w - best) <= 1e-9 * np.linalg.norm(best)
 
 
@@ -177,7 +178,7 @@ class TestRedundancyWitness:
         u_layout, v_layout, signs = svdp.redundancy_witness(p, q)
         assert (u_layout.variant, v_layout.variant) == (hh.FULL, hh.FULL)
         w = (hh.decode(u_layout) * signs) @ hh.decode(v_layout).T
-        return p, svdp.assemble(p), w, hh.decode(u_layout)
+        return p, decompress(p), w, hh.decode(u_layout)
 
     def test_identity_rotation_is_noop_on_w(self):
         _, w, w2, _ = self._rotated(0, np.eye(2))
