@@ -25,7 +25,14 @@ from .errors import (
 )
 from .fit import FitConfig, demo_train, fit_matrix
 from .householder import INIT_SCHEMES
-from .planner import apply_map, naive_flops, plan, sttp_diagram, svdp_diagram
+from .planner import (
+    apply_map,
+    decompress,
+    naive_flops,
+    plan,
+    sttp_diagram,
+    svdp_diagram,
+)
 from .schemes import SCHEMES
 from .spectral import (
     LayerBudget,
@@ -57,9 +64,8 @@ def cmd_factorize(args) -> int:
 def cmd_plan(args) -> int:
     if args.dx < 1:
         raise DomainError(f"--dx must be a positive column count, got {args.dx}")
-    params = SCHEMES[args.scheme].template(args.dout, args.din, args.rank,
-                                           args.spectrum)
-    structure = params.structure
+    structure = SCHEMES[args.scheme].structure(args.dout, args.din, args.rank,
+                                               args.spectrum)
     if args.scheme == "svdp":  # the one-core chain, with its own node names
         diagram = svdp_diagram(args.dout, args.din, args.rank, args.dx)
     else:
@@ -75,13 +81,11 @@ def cmd_plan(args) -> int:
     print(f"total_flops={cplan.total_flops}")
     print(f"peak_intermediate={cplan.peak_intermediate}")
     if args.naive:
-        print(f"naive_flops={naive_flops(params, args.dx)}")
+        print(f"naive_flops={naive_flops(structure, args.dx)}")
     return 0
 
 
 def cmd_build(args) -> int:
-    from .planner import decompress
-
     params = _load_or_init(args)
     if args.params_out:
         fileio.write_params(args.params_out, params)

@@ -136,7 +136,7 @@ def read_params(path):
     end = raw.find(b"\n\n") + 2
     if end < 2:
         raise FileFormatError("parameter manifest not terminated by blank line")
-    manifest, payload = raw[:end], raw[end:]
+    manifest = raw[:end]
     try:
         lines = manifest.decode("utf-8").split("\n")[:-2]
     except UnicodeDecodeError as exc:
@@ -156,11 +156,11 @@ def read_params(path):
                     if line.startswith("block="))
     except (KeyError, ValueError) as exc:
         raise FileFormatError(f"incomplete manifest: {exc}") from exc
-    if len(payload) != 8 * total:
+    if len(raw) - end != 8 * total:
         raise FileFormatError(
-            f"payload is {len(payload)} bytes, expected {8 * total}"
+            f"payload is {len(raw) - end} bytes, expected {8 * total}"
         )
-    values = np.frombuffer(payload, dtype="<f8")
+    values = np.frombuffer(raw, dtype="<f8", offset=end)  # no payload copy
     if not np.all(np.isfinite(values)):
         raise FileFormatError("parameter payload holds non-finite values")
     try:

@@ -43,7 +43,7 @@ from .errors import (
 from .schemes import SCHEMES
 from .spectral import init_spectrum, lipschitz_bound, stable_rank_from_spectrum
 from .spectrum_modes import LEARNED
-from .sttp import init_chain, rank_cap
+from .sttp import decompress, init_chain, rank_cap
 
 __all__ = [
     "FitConfig",
@@ -107,8 +107,6 @@ class FitResult:
     best_step: int
 
     def frobenius_error(self, target: np.ndarray) -> float:
-        from .planner import decompress
-
         return float(np.linalg.norm(decompress(self.params) - target))
 
 

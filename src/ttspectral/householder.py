@@ -119,11 +119,11 @@ class HouseholderLayout:
     ``params`` stores the free cells column-major by reflector: all free
     cells of column 0 (top to bottom), then column 1, and so on.  Instances
     are immutable; the constructor, or :func:`make_layout`, builds one with
-    other ``params``.  It checks that the dims are integers, before it
-    reads the structure cache, and that ``params`` holds one finite value
-    per free cell, of magnitude at most ``dense.MAX_MAGNITUDE``; it keeps a
-    read-only copy, so writing to the array it was given changes neither
-    the layout nor its frame.
+    other ``params``.  It checks the dims and counts the free cells by
+    :func:`dof`, without building the structure's index arrays, and checks
+    that ``params`` holds one finite value per free cell, of magnitude at
+    most ``dense.MAX_MAGNITUDE``; it keeps a read-only copy, so writing to
+    the array it was given changes neither the layout nor its frame.
 
     :func:`decode` memoizes the read-only, checked frame on the layout,
     which then holds it (a ``d x r`` array) for as long
@@ -138,9 +138,8 @@ class HouseholderLayout:
     params: np.ndarray
 
     def __post_init__(self):
-        _check_layout_dims(self.d, self.r, self.variant)
+        n_free = dof(self.d, self.r, self.variant)
         params = np.array(self.params, dtype=np.float64).ravel()
-        n_free = _structure(self.d, self.r, self.variant)[0].size
         if params.size != n_free:
             raise ShapeError(
                 f"expected {n_free} free parameters, got {params.size}")
@@ -340,7 +339,7 @@ class DecodePlan:
     """
 
     def __init__(self, dims, offsets):
-        self.spans = tuple((pos, pos + _structure(*key)[0].size)
+        self.spans = tuple((pos, pos + dof(*key))
                            for key, pos in zip(dims, offsets))
         self.size = max((end for _, end in self.spans), default=0)
         self.fixed = tuple(fixed_frame(*key) for key in dims)

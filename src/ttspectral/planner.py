@@ -530,18 +530,23 @@ def _chain_diagram(out_factors, in_factors, ranks, d_x) -> TensorDiagram:
 def naive_flops(params, d_x: int) -> int:
     """Cost of decompressing the matrix first, then multiplying densely.
 
-    This includes composing both chains left to right (nothing for svdp's
-    one-core chains); the final two factors are always scaling the cheaper
-    frame by the spectrum (``r * min(d_out, d_in)``), the rank-r frame
-    product (``2 r d_out d_in``), and the dense apply (``2 d_out d_in d_x``).
+    ``params`` is a parameter set or its :class:`~.sttp.ChainStructure`
+    record; the cost reads only the record.  This includes composing both
+    chains left to right (nothing for svdp's one-core chains); the final
+    two factors are always scaling the cheaper frame by the spectrum
+    (``r * min(d_out, d_in)``), the rank-r frame product (``2 r d_out
+    d_in``), and the dense apply (``2 d_out d_in d_x``).
     """
+    structure = getattr(params, "structure", params)
     chain = 0
-    for shapes in params.structure.shapes:
+    for shapes in structure.shapes:
         rows = shapes[0][1]
         for r_left, n, r_right in shapes[1:]:
             chain += 2 * rows * r_left * n * r_right
             rows *= n
-    d_out, d_in, r = params.d_out, params.d_in, params.r
+    d_out = math.prod(structure.out_factors)
+    d_in = math.prod(structure.in_factors)
+    r = structure.schedule.r
     return (chain + r * min(d_out, d_in) + 2 * r * d_out * d_in
             + 2 * d_out * d_in * d_x)
 

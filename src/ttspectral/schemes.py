@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .sampling import random_sttp_params, random_svdp_params
-from .sttp import init_sttp_params, sttp_structure, sttp_template, unpack_sttp
-from .svdp import init_svdp_params, svdp_structure, svdp_template, unpack_svdp
+from .sttp import init_sttp_params, sttp_structure, unpack_sttp
+from .svdp import init_svdp_params, svdp_structure, unpack_svdp
 
 __all__ = ["Scheme", "SCHEMES"]
 
@@ -20,14 +20,13 @@ __all__ = ["Scheme", "SCHEMES"]
 class Scheme(NamedTuple):
     init: Callable  # (d_out, d_in, r, spectrum_mode, seed, init_scheme, ...)
     random: Callable  # (d_out, d_in, r, spectrum_mode, seed, lam)
-    template: Callable  # (d_out, d_in, r, spectrum_mode)
     structure: Callable  # (d_out, d_in, r, spectrum_mode) -> ChainStructure
     unpack: Callable  # (structure, theta, spectrum) -> a parameter set
 
 
 SCHEMES = {
-    "svdp": Scheme(init_svdp_params, random_svdp_params,
-                   svdp_template, svdp_structure, unpack_svdp),
-    "sttp": Scheme(init_sttp_params, random_sttp_params,
-                   sttp_template, sttp_structure, unpack_sttp),
+    "svdp": Scheme(init_svdp_params, random_svdp_params, svdp_structure,
+                   unpack_svdp),
+    "sttp": Scheme(init_sttp_params, random_sttp_params, sttp_structure,
+                   unpack_sttp),
 }

@@ -73,9 +73,7 @@ __all__ = [
     "unpack_chain",
     "unpack_sttp",
     "init_params",
-    "template_params",
     "init_sttp_params",
-    "sttp_template",
     "chain_frames",
     "decompress",
     "edge_case_is_svdp",
@@ -438,18 +436,8 @@ def init_params(structure_of, unpack, d_out: int, d_in: int, r: int,
                   init_spectrum(spectrum_mode, r, signs, lam))
 
 
-def template_params(structure_of, unpack, d_out: int, d_in: int, r: int,
-                    spectrum_mode: str):
-    """Parameters of a scheme's structure, as :func:`init_params`, with
-    all-zero layouts and spectrum ones: a template for ``unpack``."""
-    structure = structure_of(d_out, d_in, r, spectrum_mode)
-    return unpack(structure, np.zeros(structure.offsets[-1]),
-                  init_spectrum(spectrum_mode, r))
-
-
 unpack_sttp = partial(unpack_chain, SttpParams)
 init_sttp_params = partial(init_params, sttp_structure, unpack_sttp)
-sttp_template = partial(template_params, sttp_structure, unpack_sttp)
 
 
 def chain_frames(p) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ uses the reduced (gauge-fixed) layout.
 
 This is the :mod:`ttspectral.sttp` chain with one core per side, factors
 ``(d_out,)`` and ``(d_in,)``: its structure check, gauge rule included, dof
-count, template and initializer are the chain's, and a parameter set reads
+count and initializer are the chain's, and a parameter set reads
 its core shapes and fixed heads from its chain's
 :class:`~ttspectral.sttp.ChainStructure` record, as an sttp set does;
 :func:`~ttspectral.sttp.decompress` materializes either.
@@ -35,7 +35,6 @@ from .sttp import (
     chain_structure,
     check_chain,
     init_params,
-    template_params,
     unpack_chain,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "SvdpParams",
     "init_svdp_params",
     "unpack_svdp",
-    "svdp_template",
     "redundancy_witness",
 ]
 
@@ -110,7 +108,6 @@ class SvdpParams:
 unpack_svdp = partial(unpack_chain, lambda d_out, d_in, r, u, v, spectrum:
                       SvdpParams(d_out, d_in, r, *u, *v, spectrum))
 init_svdp_params = partial(init_params, svdp_structure, unpack_svdp)
-svdp_template = partial(template_params, svdp_structure, unpack_svdp)
 
 
 def redundancy_witness(p: SvdpParams, q: np.ndarray):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttspectral import cli, fileio, planner
+from ttspectral import cli, fileio, sttp
+from ttspectral import householder as hh
 from ttspectral.autodiff import FrobeniusLoss, pack
 from ttspectral.cli import main
 from ttspectral.errors import FileFormatError
@@ -53,6 +54,35 @@ def fuzz_dir(tmp_path_factory):
 
 
 SMALL_MATRIX = np.arange(6.0).reshape(2, 3)
+
+# CLI plan output of the paper's 16 x 72 rank-4 instance, d_x = 1, with
+# --naive; the same in every spectrum mode
+PAPER_PLANS = {
+    "svdp": """\
+step 1: contract [v] x [x] -> dims=(4, 1) flops=576
+step 2: scale [sigma] x [v+x] -> dims=(4, 1) flops=4
+step 3: contract [u] x [sigma+v+x] -> dims=(16, 1) flops=128
+total_flops=708
+peak_intermediate=16
+naive_flops=11584
+""",
+    "sttp": """\
+step 1: contract [u_core_1] x [u_core_2] -> dims=(4, 2, 2) flops=64
+step 2: contract [v_core_2] x [v_core_1] -> dims=(4, 2, 2) flops=64
+step 3: contract [v_core_3] x [v_core_2+v_core_1] -> dims=(4, 2, 2, 2) flops=256
+step 4: contract [v_core_3+v_core_2+v_core_1] x [x] -> dims=(3, 3, 4, 1) flops=576
+step 5: contract [v_core_4] x [v_core_3+v_core_2+v_core_1+x] -> dims=(3, 4, 1) flops=288
+step 6: contract [v_core_5] x [v_core_4+v_core_3+v_core_2+v_core_1+x] -> dims=(4, 1) flops=96
+step 7: scale [sigma] x [v_core_5+v_core_4+v_core_3+v_core_2+v_core_1+x] -> dims=(4, 1) flops=4
+step 8: contract [u_core_4] x [sigma+v_core_5+v_core_4+v_core_3+v_core_2+v_core_1+x] -> dims=(4, 2, 1) flops=64
+step 9: contract [u_core_3] x [u_core_4+sigma+v_core_5+v_core_4+v_core_3+v_core_2+v_core_1+x] -> dims=(4, 2, 2, 1) flops=128
+step 10: contract [u_core_1+u_core_2] x [u_core_3+u_core_4+sigma+v_core_5+v_core_4+v_core_3+v_core_2+v_core_1+x] -> dims=(2, 2, 2, 2, 1) flops=128
+total_flops=1668
+peak_intermediate=36
+naive_flops=15808
+""",
+}
+
 # sttp parameters whose dout is the prime 2**61 - 1; the one sigma block
 # keeps the declared counts and the payload consistent
 HUGE_DOUT_FILE = (b"STTPPARAMS v1\nscheme=sttp\ndout=2305843009213693951\n"
@@ -427,7 +457,7 @@ class TestCli:
         def out_of_memory(params):
             raise MemoryError("Unable to allocate 8.00 TiB for an array")
 
-        monkeypatch.setattr(planner, "decompress", out_of_memory)
+        monkeypatch.setattr(cli, "decompress", out_of_memory)
         code, err = run_main(["build", "--scheme", "sttp", "--dout", "16",
                               "--din", "72", "--rank", "4", "--seed", "0",
                               "--out", str(tmp_path / "w.mat")])
@@ -445,21 +475,40 @@ class TestCli:
     def test_plan_sttp_paper_instance_steps(self, capsys):
         assert main(["plan", "--scheme", "sttp", "--dout", "16", "--din", "72",
                      "--rank", "4", "--dx", "1", "--naive"]) == 0
-        assert capsys.readouterr().out == """\
-step 1: contract [u_core_1] x [u_core_2] -> dims=(4, 2, 2) flops=64
-step 2: contract [v_core_2] x [v_core_1] -> dims=(4, 2, 2) flops=64
-step 3: contract [v_core_3] x [v_core_2+v_core_1] -> dims=(4, 2, 2, 2) flops=256
-step 4: contract [v_core_3+v_core_2+v_core_1] x [x] -> dims=(3, 3, 4, 1) flops=576
-step 5: contract [v_core_4] x [v_core_3+v_core_2+v_core_1+x] -> dims=(3, 4, 1) flops=288
-step 6: contract [v_core_5] x [v_core_4+v_core_3+v_core_2+v_core_1+x] -> dims=(4, 1) flops=96
-step 7: scale [sigma] x [v_core_5+v_core_4+v_core_3+v_core_2+v_core_1+x] -> dims=(4, 1) flops=4
-step 8: contract [u_core_4] x [sigma+v_core_5+v_core_4+v_core_3+v_core_2+v_core_1+x] -> dims=(4, 2, 1) flops=64
-step 9: contract [u_core_3] x [u_core_4+sigma+v_core_5+v_core_4+v_core_3+v_core_2+v_core_1+x] -> dims=(4, 2, 2, 1) flops=128
-step 10: contract [u_core_1+u_core_2] x [u_core_3+u_core_4+sigma+v_core_5+v_core_4+v_core_3+v_core_2+v_core_1+x] -> dims=(2, 2, 2, 2, 1) flops=128
-total_flops=1668
-peak_intermediate=36
-naive_flops=15808
-"""
+        assert capsys.readouterr().out == PAPER_PLANS["sttp"]
+
+    @pytest.mark.parametrize("guarded", [False, True])
+    @pytest.mark.parametrize("mode", SPECTRUM_MODES)
+    @pytest.mark.parametrize("scheme", sorted(PAPER_PLANS))
+    def test_plan_reads_only_the_structure_record(self, capsys, monkeypatch,
+                                                  scheme, mode, guarded):
+        # the plan and its naive cost depend on dims, rank and mode alone:
+        # guarded, building a layout or unpacking a parameter set raises
+        if guarded:
+            def built(*args, **kwargs):
+                raise AssertionError("plan built a parameter set")
+
+            monkeypatch.setattr(sttp, "unpack_chain", built)
+            monkeypatch.setattr(hh.HouseholderLayout, "__post_init__", built)
+        assert main(["plan", "--scheme", scheme, "--dout", "16", "--din",
+                     "72", "--rank", "4", "--spectrum", mode, "--dx", "1",
+                     "--naive"]) == 0
+        assert capsys.readouterr().out == PAPER_PLANS[scheme]
+
+    @pytest.mark.parametrize("scheme", sorted(PAPER_PLANS))
+    def test_plan_of_a_shape_that_dof_accepts(self, capsys, scheme):
+        # 2**32 x 2**32 at rank 2**31: a parameter set of it would not fit
+        # any array, and sttp's chain is 66 nodes
+        shape = ["--dout", str(2**32), "--din", str(2**32), "--rank",
+                 str(2**31)]
+        assert main(["dof", "--scheme", scheme, *shape]) == 0
+        assert main(["plan", "--scheme", scheme, *shape, "--naive"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        # r * min(d_out, d_in) + 2 r d_out d_in + 2 d_out d_in d_x, and only
+        # sttp composes chains before that
+        dense = 2**31 * 2**32 + 2 * 2**31 * 2**64 + 2 * 2**64
+        naive = int(last.removeprefix("naive_flops="))
+        assert naive >= dense and (naive == dense) == (scheme == "svdp")
 
     def test_plan_sttp_256_chain(self, capsys):
         # an 18-node chain diagram: the run search side of the planner

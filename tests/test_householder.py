@@ -11,8 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ttspectral import householder as hh
+from ttspectral.autodiff import pack
 from ttspectral.dense import MAX_MAGNITUDE, inv
 from ttspectral.errors import DomainError, ShapeError
+from ttspectral.schemes import SCHEMES
+from ttspectral.spectrum_modes import IDENTITY, LEARNED
 
 from helpers import (
     decode_fwd,
@@ -39,7 +42,38 @@ def gram_residual(q):
     return np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
 
 
+COUNT_SHAPES = [(d, r, variant) for d, r in [(4, 2), (8, 3), (16, 16), (5, 1)]
+                for variant in (hh.FULL, hh.REDUCED)]
+
+
+def _unpack_builder(scheme, mode):
+    """A set of ``scheme`` made now, and the call that unpacks it again."""
+    p = SCHEMES[scheme].random(16, 72, 4, mode, 0)
+    return lambda: SCHEMES[scheme].unpack(p.structure, pack(p), p.spectrum)
+
+
+# each entry prepares, then returns the call that builds layouts
+LAYOUT_BUILDERS = {
+    "make_layout": lambda: lambda: [hh.make_layout(*key)
+                                    for key in COUNT_SHAPES],
+    "constructor": lambda: lambda: [
+        hh.HouseholderLayout(*key, np.ones(hh.dof(*key)))
+        for key in COUNT_SHAPES],
+    **{f"SCHEMES[{scheme!r}].unpack-{mode}":
+       lambda scheme=scheme, mode=mode: _unpack_builder(scheme, mode)
+       for scheme in SCHEMES for mode in (LEARNED, IDENTITY)},
+}
+
+
 class TestLayoutCounts:
+    @pytest.mark.parametrize("name", sorted(LAYOUT_BUILDERS))
+    def test_building_counts_cells_without_the_structure_cache(self, name):
+        build = LAYOUT_BUILDERS[name]()
+        hh._structure.cache_clear()
+        assert build()
+        info = hh._structure.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
     @pytest.mark.parametrize("d,r", [(4, 2), (8, 3), (16, 16), (5, 1)])
     def test_dof_matches_mask(self, d, r):
         for variant in (hh.FULL, hh.REDUCED):

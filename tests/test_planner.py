@@ -50,7 +50,7 @@ def step_pairs(cplan):
 
 
 def library_diagram(scheme, d_out, d_in, r, spectrum, d_x):
-    structure = SCHEMES[scheme].template(d_out, d_in, r, spectrum).structure
+    structure = SCHEMES[scheme].structure(d_out, d_in, r, spectrum)
     return pl.sttp_diagram(structure.out_factors, structure.in_factors,
                            structure.schedule.ranks, d_x)
 
@@ -131,6 +131,13 @@ class TestPlanOptimality:
         # r*min + 2*r*dout*din, plus the dense apply
         assert pl.naive_flops(p, 1) == (4 * 16 + 2 * 4 * 16 * 72) + \
             2 * 16 * 72 == 9280 + 2304 == 11584
+        # a set costs what its structure record costs
+        for scheme in SCHEMES:
+            for mode in (LEARNED, IDENTITY):
+                p = SCHEMES[scheme].random(16, 72, 4, mode, 0)
+                for d_x in (1, 64):
+                    assert pl.naive_flops(p.structure, d_x) == \
+                        pl.naive_flops(p, d_x)
 
     def test_two_node_diagram_single_step(self):
         nodes = [pl.DiagramNode((3, 4)), pl.DiagramNode((4, 2))]

@@ -403,7 +403,7 @@ MODE_ENTRIES = {
        lambda mode, entry=getattr(SCHEMES[scheme], name), extra=extra:
        entry(8, 6, 3, mode, *extra)
        for scheme in SCHEMES
-       for name, extra in (("init", (0,)), ("random", (0,)), ("template", ()),
+       for name, extra in (("init", (0,)), ("random", (0,)),
                            ("structure", ()))},
     "svdp_dof": lambda mode: svdp_dof(8, 6, 3, mode),
     "sttp_dof": lambda mode: sttp.sttp_dof(8, 6, 3, mode),
@@ -486,12 +486,11 @@ def _constructed(scheme, d_out, d_in, r, mode):
 
 PARAM_MAKERS = {
     "init": lambda path, scheme, *shape: SCHEMES[scheme].init(*shape, seed=1),
-    "template": lambda path, scheme, *shape: SCHEMES[scheme].template(*shape),
     "random": lambda path, scheme, *shape: SCHEMES[scheme].random(*shape,
                                                                   seed=2),
     "read": _read_back,
     "unpack": lambda path, scheme, *shape: unpack(
-        SCHEMES[scheme].template(*shape),
+        SCHEMES[scheme].init(*shape, seed=0),
         pack(SCHEMES[scheme].random(*shape, seed=4))),
     "constructor": lambda path, scheme, *shape: _constructed(scheme, *shape),
 }
